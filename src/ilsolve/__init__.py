@@ -6,7 +6,6 @@ from .analysis import (
     GmresBoundResult,
     SpectralReport,
     check_convergence_conditions,
-    estimate_operator_spectral_radius,
     generalized_sym_eigs,
     gmres_bound_check,
     jacobi_eigh,
@@ -38,7 +37,6 @@ from .exceptions import (
     OracleFailureError,
     ParseError,
     ProblemAssumptionError,
-    SpectralEstimateError,
     StationaryDivergenceError,
 )
 from .krylov import CgConfig, FgmresConfig, SolveReport, cg_solve, fgmres_solve

@@ -3,10 +3,10 @@ and the spectral structure of the preconditioned operators.
 
 Everything here forms small matrices densely on purpose.  The point of
 this module is verification, not production solving: positive
-definiteness is certified by attempted Cholesky factorizations, symmetric
-eigenproblems go through a cyclic Jacobi sweep, and spectral radii of the
-(non-symmetric) iteration operators are estimated from windowed power
-iterations rather than a full unsymmetric eigendecomposition.
+definiteness is certified by attempted Cholesky factorizations (LAPACK),
+symmetric eigenproblems go through a cyclic Jacobi sweep, and spectral
+radii of the (non-symmetric) iteration operators are the largest
+eigenvalue moduli of the assembled dense operators (``np.linalg.eigvals``).
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_cholesky, one_norm_dense, solve_lower, solve_lower_transpose
+from .dense import dense_cholesky, is_spd, one_norm_dense, solve_lower, solve_lower_transpose
 from .exceptions import (
     AccuracyWarning,
     ConfigurationError,
     NotSpdError,
     RankAmbiguityWarning,
-    SpectralEstimateError,
     StationaryDivergenceError,
 )
 from .krylov import FgmresConfig, SolveReport, fgmres_solve
@@ -39,7 +38,6 @@ __all__ = [
     "check_convergence_conditions",
     "stationary_solve",
     "spectral_radius_estimate",
-    "estimate_operator_spectral_radius",
     "jacobi_eigh",
     "generalized_sym_eigs",
     "generalized_sym_eigpairs",
@@ -217,20 +215,12 @@ class ConditionReport:
         return self.spd_two_shifted_plus
 
 
-def _is_spd(m: np.ndarray) -> bool:
-    try:
-        dense_cholesky(m)
-    except NotSpdError:
-        return False
-    return True
-
-
 def _is_spsd(m: np.ndarray) -> bool:
     norm = one_norm_dense(m)
     if norm == 0.0:
         return True
     shift = m.shape[0] * _EPS * norm
-    return _is_spd(m + shift * np.eye(m.shape[0]))
+    return is_spd(m + shift * np.eye(m.shape[0]))
 
 
 def check_convergence_conditions(prob: IlsProblem, cap: int = 2000) -> ConditionReport:
@@ -251,10 +241,10 @@ def check_convergence_conditions(prob: IlsProblem, cap: int = 2000) -> Condition
     kappa_shifted = (prob.alpha + lam_max) / denom if denom > 0.0 else math.inf
 
     return ConditionReport(
-        spd_normal=_is_spd(gram - a2gram),
-        spd_shifted_minus_a2gram=_is_spd(shifted - a2gram),
-        spd_two_shifted_minus=_is_spd(2.0 * shifted - gram - a2gram),
-        spd_two_shifted_plus=_is_spd(2.0 * shifted - gram + a2gram),
+        spd_normal=is_spd(gram - a2gram),
+        spd_shifted_minus_a2gram=is_spd(shifted - a2gram),
+        spd_two_shifted_minus=is_spd(2.0 * shifted - gram - a2gram),
+        spd_two_shifted_plus=is_spd(2.0 * shifted - gram + a2gram),
         spsd_shift=_is_spsd(shifted - gram),
         kappa_gram=kappa_gram,
         kappa_shifted_gram=kappa_shifted,
@@ -315,65 +305,16 @@ def stationary_solve(
 
 
 # ---------------------------------------------------------------------------
-# Spectral radius estimation
+# Spectral radius
 # ---------------------------------------------------------------------------
 
-def estimate_operator_spectral_radius(
-    apply,
-    dim: int,
-    restarts: int = 8,
-    max_steps: int = 5000,
-    window: int = 50,
-    band: float = 1e-3,
-    seed: int = 0,
-) -> float:
-    """Windowed power iteration for the dominant eigenvalue modulus.
-
-    Each restart renormalizes every step and tracks the geometric mean of
-    the per-step growth over fixed windows; the run stops when successive
-    window estimates agree within ``band``.  The norm growth rate
-    converges to the dominant modulus regardless of eigenvalue rotation,
-    so complex dominant pairs need no special casing.  A run that never
-    stabilizes raises SpectralEstimateError carrying its window values.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(max(restarts, 1)):
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        log_growth: list[float] = []
-        window_estimates: list[float] = []
-        estimate = None
-        for step in range(1, max_steps + 1):
-            w = apply(v)
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                estimate = 0.0
-                break
-            log_growth.append(math.log(nw))
-            v = w / nw
-            if step % window == 0:
-                current = math.exp(float(np.mean(log_growth[-window:])))
-                window_estimates.append(current)
-                if len(window_estimates) >= 2 and abs(current - window_estimates[-2]) <= band:
-                    estimate = current
-                    break
-        if estimate is None:
-            raise SpectralEstimateError(
-                "windowed growth estimates failed to stabilize within "
-                f"{max_steps} steps (band {band:g})",
-                window_estimates=window_estimates,
-            )
-        best = max(best, estimate)
-    return best
-
-
-def spectral_radius_estimate(kind: str, prob: IlsProblem, restarts: int = 8) -> float:
+def spectral_radius_estimate(kind: str, prob: IlsProblem) -> float:
     """Spectral radius of the iteration operator I - M^{-1} A, with exact
-    inner solves, assembled densely at desk scale."""
+    inner solves, assembled densely at desk scale: the largest eigenvalue
+    modulus from ``np.linalg.eigvals``."""
     mat = assemble_dense_preconditioned(kind, prob)
     g = np.eye(mat.shape[0]) - mat
-    return estimate_operator_spectral_radius(lambda v: g @ v, g.shape[0], restarts=restarts)
+    return float(np.abs(np.linalg.eigvals(g)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +382,7 @@ def _vacuous(label) -> EigenvectorFamily:
     return EigenvectorFamily(label, np.zeros(0), np.zeros(0), vacuous=True)
 
 
-def verify_eigenstructure(kind: str, prob: IlsProblem, restarts: int = 8) -> SpectralReport:
+def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     """Build the predicted eigenvectors of the preconditioned operator and
     measure their operator-application residuals with exact inner solves.
 
@@ -570,7 +511,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem, restarts: int = 8) -> Spe
     else:
         nonunit.append(_vacuous("non-unit families not constructed for this variant"))
 
-    rho = spectral_radius_estimate(kind, prob, restarts=restarts)
+    rho = spectral_radius_estimate(kind, prob)
 
     verified_mus = np.concatenate(
         [f.eigenvalues for f in unit_families + nonunit if f.count]

@@ -34,7 +34,6 @@ from .exceptions import (
     IndefiniteOperatorError,
     NumericalFailureError,
     OracleFailureError,
-    SpectralEstimateError,
     StationaryDivergenceError,
 )
 from .krylov import CgConfig, FgmresConfig, fgmres_solve
@@ -260,7 +259,6 @@ _SOLVER_FAILURES = (
     NumericalFailureError,
     IndefiniteOperatorError,
     OracleFailureError,
-    SpectralEstimateError,
     StationaryDivergenceError,
 )
 

@@ -29,7 +29,8 @@ class ParseError(IlsolveError):
 
 
 class NotSpdError(IlsolveError):
-    """Cholesky elimination hit a non-positive pivot.
+    """Cholesky elimination hit a non-positive pivot, or one at or below
+    the rounding floor n*eps*max|diag|.
 
     This is an expected outcome when a factorization doubles as a
     positive-definiteness test, not a fault.  ``step`` is the 0-based
@@ -77,14 +78,6 @@ class StationaryDivergenceError(IlsolveError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class SpectralEstimateError(IlsolveError):
-    """Windowed power-iteration growth estimates failed to stabilize."""
-
-    def __init__(self, message, window_estimates=()):
-        super().__init__(message)
-        self.window_estimates = tuple(window_estimates)
 
 
 class RankAmbiguityWarning(UserWarning):

@@ -25,7 +25,7 @@ from .dense import CholeskyFactor, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator
-from .problem import BlockVector, IlsProblem, apply_block_A, dense_blocks, shifted_gram_operator
+from .problem import BlockVector, IlsProblem, apply_block_A, densify, shifted_gram_operator
 
 __all__ = [
     "VARIANTS",
@@ -159,7 +159,7 @@ def make_preconditioner(
             raise ConfigurationError(
                 f"dense inner factorization requested for n = {problem.n} > cap {dense_cap}"
             )
-        a1d, _ = dense_blocks(problem)
+        a1d = densify(problem.a1, problem.a1_op)
         inner_matrix = a1d.T @ a1d
         if shift:
             inner_matrix[np.diag_indices_from(inner_matrix)] += shift

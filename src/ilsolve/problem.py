@@ -43,6 +43,7 @@ __all__ = [
     "gram_operator",
     "shifted_gram_operator",
     "reduced_normal_operator",
+    "densify",
     "dense_blocks",
     "exact_solution_oracle",
     "full_solution_from_x",
@@ -269,16 +270,19 @@ def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:
     )
 
 
+def densify(raw, op: LinearOperator) -> np.ndarray:
+    """Dense form of one block, given as stored (``raw``) and as an
+    operator.  A float64 ndarray is returned as is, not copied, so callers
+    must not write to the result."""
+    if isinstance(raw, SparseMatrixCsr):
+        return raw.to_dense()
+    if isinstance(raw, np.ndarray):
+        return np.asarray(raw, dtype=np.float64)
+    return operator_to_dense(op)
+
+
 def dense_blocks(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense copies of (A1, A2) for desk-scale analysis."""
-
-    def densify(raw, op):
-        if isinstance(raw, SparseMatrixCsr):
-            return raw.to_dense()
-        if isinstance(raw, np.ndarray):
-            return np.array(raw, dtype=np.float64)
-        return operator_to_dense(op)
-
+    """Dense (A1, A2) for desk-scale analysis (read-only, see densify)."""
     return densify(prob.a1, prob.a1_op), densify(prob.a2, prob.a2_op)
 
 

@@ -8,10 +8,9 @@ import scipy.linalg
 import ilsolve as il
 from ilsolve import (
     IlsProblem,
-    SpectralEstimateError,
     StationaryDivergenceError,
+    assemble_dense_preconditioned,
     check_convergence_conditions,
-    estimate_operator_spectral_radius,
     generalized_sym_eigs,
     gmres_bound_check,
     jacobi_eigh,
@@ -230,31 +229,12 @@ class TestSpectralRadius:
         rho = spectral_radius_estimate("ibs2", scalar_problem(alpha=4.0))
         assert abs(rho - 0.625) <= 1e-4
 
-    def test_injected_diagonal_operator(self):
-        g = np.diag([0.5, -0.9])
-        rho = estimate_operator_spectral_radius(lambda v: g @ v, 2, restarts=4, seed=3)
-        assert abs(rho - 0.9) <= 1e-6
-
-    def test_rotation_with_complex_pair(self):
-        # Scaled rotation: complex eigenvalues 0.8 e^{+-i theta}; the norm
-        # growth rate still recovers the modulus.
-        theta = 0.7
-        g = 0.8 * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        rho = estimate_operator_spectral_radius(lambda v: g @ v, 2, restarts=2, seed=5)
-        assert abs(rho - 0.8) <= 1e-3
-
-    def test_unstable_growth_raises(self):
-        # Growth that flips between windows can never stabilize.
-        state = {"k": 0}
-
-        def flapping(v):
-            state["k"] += 1
-            scale = 2.0 if (state["k"] // 50) % 2 == 0 else 0.5
-            return scale * v
-
-        with pytest.raises(SpectralEstimateError) as exc:
-            estimate_operator_spectral_radius(flapping, 3, restarts=1, max_steps=500)
-        assert len(exc.value.window_estimates) > 0
+    def test_matches_scipy_eigvals(self):
+        prob = random_desk_problem(3)
+        for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
+            g = np.eye(prob.size) - assemble_dense_preconditioned(kind, prob)
+            want = np.abs(scipy.linalg.eigvals(g)).max()
+            assert abs(spectral_radius_estimate(kind, prob) - want) <= 1e-12
 
 
 class TestEigenstructure:
