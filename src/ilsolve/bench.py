@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, IlsolveError, ProblemAssumptionError
+from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError, ProblemAssumptionError
 from .krylov import CgConfig, FgmresConfig, fgmres_solve
 from .mmio import read_matrix_market
-from .preconditioners import VARIANTS, make_preconditioner
+from .preconditioners import IBS_VARIANTS, VARIANTS, make_preconditioner
 from .problem import (
     IlsProblem,
     block_system_operator,
@@ -32,6 +32,7 @@ from .sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_ide
 
 __all__ = [
     "ExperimentSpec",
+    "INNER_SOLVERS",
     "TableRow",
     "generate_augmented_problem",
     "generate_hilbert_problem",
@@ -40,6 +41,7 @@ __all__ = [
     "reference_solution",
     "build_problem",
     "load_experiment_spec",
+    "run_cell",
     "run_experiment",
     "report_write",
 ]
@@ -53,15 +55,12 @@ def generate_augmented_problem(
     core: SparseMatrixCsr,
     q: int,
     scale: float = 6.0,
-    rhs_policy: str = "ones",
 ) -> IlsProblem:
     """Augment a p x n matrix into an ILS instance: A1 = core,
     A2 = scale * I_{q x n} (rectangular identity pattern), all-ones right-
     hand side, and the default shift derived from A1."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    if rhs_policy != "ones":
-        raise ValueError(f"unknown rhs policy {rhs_policy!r}")
     p, n = core.n_rows, core.n_cols
     a2 = rectangular_identity_csr(q, n, scale)
     return IlsProblem(
@@ -146,26 +145,30 @@ def reference_solution(prob: IlsProblem, dense_cap: int = 4000):
 # Experiment specification
 # ---------------------------------------------------------------------------
 
+INNER_SOLVERS = ("cg", "cholesky")
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment: a problem source, preconditioner list, solver
-    settings, and output destination."""
+    settings, and output destination; spec files and the command line both
+    describe a run with one.  The solver settings default to CgConfig's and
+    FgmresConfig's, and an unset ``a2_scale`` to the generator's own."""
 
-    problem: str                      # "matrix-market" | "hilbert" | "random"
+    problem: str = "matrix-market"    # "matrix-market" | "hilbert" | "random"
     matrix: str | None = None         # path for matrix-market sources
     p: int | None = None
     q: int | None = None
     n: int | None = None
-    a2_scale: float = 6.0
+    a2_scale: float | None = None
     normalize: bool = True
-    hilbert_cap: int = 2000
-    preconditioners: tuple[str, ...] = ("ibs1", "ibs2", "ibs3", "ibs4")
-    inner: str = "cg"
-    inner_tol: float = 1e-3
-    inner_maxit: int = 1000
-    outer_tol: float = 1e-8
-    outer_maxit: int = 2000
-    restart: int | None = None
+    preconditioners: tuple[str, ...] = IBS_VARIANTS
+    inner: str = "cg"                 # one of INNER_SOLVERS
+    inner_tol: float = CgConfig.rel_tolerance
+    inner_maxit: int = CgConfig.max_iterations
+    outer_tol: float = FgmresConfig.rel_tolerance
+    outer_maxit: int = FgmresConfig.max_iterations
+    restart: int | None = FgmresConfig.restart
     runs: int = 5
     seed: int = 0
     out: str | None = None
@@ -179,23 +182,55 @@ class ExperimentSpec:
         if bad:
             raise ValueError(f"unknown preconditioners {bad}; choose from {VARIANTS}")
         self.preconditioners = tuple(k.lower() for k in self.preconditioners)
+        if self.inner not in INNER_SOLVERS:
+            raise ValueError(f"unknown inner solver {self.inner!r}; choose from {INNER_SOLVERS}")
+        # Bad solver settings fail here, before any problem is built.
+        self.inner_config()
+        self.outer_config()
+
+    def inner_config(self) -> CgConfig:
+        return CgConfig(self.inner_tol, self.inner_maxit)
+
+    def outer_config(self) -> FgmresConfig:
+        return FgmresConfig(self.outer_tol, self.outer_maxit, self.restart)
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}") from None
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+# Spec file key -> (ExperimentSpec field, converter of the value text).
 _SPEC_KEYS = {
-    "problem", "matrix", "p", "q", "n", "a2_scale", "normalize", "hilbert_cap",
-    "preconditioners", "inner", "inner.tol", "inner.maxit",
-    "outer.tol", "outer.maxit", "outer.restart", "runs", "seed", "out",
+    "problem": ("problem", str), "matrix": ("matrix", str),
+    "p": ("p", int), "q": ("q", int), "n": ("n", int),
+    "a2_scale": ("a2_scale", float), "normalize": ("normalize", _parse_bool),
+    "preconditioners": ("preconditioners", _parse_names), "inner": ("inner", str),
+    "inner.tol": ("inner_tol", float), "inner.maxit": ("inner_maxit", int),
+    "outer.tol": ("outer_tol", float), "outer.maxit": ("outer_maxit", int),
+    "outer.restart": ("restart", int),
+    "runs": ("runs", int), "seed": ("seed", int), "out": ("out", str),
 }
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
     """Parse the flat ``key = value`` spec format ('#' starts a comment).
 
-    Keys: problem, matrix, p, q, n, a2_scale, normalize, hilbert_cap,
-    preconditioners (comma separated), inner, inner.tol, inner.maxit,
-    outer.tol, outer.maxit, outer.restart, runs, seed, out.
+    Keys: those of ``_SPEC_KEYS``; preconditioners is comma separated, and
+    a key left out keeps the ExperimentSpec default.  A value that does not
+    convert raises ValueError('path:line: key: reason'), an invalid spec
+    ValueError('path: reason').
     """
-    raw: dict[str, str] = {}
+    settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -206,38 +241,20 @@ def load_experiment_spec(path) -> ExperimentSpec:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in _SPEC_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            raw[key] = value
-
-    def get_int(key):
-        return int(raw[key]) if key in raw else None
-
-    spec = ExperimentSpec(
-        problem=raw.get("problem", "matrix-market"),
-        matrix=raw.get("matrix"),
-        p=get_int("p"),
-        q=get_int("q"),
-        n=get_int("n"),
-        a2_scale=float(raw.get("a2_scale", 6.0)),
-        normalize=raw.get("normalize", "true").lower() in ("true", "1", "yes"),
-        hilbert_cap=int(raw.get("hilbert_cap", 2000)),
-        preconditioners=tuple(
-            tok.strip() for tok in raw.get("preconditioners", "ibs1,ibs2,ibs3,ibs4").split(",") if tok.strip()
-        ),
-        inner=raw.get("inner", "cg"),
-        inner_tol=float(raw.get("inner.tol", 1e-3)),
-        inner_maxit=int(raw.get("inner.maxit", 1000)),
-        outer_tol=float(raw.get("outer.tol", 1e-8)),
-        outer_maxit=int(raw.get("outer.maxit", 2000)),
-        restart=get_int("outer.restart"),
-        runs=int(raw.get("runs", 5)),
-        seed=int(raw.get("seed", 0)),
-        out=raw.get("out"),
-    )
-    return spec
+            name, convert = _SPEC_KEYS[key]
+            try:
+                settings[name] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+    try:
+        return ExperimentSpec(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def build_problem(spec: ExperimentSpec) -> IlsProblem:
     """Materialize the problem a spec describes."""
+    scale = () if spec.a2_scale is None else (spec.a2_scale,)
     if spec.problem == "matrix-market":
         if not spec.matrix:
             raise ValueError("matrix-market source needs a 'matrix' path")
@@ -246,11 +263,11 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
             core = normalize_to_unit_one_norm(core)
         if spec.q is None:
             raise ValueError("matrix-market source needs 'q'")
-        return generate_augmented_problem(core, spec.q, spec.a2_scale)
+        return generate_augmented_problem(core, spec.q, *scale)
     if spec.problem == "hilbert":
         if spec.n is None:
             raise ValueError("hilbert source needs 'n'")
-        return generate_hilbert_problem(spec.n, spec.a2_scale, cap=spec.hilbert_cap)
+        return generate_hilbert_problem(spec.n, *scale)
     if spec.p is None or spec.q is None or spec.n is None:
         raise ValueError("random source needs 'p', 'q', and 'n'")
     return generate_random_problem(spec.p, spec.q, spec.n, seed=spec.seed)
@@ -263,7 +280,7 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
 @dataclass
 class TableRow:
     """One benchmark cell.  Unconverged rows keep it/res/err as None
-    (rendered as empty CSV cells)."""
+    (rendered as empty CSV cells); the inner counts are the final run's."""
 
     problem: str
     preconditioner: str
@@ -273,71 +290,66 @@ class TableRow:
     err: float | None
     converged: bool
     note: str = ""
+    inner_iterations: int = 0
+    inner_failures: int = 0
+
+
+def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, note: str = ""):
+    """Solve one (problem, preconditioner) cell ``spec.runs`` times from a
+    zero start with one preconditioner, and return (row, final report).
+
+    The row averages IT and CPU over the runs and takes the rest from the
+    final run; ERR needs the reference solution ``x_star``, and ``note``
+    opens the row's note.  Set-up and solver errors propagate.
+    """
+    pre = make_preconditioner(kind, prob, inner=spec.inner, inner_config=spec.inner_config())
+    op, rhs, outer = block_system_operator(prob), build_rhs(prob).data, spec.outer_config()
+    its, cpus = [], []
+    for _ in range(spec.runs):
+        pre.reset_stats()
+        x, report = fgmres_solve(op, pre, rhs, config=outer)
+        its.append(report.iterations)
+        cpus.append(report.wall_seconds)
+    row = TableRow(
+        prob.label(), kind, None, float(np.mean(cpus)), None, None, False,
+        inner_iterations=pre.inner_iterations, inner_failures=pre.inner_failures,
+    )
+    notes = [note] if note else []
+    if pre.inner_failures:
+        notes.append(f"{pre.inner_failures} inner solves hit their cap")
+    if report.converged:
+        row.it, row.res, row.converged = float(np.mean(its)), report.final_res, True
+        x_star_norm = 0.0 if x_star is None else float(np.linalg.norm(x_star))
+        if x_star_norm > 0.0:
+            row.err = float(np.linalg.norm(x[prob.layout.sx] - x_star)) / x_star_norm
+    else:
+        notes.append(f"no convergence in {report.iterations} iterations")
+    row.note = "; ".join(notes)
+    return row, report
 
 
 def run_experiment(spec: ExperimentSpec, echo=None) -> list[TableRow]:
     """Run every (problem, preconditioner) cell of the experiment.
 
-    The reference solution is computed once per problem (it does not
-    depend on the run or the preconditioner).  ``echo``, when given, is
-    called with each finished TableRow (the CLI uses this for progress).
+    The reference solution is computed once per problem.  A cell whose
+    solve fails with one of SOLVER_FAILURES becomes a failed row.  ``echo``,
+    when given, is called with each finished TableRow (CLI progress).
     """
     prob = build_problem(spec)
-    rhs = build_rhs(prob).data
-    op = block_system_operator(prob)
-    outer = FgmresConfig(
-        rel_tolerance=spec.outer_tol, max_iterations=spec.outer_maxit, restart=spec.restart
-    )
-    inner_cfg = CgConfig(rel_tolerance=spec.inner_tol, max_iterations=spec.inner_maxit)
-
-    ref_note = ""
     try:
         x_star, ref_note = reference_solution(prob)
     except IlsolveError as exc:
-        x_star = None
-        ref_note = f"reference solution unavailable: {exc}"
-    x_star_norm = float(np.linalg.norm(x_star)) if x_star is not None else 0.0
+        x_star, ref_note = None, f"reference solution unavailable: {exc}"
 
     rows = []
-    label = prob.label()
     for kind in spec.preconditioners:
-        pre = make_preconditioner(kind, prob, inner=spec.inner, inner_config=inner_cfg)
-        its, cpus = [], []
-        last = None
-        failure_note = ""
-        for _ in range(spec.runs):
-            pre.reset_stats()
-            try:
-                x, report = fgmres_solve(op, pre, rhs, config=outer)
-            except IlsolveError as exc:
-                failure_note = f"solver failure: {exc}"
-                last = None
-                break
-            its.append(report.iterations)
-            cpus.append(report.wall_seconds)
-            last = (x, report)
-        if last is None:
-            rows.append(TableRow(label, kind, None, float(np.mean(cpus)) if cpus else 0.0,
-                                 None, None, False, failure_note))
-        else:
-            x, report = last
-            err = None
-            if x_star is not None and x_star_norm > 0.0:
-                x_k = x[prob.layout.sx]
-                err = float(np.linalg.norm(x_k - x_star)) / x_star_norm
-            note = ref_note
-            if pre.inner_failures:
-                extra = f"{pre.inner_failures} inner solves hit their cap"
-                note = f"{note}; {extra}" if note else extra
-            if report.converged:
-                rows.append(TableRow(label, kind, float(np.mean(its)), float(np.mean(cpus)),
-                                     report.final_res, err, True, note))
-            else:
-                dagger = f"no convergence in {report.iterations} iterations"
-                note = f"{note}; {dagger}" if note else dagger
-                rows.append(TableRow(label, kind, None, float(np.mean(cpus)), None, None, False, note))
+        try:
+            row, _ = run_cell(spec, prob, kind, x_star, ref_note)
+        except SOLVER_FAILURES as exc:
+            row = TableRow(prob.label(), kind, None, 0.0, None, None, False, f"solver failure: {exc}")
+        rows.append(row)
         if echo is not None:
-            echo(rows[-1])
+            echo(row)
     return rows
 
 
@@ -379,6 +391,8 @@ def report_write(rows: list[TableRow], fmt: str, path) -> None:
                 "ERR": r.err,
                 "converged": r.converged,
                 "note": r.note,
+                "inner_iterations": r.inner_iterations,
+                "inner_failures": r.inner_failures,
             }
             for r in rows
         ]

@@ -23,24 +23,25 @@ from .analysis import (
     verify_eigenstructure,
 )
 from .bench import (
+    INNER_SOLVERS,
     ExperimentSpec,
     build_problem,
     load_experiment_spec,
     report_write,
+    run_cell,
     run_experiment,
 )
-from .exceptions import (
-    IlsolveError,
-    IndefiniteOperatorError,
-    NumericalFailureError,
-    OracleFailureError,
-    StationaryDivergenceError,
-)
-from .krylov import CgConfig, FgmresConfig, fgmres_solve
+from .exceptions import SOLVER_FAILURES, IlsolveError
 from .mmio import write_matrix_market, write_vector_matrix_market
-from .preconditioners import IBS_VARIANTS, VARIANTS, make_preconditioner
-from .problem import block_system_operator, build_rhs
+from .preconditioners import IBS_VARIANTS, VARIANTS
 from .sparse import SparseMatrixCsr
+
+# Flags named after an ExperimentSpec field.  They default to SUPPRESS, so
+# a flag that is not given leaves the spec's own default in place.
+_SPEC_SETTINGS = (
+    "a2_scale", "normalize", "seed",
+    "inner", "inner_tol", "inner_maxit", "outer_tol", "outer_maxit", "restart",
+)
 
 
 def _add_problem_args(parser):
@@ -50,63 +51,46 @@ def _add_problem_args(parser):
     src.add_argument("--random", metavar="P,Q,N", help="random dense instance")
     src.add_argument("--q", type=int, help="rows of A2 for --matrix sources")
     src.add_argument(
-        "--a2-scale", type=float, default=None,
-        help="diagonal scale of A2 (default 6 for --matrix, 0.7 for --hilbert)",
+        "--a2-scale", type=float, default=argparse.SUPPRESS,
+        help="diagonal scale of A2 (default: that of the problem's generator)",
     )
-    src.add_argument("--seed", type=int, default=0)
-    src.add_argument("--no-normalize", action="store_true",
+    src.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    src.add_argument("--no-normalize", dest="normalize", action="store_false",
+                     default=argparse.SUPPRESS,
                      help="skip scaling the input matrix to unit 1-norm")
-    src.add_argument("--hilbert-cap", type=int, default=2000)
 
 
-def _spec_from_args(args) -> ExperimentSpec:
+def _spec_from_args(args, **fixed) -> ExperimentSpec:
     chosen = [bool(args.matrix), args.hilbert is not None, args.random is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --matrix, --hilbert, --random")
+    settings = {key: value for key, value in vars(args).items() if key in _SPEC_SETTINGS}
+    settings.update(fixed)
     if args.matrix:
         if args.q is None:
             raise ValueError("--matrix needs --q")
-        scale = 6.0 if args.a2_scale is None else args.a2_scale
-        return ExperimentSpec(
-            problem="matrix-market", matrix=args.matrix, q=args.q,
-            a2_scale=scale, normalize=not args.no_normalize,
-        )
+        return ExperimentSpec(problem="matrix-market", matrix=args.matrix, q=args.q, **settings)
     if args.hilbert is not None:
-        scale = 0.7 if args.a2_scale is None else args.a2_scale
-        return ExperimentSpec(problem="hilbert", n=args.hilbert, a2_scale=scale,
-                              hilbert_cap=args.hilbert_cap)
+        return ExperimentSpec(problem="hilbert", n=args.hilbert, **settings)
     try:
         p, q, n = (int(tok) for tok in args.random.split(","))
     except ValueError:
         raise ValueError("--random expects P,Q,N") from None
-    return ExperimentSpec(problem="random", p=p, q=q, n=n, seed=args.seed)
+    return ExperimentSpec(problem="random", p=p, q=q, n=n, **settings)
 
 
 def _cmd_solve(args) -> int:
-    spec = _spec_from_args(args)
-    spec.preconditioners = (args.preconditioner,)
-    spec.inner = args.inner
-    spec.inner_tol = args.inner_tol
-    spec.inner_maxit = args.inner_maxit
-    spec.outer_tol = args.outer_tol
-    spec.outer_maxit = args.outer_maxit
-    spec.restart = args.restart
-    prob = build_problem(spec)
-    pre = make_preconditioner(
-        args.preconditioner, prob, inner=args.inner,
-        inner_config=CgConfig(args.inner_tol, args.inner_maxit),
-    )
-    cfg = FgmresConfig(args.outer_tol, args.outer_maxit, args.restart)
-    x, report = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob).data, config=cfg)
+    spec = _spec_from_args(args, preconditioners=(args.preconditioner,), runs=1)
+    row, report = run_cell(spec, build_problem(spec), args.preconditioner)
     payload = {
-        "problem": prob.label(),
-        "preconditioner": args.preconditioner,
+        "problem": row.problem,
+        "preconditioner": row.preconditioner,
         "converged": report.converged,
         "IT": report.iterations,
         "CPU": report.wall_seconds,
         "RES": report.final_res,
-        "inner_iterations": pre.inner_iterations,
-        "inner_failures": pre.inner_failures,
+        "inner_iterations": row.inner_iterations,
+        "inner_failures": row.inner_failures,
         "notes": list(report.notes),
     }
     if args.json:
@@ -226,12 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one problem with one preconditioner")
     _add_problem_args(p_solve)
     p_solve.add_argument("--preconditioner", default="ibs2", choices=VARIANTS)
-    p_solve.add_argument("--inner", default="cg", choices=["cg", "cholesky"])
-    p_solve.add_argument("--inner-tol", type=float, default=1e-3)
-    p_solve.add_argument("--inner-maxit", type=int, default=1000)
-    p_solve.add_argument("--outer-tol", type=float, default=1e-8)
-    p_solve.add_argument("--outer-maxit", type=int, default=2000)
-    p_solve.add_argument("--restart", type=int, default=None)
+    solver = p_solve.add_argument_group("solver settings (defaults: those of an experiment spec)")
+    solver.add_argument("--inner", choices=INNER_SOLVERS, default=argparse.SUPPRESS)
+    solver.add_argument("--inner-tol", type=float, default=argparse.SUPPRESS)
+    solver.add_argument("--inner-maxit", type=int, default=argparse.SUPPRESS)
+    solver.add_argument("--outer-tol", type=float, default=argparse.SUPPRESS)
+    solver.add_argument("--outer-maxit", type=int, default=argparse.SUPPRESS)
+    solver.add_argument("--restart", type=int, default=argparse.SUPPRESS,
+                        help="FGMRES restart length (default: unrestarted)")
     p_solve.add_argument("--json", action="store_true", help="print the report as JSON")
     p_solve.add_argument("--history", help="write the residual history to this file")
     p_solve.set_defaults(func=_cmd_solve)
@@ -255,20 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SOLVER_FAILURES = (
-    NumericalFailureError,
-    IndefiniteOperatorError,
-    OracleFailureError,
-    StationaryDivergenceError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SOLVER_FAILURES as exc:
+    except SOLVER_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, IlsolveError) as exc:

@@ -94,7 +94,7 @@ def _pivot_failure(a: np.ndarray, pivot_floor: float) -> NotSpdError:
     if good:
         w = solve_lower(_leading_factor(a, good, pivot_floor), a[:good, good])
         pivot -= float(w @ w)
-    return NotSpdError(good, pivot)
+    return NotSpdError(good, pivot, pivot_floor)
 
 
 def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:

@@ -37,10 +37,10 @@ class NotSpdError(IlsolveError):
     elimination index at which the pivot failed.
     """
 
-    def __init__(self, step, pivot):
-        super().__init__(
-            f"non-positive pivot {pivot:.6e} at elimination step {step}"
-        )
+    def __init__(self, step, pivot, floor):
+        where = f"pivot {pivot:.6e} at elimination step {step}"
+        super().__init__(f"non-positive {where}" if pivot <= 0.0
+                         else f"{where} is at or below the rounding floor {floor:.6e}")
         self.step = step
         self.pivot = pivot
 
@@ -86,3 +86,13 @@ class RankAmbiguityWarning(UserWarning):
 
 class AccuracyWarning(UserWarning):
     """An iterative kernel stopped at its cap before reaching target accuracy."""
+
+
+# Failures of a solve itself, as opposed to bad input or settings: an
+# experiment records them as a failed row, ``ilsolve solve`` exits with 2.
+SOLVER_FAILURES = (
+    NumericalFailureError,
+    IndefiniteOperatorError,
+    OracleFailureError,
+    StationaryDivergenceError,
+)

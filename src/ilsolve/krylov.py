@@ -6,11 +6,12 @@ variant stores the preconditioned basis Z so the preconditioner may change
 from one iteration to the next (it does, whenever the inner solves are
 themselves iterative).
 
-Residual accounting follows one rule: the per-iteration value is the
-least-squares estimate from the Arnoldi process, but a declared
-convergence is only accepted after the true residual of the assembled
-iterate confirms it.  If the estimate has drifted, the iteration resumes
-from the assembled iterate (at most three times) before giving up.
+Residual accounting follows one rule: an iteration records the Arnoldi
+least-squares estimate, or the true residual of the assembled iterate
+wherever that is computed (convergence, restart boundary, iteration cap).
+A declared convergence is only accepted once the true residual confirms
+it; if the estimate has drifted, the iteration resumes from the assembled
+iterate (at most three times) before giving up.
 """
 
 from __future__ import annotations
@@ -272,15 +273,14 @@ def fgmres_solve(
                 true_res = _norm(r) / bnorm
                 x = x_cand
                 rnorm = true_res * bnorm
+                history[-1] = true_res
                 if happy:
                     notes.append(f"happy breakdown at iteration {it}")
-                    history[-1] = true_res
                     converged = true_res < cfg.rel_tolerance or true_res <= 10 * breakdown_tol / bnorm
                     if not converged:
                         notes.append("breakdown iterate did not meet the tolerance")
                     finished = True
                 elif true_res < cfg.rel_tolerance:
-                    history[-1] = true_res
                     converged = True
                     finished = True
                 elif estimate < cfg.rel_tolerance:
@@ -293,10 +293,8 @@ def fgmres_solve(
                         f"at iteration {it}; resuming"
                     )
                     if resumptions > 3 or it >= cfg.max_iterations:
-                        history[-1] = true_res
                         finished = True
                 elif it >= cfg.max_iterations:
-                    history[-1] = true_res
                     finished = True
                 break
             basis.append(w / wnorm)

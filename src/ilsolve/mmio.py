@@ -113,6 +113,12 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
             except ValueError:
                 raise ParseError(f"bad value {entry!r}", line_no=line_no) from None
 
+    # float() accepts 'nan' and 'inf'; checked once here, not per line.
+    finite = np.isfinite(vals)
+    if not finite.all():
+        line_no, entry = entries[int(np.argmin(finite))]
+        raise ParseError(f"non-finite value in {entry!r}", line_no=line_no)
+
     if symmetry == "symmetric":
         off = rows != cols
         mirrored_rows = cols[off]

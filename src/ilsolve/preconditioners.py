@@ -25,7 +25,7 @@ from .dense import CholeskyFactor, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator
-from .problem import BlockVector, IlsProblem, apply_block_A, densify, shifted_gram_operator
+from .problem import IlsProblem, apply_block_A, densify, shifted_gram_operator
 
 __all__ = [
     "VARIANTS",
@@ -108,15 +108,13 @@ class Preconditioner:
             self._inner.iterations = 0
             self._inner.failures = 0
 
-    def apply(self, r):
-        wrapped = isinstance(r, BlockVector)
-        flat = r.data if wrapped else np.asarray(r, dtype=np.float64)
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        flat = np.asarray(r, dtype=np.float64)
         layout = self.problem.layout
         if flat.shape != (layout.size,):
             raise ValueError(f"vector has shape {flat.shape}, expected ({layout.size},)")
         if self.kind == "none":
-            out = flat.copy()
-            return BlockVector(out, layout) if wrapped else out
+            return flat.copy()
         r1, r2, r3 = layout.split(flat)
         rhs = r2 - self.problem.a2_op.apply_transpose(r3) if self.kind in _COUPLED_RHS else r2
         z2 = self._inner.solve(rhs)
@@ -125,10 +123,7 @@ class Preconditioner:
         out[layout.s1] = z1
         out[layout.sx] = z2
         out[layout.s2] = r3
-        return BlockVector(out, layout) if wrapped else out
-
-    def __call__(self, r):
-        return self.apply(r)
+        return out
 
 
 def make_preconditioner(
@@ -154,7 +149,7 @@ def make_preconditioner(
     if inner == "cg":
         op = shifted_gram_operator(problem, alpha=shift)
         solver = _CgInner(op, inner_config or CgConfig())
-    elif inner in ("cholesky", "dense-cholesky"):
+    elif inner == "cholesky":
         if problem.n > dense_cap:
             raise ConfigurationError(
                 f"dense inner factorization requested for n = {problem.n} > cap {dense_cap}"

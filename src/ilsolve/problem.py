@@ -14,7 +14,8 @@ is never formed outside the dense desk-scale helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,9 +117,6 @@ class BlockVector:
     def d2(self) -> np.ndarray:
         return self.data[self.layout.s2]
 
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.data.copy(), self.layout)
-
 
 @dataclass(frozen=True)
 class IlsProblem:
@@ -137,32 +135,29 @@ class IlsProblem:
     q: int
     n: int
     alpha: float
+    a1_op: LinearOperator = field(init=False, repr=False, compare=False)
+    a2_op: LinearOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
         object.__setattr__(self, "b2", np.asarray(self.b2, dtype=np.float64))
-        a1op, a2op = aslinearoperator(self.a1), aslinearoperator(self.a2)
+        object.__setattr__(self, "a1_op", aslinearoperator(self.a1))
+        object.__setattr__(self, "a2_op", aslinearoperator(self.a2))
         if self.p < 1 or self.q < 1:
             raise DegenerateProblemError(
                 "p and q must both be positive; an empty block reduces the "
                 "problem to an ordinary least squares problem"
             )
-        if a1op.shape != (self.p, self.n):
-            raise ValueError(f"A1 has shape {a1op.shape}, expected ({self.p}, {self.n})")
-        if a2op.shape != (self.q, self.n):
-            raise ValueError(f"A2 has shape {a2op.shape}, expected ({self.q}, {self.n})")
+        if self.a1_op.shape != (self.p, self.n):
+            raise ValueError(f"A1 has shape {self.a1_op.shape}, expected ({self.p}, {self.n})")
+        if self.a2_op.shape != (self.q, self.n):
+            raise ValueError(f"A2 has shape {self.a2_op.shape}, expected ({self.q}, {self.n})")
         if self.b1.shape != (self.p,) or self.b2.shape != (self.q,):
             raise ValueError("right-hand side blocks do not match (p, q)")
-        if not self.alpha >= 0.0:
-            raise ValueError("alpha must be nonnegative")
-
-    @cached_property
-    def a1_op(self) -> LinearOperator:
-        return aslinearoperator(self.a1)
-
-    @cached_property
-    def a2_op(self) -> LinearOperator:
-        return aslinearoperator(self.a2)
+        if not (np.isfinite(self.b1).all() and np.isfinite(self.b2).all()):
+            raise ValueError("right-hand side has non-finite entries")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
 
     @cached_property
     def layout(self) -> BlockLayout:
@@ -211,14 +206,12 @@ def compute_alpha(a1) -> float:
     return norm * norm
 
 
-def apply_block_A(prob: IlsProblem, v):
-    """Product of the block system matrix with a (d1; x; d2) vector.
+def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
+    """Product of the block system matrix with a flat (d1; x; d2) vector.
 
-    Accepts a flat array or a BlockVector and returns the same kind.
     The Gram product uses A1'(A1 x); nothing is materialized.
     """
-    wrapped = isinstance(v, BlockVector)
-    flat = v.data if wrapped else np.asarray(v, dtype=np.float64)
+    flat = np.asarray(v, dtype=np.float64)
     layout = prob.layout
     if flat.shape != (layout.size,):
         raise ValueError(f"vector has shape {flat.shape}, expected ({layout.size},)")
@@ -228,7 +221,7 @@ def apply_block_A(prob: IlsProblem, v):
     out[layout.s1] = d1 + a1x
     out[layout.sx] = prob.a1_op.apply_transpose(a1x) + prob.a2_op.apply_transpose(d2)
     out[layout.s2] = prob.a2_op.apply(x) + d2
-    return BlockVector(out, layout) if wrapped else out
+    return out
 
 
 def build_rhs(prob: IlsProblem) -> BlockVector:

@@ -18,6 +18,7 @@ from ilsolve import (
     run_experiment,
 )
 from ilsolve.bench import build_problem, hilbert_matrix
+from ilsolve.cli import main
 from ilsolve.sparse import identity_csr, normalize_to_unit_one_norm
 
 from conftest import random_csr, scalar_problem
@@ -168,6 +169,48 @@ class TestSpecParsing:
             build_problem(spec)
 
 
+class TestSpecBoundary:
+    @pytest.mark.parametrize(
+        "line, key",
+        [("q = x", "q"), ("outer.tol = abc", "outer.tol"), ("normalize = flase", "normalize")],
+    )
+    def test_conversion_error_names_path_line_and_key(self, tmp_path, capsys, line, key):
+        path = tmp_path / "bad.spec"
+        path.write_text(f"problem = random\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_experiment_spec(path)
+        assert str(exc.value).startswith(f"{path}:2: {key}: ")
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: {key}: ")
+
+    @pytest.mark.parametrize("text, value", [("no", False), ("0", False), ("YES", True), ("1", True)])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        path = tmp_path / "b.spec"
+        path.write_text(f"problem = random\nnormalize = {text}\n")
+        assert load_experiment_spec(path).normalize is value
+
+    def test_unknown_inner_rejected_at_load(self, tmp_path, capsys):
+        path = tmp_path / "qr.spec"
+        path.write_text("problem = random\np = 6\nq = 4\nn = 3\ninner = qr\n")
+        with pytest.raises(ValueError, match="inner solver 'qr'"):
+            load_experiment_spec(path)
+        assert main(["bench", str(path)]) == 1
+        assert "inner solver 'qr'" in capsys.readouterr().err
+
+    def test_hilbert_spec_uses_generator_a2_scale(self):
+        prob = build_problem(ExperimentSpec(problem="hilbert", n=3))
+        assert np.array_equal(prob.a2.to_dense(), 0.7 * np.eye(3))
+
+    def test_spec_and_cli_solve_agree(self, tmp_path, capsys):
+        path = tmp_path / "h.spec"
+        path.write_text("problem = hilbert\nn = 40\npreconditioners = ibs2\nruns = 1\n")
+        row = run_experiment(load_experiment_spec(path))[0]
+        assert main(["solve", "--hilbert", "40", "--preconditioner", "ibs2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (row.it, row.res) == (payload["IT"], payload["RES"])
+        assert row.inner_iterations == payload["inner_iterations"]
+
+
 class TestRunExperiment:
     def test_rows_for_random_problem(self):
         spec = ExperimentSpec(
@@ -248,6 +291,16 @@ class TestReportWrite:
             assert float(c["IT"]) == j["IT"]
             assert float(c["RES"]) == pytest.approx(j["RES"], rel=5e-3)
             assert float(c["ERR"]) == pytest.approx(j["ERR"], rel=5e-3)
+
+    def test_json_carries_inner_counts(self, tmp_path):
+        spec = ExperimentSpec(
+            problem="random", p=8, q=6, n=5, seed=3, preconditioners=("ibs2",), runs=2,
+        )
+        rows = run_experiment(spec)
+        report_write(rows, "json", tmp_path / "r.json")
+        data = json.loads((tmp_path / "r.json").read_text())
+        assert data[0]["inner_iterations"] == rows[0].inner_iterations > 0
+        assert data[0]["inner_failures"] == rows[0].inner_failures == 0
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ class TestDenseCholesky:
             dense_cholesky(np.diag([4.0, 1.0, -1.0, 2.0]))
         assert exc.value.step == 2
         assert exc.value.pivot == -1.0
+        assert str(exc.value).startswith("non-positive pivot")
 
     def test_schur_complement_pivot_reported(self):
         # Leading 2x2 block B is SPD; the third pivot is 0.5 - [1, 1] inv(B) [1, 1]'.
@@ -54,6 +55,8 @@ class TestDenseCholesky:
             dense_cholesky(np.diag([1.0, 1e-17]))
         assert exc.value.step == 1
         assert exc.value.pivot == 1e-17
+        assert "non-positive" not in str(exc.value)
+        assert "at or below the rounding floor" in str(exc.value)
 
     def test_semidefinite_fails(self):
         assert not is_spd(np.diag([1.0, 0.0]))

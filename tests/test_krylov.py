@@ -184,6 +184,17 @@ class TestFgmres:
         assert report.iterations > 5  # actually crossed a restart boundary
         assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-8
 
+    def test_history_records_true_residual_at_restart(self, rng):
+        # At a restart boundary the true residual is computed; the history
+        # holds it, so it matches the same solve stopped there.
+        m = rng.standard_normal((30, 30)) + 5.0 * np.eye(30)
+        rhs = rng.standard_normal(30)
+        op = aslinearoperator(m)
+        _, restarted = fgmres_solve(op, None, rhs, config=FgmresConfig(1e-12, 5, restart=2))
+        _, stopped = fgmres_solve(op, None, rhs, config=FgmresConfig(1e-12, 2))
+        assert restarted.iterations == 5 and not stopped.converged
+        assert restarted.res_history[2] == stopped.final_res
+
     def test_nan_in_basis_raises(self):
         def bad_apply(v):
             out = v.copy()

@@ -95,6 +95,18 @@ class TestErrors:
             parse_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n")
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n% c\n2 2 nan\n", 5),
+            ("%%MatrixMarket matrix array real general\n2 1\n1.0\n-inf\n", 4),
+        ],
+    )
+    def test_non_finite_value_names_line(self, text, line_no):
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            parse_matrix_market(text)
+        assert exc.value.line_no == line_no
+
 
 class TestWriteReadRoundTrip:
     def test_matrix_roundtrip_exact(self, rng, tmp_path):

@@ -63,6 +63,18 @@ class TestPartition:
         assert prob.alpha == compute_alpha(a.row_slice(0, 4))
 
 
+class TestProblemValidation:
+    @pytest.mark.parametrize("b1, b2", [([1.0, np.nan], [1.0]), ([1.0, 1.0], [np.inf])])
+    def test_non_finite_rhs_rejected(self, b1, b2):
+        with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
+            IlsProblem(identity_csr(2), np.ones((1, 2)), b1, b2, 2, 1, 2, 1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and nonnegative, got {alpha}"):
+            IlsProblem(identity_csr(2), np.ones((1, 2)), np.ones(2), np.ones(1), 2, 1, 2, alpha)
+
+
 class TestComputeAlpha:
     def test_unit_norm_gives_one(self, rng):
         a = normalize_to_unit_one_norm(random_csr(rng, 5, 5))
@@ -103,13 +115,12 @@ class TestApplyBlockA:
             denom = max(np.linalg.norm(want), 1e-30)
             assert np.linalg.norm(got - want) / denom <= 1e-13
 
-    def test_block_vector_in_block_vector_out(self):
+    def test_scalar_problem_rows(self):
         prob = scalar_problem()
-        bv = BlockVector.from_parts([1.0], [1.0], [1.0])
-        out = apply_block_A(prob, bv)
-        assert isinstance(out, BlockVector)
+        out = apply_block_A(prob, np.ones(3))
+        assert isinstance(out, np.ndarray)
         # Rows: (d1 + A1 x, A1'(A1 x) + A2' d2, A2 x + d2) with A1 = 2, A2 = 1.
-        assert out.data.tolist() == [3.0, 5.0, 2.0]
+        assert out.tolist() == [3.0, 5.0, 2.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
