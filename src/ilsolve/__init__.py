@@ -25,7 +25,7 @@ from .bench import (
     report_write,
     run_experiment,
 )
-from .dense import CholeskyFactor, cholesky_solve, dense_cholesky
+from .dense import cholesky_solve, dense_cholesky
 from .exceptions import (
     ConfigurationError,
     DegenerateMatrixError,

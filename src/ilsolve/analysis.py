@@ -129,10 +129,9 @@ def generalized_sym_eigpairs(b: np.ndarray, c: np.ndarray):
     if b.shape[0] > 1000:
         raise ConfigurationError(f"generalized eigensolver capped at n = 1000, got {b.shape[0]}")
     try:
-        factor = dense_cholesky(c)
+        lower = dense_cholesky(c)
     except NotSpdError as exc:
         raise ValueError("second matrix of the pencil must be SPD") from exc
-    lower = factor.lower
     t = solve_lower(lower, b)
     s = solve_lower(lower, t.T).T
     s = 0.5 * (s + s.T)

@@ -86,18 +86,12 @@ def generate_hilbert_problem(n: int, a2_scale: float = 0.7, cap: int = 2000) -> 
     return IlsProblem(h, a2, np.ones(n), np.ones(n), n, n, n, compute_alpha(h))
 
 
-def generate_random_problem(
-    p: int,
-    q: int,
-    n: int,
-    seed: int = 0,
-    alpha_range: tuple[float, float] = (0.1, 0.5),
-) -> IlsProblem:
+def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem:
     """Dense random instance engineered so the reduced normal matrix is
     SPD: A1 has singular values in [1, 2] (so the Gram spectrum sits in
     [1, 4]) and A2 is rescaled until its largest squared singular value is
     half the smallest Gram eigenvalue.  alpha is drawn uniformly from
-    alpha_range.  p >= n is required so A1 can have full column rank."""
+    [0.1, 0.5).  p >= n is required so A1 can have full column rank."""
     if p < n:
         raise ValueError("p must be at least n for A1 to have full column rank")
     if min(p, q, n) < 1:
@@ -110,7 +104,7 @@ def generate_random_problem(
     a2 = rng.standard_normal((q, n))
     top = np.linalg.norm(a2, ord=2)
     a2 *= np.sqrt(0.5) / top  # largest eigenvalue of A2'A2 becomes 0.5
-    alpha = float(rng.uniform(*alpha_range))
+    alpha = float(rng.uniform(0.1, 0.5))
     b1 = rng.standard_normal(p)
     b2 = rng.standard_normal(q)
     return IlsProblem(a1, a2, b1, b2, p, q, n, alpha)
@@ -147,13 +141,24 @@ def reference_solution(prob: IlsProblem, dense_cap: int = 4000):
 
 INNER_SOLVERS = ("cg", "cholesky")
 
+# The spec fields each problem source reads; a source rejects the others.
+_SOURCE_FIELDS = {
+    "matrix-market": ("matrix", "q", "a2_scale", "normalize"),
+    "hilbert": ("n", "a2_scale"),
+    "random": ("p", "q", "n", "seed"),
+}
+_SOURCE_SETTINGS = {name for names in _SOURCE_FIELDS.values() for name in names}
+
 
 @dataclass
 class ExperimentSpec:
     """One experiment: a problem source, preconditioner list, solver
     settings, and output destination; spec files and the command line both
     describe a run with one.  The solver settings default to CgConfig's and
-    FgmresConfig's, and an unset ``a2_scale`` to the generator's own."""
+    FgmresConfig's, and an unset ``a2_scale`` or ``seed`` to the
+    generator's own; an unset ``normalize`` means True.  Setting a field
+    that the problem source does not read (see ``_SOURCE_FIELDS``) is an
+    error."""
 
     problem: str = "matrix-market"    # "matrix-market" | "hilbert" | "random"
     matrix: str | None = None         # path for matrix-market sources
@@ -161,7 +166,7 @@ class ExperimentSpec:
     q: int | None = None
     n: int | None = None
     a2_scale: float | None = None
-    normalize: bool = True
+    normalize: bool | None = None
     preconditioners: tuple[str, ...] = IBS_VARIANTS
     inner: str = "cg"                 # one of INNER_SOLVERS
     inner_tol: float = CgConfig.rel_tolerance
@@ -170,14 +175,18 @@ class ExperimentSpec:
     outer_maxit: int = FgmresConfig.max_iterations
     restart: int | None = FgmresConfig.restart
     runs: int = 5
-    seed: int = 0
+    seed: int | None = None
     out: str | None = None
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.problem not in ("matrix-market", "hilbert", "random"):
+        if self.problem not in _SOURCE_FIELDS:
             raise ValueError(f"unknown problem source {self.problem!r}")
+        used = _SOURCE_FIELDS[self.problem]
+        for name, value in vars(self).items():
+            if value is not None and name in _SOURCE_SETTINGS and name not in used:
+                raise ValueError(f"{name} does not apply to problem = {self.problem}")
         bad = [k for k in self.preconditioners if k.lower() not in VARIANTS]
         if bad:
             raise ValueError(f"unknown preconditioners {bad}; choose from {VARIANTS}")
@@ -259,7 +268,7 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
         if not spec.matrix:
             raise ValueError("matrix-market source needs a 'matrix' path")
         core = read_matrix_market(spec.matrix)
-        if spec.normalize:
+        if spec.normalize is not False:
             core = normalize_to_unit_one_norm(core)
         if spec.q is None:
             raise ValueError("matrix-market source needs 'q'")
@@ -270,7 +279,8 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
         return generate_hilbert_problem(spec.n, *scale)
     if spec.p is None or spec.q is None or spec.n is None:
         raise ValueError("random source needs 'p', 'q', and 'n'")
-    return generate_random_problem(spec.p, spec.q, spec.n, seed=spec.seed)
+    seed = () if spec.seed is None else (spec.seed,)
+    return generate_random_problem(spec.p, spec.q, spec.n, *seed)
 
 
 # ---------------------------------------------------------------------------

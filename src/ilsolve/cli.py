@@ -64,6 +64,8 @@ def _spec_from_args(args, **fixed) -> ExperimentSpec:
     chosen = [bool(args.matrix), args.hilbert is not None, args.random is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --matrix, --hilbert, --random")
+    if args.q is not None and not args.matrix:
+        raise ValueError("--q applies only to --matrix")
     settings = {key: value for key, value in vars(args).items() if key in _SPEC_SETTINGS}
     settings.update(fixed)
     if args.matrix:
@@ -185,11 +187,8 @@ def _cmd_generate(args) -> int:
     def as_csr(block) -> SparseMatrixCsr:
         if isinstance(block, SparseMatrixCsr):
             return block
-        dense = np.asarray(block)
-        rows, cols = np.nonzero(dense)
-        return SparseMatrixCsr.from_triplets(
-            dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols]
-        )
+        rows, cols = np.nonzero(block)
+        return SparseMatrixCsr.from_triplets(*block.shape, rows, cols, block[rows, cols])
 
     write_matrix_market(as_csr(prob.a1), f"{prefix}_a1.mtx")
     write_matrix_market(as_csr(prob.a2), f"{prefix}_a2.mtx")

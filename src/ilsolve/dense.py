@@ -10,34 +10,25 @@ solve on its diagonal block, so no inverse of the factor is ever stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import NotSpdError
 
-__all__ = ["CholeskyFactor", "dense_cholesky", "cholesky_solve", "is_spd", "one_norm_dense"]
+__all__ = ["dense_cholesky", "cholesky_solve", "is_spd", "one_norm_dense"]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Largest max|a - a'| accepted as symmetric, relative to max|a|.
+_SYMMETRY_TOL = 1e-12
 
 # Row-block width of the triangular solves.  Each block costs one BLAS
 # update and one LU solve of this size; 32 was fastest at n = 1000.
 _BLOCK = 32
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L' equal to the input matrix."""
-
-    n: int
-    lower: np.ndarray
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cholesky_solve(self, rhs)
-
-
-def dense_cholesky(m: np.ndarray, symmetry_tol: float = 1e-12) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix as L L'.
+def dense_cholesky(m: np.ndarray) -> np.ndarray:
+    """Factor a symmetric positive definite matrix as L L' and return the
+    lower-triangular L.
 
     Raises ValueError for a non-square, non-finite or unsymmetric input,
     and NotSpdError with the elimination step when a pivot is non-positive
@@ -49,18 +40,18 @@ def dense_cholesky(m: np.ndarray, symmetry_tol: float = 1e-12) -> CholeskyFactor
         raise ValueError("matrix must be square")
     n = a.shape[0]
     if n == 0:
-        return CholeskyFactor(0, np.zeros((0, 0)))
+        return np.zeros((0, 0))
     # max|a| without an n x n temporary; a NaN entry makes it NaN.
     scale = max(float(a.max()), -float(a.min()))
     if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if _max_asymmetry(a) > symmetry_tol * max(scale, 1e-300):
+    if _max_asymmetry(a) > _SYMMETRY_TOL * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric to the required tolerance")
     pivot_floor = n * _EPS * float(np.abs(np.diagonal(a)).max())
     lower = _leading_factor(a, n, pivot_floor)
     if lower is None:
         raise _pivot_failure(a, pivot_floor)
-    return CholeskyFactor(n, lower)
+    return lower
 
 
 def _max_asymmetry(a: np.ndarray) -> float:
@@ -97,13 +88,12 @@ def _pivot_failure(a: np.ndarray, pivot_floor: float) -> NotSpdError:
     return NotSpdError(good, pivot, pivot_floor)
 
 
-def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve M z = rhs given the factor of M."""
+def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M z = rhs given the Cholesky factor L of M = L L'."""
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != factor.n:
-        raise ValueError(f"right-hand side has length {rhs.shape[0]}, expected {factor.n}")
-    y = solve_lower(factor.lower, rhs)
-    return solve_lower_transpose(factor.lower, y)
+    if rhs.shape[0] != lower.shape[0]:
+        raise ValueError(f"right-hand side has length {rhs.shape[0]}, expected {lower.shape[0]}")
+    return solve_lower_transpose(lower, solve_lower(lower, rhs))
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -95,12 +95,9 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
             if n_rows != n_cols:
                 raise ParseError("symmetric array matrix must be square", line_no=size_line_no)
             expected = n_rows * (n_rows + 1) // 2
-            rows = np.concatenate(
-                [np.arange(j, n_rows, dtype=np.int64) for j in range(n_cols)]
-            ) if n_cols else np.zeros(0, np.int64)
-            cols = np.concatenate(
-                [np.full(n_rows - j, j, dtype=np.int64) for j in range(n_cols)]
-            ) if n_cols else np.zeros(0, np.int64)
+            # Lower triangle in column-major order: the upper triangle's
+            # row-major (i, j) pairs, swapped.
+            cols, rows = np.triu_indices(n_rows)
         if len(entries) != expected:
             raise ParseError(f"declared array of {expected} values but found {len(entries)}", line_no=size_line_no)
         vals = np.empty(expected, dtype=np.float64)

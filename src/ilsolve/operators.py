@@ -1,17 +1,19 @@
 """A minimal matrix-free linear-operator abstraction.
 
-Solvers only ever need "apply to a vector", so sparse matrices, dense
-arrays and composed expressions (shifted Gram products and the like) all
-travel through this one interface.
+The Krylov solvers only ever need "apply to a vector", so they take a
+LinearOperator: the block system, the shifted Gram matrix of the inner
+solves and the reduced normal matrix are composed expressions built on the
+problem's blocks.  The blocks themselves are plain matrices (CSR or 2-D
+ndarray) and are used with ``@`` directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sparse import SparseMatrixCsr, spmv, spmv_transpose
+from .sparse import SparseMatrixCsr
 
-__all__ = ["LinearOperator", "aslinearoperator", "identity_operator", "operator_to_dense"]
+__all__ = ["LinearOperator", "as_matrix", "aslinearoperator", "identity_operator"]
 
 
 class LinearOperator:
@@ -43,36 +45,28 @@ class LinearOperator:
             raise ValueError(f"operand has shape {v.shape}, expected ({self.n_rows},)")
         return self._apply_t(v)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
+
+def as_matrix(a, name: str = "matrix"):
+    """A CSR matrix as given, anything else as a 2-D float64 ndarray; a
+    TypeError naming ``name`` for input that is neither."""
+    if isinstance(a, SparseMatrixCsr):
+        return a
+    try:
+        arr = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise TypeError(f"{name} must be a CSR matrix or a 2-D array, got {type(a).__name__}")
+    return arr
 
 
 def aslinearoperator(a) -> LinearOperator:
     """Adapt a CSR matrix, 2-D ndarray, or LinearOperator to the interface."""
     if isinstance(a, LinearOperator):
         return a
-    if isinstance(a, SparseMatrixCsr):
-        return LinearOperator(
-            a.n_rows, a.n_cols, lambda v: spmv(a, v), lambda v: spmv_transpose(a, v)
-        )
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise TypeError(f"cannot interpret {type(a).__name__} as a linear operator")
-    return LinearOperator(
-        arr.shape[0], arr.shape[1], lambda v: arr @ v, lambda v: arr.T @ v
-    )
+    a = as_matrix(a)
+    return LinearOperator(a.shape[0], a.shape[1], lambda v: a @ v, lambda v: v @ a)
 
 
 def identity_operator(n: int) -> LinearOperator:
     return LinearOperator(n, n, lambda v: v.copy(), lambda v: v.copy())
-
-
-def operator_to_dense(op: LinearOperator) -> np.ndarray:
-    """Materialize by applying to unit vectors (desk-scale use only)."""
-    out = np.empty((op.n_rows, op.n_cols))
-    e = np.zeros(op.n_cols)
-    for j in range(op.n_cols):
-        e[j] = 1.0
-        out[:, j] = op.apply(e)
-        e[j] = 0.0
-    return out

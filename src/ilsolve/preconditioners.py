@@ -11,17 +11,18 @@ rows:
     ibs3 / bs3:  solve z2;  z1 = r1 - A1 z2;               z3 = r3
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
-Inner systems are solved either exactly (dense Cholesky, precomputed) or
-inexactly (matrix-free CG from a zero start).  Inner CG failure is a
-recorded statistic, not a fatal error: the loose-tolerance regime is the
-intended operating point for the outer flexible solver.
+A Preconditioner solves its inner systems itself, either exactly (with a
+precomputed dense Cholesky factor) or inexactly (matrix-free CG on the
+shifted Gram operator from a zero start).  Inner CG failure is a recorded
+statistic, not a fatal error: the loose-tolerance regime is the intended
+operating point for the outer flexible solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dense import CholeskyFactor, cholesky_solve, dense_cholesky
+from .dense import cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator
@@ -46,67 +47,51 @@ _COUPLED_RHS = {"ibs2", "ibs4", "bs2", "but"}
 _BACKSUB_FIRST = {"ibs3", "ibs4", "bs3", "but"}
 
 
-class _CgInner:
-    """Matrix-free CG inner solver, zero start on every call."""
-
-    def __init__(self, op: LinearOperator, config: CgConfig):
-        self.op = op
-        self.config = config
-        self.iterations = 0
-        self.failures = 0
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        try:
-            z, report = cg_solve(self.op, rhs, config=self.config)
-        except IndefiniteOperatorError as exc:
-            # Numerical breakdown on an ill-conditioned (but in exact
-            # arithmetic SPD) Gram matrix: keep the best iterate.
-            self.failures += 1
-            self.iterations += exc.iterations
-            return exc.x_best if exc.x_best is not None else np.zeros_like(rhs)
-        self.iterations += report.iterations
-        if not report.converged:
-            self.failures += 1
-        return z
-
-
-class _CholeskyInner:
-    """Exact inner solver from a precomputed dense factorization."""
-
-    def __init__(self, factor: CholeskyFactor):
-        self.factor = factor
-        self.iterations = 0
-        self.failures = 0
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cholesky_solve(self.factor, rhs)
-
-
 class Preconditioner:
     """Applies z = M^{-1} r for one splitting variant.
 
-    Instances are reusable across solves; ``inner_iterations`` and
-    ``inner_failures`` accumulate inner-solve statistics (call
-    ``reset_stats`` between timed runs).
+    The inner solve uses ``lower``, the Cholesky factor of the inner
+    matrix, when there is one, and otherwise CG on ``gram`` with
+    ``config``.  Instances are reusable across solves; ``inner_iterations``
+    and ``inner_failures`` accumulate CG statistics (call ``reset_stats``
+    between timed runs).
     """
 
-    def __init__(self, kind: str, problem: IlsProblem, inner):
+    def __init__(
+        self,
+        kind: str,
+        problem: IlsProblem,
+        lower: np.ndarray | None = None,
+        gram: LinearOperator | None = None,
+        config: CgConfig | None = None,
+    ):
         self.kind = kind
         self.problem = problem
-        self._inner = inner
-
-    @property
-    def inner_iterations(self) -> int:
-        return 0 if self._inner is None else self._inner.iterations
-
-    @property
-    def inner_failures(self) -> int:
-        return 0 if self._inner is None else self._inner.failures
+        self.lower = lower
+        self.gram = gram
+        self.config = config
+        self.inner_iterations = 0
+        self.inner_failures = 0
 
     def reset_stats(self) -> None:
-        if self._inner is not None:
-            self._inner.iterations = 0
-            self._inner.failures = 0
+        self.inner_iterations = 0
+        self.inner_failures = 0
+
+    def _inner_solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.lower is not None:
+            return cholesky_solve(self.lower, rhs)
+        try:
+            z, report = cg_solve(self.gram, rhs, config=self.config)
+        except IndefiniteOperatorError as exc:
+            # Numerical breakdown on an ill-conditioned (but in exact
+            # arithmetic SPD) Gram matrix: keep the best iterate.
+            self.inner_failures += 1
+            self.inner_iterations += exc.iterations
+            return exc.x_best if exc.x_best is not None else np.zeros_like(rhs)
+        self.inner_iterations += report.iterations
+        if not report.converged:
+            self.inner_failures += 1
+        return z
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         flat = np.asarray(r, dtype=np.float64)
@@ -116,9 +101,9 @@ class Preconditioner:
         if self.kind == "none":
             return flat.copy()
         r1, r2, r3 = layout.split(flat)
-        rhs = r2 - self.problem.a2_op.apply_transpose(r3) if self.kind in _COUPLED_RHS else r2
-        z2 = self._inner.solve(rhs)
-        z1 = r1 - self.problem.a1_op.apply(z2) if self.kind in _BACKSUB_FIRST else r1.copy()
+        rhs = r2 - r3 @ self.problem.a2 if self.kind in _COUPLED_RHS else r2
+        z2 = self._inner_solve(rhs)
+        z1 = r1 - self.problem.a1 @ z2 if self.kind in _BACKSUB_FIRST else r1.copy()
         out = np.empty(layout.size)
         out[layout.s1] = z1
         out[layout.sx] = z2
@@ -144,24 +129,22 @@ def make_preconditioner(
     if kind not in VARIANTS:
         raise ValueError(f"unknown preconditioner kind {kind!r}; choose from {VARIANTS}")
     if kind == "none":
-        return Preconditioner(kind, problem, None)
+        return Preconditioner(kind, problem)
     shift = problem.alpha if kind in IBS_VARIANTS else 0.0
     if inner == "cg":
-        op = shifted_gram_operator(problem, alpha=shift)
-        solver = _CgInner(op, inner_config or CgConfig())
-    elif inner == "cholesky":
+        gram = shifted_gram_operator(problem, alpha=shift)
+        return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
+    if inner == "cholesky":
         if problem.n > dense_cap:
             raise ConfigurationError(
                 f"dense inner factorization requested for n = {problem.n} > cap {dense_cap}"
             )
-        a1d = densify(problem.a1, problem.a1_op)
+        a1d = densify(problem.a1)
         inner_matrix = a1d.T @ a1d
         if shift:
             inner_matrix[np.diag_indices_from(inner_matrix)] += shift
-        solver = _CholeskyInner(dense_cholesky(inner_matrix))
-    else:
-        raise ValueError(f"unknown inner solver mode {inner!r}")
-    return Preconditioner(kind, problem, solver)
+        return Preconditioner(kind, problem, lower=dense_cholesky(inner_matrix))
+    raise ValueError(f"unknown inner solver mode {inner!r}")
 
 
 def assemble_dense_preconditioned(

@@ -9,13 +9,15 @@ work on the equivalent square system
     [ 0    A2   I  ] [ d2 ]   [ b2     ]
 
 whose operator is applied matrix-free throughout: the Gram matrix A1'A1
-is never formed outside the dense desk-scale helpers.
+is never formed outside the dense desk-scale helpers.  The blocks A1 and
+A2 are plain matrices, CSR or 2-D float64 ndarray; both kinds give A x as
+``A @ x`` and A'y as ``y @ A``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +31,7 @@ from .exceptions import (
     OracleFailureError,
     ProblemAssumptionError,
 )
-from .operators import LinearOperator, aslinearoperator, operator_to_dense
+from .operators import LinearOperator, as_matrix
 from .sparse import SparseMatrixCsr, one_norm
 
 __all__ = [
@@ -123,35 +125,33 @@ class IlsProblem:
     """One partitioned problem: A1 (p x n), A2 (q x n), split right-hand
     side, and the diagonal shift used by the inexact preconditioners.
 
-    A1/A2 may be CSR matrices, dense arrays, or LinearOperators; anything
-    dense-only (Hilbert blocks, say) stays dense and is wrapped on demand.
+    A CSR block is kept as given; any other block is stored as a 2-D
+    float64 ndarray (Hilbert blocks, say, stay dense).
     """
 
-    a1: object
-    a2: object
+    a1: SparseMatrixCsr | np.ndarray
+    a2: SparseMatrixCsr | np.ndarray
     b1: np.ndarray
     b2: np.ndarray
     p: int
     q: int
     n: int
     alpha: float
-    a1_op: LinearOperator = field(init=False, repr=False, compare=False)
-    a2_op: LinearOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
         object.__setattr__(self, "b2", np.asarray(self.b2, dtype=np.float64))
-        object.__setattr__(self, "a1_op", aslinearoperator(self.a1))
-        object.__setattr__(self, "a2_op", aslinearoperator(self.a2))
+        object.__setattr__(self, "a1", as_matrix(self.a1, "A1"))
+        object.__setattr__(self, "a2", as_matrix(self.a2, "A2"))
         if self.p < 1 or self.q < 1:
             raise DegenerateProblemError(
                 "p and q must both be positive; an empty block reduces the "
                 "problem to an ordinary least squares problem"
             )
-        if self.a1_op.shape != (self.p, self.n):
-            raise ValueError(f"A1 has shape {self.a1_op.shape}, expected ({self.p}, {self.n})")
-        if self.a2_op.shape != (self.q, self.n):
-            raise ValueError(f"A2 has shape {self.a2_op.shape}, expected ({self.q}, {self.n})")
+        if self.a1.shape != (self.p, self.n):
+            raise ValueError(f"A1 has shape {self.a1.shape}, expected ({self.p}, {self.n})")
+        if self.a2.shape != (self.q, self.n):
+            raise ValueError(f"A2 has shape {self.a2.shape}, expected ({self.q}, {self.n})")
         if self.b1.shape != (self.p,) or self.b2.shape != (self.q,):
             raise ValueError("right-hand side blocks do not match (p, q)")
         if not (np.isfinite(self.b1).all() and np.isfinite(self.b2).all()):
@@ -216,19 +216,17 @@ def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
     if flat.shape != (layout.size,):
         raise ValueError(f"vector has shape {flat.shape}, expected ({layout.size},)")
     d1, x, d2 = layout.split(flat)
-    a1x = prob.a1_op.apply(x)
+    a1x = prob.a1 @ x
     out = np.empty(layout.size)
     out[layout.s1] = d1 + a1x
-    out[layout.sx] = prob.a1_op.apply_transpose(a1x) + prob.a2_op.apply_transpose(d2)
-    out[layout.s2] = prob.a2_op.apply(x) + d2
+    out[layout.sx] = a1x @ prob.a1 + d2 @ prob.a2
+    out[layout.s2] = prob.a2 @ x + d2
     return out
 
 
 def build_rhs(prob: IlsProblem) -> BlockVector:
     """(b1; A1'b1; b2)."""
-    return BlockVector.from_parts(
-        prob.b1, prob.a1_op.apply_transpose(prob.b1), prob.b2
-    )
+    return BlockVector.from_parts(prob.b1, prob.b1 @ prob.a1, prob.b2)
 
 
 def block_system_operator(prob: IlsProblem) -> LinearOperator:
@@ -238,49 +236,38 @@ def block_system_operator(prob: IlsProblem) -> LinearOperator:
 
 def gram_operator(prob: IlsProblem) -> LinearOperator:
     """v -> A1'(A1 v)."""
-    a1 = prob.a1_op
-    return LinearOperator(prob.n, prob.n, lambda v: a1.apply_transpose(a1.apply(v)))
+    a1 = prob.a1
+    return LinearOperator(prob.n, prob.n, lambda v: (a1 @ v) @ a1)
 
 
 def shifted_gram_operator(prob: IlsProblem, alpha: float | None = None) -> LinearOperator:
     """v -> alpha*v + A1'(A1 v), the well-conditioned inner matrix of the
     inexact preconditioners."""
-    a1 = prob.a1_op
+    a1 = prob.a1
     shift = prob.alpha if alpha is None else float(alpha)
-    return LinearOperator(
-        prob.n, prob.n, lambda v: shift * v + a1.apply_transpose(a1.apply(v))
-    )
+    return LinearOperator(prob.n, prob.n, lambda v: shift * v + (a1 @ v) @ a1)
 
 
 def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:
     """v -> A1'(A1 v) - A2'(A2 v), the reduced normal matrix of the
     original minimization."""
-    a1, a2 = prob.a1_op, prob.a2_op
-    return LinearOperator(
-        prob.n,
-        prob.n,
-        lambda v: a1.apply_transpose(a1.apply(v)) - a2.apply_transpose(a2.apply(v)),
-    )
+    a1, a2 = prob.a1, prob.a2
+    return LinearOperator(prob.n, prob.n, lambda v: (a1 @ v) @ a1 - (a2 @ v) @ a2)
 
 
-def densify(raw, op: LinearOperator) -> np.ndarray:
-    """Dense form of one block, given as stored (``raw``) and as an
-    operator.  A float64 ndarray is returned as is, not copied, so callers
-    must not write to the result."""
-    if isinstance(raw, SparseMatrixCsr):
-        return raw.to_dense()
-    if isinstance(raw, np.ndarray):
-        return np.asarray(raw, dtype=np.float64)
-    return operator_to_dense(op)
+def densify(block) -> np.ndarray:
+    """Dense form of one block.  An ndarray block is returned as is, not
+    copied, so callers must not write to the result."""
+    return block.to_dense() if isinstance(block, SparseMatrixCsr) else block
 
 
 def dense_blocks(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
     """Dense (A1, A2) for desk-scale analysis (read-only, see densify)."""
-    return densify(prob.a1, prob.a1_op), densify(prob.a2, prob.a2_op)
+    return densify(prob.a1), densify(prob.a2)
 
 
 def _normal_rhs(prob: IlsProblem) -> np.ndarray:
-    return prob.a1_op.apply_transpose(prob.b1) - prob.a2_op.apply_transpose(prob.b2)
+    return prob.b1 @ prob.a1 - prob.b2 @ prob.a2
 
 
 def exact_solution_oracle(prob: IlsProblem, mode: str = "auto") -> np.ndarray:
@@ -298,13 +285,13 @@ def exact_solution_oracle(prob: IlsProblem, mode: str = "auto") -> np.ndarray:
         a1d, a2d = dense_blocks(prob)
         normal = a1d.T @ a1d - a2d.T @ a2d
         try:
-            factor = dense_cholesky(normal)
+            lower = dense_cholesky(normal)
         except NotSpdError as exc:
             raise ProblemAssumptionError(
                 "reduced normal matrix A1'A1 - A2'A2 is not positive definite "
                 f"(pivot failure at step {exc.step})"
             ) from exc
-        return cholesky_solve(factor, _normal_rhs(prob))
+        return cholesky_solve(lower, _normal_rhs(prob))
     if mode == "tight-cg":
         from .krylov import CgConfig, cg_solve
 
@@ -328,6 +315,4 @@ def exact_solution_oracle(prob: IlsProblem, mode: str = "auto") -> np.ndarray:
 def full_solution_from_x(prob: IlsProblem, x: np.ndarray) -> BlockVector:
     """Lift a length-n solution to the full (b1 - A1 x; x; b2 - A2 x)."""
     x = np.asarray(x, dtype=np.float64)
-    return BlockVector.from_parts(
-        prob.b1 - prob.a1_op.apply(x), x, prob.b2 - prob.a2_op.apply(x)
-    )
+    return BlockVector.from_parts(prob.b1 - prob.a1 @ x, x, prob.b2 - prob.a2 @ x)

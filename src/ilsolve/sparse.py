@@ -34,7 +34,13 @@ class SparseMatrixCsr:
     * column indices are strictly increasing within each row and < n_cols;
     * no explicitly stored zeros (use :meth:`from_triplets`, which sums
       duplicates and drops exact cancellations).
+
+    ``A @ x`` is :func:`spmv` and ``y @ A`` is :func:`spmv_transpose` (the
+    vector A'y), as for a 2-D ndarray; numpy defers ``y @ A`` to this class
+    because ``__array_ufunc__`` is None.
     """
+
+    __array_ufunc__ = None
 
     n_rows: int
     n_cols: int
@@ -128,6 +134,12 @@ class SparseMatrixCsr:
             self.col_indices[lo:hi],
             self.values[lo:hi],
         )
+
+    def __matmul__(self, x) -> np.ndarray:
+        return spmv(self, x)
+
+    def __rmatmul__(self, y) -> np.ndarray:
+        return spmv_transpose(self, y)
 
     def _nnz_rows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))

@@ -114,7 +114,6 @@ class TestSpecParsing:
             p = 8
             q = 6
             n = 5
-            a2_scale = 2.5
             preconditioners = ibs2, but
             inner = cholesky
             inner.tol = 1e-4
@@ -135,6 +134,13 @@ class TestSpecParsing:
         assert spec.outer_tol == 1e-9 and spec.outer_maxit == 300
         assert spec.restart == 40 and spec.runs == 2 and spec.seed == 11
         assert spec.out == "some/base"
+
+    def test_hilbert_a2_scale(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("problem = hilbert\nn = 4\na2_scale = 2.5\n")
+        spec = load_experiment_spec(path)
+        assert spec.a2_scale == 2.5
+        assert np.array_equal(build_problem(spec).a2.to_dense(), 2.5 * np.eye(4))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -186,7 +192,7 @@ class TestSpecBoundary:
     @pytest.mark.parametrize("text, value", [("no", False), ("0", False), ("YES", True), ("1", True)])
     def test_boolean_spellings(self, tmp_path, text, value):
         path = tmp_path / "b.spec"
-        path.write_text(f"problem = random\nnormalize = {text}\n")
+        path.write_text(f"problem = matrix-market\nnormalize = {text}\n")
         assert load_experiment_spec(path).normalize is value
 
     def test_unknown_inner_rejected_at_load(self, tmp_path, capsys):
@@ -196,6 +202,41 @@ class TestSpecBoundary:
             load_experiment_spec(path)
         assert main(["bench", str(path)]) == 1
         assert "inner solver 'qr'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, line, key",
+        [
+            ("matrix-market", "p = 4", "p"),
+            ("matrix-market", "n = 4", "n"),
+            ("matrix-market", "seed = 3", "seed"),
+            ("hilbert", "matrix = a.mtx", "matrix"),
+            ("hilbert", "p = 4", "p"),
+            ("hilbert", "q = 4", "q"),
+            ("hilbert", "normalize = no", "normalize"),
+            ("hilbert", "seed = 3", "seed"),
+            ("random", "matrix = a.mtx", "matrix"),
+            ("random", "a2_scale = 2.5", "a2_scale"),
+            ("random", "normalize = no", "normalize"),
+        ],
+    )
+    def test_setting_of_another_source_rejected(self, tmp_path, capsys, source, line, key):
+        path = tmp_path / "x.spec"
+        path.write_text(f"problem = {source}\n{line}\n")
+        message = f"{path}: {key} does not apply to problem = {source}"
+        with pytest.raises(ValueError) as exc:
+            load_experiment_spec(path)
+        assert str(exc.value) == message
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unset_seed_and_normalize_take_the_generator_defaults(self, tmp_path):
+        prob = build_problem(ExperimentSpec(problem="random", p=6, q=4, n=3))
+        ref = generate_random_problem(6, 4, 3)
+        assert np.array_equal(prob.a1, ref.a1) and prob.alpha == ref.alpha
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n2 2 2.0\n")
+        spec = ExperimentSpec(problem="matrix-market", matrix=str(path), q=1)
+        assert np.array_equal(build_problem(spec).a1.to_dense(), np.diag([1.0, 0.5]))
 
     def test_hilbert_spec_uses_generator_a2_scale(self):
         prob = build_problem(ExperimentSpec(problem="hilbert", n=3))
@@ -283,7 +324,8 @@ class TestReportWrite:
         rows = run_experiment(spec)
         report_write(rows, "csv", tmp_path / "r.csv")
         report_write(rows, "json", tmp_path / "r.json")
-        parsed = list(csv.DictReader(open(tmp_path / "r.csv")))
+        with open(tmp_path / "r.csv") as fh:
+            parsed = list(csv.DictReader(fh))
         data = json.loads((tmp_path / "r.json").read_text())
         for c, j in zip(parsed, data):
             assert c["problem"] == j["problem"]

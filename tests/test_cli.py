@@ -37,6 +37,23 @@ def test_validation_errors_exit_one(capsys):
     assert main(["bench", "does-not-exist.spec"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--random", "8,6,5", "--a2-scale", "3"], "a2_scale does not apply to problem = random"),
+        (["--random", "8,6,5", "--no-normalize"], "normalize does not apply to problem = random"),
+        (["--random", "8,6,5", "--q", "99"], "--q applies only to --matrix"),
+        (["--hilbert", "30", "--seed", "5"], "seed does not apply to problem = hilbert"),
+        (["--hilbert", "30", "--no-normalize"], "normalize does not apply to problem = hilbert"),
+        (["--hilbert", "30", "--q", "5"], "--q applies only to --matrix"),
+        (["--matrix", "x.mtx", "--q", "5", "--seed", "5"], "seed does not apply to problem = matrix-market"),
+    ],
+)
+def test_setting_of_another_source_exits_one(capsys, argv, message):
+    assert main(["solve", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bench_writes_reports(tmp_path, capsys):
     spec = tmp_path / "exp.txt"
     spec.write_text(

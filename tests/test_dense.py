@@ -12,12 +12,12 @@ from conftest import random_spd
 class TestDenseCholesky:
     def test_identity(self):
         f = dense_cholesky(np.eye(3))
-        assert np.array_equal(f.lower, np.eye(3))
+        assert np.array_equal(f, np.eye(3))
 
     def test_known_two_by_two(self):
         f = dense_cholesky(np.array([[4.0, 2.0], [2.0, 2.0]]))
-        assert np.allclose(f.lower, np.array([[2.0, 0.0], [1.0, 1.0]]), rtol=0, atol=1e-15)
-        assert np.allclose(f.lower @ f.lower.T, [[4.0, 2.0], [2.0, 2.0]], rtol=0, atol=1e-15)
+        assert np.allclose(f, np.array([[2.0, 0.0], [1.0, 1.0]]), rtol=0, atol=1e-15)
+        assert np.allclose(f @ f.T, [[4.0, 2.0], [2.0, 2.0]], rtol=0, atol=1e-15)
 
     def test_indefinite_fails_at_step(self):
         # Eigenvalues 3 and -1: elimination breaks at the second pivot.
@@ -85,12 +85,12 @@ class TestDenseCholesky:
         for cond in (10.0, 1e3, 1e6):
             m = random_spd(rng, 12, cond=cond)
             f = dense_cholesky(m)
-            rel = np.linalg.norm(f.lower @ f.lower.T - m) / np.linalg.norm(m)
+            rel = np.linalg.norm(f @ f.T - m) / np.linalg.norm(m)
             assert rel <= 1e-12
 
     def test_positive_diagonal(self, rng):
         f = dense_cholesky(random_spd(rng, 8))
-        assert np.all(np.diag(f.lower) > 0)
+        assert np.all(np.diag(f) > 0)
 
 
 class TestCholeskySolve:
@@ -125,8 +125,8 @@ class TestCholeskySolve:
         m = random_spd(rng, 6)
         f = dense_cholesky(m)
         b = rng.standard_normal((6, 3))
-        y = solve_lower(f.lower, b)
-        z = solve_lower_transpose(f.lower, y)
+        y = solve_lower(f, b)
+        z = solve_lower_transpose(f, y)
         assert np.allclose(m @ z, b, rtol=0, atol=1e-10)
 
 

@@ -58,6 +58,16 @@ def test_array_symmetric_lower_triangle():
     assert np.array_equal(a.to_dense(), np.array([[1.0, 2.0], [2.0, 3.0]]))
 
 
+def test_array_symmetric_four_by_four_matches_scipy(tmp_path):
+    values = np.arange(1.0, 11.0)  # the ten lower-triangle entries, column by column
+    text = "%%MatrixMarket matrix array real symmetric\n4 4\n" + "".join(f"{v}\n" for v in values)
+    path = tmp_path / "s.mtx"
+    path.write_text(text)
+    want = scipy.io.mmread(str(path))
+    assert np.array_equal(parse_matrix_market(text).to_dense(), want)
+    assert want[3, 0] == want[0, 3] == 4.0 and want[1, 1] == 5.0
+
+
 def test_array_drops_stored_zeros():
     text = "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n"
     a = parse_matrix_market(text)

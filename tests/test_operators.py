@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ilsolve import LinearOperator, aslinearoperator
-from ilsolve.operators import identity_operator, operator_to_dense
+from ilsolve.operators import identity_operator
 
 from conftest import random_csr
 
@@ -43,11 +43,6 @@ def test_missing_transpose_raises():
     op = LinearOperator(2, 2, lambda v: v)
     with pytest.raises(NotImplementedError):
         op.apply_transpose(np.ones(2))
-
-
-def test_operator_to_dense(rng):
-    m = rng.standard_normal((4, 3))
-    assert np.array_equal(operator_to_dense(aslinearoperator(m)), m)
 
 
 def test_aslinearoperator_rejects_vectors():

@@ -74,6 +74,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=f"alpha must be finite and nonnegative, got {alpha}"):
             IlsProblem(identity_csr(2), np.ones((1, 2)), np.ones(2), np.ones(1), 2, 1, 2, alpha)
 
+    @pytest.mark.parametrize("which", ["A1", "A2"])
+    @pytest.mark.parametrize("block", [il.aslinearoperator(np.eye(2)), np.ones(2)])
+    def test_block_that_is_not_a_matrix_rejected(self, which, block):
+        a1, a2 = (block, np.eye(2)) if which == "A1" else (np.eye(2), block)
+        with pytest.raises(TypeError, match=f"{which} must be a CSR matrix or a 2-D array"):
+            IlsProblem(a1, a2, np.ones(2), np.ones(2), 2, 2, 2, 1.0)
+
+    def test_int_block_stored_as_float(self):
+        prob = IlsProblem(np.eye(2, dtype=np.int64), identity_csr(2), np.ones(2), np.ones(2), 2, 2, 2, 1.0)
+        assert prob.a1.dtype == np.float64
+        assert np.array_equal(prob.a1, np.eye(2))
+
 
 class TestComputeAlpha:
     def test_unit_norm_gives_one(self, rng):
@@ -101,7 +113,7 @@ class TestApplyBlockA:
         out = apply_block_A(prob, v)
         assert np.array_equal(out[: prob.p], d1)
         assert np.allclose(
-            out[prob.p : prob.p + prob.n], prob.a2_op.apply_transpose(d2), rtol=1e-14, atol=1e-14
+            out[prob.p : prob.p + prob.n], prob.a2.T @ d2, rtol=1e-14, atol=1e-14
         )
         assert np.array_equal(out[prob.p + prob.n :], d2)
 

@@ -116,6 +116,28 @@ class TestSpmvTranspose:
             spmv_transpose(identity_csr(3), np.ones(4))
 
 
+class TestMatmul:
+    def test_products_match_dense(self, rng):
+        for _ in range(20):
+            a = random_csr(rng, 7, 4)
+            x, y = rng.standard_normal(4), rng.standard_normal(7)
+            np.testing.assert_allclose(a @ x, a.to_dense() @ x, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(y @ a, a.to_dense().T @ y, rtol=1e-14, atol=1e-14)
+
+    def test_vector_times_csr_is_a_float_array(self, rng):
+        a = random_csr(rng, 5, 3)
+        out = np.ones(5, dtype=np.int64) @ a
+        assert type(out) is np.ndarray
+        assert out.dtype == np.float64 and out.shape == (3,)
+
+    def test_two_dimensional_operand_rejected(self, rng):
+        a = random_csr(rng, 5, 3)
+        with pytest.raises(ValueError, match="operand"):
+            a @ np.ones((3, 2))
+        with pytest.raises(ValueError, match="operand"):
+            np.ones((2, 5)) @ a
+
+
 class TestOneNorm:
     def test_identity(self):
         assert one_norm(identity_csr(5)) == 1.0
