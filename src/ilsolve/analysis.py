@@ -4,9 +4,11 @@ and the spectral structure of the preconditioned operators.
 Everything here forms small matrices densely on purpose.  The point of
 this module is verification, not production solving: positive
 definiteness is certified by attempted Cholesky factorizations (LAPACK),
-symmetric eigenproblems go through a cyclic Jacobi sweep, and spectral
-radii of the (non-symmetric) iteration operators are the largest
-eigenvalue moduli of the assembled dense operators (``np.linalg.eigvals``).
+symmetric eigenproblems go through a cyclic Jacobi sweep, and the
+preconditioned operator M^{-1} A is assembled densely once per check.
+Spectral radii of the (non-symmetric) iteration operators I - M^{-1} A are
+the largest eigenvalue moduli of that matrix (``np.linalg.eigvals``), and
+the predicted eigenvector families are checked against the same matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _ibs_kind(kind: str, check: str) -> str:
+    """``kind`` in lower case; a ValueError unless it is an ibs variant."""
+    kind = kind.lower()
+    if kind not in IBS_VARIANTS:
+        raise ValueError(f"{check} is defined for {IBS_VARIANTS}, got {kind!r}")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +182,7 @@ def null_space_basis(m: np.ndarray) -> np.ndarray:
     basis = v[:, null_mask]
     row_space = v[:, ~null_mask]
     if basis.shape[1] and row_space.shape[1]:
-        basis = basis - row_space @ (row_space.T @ basis)
-        # Re-orthonormalize (two Gram-Schmidt passes).
-        for _ in range(2):
-            for j in range(basis.shape[1]):
-                if j:
-                    basis[:, j] -= basis[:, :j] @ (basis[:, :j].T @ basis[:, j])
-                basis[:, j] /= np.linalg.norm(basis[:, j])
+        basis, _ = np.linalg.qr(basis - row_space @ (row_space.T @ basis))
     return basis
 
 
@@ -268,10 +272,7 @@ def stationary_solve(
     1e8 times its initial value; that is the expected outcome when the
     convergence conditions fail.
     """
-    kind = kind.lower()
-    if kind not in IBS_VARIANTS:
-        raise ValueError(f"stationary iterations are defined for {IBS_VARIANTS}, got {kind!r}")
-    pre = make_preconditioner(kind, prob, inner="cholesky")
+    pre = make_preconditioner(_ibs_kind(kind, "the stationary iteration"), prob, inner="cholesky")
     rhs = build_rhs(prob).data
     denom = float(np.linalg.norm(rhs))
     denom = denom if denom > 0.0 else 1.0
@@ -311,9 +312,12 @@ def spectral_radius_estimate(kind: str, prob: IlsProblem) -> float:
     """Spectral radius of the iteration operator I - M^{-1} A, with exact
     inner solves, assembled densely at desk scale: the largest eigenvalue
     modulus from ``np.linalg.eigvals``."""
-    mat = assemble_dense_preconditioned(kind, prob)
-    g = np.eye(mat.shape[0]) - mat
-    return float(np.abs(np.linalg.eigvals(g)).max())
+    return _radius(assemble_dense_preconditioned(kind, prob))
+
+
+def _radius(t: np.ndarray) -> float:
+    """Spectral radius of I - t for an assembled M^{-1} A."""
+    return float(np.abs(np.linalg.eigvals(np.eye(len(t)) - t)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -358,176 +362,113 @@ class SpectralReport:
     disk_contained: bool
     interval_contained: bool | None
 
-    @property
-    def eigenvector_residuals(self) -> np.ndarray:
-        parts = [f.residuals for f in self.unit_eigenvalue_checks + self.nonunit_checks]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
     def families(self) -> list[EigenvectorFamily]:
         return list(self.unit_eigenvalue_checks) + list(self.nonunit_checks)
-
-
-def _family(label, apply_op, candidates, eigenvalues) -> EigenvectorFamily:
-    residuals = []
-    for v, mu in zip(candidates, eigenvalues):
-        nv = float(np.linalg.norm(v))
-        residuals.append(float(np.linalg.norm(apply_op(v) - mu * v)) / nv)
-    return EigenvectorFamily(
-        label, np.asarray(eigenvalues, dtype=np.float64), np.asarray(residuals)
-    )
 
 
 def _vacuous(label) -> EigenvectorFamily:
     return EigenvectorFamily(label, np.zeros(0), np.zeros(0), vacuous=True)
 
 
+def _family(label, t, v, mus) -> EigenvectorFamily:
+    """Residuals ||t v - mu v|| / ||v|| of the candidate columns of v; a
+    vacuous family when there are none."""
+    if not v.shape[1]:
+        return _vacuous(label)
+    residuals = np.linalg.norm(t @ v - v * mus, axis=0) / np.linalg.norm(v, axis=0)
+    return EigenvectorFamily(label, mus, residuals)
+
+
+def _stack(layout, d1=None, x=None, d2=None) -> np.ndarray:
+    """Candidate columns (d1; x; d2) as one block; a missing part is zero."""
+    parts = ((layout.s1, d1), (layout.sx, x), (layout.s2, d2))
+    v = np.zeros((layout.size, next(b.shape[1] for _, b in parts if b is not None)))
+    for rows, b in parts:
+        if b is not None:
+            v[rows] = b
+    return v
+
+
+def _null_family(label, t, layout, m, part) -> EigenvectorFamily:
+    """Unit-eigenvalue family of null(m) placed in block ``part``; vacuous,
+    with a RankAmbiguityWarning, when the rank of m is ambiguous."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankAmbiguityWarning)
+        try:
+            basis = null_space_basis(m)
+        except RankAmbiguityWarning:
+            basis = None
+    if basis is None:
+        warnings.warn(
+            f"rank decision ambiguous for the {label}; family skipped",
+            RankAmbiguityWarning,
+            stacklevel=3,
+        )
+        return _vacuous(f"unit: {label} (skipped, rank ambiguous)")
+    return _family(f"unit: {label}", t, _stack(layout, **{part: basis}), np.ones(basis.shape[1]))
+
+
 def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     """Build the predicted eigenvectors of the preconditioned operator and
-    measure their operator-application residuals with exact inner solves.
+    measure their residuals against M^{-1} A, assembled once with exact
+    inner solves; the same matrix gives ``rho_estimate``.
 
     Unit-eigenvalue families: first-block unit vectors for every variant;
     third-block vectors from the null space of A2' for ibs1/ibs3; full
     third-block unit vectors for ibs2/ibs4.  Middle-block families that
     require null vectors of the shift gap are empty whenever alpha > 0 and
-    are reported as vacuous rather than failed.  Non-unit families (ibs2
-    and ibs4) come from the symmetric generalized eigenproblem of the
-    reduced normal matrix against the shifted Gram matrix.
+    are reported as vacuous rather than failed.  A null-space family whose
+    rank decision is ambiguous is reported as vacuous, with a
+    RankAmbiguityWarning.  Non-unit families (ibs2 and ibs4) come from the
+    symmetric generalized eigenproblem of the reduced normal matrix
+    against the shifted Gram matrix.
     """
-    kind = kind.lower()
-    if kind not in IBS_VARIANTS:
-        raise ValueError(f"eigenstructure families are defined for {IBS_VARIANTS}, got {kind!r}")
-    p, n, q = prob.p, prob.n, prob.q
-    layout = prob.layout
-    pre = make_preconditioner(kind, prob, inner="cholesky")
-
-    def apply_op(v):
-        return pre.apply(apply_block_A(prob, v))
+    kind = _ibs_kind(kind, "the eigenstructure check")
+    coupled = kind in ("ibs2", "ibs4")
+    p, q, layout = prob.p, prob.q, prob.layout
+    t = assemble_dense_preconditioned(kind, prob)
 
     a1d, a2d = dense_blocks(prob)
     gram = a1d.T @ a1d
-    shifted = gram + prob.alpha * np.eye(n)
+    shifted = gram + prob.alpha * np.eye(prob.n)
     normal = gram - a2d.T @ a2d
 
-    def embed(d1=None, x=None, d2=None):
-        v = np.zeros(layout.size)
-        if d1 is not None:
-            v[layout.s1] = d1
-        if x is not None:
-            v[layout.sx] = x
-        if d2 is not None:
-            v[layout.s2] = d2
-        return v
-
-    unit_families: list[EigenvectorFamily] = []
-
-    eyes_p = np.eye(p)
-    unit_families.append(
-        _family(
-            "unit: first-block basis",
-            apply_op,
-            [embed(d1=eyes_p[:, i]) for i in range(p)],
-            np.ones(p),
-        )
-    )
-
-    rank_warning = False
-    if kind in ("ibs1", "ibs3"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RankAmbiguityWarning)
-            basis = null_space_basis(a2d.T)  # null space of A2'
-            rank_warning = any(issubclass(w.category, RankAmbiguityWarning) for w in caught)
-        if rank_warning:
-            warnings.warn(
-                "rank decision ambiguous for the null space of A2'; "
-                "restricting unit-eigenvalue checks to the first-block family",
-                RankAmbiguityWarning,
-                stacklevel=2,
-            )
-            unit_families.append(_vacuous("unit: null(A2') basis (skipped, rank ambiguous)"))
-        elif basis.shape[1] == 0:
-            unit_families.append(_vacuous("unit: null(A2') basis"))
-        else:
-            unit_families.append(
-                _family(
-                    "unit: null(A2') basis",
-                    apply_op,
-                    [embed(d2=basis[:, i]) for i in range(basis.shape[1])],
-                    np.ones(basis.shape[1]),
-                )
-            )
+    unit = [_family("unit: first-block basis", t, _stack(layout, d1=np.eye(p)), np.ones(p))]
+    if coupled:
+        unit.append(_family("unit: third-block basis", t, _stack(layout, d2=np.eye(q)), np.ones(q)))
     else:
-        eyes_q = np.eye(q)
-        unit_families.append(
-            _family(
-                "unit: third-block basis",
-                apply_op,
-                [embed(d2=eyes_q[:, i]) for i in range(q)],
-                np.ones(q),
-            )
-        )
-
+        unit.append(_null_family("null(A2') basis", t, layout, a2d.T, "d2"))
     if kind in ("ibs3", "ibs4"):
         # Middle-block unit-eigenvalue family needs (shifted - gram) y = 0,
         # which has no nonzero solutions when alpha > 0.
         if prob.alpha > 0.0:
-            unit_families.append(_vacuous("unit: middle-block family (empty for alpha > 0)"))
+            unit.append(_vacuous("unit: middle-block family (empty for alpha > 0)"))
         else:
-            basis = null_space_basis(a2d)
-            if basis.shape[1] == 0:
-                unit_families.append(_vacuous("unit: null(A2) middle-block basis"))
-            else:
-                unit_families.append(
-                    _family(
-                        "unit: null(A2) middle-block basis",
-                        apply_op,
-                        [embed(x=basis[:, i]) for i in range(basis.shape[1])],
-                        np.ones(basis.shape[1]),
-                    )
-                )
+            unit.append(_null_family("null(A2) middle-block basis", t, layout, a2d, "x"))
 
     interval_eigs, y_vectors = generalized_sym_eigpairs(normal, shifted)
 
-    nonunit: list[EigenvectorFamily] = []
-    if kind in ("ibs2", "ibs4"):
-        candidates, mus = [], []
-        for j in range(n):
-            mu = float(interval_eigs[j])
-            if abs(mu - 1.0) <= 1e-8:
-                continue
-            y = y_vectors[:, j]
-            a1y = a1d @ y
-            a2y = a2d @ y
-            if kind == "ibs2":
-                v = embed(d1=a1y / (mu - 1.0), x=y, d2=a2y / (mu - 1.0))
-            else:
-                v = embed(d1=-a1y, x=y, d2=a2y / (mu - 1.0))
-            candidates.append(v)
-            mus.append(mu)
-        if candidates:
-            nonunit.append(_family("non-unit: generalized eigenpairs", apply_op, candidates, mus))
-        else:
-            nonunit.append(_vacuous("non-unit: generalized eigenpairs"))
+    if coupled:
+        keep = np.abs(interval_eigs - 1.0) > 1e-8
+        mus, y = interval_eigs[keep], y_vectors[:, keep]
+        a1y = a1d @ y
+        d1 = a1y / (mus - 1.0) if kind == "ibs2" else -a1y
+        v = _stack(layout, d1=d1, x=y, d2=(a2d @ y) / (mus - 1.0))
+        nonunit = [_family("non-unit: generalized eigenpairs", t, v, mus)]
     else:
-        nonunit.append(_vacuous("non-unit families not constructed for this variant"))
+        nonunit = [_vacuous("non-unit families not constructed for this variant")]
 
-    rho = spectral_radius_estimate(kind, prob)
-
-    verified_mus = np.concatenate(
-        [f.eigenvalues for f in unit_families + nonunit if f.count]
-    ) if any(f.count for f in unit_families + nonunit) else np.zeros(0)
-    disk_ok = bool(np.all(np.abs(1.0 - verified_mus) < 1.0)) if verified_mus.size else True
-    interval_ok = None
-    if kind in ("ibs2", "ibs4"):
-        interval_ok = bool(np.all((interval_eigs > 0.0) & (interval_eigs < 2.0)))
-
+    verified = np.concatenate([f.eigenvalues for f in unit + nonunit])
     return SpectralReport(
         kind=kind,
-        rho_estimate=rho,
+        rho_estimate=_radius(t),
         interval_eigs=interval_eigs,
-        unit_eigenvalue_checks=unit_families,
+        unit_eigenvalue_checks=unit,
         nonunit_checks=nonunit,
-        disk_contained=disk_ok,
-        interval_contained=interval_ok,
+        disk_contained=bool(np.all(np.abs(1.0 - verified) < 1.0)),
+        interval_contained=(
+            bool(np.all((interval_eigs > 0.0) & (interval_eigs < 2.0))) if coupled else None
+        ),
     )
 
 
@@ -546,10 +487,7 @@ def gmres_bound_check(kind: str, prob: IlsProblem) -> GmresBoundResult:
     """Unrestarted flexible GMRES with exact inner solves must reach a
     1e-12 relative residual in at most n + q + 1 iterations (the minimal
     polynomial degree bound of the preconditioned matrix)."""
-    kind = kind.lower()
-    if kind not in IBS_VARIANTS:
-        raise ValueError(f"bound check is defined for {IBS_VARIANTS}, got {kind!r}")
-    pre = make_preconditioner(kind, prob, inner="cholesky")
+    pre = make_preconditioner(_ibs_kind(kind, "the bound check"), prob, inner="cholesky")
     cfg = FgmresConfig(rel_tolerance=1e-12, max_iterations=prob.size, restart=None)
     _, report = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob).data, config=cfg)
     bound = prob.n + prob.q + 1

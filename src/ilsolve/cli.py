@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -135,13 +136,7 @@ def _cmd_analyze(args) -> int:
         "problem": prob.label(),
         "alpha": prob.alpha,
         "conditions": {
-            "spd_normal": conditions.spd_normal,
-            "spd_shifted_minus_a2gram": conditions.spd_shifted_minus_a2gram,
-            "spd_two_shifted_minus": conditions.spd_two_shifted_minus,
-            "spd_two_shifted_plus": conditions.spd_two_shifted_plus,
-            "spsd_shift": conditions.spsd_shift,
-            "kappa_gram": conditions.kappa_gram,
-            "kappa_shifted_gram": conditions.kappa_shifted_gram,
+            **dataclasses.asdict(conditions),
             "ibs13_converges": conditions.ibs13_converges,
             "ibs24_converges": conditions.ibs24_converges,
         },

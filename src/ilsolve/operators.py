@@ -13,7 +13,7 @@ import numpy as np
 
 from .sparse import SparseMatrixCsr
 
-__all__ = ["LinearOperator", "as_matrix", "aslinearoperator", "identity_operator"]
+__all__ = ["LinearOperator", "as_matrix", "aslinearoperator"]
 
 
 class LinearOperator:
@@ -66,7 +66,3 @@ def aslinearoperator(a) -> LinearOperator:
         return a
     a = as_matrix(a)
     return LinearOperator(a.shape[0], a.shape[1], lambda v: a @ v, lambda v: v @ a)
-
-
-def identity_operator(n: int) -> LinearOperator:
-    return LinearOperator(n, n, lambda v: v.copy(), lambda v: v.copy())

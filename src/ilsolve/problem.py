@@ -43,7 +43,6 @@ __all__ = [
     "apply_block_A",
     "build_rhs",
     "block_system_operator",
-    "gram_operator",
     "shifted_gram_operator",
     "reduced_normal_operator",
     "densify",
@@ -232,12 +231,6 @@ def build_rhs(prob: IlsProblem) -> BlockVector:
 def block_system_operator(prob: IlsProblem) -> LinearOperator:
     size = prob.size
     return LinearOperator(size, size, lambda v: apply_block_A(prob, v))
-
-
-def gram_operator(prob: IlsProblem) -> LinearOperator:
-    """v -> A1'(A1 v)."""
-    a1 = prob.a1
-    return LinearOperator(prob.n, prob.n, lambda v: (a1 @ v) @ a1)
 
 
 def shifted_gram_operator(prob: IlsProblem, alpha: float | None = None) -> LinearOperator:

@@ -19,10 +19,19 @@ from ilsolve import (
     verify_eigenstructure,
 )
 from ilsolve.analysis import generalized_sym_eigpairs, null_space_basis
-from ilsolve.exceptions import AccuracyWarning
+from ilsolve.exceptions import AccuracyWarning, RankAmbiguityWarning
 from ilsolve.sparse import SparseMatrixCsr, identity_csr, rectangular_identity_csr
 
 from conftest import random_desk_problem, scalar_problem
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def rank_edge_problem(a2_small=np.sqrt(10 * EPS), alpha=1.0):
+    """A1 = 2I (3 x 3) and A2 = [[1, 0, 0], [0, a2_small, 0]]: with the
+    default a2_small, the rank of A2 (and A2') sits on the threshold."""
+    a2 = np.array([[1.0, 0.0, 0.0], [0.0, a2_small, 0.0]])
+    return IlsProblem(2.0 * np.eye(3), a2, np.ones(3), np.ones(2), 3, 2, 3, alpha)
 
 
 class TestJacobiEigh:
@@ -112,6 +121,12 @@ class TestNullSpaceBasis:
     def test_zero_matrix_gives_full_basis(self):
         basis = null_space_basis(np.zeros((4, 4)))
         assert basis.shape == (4, 4)
+
+    def test_singular_value_near_threshold_warns(self):
+        # Squared, the small singular value is 10 eps, within a decade of
+        # the rank threshold 2 * eps * 1.
+        with pytest.warns(RankAmbiguityWarning):
+            null_space_basis(np.diag([1.0, np.sqrt(10 * EPS)]))
 
 
 class TestConditionReport:
@@ -280,6 +295,50 @@ class TestEigenstructure:
                 assert report.disk_contained
                 w = report.interval_eigs
                 assert np.all(w > 1e-10) and np.all(w < 2.0 - 1e-10)
+
+    def test_one_assembly_gives_rho_and_every_residual(self, monkeypatch):
+        prob = random_desk_problem(4)
+        calls = []
+        assemble = il.analysis.assemble_dense_preconditioned
+        monkeypatch.setattr(
+            il.analysis, "assemble_dense_preconditioned",
+            lambda *args: calls.append(args) or assemble(*args),
+        )
+        applies = []
+        apply = il.Preconditioner.apply
+        monkeypatch.setattr(il.Preconditioner, "apply", lambda self, r: applies.append(1) or apply(self, r))
+        for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
+            calls.clear()
+            applies.clear()
+            report = verify_eigenstructure(kind, prob)
+            assert len(calls) == 1
+            # Every apply is one column of that assembly.
+            assert len(applies) == prob.size
+            assert report.rho_estimate == spectral_radius_estimate(kind, prob)
+
+    def test_ambiguous_null_a2t_family_is_skipped(self):
+        prob = rank_edge_problem()
+        with pytest.warns(RankAmbiguityWarning, match="null"):
+            report = verify_eigenstructure("ibs1", prob)
+        family = report.unit_eigenvalue_checks[1]
+        assert family.label == "unit: null(A2') basis (skipped, rank ambiguous)"
+        assert family.vacuous and family.count == 0 and family.passed()
+
+    @pytest.mark.parametrize("kind", ["ibs3", "ibs4"])
+    def test_ambiguous_middle_block_family_is_skipped(self, kind):
+        prob = rank_edge_problem(alpha=0.0)
+        with pytest.warns(RankAmbiguityWarning):
+            report = verify_eigenstructure(kind, prob)
+        middle = report.unit_eigenvalue_checks[2]
+        assert middle.label == "unit: null(A2) middle-block basis (skipped, rank ambiguous)"
+        assert middle.vacuous and middle.count == 0 and middle.passed()
+
+    def test_zero_shift_middle_block_family(self):
+        prob = rank_edge_problem(a2_small=1.0, alpha=0.0)
+        for kind in ("ibs3", "ibs4"):
+            middle = verify_eigenstructure(kind, prob).unit_eigenvalue_checks[2]
+            assert middle.label == "unit: null(A2) middle-block basis"
+            assert middle.count == 1 and middle.max_residual <= 1e-14
 
     def test_all_families_within_tolerance(self):
         for i in range(5):

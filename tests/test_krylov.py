@@ -11,7 +11,7 @@ from ilsolve import (
     dense_cholesky,
     fgmres_solve,
 )
-from ilsolve.operators import LinearOperator, aslinearoperator, identity_operator
+from ilsolve.operators import LinearOperator, aslinearoperator
 
 from conftest import random_spd
 
@@ -34,7 +34,7 @@ class TestCgConfig:
 class TestCg:
     def test_identity_converges_in_one_iteration(self):
         rhs = np.array([1.0, 2.0, 3.0])
-        x, report = cg_solve(identity_operator(3), rhs, config=CgConfig(1e-10, 10))
+        x, report = cg_solve(aslinearoperator(np.eye(3)), rhs, config=CgConfig(1e-10, 10))
         assert report.iterations == 1 and report.converged
         assert np.allclose(x, rhs, rtol=0, atol=1e-14)
 
@@ -46,7 +46,7 @@ class TestCg:
         assert np.allclose(x, np.ones(3), rtol=0, atol=1e-12)
 
     def test_zero_rhs_returns_zero_immediately(self):
-        x, report = cg_solve(identity_operator(4), np.zeros(4))
+        x, report = cg_solve(aslinearoperator(np.eye(4)), np.zeros(4))
         assert report.iterations == 0 and report.converged
         assert np.array_equal(x, np.zeros(4))
         assert report.res_history.tolist() == [0.0]
@@ -114,7 +114,7 @@ class TestCg:
 class TestFgmres:
     def test_identity_one_iteration(self):
         rhs = np.array([2.0, -1.0, 0.5])
-        x, report = fgmres_solve(identity_operator(3), None, rhs)
+        x, report = fgmres_solve(aslinearoperator(np.eye(3)), None, rhs)
         assert report.converged and report.iterations == 1
         assert np.allclose(x, rhs, rtol=0, atol=1e-12)
 
@@ -137,7 +137,7 @@ class TestFgmres:
         assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-10
 
     def test_zero_rhs(self):
-        x, report = fgmres_solve(identity_operator(3), None, np.zeros(3))
+        x, report = fgmres_solve(aslinearoperator(np.eye(3)), None, np.zeros(3))
         assert report.iterations == 0 and report.converged
         assert np.array_equal(x, np.zeros(3))
 
@@ -207,7 +207,7 @@ class TestFgmres:
 
     def test_happy_breakdown_note(self):
         # With the identity operator the first Arnoldi vector is exact.
-        _, report = fgmres_solve(identity_operator(4), None, np.array([1.0, 2.0, 3.0, 4.0]))
+        _, report = fgmres_solve(aslinearoperator(np.eye(4)), None, np.array([1.0, 2.0, 3.0, 4.0]))
         assert report.converged
         assert any("happy breakdown" in note for note in report.notes)
 
@@ -222,7 +222,7 @@ class TestFgmres:
 
     def test_degenerate_preconditioner_fails_honestly(self):
         x, report = fgmres_solve(
-            identity_operator(3), lambda r: np.zeros(3), np.ones(3),
+            aslinearoperator(np.eye(3)), lambda r: np.zeros(3), np.ones(3),
             config=FgmresConfig(1e-8, 10),
         )
         assert not report.converged

@@ -6,8 +6,11 @@ import pytest
 from ilsolve import (
     CgConfig,
     ConfigurationError,
+    VARIANTS,
     IlsProblem,
+    apply_block_A,
     assemble_dense_preconditioned,
+    generate_augmented_problem,
     make_preconditioner,
 )
 from ilsolve.dense import cholesky_solve, dense_cholesky
@@ -146,6 +149,28 @@ class TestDenseAssembly:
         prob = scalar_problem(alpha=4.0)
         t = assemble_dense_preconditioned("ibs1", prob)
         assert abs(t[1, 1] - 0.5) <= 1e-15  # 4 / (4 + 4)
+
+    @pytest.mark.parametrize("blocks", ["dense", "csr"])
+    def test_columns_are_the_live_application(self, rng, blocks):
+        # The analysis checks eigenvectors against this matrix, so its
+        # product must be the live path M^{-1} A for every variant.
+        if blocks == "dense":
+            prob = random_desk_problem(11)
+        else:
+            # A sparse 12 x 8 core with a dominant diagonal (full column rank).
+            rows, cols = np.nonzero(rng.random((12, 8)) < 0.3)
+            diag = np.arange(8)
+            core = SparseMatrixCsr.from_triplets(
+                12, 8, np.r_[rows, diag], np.r_[cols, diag],
+                np.r_[rng.standard_normal(len(rows)), np.full(8, 4.0)],
+            )
+            prob = generate_augmented_problem(core, q=5)
+            assert isinstance(prob.a1, SparseMatrixCsr) and isinstance(prob.a2, SparseMatrixCsr)
+        v = rng.standard_normal(prob.size)
+        for kind in VARIANTS:
+            got = assemble_dense_preconditioned(kind, prob) @ v
+            want = make_preconditioner(kind, prob, inner="cholesky").apply(apply_block_A(prob, v))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_size_cap(self):
         prob = random_desk_problem(9)

@@ -14,7 +14,7 @@ from ilsolve import (
     full_solution_from_x,
     partition_problem,
 )
-from ilsolve.problem import BlockLayout, gram_operator, reduced_normal_operator, shifted_gram_operator
+from ilsolve.problem import BlockLayout, reduced_normal_operator, shifted_gram_operator
 from ilsolve.sparse import SparseMatrixCsr, identity_csr, normalize_to_unit_one_norm
 
 from conftest import dense_block_system, random_csr, random_desk_problem, scalar_problem
@@ -170,7 +170,7 @@ class TestOperators:
         prob = random_desk_problem(3)
         v = rng.standard_normal(prob.n)
         shifted = shifted_gram_operator(prob)
-        gram = gram_operator(prob)
+        gram = shifted_gram_operator(prob, alpha=0.0)
         assert np.array_equal(shifted.apply(v), prob.alpha * v + gram.apply(v))
 
     def test_reduced_normal_operator(self, rng):
