@@ -21,7 +21,6 @@ from .bench import (
     generate_random_problem,
     hilbert_matrix,
     load_experiment_spec,
-    reference_solution,
     report_write,
     run_experiment,
 )
@@ -52,15 +51,14 @@ from .preconditioners import (
 )
 from .problem import (
     BlockLayout,
-    BlockVector,
     IlsProblem,
     apply_block_A,
     block_system_operator,
     build_rhs,
     compute_alpha,
-    exact_solution_oracle,
     full_solution_from_x,
     partition_problem,
+    reference_solution,
 )
 from .sparse import (
     SparseMatrixCsr,

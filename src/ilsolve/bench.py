@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError, ProblemAssumptionError
+from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError
 from .krylov import CgConfig, FgmresConfig, fgmres_solve
 from .mmio import read_matrix_market
 from .preconditioners import IBS_VARIANTS, VARIANTS, make_preconditioner
@@ -25,8 +25,7 @@ from .problem import (
     block_system_operator,
     build_rhs,
     compute_alpha,
-    dense_blocks,
-    exact_solution_oracle,
+    reference_solution,
 )
 from .sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
 
@@ -38,7 +37,6 @@ __all__ = [
     "generate_hilbert_problem",
     "generate_random_problem",
     "hilbert_matrix",
-    "reference_solution",
     "build_problem",
     "load_experiment_spec",
     "run_cell",
@@ -108,31 +106,6 @@ def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem
     b1 = rng.standard_normal(p)
     b2 = rng.standard_normal(q)
     return IlsProblem(a1, a2, b1, b2, p, q, n, alpha)
-
-
-# ---------------------------------------------------------------------------
-# Reference solution with indefinite fallback
-# ---------------------------------------------------------------------------
-
-def reference_solution(prob: IlsProblem, dense_cap: int = 4000):
-    """Reference solution for error reporting.
-
-    Uses the SPD oracle when the standing assumption holds.  Several of
-    the classic benchmark constructions violate it (the reduced normal
-    matrix is nonsingular but indefinite); those fall back to a dense
-    symmetric-indefinite solve so the error column stays meaningful.
-    Returns (x_star, note) where note is '' for the clean path.
-    """
-    try:
-        return exact_solution_oracle(prob), ""
-    except ProblemAssumptionError:
-        if prob.n > dense_cap:
-            raise
-        a1d, a2d = dense_blocks(prob)
-        normal = a1d.T @ a1d - a2d.T @ a2d
-        rhs = a1d.T @ prob.b1 - a2d.T @ prob.b2
-        x = np.linalg.solve(normal, rhs)
-        return x, "reduced normal matrix indefinite; reference from dense LU solve"
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +286,7 @@ def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, not
     opens the row's note.  Set-up and solver errors propagate.
     """
     pre = make_preconditioner(kind, prob, inner=spec.inner, inner_config=spec.inner_config())
-    op, rhs, outer = block_system_operator(prob), build_rhs(prob).data, spec.outer_config()
+    op, rhs, outer = block_system_operator(prob), build_rhs(prob), spec.outer_config()
     its, cpus = [], []
     for _ in range(spec.runs):
         pre.reset_stats()

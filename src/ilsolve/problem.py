@@ -9,9 +9,12 @@ work on the equivalent square system
     [ 0    A2   I  ] [ d2 ]   [ b2     ]
 
 whose operator is applied matrix-free throughout: the Gram matrix A1'A1
-is never formed outside the dense desk-scale helpers.  The blocks A1 and
-A2 are plain matrices, CSR or 2-D float64 ndarray; both kinds give A x as
-``A @ x`` and A'y as ``y @ A``.
+is never formed outside the dense desk-scale helpers and the reference
+solution.  The blocks A1 and A2 are plain matrices, CSR or 2-D float64
+ndarray; both kinds give A x as ``A @ x`` and A'y as ``y @ A``.  Vectors
+of the block system are flat float64 arrays of length p + n + q, and the
+problem's ``layout`` gives the (d1; x; d2) windows as views.  Every
+solve starts from the zero vector.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from .exceptions import (
     OracleFailureError,
     ProblemAssumptionError,
 )
+from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator, as_matrix
 from .sparse import SparseMatrixCsr, one_norm
 
 __all__ = [
     "BlockLayout",
-    "BlockVector",
     "IlsProblem",
     "partition_problem",
     "compute_alpha",
@@ -47,7 +50,7 @@ __all__ = [
     "reduced_normal_operator",
     "densify",
     "dense_blocks",
-    "exact_solution_oracle",
+    "reference_solution",
     "full_solution_from_x",
 ]
 
@@ -78,45 +81,6 @@ class BlockLayout:
 
     def split(self, v: np.ndarray):
         return v[self.s1], v[self.sx], v[self.s2]
-
-    def join(self, d1, x, d2) -> np.ndarray:
-        return np.concatenate([d1, x, d2])
-
-
-class BlockVector:
-    """A flat array plus a layout; the block views are index windows, so
-    Krylov kernels can treat the same storage as one long vector."""
-
-    __slots__ = ("data", "layout")
-
-    def __init__(self, data: np.ndarray, layout: BlockLayout):
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != (layout.size,):
-            raise ValueError(f"data has shape {data.shape}, layout needs ({layout.size},)")
-        self.data = data
-        self.layout = layout
-
-    @classmethod
-    def from_parts(cls, d1, x, d2) -> "BlockVector":
-        d1, x, d2 = (np.asarray(u, dtype=np.float64) for u in (d1, x, d2))
-        layout = BlockLayout(len(d1), len(x), len(d2))
-        return cls(np.concatenate([d1, x, d2]), layout)
-
-    @classmethod
-    def zeros(cls, layout: BlockLayout) -> "BlockVector":
-        return cls(np.zeros(layout.size), layout)
-
-    @property
-    def d1(self) -> np.ndarray:
-        return self.data[self.layout.s1]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.data[self.layout.sx]
-
-    @property
-    def d2(self) -> np.ndarray:
-        return self.data[self.layout.s2]
 
 
 @dataclass(frozen=True)
@@ -223,9 +187,9 @@ def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_rhs(prob: IlsProblem) -> BlockVector:
-    """(b1; A1'b1; b2)."""
-    return BlockVector.from_parts(prob.b1, prob.b1 @ prob.a1, prob.b2)
+def build_rhs(prob: IlsProblem) -> np.ndarray:
+    """The flat (b1; A1'b1; b2); ``prob.layout`` names its blocks."""
+    return np.concatenate([prob.b1, prob.b1 @ prob.a1, prob.b2])
 
 
 def block_system_operator(prob: IlsProblem) -> LinearOperator:
@@ -259,53 +223,44 @@ def dense_blocks(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
     return densify(prob.a1), densify(prob.a2)
 
 
-def _normal_rhs(prob: IlsProblem) -> np.ndarray:
-    return prob.b1 @ prob.a1 - prob.b2 @ prob.a2
+DENSE_REFERENCE_MAX_N = 4000  # above this n, reference_solution runs CG
 
 
-def exact_solution_oracle(prob: IlsProblem, mode: str = "auto") -> np.ndarray:
-    """Reference solution of the normal equations, independent of the
-    preconditioned solvers under test.
+def reference_solution(prob: IlsProblem) -> tuple[np.ndarray, str]:
+    """(x*, note): the solution of (A1'A1 - A2'A2) x = A1'b1 - A2'b2 for
+    the ERR column, computed without the preconditioners under test.
 
-    dense-cholesky forms the reduced normal matrix densely and factors it
-    (requires it to be SPD); tight-cg runs matrix-free CG at relative
-    tolerance 1e-14 with at most 10n iterations.  'auto' picks dense for
-    n <= 4000 and tight-cg above.
+    Up to DENSE_REFERENCE_MAX_N unknowns the reduced normal matrix is
+    formed once and factored by Cholesky; when it is indefinite (several
+    classic benchmark constructions make it so) an LU solve takes over and
+    the note says so, else the note is ''.  Above the threshold matrix-free
+    CG runs at relative tolerance 1e-14 for at most 10n iterations.
     """
-    if mode == "auto":
-        mode = "dense-cholesky" if prob.n <= 4000 else "tight-cg"
-    if mode == "dense-cholesky":
+    rhs = prob.b1 @ prob.a1 - prob.b2 @ prob.a2
+    if prob.n <= DENSE_REFERENCE_MAX_N:
         a1d, a2d = dense_blocks(prob)
         normal = a1d.T @ a1d - a2d.T @ a2d
         try:
-            lower = dense_cholesky(normal)
-        except NotSpdError as exc:
-            raise ProblemAssumptionError(
-                "reduced normal matrix A1'A1 - A2'A2 is not positive definite "
-                f"(pivot failure at step {exc.step})"
-            ) from exc
-        return cholesky_solve(lower, _normal_rhs(prob))
-    if mode == "tight-cg":
-        from .krylov import CgConfig, cg_solve
-
-        op = reduced_normal_operator(prob)
-        cfg = CgConfig(rel_tolerance=1e-14, max_iterations=max(10 * prob.n, 1))
-        try:
-            x, report = cg_solve(op, _normal_rhs(prob), config=cfg)
-        except IndefiniteOperatorError as exc:
-            raise ProblemAssumptionError(
-                "CG breakdown: reduced normal matrix is not positive definite"
-            ) from exc
-        if not report.converged:
-            raise OracleFailureError(
-                f"reference CG stalled at relative residual {report.final_res:.3e} "
-                f"after {report.iterations} iterations"
-            )
-        return x
-    raise ValueError(f"unknown oracle mode {mode!r}")
+            return cholesky_solve(dense_cholesky(normal), rhs), ""
+        except NotSpdError:
+            x = np.linalg.solve(normal, rhs)
+            return x, "reduced normal matrix indefinite; reference from dense LU solve"
+    cfg = CgConfig(rel_tolerance=1e-14, max_iterations=10 * prob.n)
+    try:
+        x, report = cg_solve(reduced_normal_operator(prob), rhs, config=cfg)
+    except IndefiniteOperatorError as exc:
+        raise ProblemAssumptionError(
+            "CG breakdown: reduced normal matrix is not positive definite"
+        ) from exc
+    if not report.converged:
+        raise OracleFailureError(
+            f"reference CG stalled at relative residual {report.final_res:.3e} "
+            f"after {report.iterations} iterations"
+        )
+    return x, ""
 
 
-def full_solution_from_x(prob: IlsProblem, x: np.ndarray) -> BlockVector:
-    """Lift a length-n solution to the full (b1 - A1 x; x; b2 - A2 x)."""
+def full_solution_from_x(prob: IlsProblem, x: np.ndarray) -> np.ndarray:
+    """Lift a length-n solution to the flat (b1 - A1 x; x; b2 - A2 x)."""
     x = np.asarray(x, dtype=np.float64)
-    return BlockVector.from_parts(prob.b1 - prob.a1 @ x, x, prob.b2 - prob.a2 @ x)
+    return np.concatenate([prob.b1 - prob.a1 @ x, x, prob.b2 - prob.a2 @ x])

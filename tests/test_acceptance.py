@@ -83,13 +83,13 @@ def _skip_missing(stem):
 
 
 def _true_relative_residual(prob, x):
-    rhs = build_rhs(prob).data
+    rhs = build_rhs(prob)
     return float(np.linalg.norm(apply_block_A(prob, x) - rhs) / np.linalg.norm(rhs))
 
 
 def _run_benchmark_row(prob, kinds):
     """Solve with the published settings; returns {kind: (it, res, err, x)}."""
-    rhs = build_rhs(prob).data
+    rhs = build_rhs(prob)
     op = block_system_operator(prob)
     x_star, _ = reference_solution(prob)
     x_star_norm = np.linalg.norm(x_star)
@@ -157,7 +157,7 @@ def test_criterion_3_hilbert_iteration_counts():
     details = []
     for n in (400, 800):
         prob = generate_hilbert_problem(n, a2_scale=0.7)
-        rhs = build_rhs(prob).data
+        rhs = build_rhs(prob)
         op = block_system_operator(prob)
         for kind in ("ibs2", "ibs4"):
             pre = make_preconditioner(kind, prob, inner="cg", inner_config=CgConfig(1e-3, 1000))

@@ -387,7 +387,7 @@ def test_full_pipeline_at_benchmark_scale(rng):
     x_star, note = reference_solution(prob)
     assert "indefinite" in note
 
-    rhs = il.build_rhs(prob).data
+    rhs = il.build_rhs(prob)
     op = il.block_system_operator(prob)
     its = {}
     for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):

@@ -228,6 +228,30 @@ class TestFgmres:
         assert not report.converged
         assert np.all(np.isfinite(x))
         assert any("did not meet" in note for note in report.notes)
+        # Three resumptions, then the fourth unconfirmed end gives up.
+        assert sum(note.endswith("resuming") for note in report.notes) == 3
+        assert report.notes[-1].endswith("giving up")
+
+    def test_unconfirmed_breakdown_resumes(self, rng):
+        # A zero direction breaks the Arnoldi process down at once with an
+        # estimate of zero, yet the iterate is still x = 0.  The true
+        # residual does not confirm it, so the solve resumes, and the exact
+        # preconditioner then finishes in one more iteration.
+        m = random_spd(rng, 12, cond=1e3)
+        factor = dense_cholesky(m)
+        calls = []
+
+        def zero_first(r):
+            calls.append(1)
+            return np.zeros_like(r) if len(calls) == 1 else cholesky_solve(factor, r)
+
+        rhs = rng.standard_normal(12)
+        x, report = fgmres_solve(aslinearoperator(m), zero_first, rhs, config=FgmresConfig(1e-10, 50))
+        assert report.converged and report.iterations == 2
+        assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-10
+        assert report.final_res < 1e-10
+        assert "happy breakdown at iteration 1" in report.notes
+        assert any("did not meet the tolerance" in n and "resuming" in n for n in report.notes)
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):

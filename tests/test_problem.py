@@ -3,17 +3,17 @@ import pytest
 
 import ilsolve as il
 from ilsolve import (
-    BlockVector,
     DegenerateProblemError,
     IlsProblem,
     ProblemAssumptionError,
     apply_block_A,
     build_rhs,
     compute_alpha,
-    exact_solution_oracle,
     full_solution_from_x,
     partition_problem,
+    reference_solution,
 )
+from ilsolve import problem as problem_module
 from ilsolve.problem import BlockLayout, reduced_normal_operator, shifted_gram_operator
 from ilsolve.sparse import SparseMatrixCsr, identity_csr, normalize_to_unit_one_norm
 
@@ -28,12 +28,15 @@ class TestBlockLayout:
         assert d1.tolist() == [0, 1]
         assert x.tolist() == [2, 3, 4]
         assert d2.tolist() == [5, 6, 7, 8]
-        assert np.array_equal(layout.join(d1, x, d2), v)
 
-    def test_block_vector_views_share_storage(self):
-        bv = BlockVector.zeros(BlockLayout(1, 2, 1))
-        bv.x[:] = 7.0
-        assert bv.data.tolist() == [0.0, 7.0, 7.0, 0.0]
+    def test_split_returns_views_of_flat_block_vectors(self, rng):
+        prob = random_desk_problem(2)
+        for v in (build_rhs(prob), full_solution_from_x(prob, rng.standard_normal(prob.n))):
+            assert v.dtype == np.float64 and v.shape == (prob.size,)
+            for block in prob.layout.split(v):
+                assert block.base is v
+            prob.layout.split(v)[1][:] = 7.0
+            assert np.all(v[prob.layout.sx] == 7.0)
 
 
 class TestPartition:
@@ -144,14 +147,14 @@ class TestBuildRhs:
         a1 = identity_csr(2)
         a2 = identity_csr(2, scale=0.5)
         prob = IlsProblem(a1, a2, np.zeros(2), np.zeros(2), 2, 2, 2, 1.0)
-        assert np.array_equal(build_rhs(prob).data, np.zeros(6))
+        assert np.array_equal(build_rhs(prob), np.zeros(6))
 
     def test_identity_a1_copies_b1_to_middle(self):
         a1 = identity_csr(2)
         a2 = identity_csr(2, scale=0.5)
         prob = IlsProblem(a1, a2, np.array([1.0, 2.0]), np.zeros(2), 2, 2, 2, 1.0)
         rhs = build_rhs(prob)
-        assert np.array_equal(rhs.x, [1.0, 2.0])
+        assert np.array_equal(rhs[prob.layout.sx], [1.0, 2.0])
 
     def test_all_ones_b_gives_column_sums(self, rng):
         core = random_csr(rng, 7, 7)
@@ -162,7 +165,7 @@ class TestBuildRhs:
         for i in range(7):
             for j in range(7):
                 colsums[j] += dense[i, j]
-        assert np.allclose(rhs.x, colsums, rtol=1e-13, atol=1e-13)
+        assert np.allclose(rhs[prob.layout.sx], colsums, rtol=1e-13, atol=1e-13)
 
 
 class TestOperators:
@@ -187,38 +190,38 @@ class TestExactSolutionOracle:
         a2 = SparseMatrixCsr.from_triplets(2, 3, [], [], [])
         b1 = np.array([4.0, 5.0, 6.0])
         prob = IlsProblem(a1, a2, b1, np.zeros(2), 3, 2, 3, 1.0)
-        assert np.allclose(exact_solution_oracle(prob), b1, rtol=0, atol=1e-14)
+        x, note = reference_solution(prob)
+        assert note == ""
+        assert np.allclose(x, b1, rtol=0, atol=1e-14)
 
     def test_scalar_hand_value(self):
         prob = scalar_problem()
-        x = exact_solution_oracle(prob)
+        x, _ = reference_solution(prob)
         assert np.allclose(x, [2.0], rtol=0, atol=1e-14)
         # Residual check against the normal equations (4 - 1) x = 6.
         assert abs(3.0 * x[0] - 6.0) <= 1e-14
 
-    def test_modes_agree_on_large_spd_instance(self):
+    def test_cg_branch_agrees_with_dense(self, monkeypatch):
         prob = il.generate_random_problem(p=420, q=30, n=400, seed=11)
-        dense = exact_solution_oracle(prob, mode="dense-cholesky")
-        cg = exact_solution_oracle(prob, mode="tight-cg")
+        dense, dense_note = reference_solution(prob)
+        monkeypatch.setattr(problem_module, "DENSE_REFERENCE_MAX_N", 0)
+        cg, cg_note = reference_solution(prob)
+        assert dense_note == cg_note == ""
         assert np.linalg.norm(dense - cg) / np.linalg.norm(dense) <= 1e-6
 
-    def test_assumption_violation_raises(self):
+    def test_assumption_violation_raises(self, monkeypatch):
         # A2 large enough that the reduced normal matrix goes indefinite.
-        a1 = identity_csr(2)
-        a2 = identity_csr(2, scale=3.0)
-        prob = IlsProblem(a1, a2, np.ones(2), np.ones(2), 2, 2, 2, 1.0)
-        with pytest.raises(ProblemAssumptionError):
-            exact_solution_oracle(prob, mode="dense-cholesky")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            exact_solution_oracle(scalar_problem(), mode="sideways")
+        # Only the CG branch raises; the dense branch takes the LU fallback.
+        prob = IlsProblem(identity_csr(2), identity_csr(2, scale=3.0), np.ones(2), np.ones(2), 2, 2, 2, 1.0)
+        monkeypatch.setattr(problem_module, "DENSE_REFERENCE_MAX_N", 0)
+        with pytest.raises(ProblemAssumptionError, match="not positive definite"):
+            reference_solution(prob)
 
     def test_lifted_solution_satisfies_block_system(self):
         for i in range(10):
             prob = random_desk_problem(i)
-            x_star = exact_solution_oracle(prob)
+            x_star, _ = reference_solution(prob)
             v_star = full_solution_from_x(prob, x_star)
-            rhs = build_rhs(prob).data
-            res = np.linalg.norm(apply_block_A(prob, v_star.data) - rhs)
+            rhs = build_rhs(prob)
+            res = np.linalg.norm(apply_block_A(prob, v_star) - rhs)
             assert res / np.linalg.norm(rhs) <= 1e-10
