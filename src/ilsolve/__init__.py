@@ -6,7 +6,6 @@ from .analysis import (
     GmresBoundResult,
     SpectralReport,
     check_convergence_conditions,
-    generalized_sym_eigs,
     gmres_bound_check,
     jacobi_eigh,
     spectral_radius_estimate,
@@ -62,7 +61,6 @@ from .problem import (
 )
 from .sparse import (
     SparseMatrixCsr,
-    identity_csr,
     normalize_to_unit_one_norm,
     one_norm,
     rectangular_identity_csr,

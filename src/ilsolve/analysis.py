@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_cholesky, is_spd, one_norm_dense, solve_lower, solve_lower_transpose
+from .dense import dense_cholesky, is_spd, solve_lower, solve_lower_transpose
 from .exceptions import (
     AccuracyWarning,
     ConfigurationError,
@@ -41,7 +41,6 @@ __all__ = [
     "stationary_solve",
     "spectral_radius_estimate",
     "jacobi_eigh",
-    "generalized_sym_eigs",
     "generalized_sym_eigpairs",
     "null_space_basis",
     "verify_eigenstructure",
@@ -150,12 +149,6 @@ def generalized_sym_eigpairs(b: np.ndarray, c: np.ndarray):
     return w, y
 
 
-def generalized_sym_eigs(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of C^{-1} B (ascending) for symmetric B, SPD C."""
-    w, _ = generalized_sym_eigpairs(b, c)
-    return w
-
-
 def null_space_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of m (columns), using a Jacobi
     eigendecomposition of m'm with rank threshold dim * eps * lambda_max.
@@ -197,15 +190,14 @@ class ConditionReport:
 
     ``spd_normal`` covers A1'A1 - A2'A2; the *_shifted variants replace
     the Gram matrix by its alpha-shifted version inside the tested
-    combinations; ``spsd_shift`` certifies the shift gap (alpha*I when the
-    default choice is in use).
+    combinations.  The shift gap alpha*I needs no certificate: IlsProblem
+    rejects alpha < 0.
     """
 
     spd_normal: bool
     spd_shifted_minus_a2gram: bool
     spd_two_shifted_minus: bool
     spd_two_shifted_plus: bool
-    spsd_shift: bool
     kappa_gram: float
     kappa_shifted_gram: float
 
@@ -218,24 +210,18 @@ class ConditionReport:
         return self.spd_two_shifted_plus
 
 
-def _is_spsd(m: np.ndarray) -> bool:
-    norm = one_norm_dense(m)
-    if norm == 0.0:
-        return True
-    shift = m.shape[0] * _EPS * norm
-    return is_spd(m + shift * np.eye(m.shape[0]))
+CONDITIONS_MAX_N = 2000  # largest n for which the conditions are checked densely
 
 
-def check_convergence_conditions(prob: IlsProblem, cap: int = 2000) -> ConditionReport:
+def check_convergence_conditions(prob: IlsProblem) -> ConditionReport:
     """Certify the stationary-convergence conditions on dense desk-scale
     copies of the blocks."""
-    if prob.n > cap:
-        raise ConfigurationError(f"condition checks capped at n = {cap}, got {prob.n}")
+    if prob.n > CONDITIONS_MAX_N:
+        raise ConfigurationError(f"condition checks capped at n = {CONDITIONS_MAX_N}, got {prob.n}")
     a1d, a2d = dense_blocks(prob)
     gram = a1d.T @ a1d
     a2gram = a2d.T @ a2d
-    eye = np.eye(prob.n)
-    shifted = gram + prob.alpha * eye
+    shifted = gram + prob.alpha * np.eye(prob.n)
 
     eigs_gram, _ = jacobi_eigh(gram)
     lam_min, lam_max = float(eigs_gram[0]), float(eigs_gram[-1])
@@ -248,7 +234,6 @@ def check_convergence_conditions(prob: IlsProblem, cap: int = 2000) -> Condition
         spd_shifted_minus_a2gram=is_spd(shifted - a2gram),
         spd_two_shifted_minus=is_spd(2.0 * shifted - gram - a2gram),
         spd_two_shifted_plus=is_spd(2.0 * shifted - gram + a2gram),
-        spsd_shift=_is_spsd(shifted - gram),
         kappa_gram=kappa_gram,
         kappa_shifted_gram=kappa_shifted,
     )

@@ -59,11 +59,8 @@ def generate_augmented_problem(
     hand side, and the default shift derived from A1."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    p, n = core.n_rows, core.n_cols
-    a2 = rectangular_identity_csr(q, n, scale)
-    return IlsProblem(
-        core, a2, np.ones(p), np.ones(q), p, q, n, compute_alpha(core)
-    )
+    a2 = rectangular_identity_csr(q, core.n_cols, scale)
+    return IlsProblem(core, a2, np.ones(core.n_rows), np.ones(q), compute_alpha(core))
 
 
 def hilbert_matrix(n: int) -> np.ndarray:
@@ -72,16 +69,19 @@ def hilbert_matrix(n: int) -> np.ndarray:
     return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
 
 
-def generate_hilbert_problem(n: int, a2_scale: float = 0.7, cap: int = 2000) -> IlsProblem:
+HILBERT_MAX_N = 2000  # largest order of the (dense) Hilbert block
+
+
+def generate_hilbert_problem(n: int, a2_scale: float = 0.7) -> IlsProblem:
     """A1 is the (fully dense) n x n Hilbert matrix kept as a dense
     operand, A2 = a2_scale * I_n, all-ones right-hand side."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ConfigurationError(f"Hilbert generator capped at n = {cap}, got {n}")
+    if n > HILBERT_MAX_N:
+        raise ConfigurationError(f"Hilbert generator capped at n = {HILBERT_MAX_N}, got {n}")
     h = hilbert_matrix(n)
     a2 = rectangular_identity_csr(n, n, a2_scale)
-    return IlsProblem(h, a2, np.ones(n), np.ones(n), n, n, n, compute_alpha(h))
+    return IlsProblem(h, a2, np.ones(n), np.ones(n), compute_alpha(h))
 
 
 def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem:
@@ -105,7 +105,7 @@ def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem
     alpha = float(rng.uniform(0.1, 0.5))
     b1 = rng.standard_normal(p)
     b2 = rng.standard_normal(q)
-    return IlsProblem(a1, a2, b1, b2, p, q, n, alpha)
+    return IlsProblem(a1, a2, b1, b2, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +209,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
     Keys: those of ``_SPEC_KEYS``; preconditioners is comma separated, and
     a key left out keeps the ExperimentSpec default.  A value that does not
-    convert raises ValueError('path:line: key: reason'), an invalid spec
-    ValueError('path: reason').
+    convert, or a key given twice, raises ValueError('path:line: key:
+    reason'), an invalid spec ValueError('path: reason').
     """
     settings = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -224,6 +224,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
             if key not in _SPEC_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             name, convert = _SPEC_KEYS[key]
+            if name in settings:
+                raise ValueError(f"{path}:{line_no}: {key}: set twice")
             try:
                 settings[name] = convert(value)
             except ValueError as exc:

@@ -49,10 +49,11 @@ class IndefiniteOperatorError(IlsolveError):
     """CG observed p'Ap <= 0, so the operator is not positive definite.
 
     ``x_best`` carries the lowest-residual iterate reached before the
-    breakdown (may be None when breakdown occurs on the first step).
+    breakdown (the zero start when breakdown occurs on the first step),
+    ``iterations`` the number of completed steps.
     """
 
-    def __init__(self, message, x_best=None, iterations=0):
+    def __init__(self, message, x_best, iterations):
         super().__init__(message)
         self.x_best = x_best
         self.iterations = iterations

@@ -177,9 +177,9 @@ def fgmres_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Flexible GMRES with right preconditioning, from x = 0.
 
-    ``precond`` maps a residual-space vector to a preconditioned vector
-    (a callable, an object with an ``apply`` method, or None for no
-    preconditioning); it may differ between iterations.  Orthogonalization
+    ``precond`` is any object whose ``apply`` maps a residual-space vector
+    to a preconditioned one (``make_preconditioner("none", prob)`` is the
+    identity); it may differ between iterations.  Orthogonalization
     is modified Gram-Schmidt with one reorthogonalization pass whenever
     the new basis vector loses more than half its norm.
 
@@ -191,13 +191,6 @@ def fgmres_solve(
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
-    if precond is None:
-        apply_pc = None
-    elif hasattr(precond, "apply"):
-        apply_pc = precond.apply
-    else:
-        apply_pc = precond
-
     t0 = time.perf_counter()
     bnorm = _norm(rhs)
     if bnorm == 0.0:
@@ -225,7 +218,7 @@ def fgmres_solve(
         g = [rnorm]
 
         for j in range(cycle_cap):
-            z = basis[j].copy() if apply_pc is None else np.asarray(apply_pc(basis[j]), dtype=np.float64)
+            z = np.asarray(precond.apply(basis[j]), dtype=np.float64)
             w = op.apply(z)
             if not np.all(np.isfinite(w)):
                 raise NumericalFailureError(f"non-finite basis vector at iteration {it + 1}")

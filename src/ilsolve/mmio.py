@@ -51,14 +51,19 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
 
     size_line_no, size_line = body[0]
     size_tokens = size_line.split()
+    n_counts = 3 if fmt == "coordinate" else 2
+    if len(size_tokens) != n_counts:
+        raise ParseError(f"{fmt} size line needs {n_counts} integers, got {size_line!r}", line_no=size_line_no)
+    try:
+        counts = [int(t) for t in size_tokens]
+    except ValueError:
+        raise ParseError(f"bad size line {size_line!r}", line_no=size_line_no) from None
+    if min(counts) < 0:
+        raise ParseError(f"negative count in size line {size_line!r}", line_no=size_line_no)
+    n_rows, n_cols = counts[:2]
+    entries = body[1:]
     if fmt == "coordinate":
-        if len(size_tokens) != 3:
-            raise ParseError(f"coordinate size line needs 3 integers, got {size_line!r}", line_no=size_line_no)
-        try:
-            n_rows, n_cols, nnz = (int(t) for t in size_tokens)
-        except ValueError:
-            raise ParseError(f"bad size line {size_line!r}", line_no=size_line_no) from None
-        entries = body[1:]
+        nnz = counts[2]
         if len(entries) != nnz:
             raise ParseError(f"declared {nnz} entries but found {len(entries)}", line_no=size_line_no)
         rows = np.empty(nnz, dtype=np.int64)
@@ -79,13 +84,6 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
                 )
             rows[k], cols[k], vals[k] = i - 1, j - 1, v
     else:
-        if len(size_tokens) != 2:
-            raise ParseError(f"array size line needs 2 integers, got {size_line!r}", line_no=size_line_no)
-        try:
-            n_rows, n_cols = (int(t) for t in size_tokens)
-        except ValueError:
-            raise ParseError(f"bad size line {size_line!r}", line_no=size_line_no) from None
-        entries = body[1:]
         if symmetry == "general":
             expected = n_rows * n_cols
             # Column-major order.
@@ -131,27 +129,21 @@ def read_matrix_market(path) -> SparseMatrixCsr:
         return parse_matrix_market(fh.read())
 
 
-def write_matrix_market(a: SparseMatrixCsr, path, comment: str = "") -> None:
+def write_matrix_market(a: SparseMatrixCsr, path) -> None:
     """Write in coordinate/real/general layout with 1-based indices."""
     rows, cols, vals = a.to_triplets()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
         fh.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
         for i, j, v in zip(rows, cols, vals):
             fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
-def write_vector_matrix_market(v: np.ndarray, path, comment: str = "") -> None:
+def write_vector_matrix_market(v: np.ndarray, path) -> None:
     """Write a vector as an n x 1 array-format matrix."""
     v = np.asarray(v, dtype=np.float64)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
         fh.write(f"{v.shape[0]} 1\n")
         for x in v:
             fh.write(f"{float(x)!r}\n")

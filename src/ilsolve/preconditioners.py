@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import problem as _problem
 from .dense import cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, cg_solve
@@ -87,7 +88,7 @@ class Preconditioner:
             # arithmetic SPD) Gram matrix: keep the best iterate.
             self.inner_failures += 1
             self.inner_iterations += exc.iterations
-            return exc.x_best if exc.x_best is not None else np.zeros_like(rhs)
+            return exc.x_best
         self.inner_iterations += report.iterations
         if not report.converged:
             self.inner_failures += 1
@@ -116,13 +117,12 @@ def make_preconditioner(
     problem: IlsProblem,
     inner: str = "cg",
     inner_config: CgConfig | None = None,
-    dense_cap: int = 4000,
 ) -> Preconditioner:
     """Build a preconditioner.
 
     ``inner`` is 'cg' (matrix-free, inexact) or 'cholesky' (exact, dense
     factorization of the n x n inner matrix, permitted only for
-    n <= dense_cap).  The ibs variants shift the inner matrix by
+    n <= ilsolve.problem.DENSE_MAX_N).  The ibs variants shift the inner matrix by
     problem.alpha; the baselines solve with the Gram matrix itself.
     """
     kind = kind.lower()
@@ -132,12 +132,13 @@ def make_preconditioner(
         return Preconditioner(kind, problem)
     shift = problem.alpha if kind in IBS_VARIANTS else 0.0
     if inner == "cg":
-        gram = shifted_gram_operator(problem, alpha=shift)
+        gram = shifted_gram_operator(problem, shift)
         return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
     if inner == "cholesky":
-        if problem.n > dense_cap:
+        cap = _problem.DENSE_MAX_N
+        if problem.n > cap:
             raise ConfigurationError(
-                f"dense inner factorization requested for n = {problem.n} > cap {dense_cap}"
+                f"dense inner factorization requested for n = {problem.n} > cap {cap}"
             )
         a1d = densify(problem.a1)
         inner_matrix = a1d.T @ a1d
@@ -147,17 +148,18 @@ def make_preconditioner(
     raise ValueError(f"unknown inner solver mode {inner!r}")
 
 
-def assemble_dense_preconditioned(
-    kind: str,
-    problem: IlsProblem,
-    cap: int = 2000,
-) -> np.ndarray:
+DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A
+
+
+def assemble_dense_preconditioned(kind: str, problem: IlsProblem) -> np.ndarray:
     """Dense M^{-1} A, column by column through the live application path
     with exact inner solves.  Desk-scale only."""
     size = problem.size
-    if size > cap:
-        raise ConfigurationError(f"dense assembly requested for size {size} > cap {cap}")
-    pre = make_preconditioner(kind, problem, inner="cholesky", dense_cap=cap)
+    if size > DENSE_ASSEMBLY_MAX_SIZE:
+        raise ConfigurationError(
+            f"dense assembly requested for size {size} > cap {DENSE_ASSEMBLY_MAX_SIZE}"
+        )
+    pre = make_preconditioner(kind, problem, inner="cholesky")
     out = np.empty((size, size))
     e = np.zeros(size)
     for j in range(size):

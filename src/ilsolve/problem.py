@@ -20,7 +20,7 @@ solve starts from the zero vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,34 +88,41 @@ class IlsProblem:
     """One partitioned problem: A1 (p x n), A2 (q x n), split right-hand
     side, and the diagonal shift used by the inexact preconditioners.
 
-    A CSR block is kept as given; any other block is stored as a 2-D
-    float64 ndarray (Hilbert blocks, say, stay dense).
+    p, q and n are read from the block shapes.  A CSR block is kept as
+    given; any other block is stored as a 2-D float64 ndarray (Hilbert
+    blocks, say, stay dense).  Blocks and right-hand side must be finite.
     """
 
     a1: SparseMatrixCsr | np.ndarray
     a2: SparseMatrixCsr | np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    p: int
-    q: int
-    n: int
     alpha: float
+    p: int = field(init=False)
+    q: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
         object.__setattr__(self, "b2", np.asarray(self.b2, dtype=np.float64))
-        object.__setattr__(self, "a1", as_matrix(self.a1, "A1"))
-        object.__setattr__(self, "a2", as_matrix(self.a2, "A2"))
-        if self.p < 1 or self.q < 1:
+        for name in ("a1", "a2"):
+            block = as_matrix(getattr(self, name), name.upper())
+            entries = block.values if isinstance(block, SparseMatrixCsr) else block
+            if not np.isfinite(entries).all():
+                raise ValueError(f"{name.upper()} has non-finite entries")
+            object.__setattr__(self, name, block)
+        (p, n), (q, n2) = self.a1.shape, self.a2.shape
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        if p < 1 or q < 1:
             raise DegenerateProblemError(
                 "p and q must both be positive; an empty block reduces the "
                 "problem to an ordinary least squares problem"
             )
-        if self.a1.shape != (self.p, self.n):
-            raise ValueError(f"A1 has shape {self.a1.shape}, expected ({self.p}, {self.n})")
-        if self.a2.shape != (self.q, self.n):
-            raise ValueError(f"A2 has shape {self.a2.shape}, expected ({self.q}, {self.n})")
-        if self.b1.shape != (self.p,) or self.b2.shape != (self.q,):
+        if n2 != n:
+            raise ValueError(f"A1 has {n} columns but A2 has {n2}")
+        if self.b1.shape != (p,) or self.b2.shape != (q,):
             raise ValueError("right-hand side blocks do not match (p, q)")
         if not (np.isfinite(self.b1).all() and np.isfinite(self.b2).all()):
             raise ValueError("right-hand side has non-finite entries")
@@ -138,10 +145,9 @@ class IlsProblem:
         return f"{self.m}x{self.n}"
 
 
-def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int, alpha="auto") -> IlsProblem:
+def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:
     """Split an m x n matrix and length-m vector into the (A1, A2, b1, b2)
-    blocks, with A1 the first p rows.  ``alpha`` is either 'auto' (the
-    squared 1-norm of A1) or an explicit nonnegative value."""
+    blocks, with A1 the first p rows and the default shift from A1."""
     b = np.asarray(b, dtype=np.float64)
     if p + q != a.n_rows:
         raise ValueError(f"p + q = {p + q} does not match the {a.n_rows} rows of A")
@@ -153,9 +159,7 @@ def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int, alpha="
             "problem to an ordinary least squares problem"
         )
     a1 = a.row_slice(0, p)
-    a2 = a.row_slice(p, p + q)
-    alpha_value = compute_alpha(a1) if alpha == "auto" else float(alpha)
-    return IlsProblem(a1, a2, b[:p], b[p:], p, q, a.n_cols, alpha_value)
+    return IlsProblem(a1, a.row_slice(p, p + q), b[:p], b[p:], compute_alpha(a1))
 
 
 def compute_alpha(a1) -> float:
@@ -197,11 +201,10 @@ def block_system_operator(prob: IlsProblem) -> LinearOperator:
     return LinearOperator(size, size, lambda v: apply_block_A(prob, v))
 
 
-def shifted_gram_operator(prob: IlsProblem, alpha: float | None = None) -> LinearOperator:
-    """v -> alpha*v + A1'(A1 v), the well-conditioned inner matrix of the
-    inexact preconditioners."""
+def shifted_gram_operator(prob: IlsProblem, shift: float) -> LinearOperator:
+    """v -> shift*v + A1'(A1 v): with shift = alpha the well-conditioned
+    inner matrix of the inexact preconditioners, with 0 the Gram matrix."""
     a1 = prob.a1
-    shift = prob.alpha if alpha is None else float(alpha)
     return LinearOperator(prob.n, prob.n, lambda v: shift * v + (a1 @ v) @ a1)
 
 
@@ -223,27 +226,31 @@ def dense_blocks(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
     return densify(prob.a1), densify(prob.a2)
 
 
-DENSE_REFERENCE_MAX_N = 4000  # above this n, reference_solution runs CG
+DENSE_MAX_N = 4000  # largest n for a dense n x n factorization
 
 
 def reference_solution(prob: IlsProblem) -> tuple[np.ndarray, str]:
     """(x*, note): the solution of (A1'A1 - A2'A2) x = A1'b1 - A2'b2 for
     the ERR column, computed without the preconditioners under test.
 
-    Up to DENSE_REFERENCE_MAX_N unknowns the reduced normal matrix is
-    formed once and factored by Cholesky; when it is indefinite (several
-    classic benchmark constructions make it so) an LU solve takes over and
-    the note says so, else the note is ''.  Above the threshold matrix-free
-    CG runs at relative tolerance 1e-14 for at most 10n iterations.
+    Up to DENSE_MAX_N unknowns the reduced normal matrix is formed once
+    and factored by Cholesky; when it is indefinite (several classic
+    benchmark constructions make it so) an LU solve takes over and the
+    note says so, else the note is ''.  A singular matrix raises
+    ProblemAssumptionError.  Above the threshold matrix-free CG runs at
+    relative tolerance 1e-14 for at most 10n iterations.
     """
     rhs = prob.b1 @ prob.a1 - prob.b2 @ prob.a2
-    if prob.n <= DENSE_REFERENCE_MAX_N:
+    if prob.n <= DENSE_MAX_N:
         a1d, a2d = dense_blocks(prob)
         normal = a1d.T @ a1d - a2d.T @ a2d
         try:
             return cholesky_solve(dense_cholesky(normal), rhs), ""
         except NotSpdError:
-            x = np.linalg.solve(normal, rhs)
+            try:
+                x = np.linalg.solve(normal, rhs)
+            except np.linalg.LinAlgError:
+                raise ProblemAssumptionError("reduced normal matrix is singular") from None
             return x, "reduced normal matrix indefinite; reference from dense LU solve"
     cfg = CgConfig(rel_tolerance=1e-14, max_iterations=10 * prob.n)
     try:

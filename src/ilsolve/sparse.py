@@ -19,7 +19,6 @@ __all__ = [
     "spmv_transpose",
     "one_norm",
     "normalize_to_unit_one_norm",
-    "identity_csr",
     "rectangular_identity_csr",
 ]
 
@@ -179,10 +178,6 @@ def normalize_to_unit_one_norm(a: SparseMatrixCsr) -> SparseMatrixCsr:
     if norm == 1.0:
         return a
     return replace(a, values=a.values / norm)
-
-
-def identity_csr(n: int, scale: float = 1.0) -> SparseMatrixCsr:
-    return rectangular_identity_csr(n, n, scale)
 
 
 def rectangular_identity_csr(n_rows: int, n_cols: int, scale: float = 1.0) -> SparseMatrixCsr:

@@ -83,7 +83,7 @@ def scalar_problem(alpha=4.0):
     """The 1x1x1 worked example: A1 = (2), A2 = (1), b = (3; 0)."""
     a1 = il.SparseMatrixCsr.from_triplets(1, 1, [0], [0], [2.0])
     a2 = il.SparseMatrixCsr.from_triplets(1, 1, [0], [0], [1.0])
-    return il.IlsProblem(a1, a2, [3.0], [0.0], 1, 1, 1, alpha)
+    return il.IlsProblem(a1, a2, [3.0], [0.0], alpha)
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ from ilsolve import (
     stationary_solve,
     verify_eigenstructure,
 )
-from ilsolve.analysis import generalized_sym_eigs
+from ilsolve.analysis import generalized_sym_eigpairs
 from ilsolve.operators import aslinearoperator
 from ilsolve.problem import block_system_operator, dense_blocks
 
@@ -220,7 +220,7 @@ def test_criterion_6_interval_containment():
         gram = a1d.T @ a1d
         shifted = gram + prob.alpha * np.eye(prob.n)
         normal = gram - a2d.T @ a2d
-        w = generalized_sym_eigs(normal, shifted)
+        w = generalized_sym_eigpairs(normal, shifted)[0]
         lo, hi = min(lo, w.min()), max(hi, w.max())
         ok &= bool(np.all(w > 1e-10) and np.all(w < 2.0 - 1e-10))
     _report(6, ok, f"eigenvalue range [{lo:.3e}, {hi:.3e}]")

@@ -19,14 +19,14 @@ from ilsolve import (
 )
 from ilsolve.bench import build_problem, hilbert_matrix
 from ilsolve.cli import main
-from ilsolve.sparse import identity_csr, normalize_to_unit_one_norm
+from ilsolve.sparse import normalize_to_unit_one_norm, rectangular_identity_csr
 
 from conftest import random_csr, scalar_problem
 
 
 class TestAugmentedGenerator:
     def test_zero_scale_gives_empty_a2(self):
-        prob = generate_augmented_problem(identity_csr(2), q=2, scale=0.0)
+        prob = generate_augmented_problem(rectangular_identity_csr(2, 2), q=2, scale=0.0)
         assert prob.a2.nnz == 0
         assert np.array_equal(prob.b1, np.ones(2))
 
@@ -44,7 +44,7 @@ class TestAugmentedGenerator:
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
-            generate_augmented_problem(identity_csr(2), q=0)
+            generate_augmented_problem(rectangular_identity_csr(2, 2), q=0)
 
 
 class TestHilbertGenerator:
@@ -63,7 +63,7 @@ class TestHilbertGenerator:
 
     def test_cap_enforced(self):
         with pytest.raises(ConfigurationError):
-            generate_hilbert_problem(4001, cap=2000)
+            generate_hilbert_problem(2001)
 
 
 class TestRandomGenerator:
@@ -102,6 +102,20 @@ class TestReferenceSolution:
         normal = h.T @ h - 0.49 * np.eye(30)
         rhs = h.T @ np.ones(30) - 0.7 * np.ones(30)
         assert np.linalg.norm(normal @ x - rhs) / np.linalg.norm(rhs) <= 1e-8
+
+    def test_singular_normal_matrix_gives_rows_without_err(self, tmp_path):
+        # A1 = A2 = I_4 makes A1'A1 - A2'A2 the zero matrix.
+        matrix = tmp_path / "eye.mtx"
+        il.write_matrix_market(rectangular_identity_csr(4, 4), matrix)
+        spec = ExperimentSpec(
+            matrix=str(matrix), q=4, a2_scale=1.0, normalize=False,
+            preconditioners=("ibs2",), runs=1,
+        )
+        with pytest.raises(il.ProblemAssumptionError, match="reduced normal matrix is singular"):
+            reference_solution(build_problem(spec))
+        (row,) = run_experiment(spec)
+        assert row.preconditioner == "ibs2" and row.err is None
+        assert row.note == "reference solution unavailable: reduced normal matrix is singular"
 
 
 class TestSpecParsing:
@@ -188,6 +202,15 @@ class TestSpecBoundary:
         assert str(exc.value).startswith(f"{path}:2: {key}: ")
         assert main(["bench", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:2: {key}: ")
+
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "twice.spec"
+        path.write_text("problem = random\nruns = 1\n# again\nruns = 3\n")
+        with pytest.raises(ValueError) as exc:
+            load_experiment_spec(path)
+        assert str(exc.value) == f"{path}:4: runs: set twice"
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:4: runs: set twice\n"
 
     @pytest.mark.parametrize("text, value", [("no", False), ("0", False), ("YES", True), ("1", True)])
     def test_boolean_spellings(self, tmp_path, text, value):

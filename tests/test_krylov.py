@@ -16,6 +16,11 @@ from ilsolve.operators import LinearOperator, aslinearoperator
 from conftest import random_spd
 
 
+def identity(n):
+    """The unpreconditioned case: z = r."""
+    return LinearOperator(n, n, np.copy)
+
+
 class TestCgConfig:
     def test_defaults(self):
         cfg = CgConfig()
@@ -114,7 +119,7 @@ class TestCg:
 class TestFgmres:
     def test_identity_one_iteration(self):
         rhs = np.array([2.0, -1.0, 0.5])
-        x, report = fgmres_solve(aslinearoperator(np.eye(3)), None, rhs)
+        x, report = fgmres_solve(aslinearoperator(np.eye(3)), identity(3), rhs)
         assert report.converged and report.iterations == 1
         assert np.allclose(x, rhs, rtol=0, atol=1e-12)
 
@@ -123,7 +128,7 @@ class TestFgmres:
         factor = dense_cholesky(m)
         x, report = fgmres_solve(
             aslinearoperator(m),
-            lambda r: cholesky_solve(factor, r),
+            LinearOperator(12, 12, lambda r: cholesky_solve(factor, r)),
             rng.standard_normal(12),
             config=FgmresConfig(1e-10, 50),
         )
@@ -132,12 +137,12 @@ class TestFgmres:
     def test_unpreconditioned_general_system(self, rng):
         m = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
         rhs = rng.standard_normal(20)
-        x, report = fgmres_solve(aslinearoperator(m), None, rhs, config=FgmresConfig(1e-10, 100))
+        x, report = fgmres_solve(aslinearoperator(m), identity(20), rhs, config=FgmresConfig(1e-10, 100))
         assert report.converged
         assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-10
 
     def test_zero_rhs(self):
-        x, report = fgmres_solve(aslinearoperator(np.eye(3)), None, np.zeros(3))
+        x, report = fgmres_solve(aslinearoperator(np.eye(3)), identity(3), np.zeros(3))
         assert report.iterations == 0 and report.converged
         assert np.array_equal(x, np.zeros(3))
 
@@ -156,7 +161,8 @@ class TestFgmres:
 
         rhs = rng.standard_normal(25)
         x, report = fgmres_solve(
-            aslinearoperator(m), alternating, rhs, config=FgmresConfig(1e-10, 200)
+            aslinearoperator(m), LinearOperator(25, 25, alternating), rhs,
+            config=FgmresConfig(1e-10, 200),
         )
         assert report.converged
         assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) <= 1e-10
@@ -164,7 +170,7 @@ class TestFgmres:
     def test_history_monotone_within_cycle(self, rng):
         m = random_spd(rng, 30, cond=1e3)
         rhs = rng.standard_normal(30)
-        _, report = fgmres_solve(aslinearoperator(m), None, rhs, config=FgmresConfig(1e-10, 100))
+        _, report = fgmres_solve(aslinearoperator(m), identity(30), rhs, config=FgmresConfig(1e-10, 100))
         assert report.converged
         hist = report.res_history
         assert len(hist) == report.iterations + 1
@@ -178,7 +184,7 @@ class TestFgmres:
         m = random_spd(rng, 30, cond=20.0)
         rhs = rng.standard_normal(30)
         x, report = fgmres_solve(
-            aslinearoperator(m), None, rhs, config=FgmresConfig(1e-8, 500, restart=5)
+            aslinearoperator(m), identity(30), rhs, config=FgmresConfig(1e-8, 500, restart=5)
         )
         assert report.converged
         assert report.iterations > 5  # actually crossed a restart boundary
@@ -190,8 +196,8 @@ class TestFgmres:
         m = rng.standard_normal((30, 30)) + 5.0 * np.eye(30)
         rhs = rng.standard_normal(30)
         op = aslinearoperator(m)
-        _, restarted = fgmres_solve(op, None, rhs, config=FgmresConfig(1e-12, 5, restart=2))
-        _, stopped = fgmres_solve(op, None, rhs, config=FgmresConfig(1e-12, 2))
+        _, restarted = fgmres_solve(op, identity(30), rhs, config=FgmresConfig(1e-12, 5, restart=2))
+        _, stopped = fgmres_solve(op, identity(30), rhs, config=FgmresConfig(1e-12, 2))
         assert restarted.iterations == 5 and not stopped.converged
         assert restarted.res_history[2] == stopped.final_res
 
@@ -203,18 +209,18 @@ class TestFgmres:
 
         op = LinearOperator(3, 3, bad_apply)
         with pytest.raises(NumericalFailureError, match="iteration 1"):
-            fgmres_solve(op, None, np.ones(3))
+            fgmres_solve(op, identity(3), np.ones(3))
 
     def test_happy_breakdown_note(self):
         # With the identity operator the first Arnoldi vector is exact.
-        _, report = fgmres_solve(aslinearoperator(np.eye(4)), None, np.array([1.0, 2.0, 3.0, 4.0]))
+        _, report = fgmres_solve(aslinearoperator(np.eye(4)), identity(4), np.array([1.0, 2.0, 3.0, 4.0]))
         assert report.converged
         assert any("happy breakdown" in note for note in report.notes)
 
     def test_nonconvergence_reports_true_residual(self, rng):
         m = random_spd(rng, 40, cond=1e8)
         rhs = rng.standard_normal(40)
-        x, report = fgmres_solve(aslinearoperator(m), None, rhs, config=FgmresConfig(1e-13, 5))
+        x, report = fgmres_solve(aslinearoperator(m), identity(40), rhs, config=FgmresConfig(1e-13, 5))
         assert not report.converged
         assert report.iterations == 5
         true_res = np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs)
@@ -222,7 +228,7 @@ class TestFgmres:
 
     def test_degenerate_preconditioner_fails_honestly(self):
         x, report = fgmres_solve(
-            aslinearoperator(np.eye(3)), lambda r: np.zeros(3), np.ones(3),
+            aslinearoperator(np.eye(3)), LinearOperator(3, 3, np.zeros_like), np.ones(3),
             config=FgmresConfig(1e-8, 10),
         )
         assert not report.converged
@@ -246,7 +252,9 @@ class TestFgmres:
             return np.zeros_like(r) if len(calls) == 1 else cholesky_solve(factor, r)
 
         rhs = rng.standard_normal(12)
-        x, report = fgmres_solve(aslinearoperator(m), zero_first, rhs, config=FgmresConfig(1e-10, 50))
+        x, report = fgmres_solve(
+            aslinearoperator(m), LinearOperator(12, 12, zero_first), rhs, config=FgmresConfig(1e-10, 50)
+        )
         assert report.converged and report.iterations == 2
         assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-10
         assert report.final_res < 1e-10

@@ -117,6 +117,13 @@ class TestErrors:
             parse_matrix_market(text)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize("layout, size", [("coordinate", "-1 2 0"), ("array", "-2 -3")])
+    def test_negative_size_names_size_line(self, layout, size):
+        text = f"%%MatrixMarket matrix {layout} real general\n{size}\n"
+        with pytest.raises(ParseError, match=f"negative count in size line '{size}'") as exc:
+            parse_matrix_market(text)
+        assert exc.value.line_no == 2
+
 
 class TestWriteReadRoundTrip:
     def test_matrix_roundtrip_exact(self, rng, tmp_path):

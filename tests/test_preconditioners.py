@@ -13,6 +13,8 @@ from ilsolve import (
     generate_augmented_problem,
     make_preconditioner,
 )
+from ilsolve import preconditioners as preconditioners_module
+from ilsolve import problem as problem_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.problem import dense_blocks
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
@@ -57,7 +59,7 @@ def test_ibs1_applies_shifted_inverse_to_middle_block(rng):
 def test_ibs4_equals_ibs3_when_a2_vanishes(rng):
     base = random_desk_problem(2)
     a2 = rectangular_identity_csr(base.q, base.n, 0.0)  # empty pattern
-    prob = IlsProblem(base.a1, a2, base.b1, base.b2, base.p, base.q, base.n, base.alpha)
+    prob = IlsProblem(base.a1, a2, base.b1, base.b2, base.alpha)
     p3 = make_preconditioner("ibs3", prob, inner="cholesky")
     p4 = make_preconditioner("ibs4", prob, inner="cholesky")
     r = rng.standard_normal(prob.size)
@@ -172,10 +174,11 @@ class TestDenseAssembly:
             want = make_preconditioner(kind, prob, inner="cholesky").apply(apply_block_A(prob, v))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         prob = random_desk_problem(9)
+        monkeypatch.setattr(preconditioners_module, "DENSE_ASSEMBLY_MAX_SIZE", prob.size - 1)
         with pytest.raises(ConfigurationError):
-            assemble_dense_preconditioned("ibs1", prob, cap=prob.size - 1)
+            assemble_dense_preconditioned("ibs1", prob)
 
 
 class TestInnerSolvers:
@@ -200,10 +203,11 @@ class TestInnerSolvers:
         pre.reset_stats()
         assert pre.inner_failures == 0
 
-    def test_dense_cap_enforced(self):
+    def test_dense_cap_enforced(self, monkeypatch):
         prob = random_desk_problem(12)
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n - 1)
         with pytest.raises(ConfigurationError):
-            make_preconditioner("ibs1", prob, inner="cholesky", dense_cap=prob.n - 1)
+            make_preconditioner("ibs1", prob, inner="cholesky")
 
     def test_unknown_inner_mode(self):
         with pytest.raises(ValueError, match="inner solver"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ilsolve import (
 )
 from ilsolve import problem as problem_module
 from ilsolve.problem import BlockLayout, reduced_normal_operator, shifted_gram_operator
-from ilsolve.sparse import SparseMatrixCsr, identity_csr, normalize_to_unit_one_norm
+from ilsolve.sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
 
 from conftest import dense_block_system, random_csr, random_desk_problem, scalar_problem
 
@@ -41,7 +43,7 @@ class TestBlockLayout:
 
 class TestPartition:
     def test_identity_split(self):
-        a = identity_csr(4)
+        a = rectangular_identity_csr(4, 4)
         prob = partition_problem(a, np.array([1.0, 2.0, 3.0, 4.0]), p=2, q=2)
         assert prob.p == 2 and prob.q == 2 and prob.n == 4
         assert np.array_equal(prob.b1, [1.0, 2.0])
@@ -51,12 +53,12 @@ class TestPartition:
         assert np.array_equal(a2d, np.eye(4)[2:])
 
     def test_wrong_split_rejected(self):
-        a = identity_csr(4)
+        a = rectangular_identity_csr(4, 4)
         with pytest.raises(ValueError):
             partition_problem(a, np.ones(4), p=2, q=3)
 
     def test_empty_block_rejected(self):
-        a = identity_csr(4)
+        a = rectangular_identity_csr(4, 4)
         with pytest.raises(DegenerateProblemError):
             partition_problem(a, np.ones(4), p=0, q=4)
 
@@ -70,22 +72,41 @@ class TestProblemValidation:
     @pytest.mark.parametrize("b1, b2", [([1.0, np.nan], [1.0]), ([1.0, 1.0], [np.inf])])
     def test_non_finite_rhs_rejected(self, b1, b2):
         with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
-            IlsProblem(identity_csr(2), np.ones((1, 2)), b1, b2, 2, 1, 2, 1.0)
+            IlsProblem(rectangular_identity_csr(2, 2), np.ones((1, 2)), b1, b2, 1.0)
+
+    @pytest.mark.parametrize("which", ["A1", "A2"])
+    @pytest.mark.parametrize(
+        "bad", [np.array([[1.0, np.nan], [0.0, 1.0]]), SparseMatrixCsr.from_triplets(2, 2, [0, 1], [0, 1], [1.0, np.inf])]
+    )
+    def test_non_finite_block_rejected(self, which, bad):
+        a1, a2 = (bad, np.eye(2)) if which == "A1" else (np.eye(2), bad)
+        with pytest.raises(ValueError, match=f"{which} has non-finite entries"):
+            IlsProblem(a1, a2, np.ones(2), np.ones(2), 1.0)
+
+    def test_column_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="A1 has 2 columns but A2 has 3"):
+            IlsProblem(np.eye(2), np.ones((1, 3)), np.ones(2), np.ones(1), 1.0)
+
+    def test_sizes_read_from_blocks(self):
+        prob = IlsProblem(np.ones((3, 2)), np.ones((1, 2)), np.ones(3), np.ones(1), 1.0)
+        assert (prob.p, prob.q, prob.n) == (3, 1, 2)
+        changed = dataclasses.replace(prob, alpha=2.0)
+        assert (changed.p, changed.q, changed.n, changed.alpha) == (3, 1, 2, 2.0)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match=f"alpha must be finite and nonnegative, got {alpha}"):
-            IlsProblem(identity_csr(2), np.ones((1, 2)), np.ones(2), np.ones(1), 2, 1, 2, alpha)
+            IlsProblem(rectangular_identity_csr(2, 2), np.ones((1, 2)), np.ones(2), np.ones(1), alpha)
 
     @pytest.mark.parametrize("which", ["A1", "A2"])
     @pytest.mark.parametrize("block", [il.aslinearoperator(np.eye(2)), np.ones(2)])
     def test_block_that_is_not_a_matrix_rejected(self, which, block):
         a1, a2 = (block, np.eye(2)) if which == "A1" else (np.eye(2), block)
         with pytest.raises(TypeError, match=f"{which} must be a CSR matrix or a 2-D array"):
-            IlsProblem(a1, a2, np.ones(2), np.ones(2), 2, 2, 2, 1.0)
+            IlsProblem(a1, a2, np.ones(2), np.ones(2), 1.0)
 
     def test_int_block_stored_as_float(self):
-        prob = IlsProblem(np.eye(2, dtype=np.int64), identity_csr(2), np.ones(2), np.ones(2), 2, 2, 2, 1.0)
+        prob = IlsProblem(np.eye(2, dtype=np.int64), rectangular_identity_csr(2, 2), np.ones(2), np.ones(2), 1.0)
         assert prob.a1.dtype == np.float64
         assert np.array_equal(prob.a1, np.eye(2))
 
@@ -96,11 +117,11 @@ class TestComputeAlpha:
         assert abs(compute_alpha(a) - 1.0) <= 2e-15
 
     def test_squaring(self):
-        a = identity_csr(3, scale=2.0)
+        a = rectangular_identity_csr(3, 3, scale=2.0)
         assert compute_alpha(a) == 4.0
 
     def test_half_identity(self):
-        a = identity_csr(3, scale=0.5)
+        a = rectangular_identity_csr(3, 3, scale=0.5)
         assert compute_alpha(a) == 0.25
 
     def test_dense_input(self):
@@ -144,15 +165,15 @@ class TestApplyBlockA:
 
 class TestBuildRhs:
     def test_zero_rhs(self):
-        a1 = identity_csr(2)
-        a2 = identity_csr(2, scale=0.5)
-        prob = IlsProblem(a1, a2, np.zeros(2), np.zeros(2), 2, 2, 2, 1.0)
+        a1 = rectangular_identity_csr(2, 2)
+        a2 = rectangular_identity_csr(2, 2, scale=0.5)
+        prob = IlsProblem(a1, a2, np.zeros(2), np.zeros(2), 1.0)
         assert np.array_equal(build_rhs(prob), np.zeros(6))
 
     def test_identity_a1_copies_b1_to_middle(self):
-        a1 = identity_csr(2)
-        a2 = identity_csr(2, scale=0.5)
-        prob = IlsProblem(a1, a2, np.array([1.0, 2.0]), np.zeros(2), 2, 2, 2, 1.0)
+        a1 = rectangular_identity_csr(2, 2)
+        a2 = rectangular_identity_csr(2, 2, scale=0.5)
+        prob = IlsProblem(a1, a2, np.array([1.0, 2.0]), np.zeros(2), 1.0)
         rhs = build_rhs(prob)
         assert np.array_equal(rhs[prob.layout.sx], [1.0, 2.0])
 
@@ -172,8 +193,8 @@ class TestOperators:
     def test_shift_identity_exact(self, rng):
         prob = random_desk_problem(3)
         v = rng.standard_normal(prob.n)
-        shifted = shifted_gram_operator(prob)
-        gram = shifted_gram_operator(prob, alpha=0.0)
+        shifted = shifted_gram_operator(prob, prob.alpha)
+        gram = shifted_gram_operator(prob, 0.0)
         assert np.array_equal(shifted.apply(v), prob.alpha * v + gram.apply(v))
 
     def test_reduced_normal_operator(self, rng):
@@ -186,10 +207,10 @@ class TestOperators:
 
 class TestExactSolutionOracle:
     def test_identity_a1_zero_a2(self):
-        a1 = identity_csr(3)
+        a1 = rectangular_identity_csr(3, 3)
         a2 = SparseMatrixCsr.from_triplets(2, 3, [], [], [])
         b1 = np.array([4.0, 5.0, 6.0])
-        prob = IlsProblem(a1, a2, b1, np.zeros(2), 3, 2, 3, 1.0)
+        prob = IlsProblem(a1, a2, b1, np.zeros(2), 1.0)
         x, note = reference_solution(prob)
         assert note == ""
         assert np.allclose(x, b1, rtol=0, atol=1e-14)
@@ -204,7 +225,7 @@ class TestExactSolutionOracle:
     def test_cg_branch_agrees_with_dense(self, monkeypatch):
         prob = il.generate_random_problem(p=420, q=30, n=400, seed=11)
         dense, dense_note = reference_solution(prob)
-        monkeypatch.setattr(problem_module, "DENSE_REFERENCE_MAX_N", 0)
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", 0)
         cg, cg_note = reference_solution(prob)
         assert dense_note == cg_note == ""
         assert np.linalg.norm(dense - cg) / np.linalg.norm(dense) <= 1e-6
@@ -212,8 +233,8 @@ class TestExactSolutionOracle:
     def test_assumption_violation_raises(self, monkeypatch):
         # A2 large enough that the reduced normal matrix goes indefinite.
         # Only the CG branch raises; the dense branch takes the LU fallback.
-        prob = IlsProblem(identity_csr(2), identity_csr(2, scale=3.0), np.ones(2), np.ones(2), 2, 2, 2, 1.0)
-        monkeypatch.setattr(problem_module, "DENSE_REFERENCE_MAX_N", 0)
+        prob = IlsProblem(rectangular_identity_csr(2, 2), rectangular_identity_csr(2, 2, scale=3.0), np.ones(2), np.ones(2), 1.0)
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", 0)
         with pytest.raises(ProblemAssumptionError, match="not positive definite"):
             reference_solution(prob)
 

@@ -4,7 +4,6 @@ import pytest
 from ilsolve import (
     DegenerateMatrixError,
     SparseMatrixCsr,
-    identity_csr,
     normalize_to_unit_one_norm,
     one_norm,
     rectangular_identity_csr,
@@ -66,7 +65,7 @@ class TestConstruction:
 class TestSpmv:
     def test_identity(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(spmv(identity_csr(3), x), x)
+        assert np.array_equal(spmv(rectangular_identity_csr(3, 3), x), x)
 
     def test_empty_pattern_gives_zero(self):
         a = SparseMatrixCsr.from_triplets(3, 3, [], [], [])
@@ -87,13 +86,13 @@ class TestSpmv:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            spmv(identity_csr(3), np.ones(4))
+            spmv(rectangular_identity_csr(3, 3), np.ones(4))
 
 
 class TestSpmvTranspose:
     def test_identity(self):
         x = np.array([4.0, 5.0, 6.0])
-        assert np.array_equal(spmv_transpose(identity_csr(3), x), x)
+        assert np.array_equal(spmv_transpose(rectangular_identity_csr(3, 3), x), x)
 
     def test_two_by_two_against_loop_oracle(self):
         a = SparseMatrixCsr.from_triplets(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
@@ -113,7 +112,7 @@ class TestSpmvTranspose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            spmv_transpose(identity_csr(3), np.ones(4))
+            spmv_transpose(rectangular_identity_csr(3, 3), np.ones(4))
 
 
 class TestMatmul:
@@ -140,7 +139,7 @@ class TestMatmul:
 
 class TestOneNorm:
     def test_identity(self):
-        assert one_norm(identity_csr(5)) == 1.0
+        assert one_norm(rectangular_identity_csr(5, 5)) == 1.0
 
     def test_small_example(self):
         a = SparseMatrixCsr.from_triplets(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, -2.0, 3.0, 4.0])
@@ -154,11 +153,11 @@ class TestOneNorm:
 
 class TestNormalize:
     def test_unit_norm_is_fixed_point(self):
-        a = identity_csr(4)
+        a = rectangular_identity_csr(4, 4)
         assert normalize_to_unit_one_norm(a) is a
 
     def test_scaled_identity(self):
-        a = identity_csr(2, scale=2.0)
+        a = rectangular_identity_csr(2, 2, scale=2.0)
         b = normalize_to_unit_one_norm(a)
         assert np.array_equal(b.to_dense(), np.eye(2))
 
