@@ -49,7 +49,6 @@ from .preconditioners import (
     make_preconditioner,
 )
 from .problem import (
-    BlockLayout,
     IlsProblem,
     apply_block_A,
     block_system_operator,

@@ -363,17 +363,14 @@ def _family(label, t, v, mus) -> EigenvectorFamily:
     return EigenvectorFamily(label, mus, residuals)
 
 
-def _stack(layout, d1=None, x=None, d2=None) -> np.ndarray:
+def _stack(prob, d1=None, x=None, d2=None) -> np.ndarray:
     """Candidate columns (d1; x; d2) as one block; a missing part is zero."""
-    parts = ((layout.s1, d1), (layout.sx, x), (layout.s2, d2))
-    v = np.zeros((layout.size, next(b.shape[1] for _, b in parts if b is not None)))
-    for rows, b in parts:
-        if b is not None:
-            v[rows] = b
-    return v
+    k = next(b.shape[1] for b in (d1, x, d2) if b is not None)
+    parts = zip((prob.p, prob.n, prob.q), (d1, x, d2))
+    return np.vstack([np.zeros((rows, k)) if b is None else b for rows, b in parts])
 
 
-def _null_family(label, t, layout, m, part) -> EigenvectorFamily:
+def _null_family(label, t, prob, m, part) -> EigenvectorFamily:
     """Unit-eigenvalue family of null(m) placed in block ``part``; vacuous,
     with a RankAmbiguityWarning, when the rank of m is ambiguous."""
     with warnings.catch_warnings():
@@ -389,7 +386,7 @@ def _null_family(label, t, layout, m, part) -> EigenvectorFamily:
             stacklevel=3,
         )
         return _vacuous(f"unit: {label} (skipped, rank ambiguous)")
-    return _family(f"unit: {label}", t, _stack(layout, **{part: basis}), np.ones(basis.shape[1]))
+    return _family(f"unit: {label}", t, _stack(prob, **{part: basis}), np.ones(basis.shape[1]))
 
 
 def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
@@ -409,7 +406,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     """
     kind = _ibs_kind(kind, "the eigenstructure check")
     coupled = kind in ("ibs2", "ibs4")
-    p, q, layout = prob.p, prob.q, prob.layout
+    p, q = prob.p, prob.q
     t = assemble_dense_preconditioned(kind, prob)
 
     a1d, a2d = dense_blocks(prob)
@@ -417,18 +414,18 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     shifted = gram + prob.alpha * np.eye(prob.n)
     normal = gram - a2d.T @ a2d
 
-    unit = [_family("unit: first-block basis", t, _stack(layout, d1=np.eye(p)), np.ones(p))]
+    unit = [_family("unit: first-block basis", t, _stack(prob, d1=np.eye(p)), np.ones(p))]
     if coupled:
-        unit.append(_family("unit: third-block basis", t, _stack(layout, d2=np.eye(q)), np.ones(q)))
+        unit.append(_family("unit: third-block basis", t, _stack(prob, d2=np.eye(q)), np.ones(q)))
     else:
-        unit.append(_null_family("null(A2') basis", t, layout, a2d.T, "d2"))
+        unit.append(_null_family("null(A2') basis", t, prob, a2d.T, "d2"))
     if kind in ("ibs3", "ibs4"):
         # Middle-block unit-eigenvalue family needs (shifted - gram) y = 0,
         # which has no nonzero solutions when alpha > 0.
         if prob.alpha > 0.0:
             unit.append(_vacuous("unit: middle-block family (empty for alpha > 0)"))
         else:
-            unit.append(_null_family("null(A2) middle-block basis", t, layout, a2d, "x"))
+            unit.append(_null_family("null(A2) middle-block basis", t, prob, a2d, "x"))
 
     interval_eigs, y_vectors = generalized_sym_eigpairs(normal, shifted)
 
@@ -437,7 +434,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
         mus, y = interval_eigs[keep], y_vectors[:, keep]
         a1y = a1d @ y
         d1 = a1y / (mus - 1.0) if kind == "ibs2" else -a1y
-        v = _stack(layout, d1=d1, x=y, d2=(a2d @ y) / (mus - 1.0))
+        v = _stack(prob, d1=d1, x=y, d2=(a2d @ y) / (mus - 1.0))
         nonunit = [_family("non-unit: generalized eigenpairs", t, v, mus)]
     else:
         nonunit = [_vacuous("non-unit families not constructed for this variant")]

@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError
 from .krylov import CgConfig, FgmresConfig, fgmres_solve
 from .mmio import read_matrix_market
-from .preconditioners import IBS_VARIANTS, VARIANTS, make_preconditioner
+from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS, make_preconditioner
 from .problem import (
     IlsProblem,
     block_system_operator,
@@ -31,7 +31,6 @@ from .sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_ide
 
 __all__ = [
     "ExperimentSpec",
-    "INNER_SOLVERS",
     "TableRow",
     "generate_augmented_problem",
     "generate_hilbert_problem",
@@ -112,8 +111,6 @@ def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem
 # Experiment specification
 # ---------------------------------------------------------------------------
 
-INNER_SOLVERS = ("cg", "cholesky")
-
 # The spec fields each problem source reads; a source rejects the others.
 _SOURCE_FIELDS = {
     "matrix-market": ("matrix", "q", "a2_scale", "normalize"),
@@ -154,6 +151,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not self.preconditioners:
+            raise ValueError("preconditioners must name at least one variant")
         if self.problem not in _SOURCE_FIELDS:
             raise ValueError(f"unknown problem source {self.problem!r}")
         used = _SOURCE_FIELDS[self.problem]
@@ -306,7 +307,7 @@ def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, not
         row.it, row.res, row.converged = float(np.mean(its)), report.final_res, True
         x_star_norm = 0.0 if x_star is None else float(np.linalg.norm(x_star))
         if x_star_norm > 0.0:
-            row.err = float(np.linalg.norm(x[prob.layout.sx] - x_star)) / x_star_norm
+            row.err = float(np.linalg.norm(prob.split(x)[1] - x_star)) / x_star_norm
     else:
         notes.append(f"no convergence in {report.iterations} iterations")
     row.note = "; ".join(notes)

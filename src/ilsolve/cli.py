@@ -24,7 +24,6 @@ from .analysis import (
     verify_eigenstructure,
 )
 from .bench import (
-    INNER_SOLVERS,
     ExperimentSpec,
     build_problem,
     load_experiment_spec,
@@ -34,7 +33,7 @@ from .bench import (
 )
 from .exceptions import SOLVER_FAILURES, IlsolveError
 from .mmio import write_matrix_market, write_vector_matrix_market
-from .preconditioners import IBS_VARIANTS, VARIANTS
+from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS
 from .sparse import SparseMatrixCsr
 
 # Flags named after an ExperimentSpec field.  They default to SUPPRESS, so

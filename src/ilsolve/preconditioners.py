@@ -33,6 +33,7 @@ __all__ = [
     "VARIANTS",
     "IBS_VARIANTS",
     "BASELINE_VARIANTS",
+    "INNER_SOLVERS",
     "Preconditioner",
     "make_preconditioner",
     "assemble_dense_preconditioned",
@@ -41,6 +42,7 @@ __all__ = [
 IBS_VARIANTS = ("ibs1", "ibs2", "ibs3", "ibs4")
 BASELINE_VARIANTS = ("bs1", "bs2", "bs3", "but")
 VARIANTS = IBS_VARIANTS + BASELINE_VARIANTS + ("none",)
+INNER_SOLVERS = ("cg", "cholesky")
 
 # Which variants subtract A2'z3 from the inner right-hand side, and which
 # back-substitute into the first block.
@@ -95,21 +97,13 @@ class Preconditioner:
         return z
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        flat = np.asarray(r, dtype=np.float64)
-        layout = self.problem.layout
-        if flat.shape != (layout.size,):
-            raise ValueError(f"vector has shape {flat.shape}, expected ({layout.size},)")
+        r1, r2, r3 = self.problem.split(r)
         if self.kind == "none":
-            return flat.copy()
-        r1, r2, r3 = layout.split(flat)
+            return np.concatenate([r1, r2, r3])
         rhs = r2 - r3 @ self.problem.a2 if self.kind in _COUPLED_RHS else r2
         z2 = self._inner_solve(rhs)
-        z1 = r1 - self.problem.a1 @ z2 if self.kind in _BACKSUB_FIRST else r1.copy()
-        out = np.empty(layout.size)
-        out[layout.s1] = z1
-        out[layout.sx] = z2
-        out[layout.s2] = r3
-        return out
+        z1 = r1 - self.problem.a1 @ z2 if self.kind in _BACKSUB_FIRST else r1
+        return np.concatenate([z1, z2, r3])
 
 
 def make_preconditioner(
@@ -128,24 +122,24 @@ def make_preconditioner(
     kind = kind.lower()
     if kind not in VARIANTS:
         raise ValueError(f"unknown preconditioner kind {kind!r}; choose from {VARIANTS}")
+    if inner not in INNER_SOLVERS:
+        raise ValueError(f"unknown inner solver mode {inner!r}")
     if kind == "none":
         return Preconditioner(kind, problem)
     shift = problem.alpha if kind in IBS_VARIANTS else 0.0
     if inner == "cg":
         gram = shifted_gram_operator(problem, shift)
         return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
-    if inner == "cholesky":
-        cap = _problem.DENSE_MAX_N
-        if problem.n > cap:
-            raise ConfigurationError(
-                f"dense inner factorization requested for n = {problem.n} > cap {cap}"
-            )
-        a1d = densify(problem.a1)
-        inner_matrix = a1d.T @ a1d
-        if shift:
-            inner_matrix[np.diag_indices_from(inner_matrix)] += shift
-        return Preconditioner(kind, problem, lower=dense_cholesky(inner_matrix))
-    raise ValueError(f"unknown inner solver mode {inner!r}")
+    cap = _problem.DENSE_MAX_N
+    if problem.n > cap:
+        raise ConfigurationError(
+            f"dense inner factorization requested for n = {problem.n} > cap {cap}"
+        )
+    a1d = densify(problem.a1)
+    inner_matrix = a1d.T @ a1d
+    if shift:
+        inner_matrix[np.diag_indices_from(inner_matrix)] += shift
+    return Preconditioner(kind, problem, lower=dense_cholesky(inner_matrix))
 
 
 DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A

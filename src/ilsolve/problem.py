@@ -12,16 +12,15 @@ whose operator is applied matrix-free throughout: the Gram matrix A1'A1
 is never formed outside the dense desk-scale helpers and the reference
 solution.  The blocks A1 and A2 are plain matrices, CSR or 2-D float64
 ndarray; both kinds give A x as ``A @ x`` and A'y as ``y @ A``.  Vectors
-of the block system are flat float64 arrays of length p + n + q, and the
-problem's ``layout`` gives the (d1; x; d2) windows as views.  Every
-solve starts from the zero vector.
+of the block system are flat float64 arrays of length p + n + q, and
+``prob.split(v)`` gives their (d1, x, d2) blocks as views.  Every solve
+starts from the zero vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .operators import LinearOperator, as_matrix
 from .sparse import SparseMatrixCsr, one_norm
 
 __all__ = [
-    "BlockLayout",
     "IlsProblem",
     "partition_problem",
     "compute_alpha",
@@ -53,34 +51,6 @@ __all__ = [
     "reference_solution",
     "full_solution_from_x",
 ]
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Index windows of the flat (d1; x; d2) vector of length p + n + q."""
-
-    p: int
-    n: int
-    q: int
-
-    @property
-    def size(self) -> int:
-        return self.p + self.n + self.q
-
-    @property
-    def s1(self) -> slice:
-        return slice(0, self.p)
-
-    @property
-    def sx(self) -> slice:
-        return slice(self.p, self.p + self.n)
-
-    @property
-    def s2(self) -> slice:
-        return slice(self.p + self.n, self.size)
-
-    def split(self, v: np.ndarray):
-        return v[self.s1], v[self.sx], v[self.s2]
 
 
 @dataclass(frozen=True)
@@ -120,6 +90,8 @@ class IlsProblem:
                 "p and q must both be positive; an empty block reduces the "
                 "problem to an ordinary least squares problem"
             )
+        if n < 1:
+            raise DegenerateProblemError("n must be positive; the problem has no unknowns")
         if n2 != n:
             raise ValueError(f"A1 has {n} columns but A2 has {n2}")
         if self.b1.shape != (p,) or self.b2.shape != (q,):
@@ -128,10 +100,6 @@ class IlsProblem:
             raise ValueError("right-hand side has non-finite entries")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
-
-    @cached_property
-    def layout(self) -> BlockLayout:
-        return BlockLayout(self.p, self.n, self.q)
 
     @property
     def m(self) -> int:
@@ -143,6 +111,14 @@ class IlsProblem:
 
     def label(self) -> str:
         return f"{self.m}x{self.n}"
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (d1, x, d2) blocks of a length p + n + q vector, as views
+        of its float64 form."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.size,):
+            raise ValueError(f"vector has shape {v.shape}, expected ({self.size},)")
+        return v[: self.p], v[self.p : self.p + self.n], v[self.p + self.n :]
 
 
 def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:
@@ -178,21 +154,13 @@ def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
 
     The Gram product uses A1'(A1 x); nothing is materialized.
     """
-    flat = np.asarray(v, dtype=np.float64)
-    layout = prob.layout
-    if flat.shape != (layout.size,):
-        raise ValueError(f"vector has shape {flat.shape}, expected ({layout.size},)")
-    d1, x, d2 = layout.split(flat)
+    d1, x, d2 = prob.split(v)
     a1x = prob.a1 @ x
-    out = np.empty(layout.size)
-    out[layout.s1] = d1 + a1x
-    out[layout.sx] = a1x @ prob.a1 + d2 @ prob.a2
-    out[layout.s2] = prob.a2 @ x + d2
-    return out
+    return np.concatenate([d1 + a1x, a1x @ prob.a1 + d2 @ prob.a2, prob.a2 @ x + d2])
 
 
 def build_rhs(prob: IlsProblem) -> np.ndarray:
-    """The flat (b1; A1'b1; b2); ``prob.layout`` names its blocks."""
+    """The flat (b1; A1'b1; b2); ``prob.split`` gives its blocks."""
     return np.concatenate([prob.b1, prob.b1 @ prob.a1, prob.b2])
 
 

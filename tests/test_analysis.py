@@ -19,7 +19,7 @@ from ilsolve import (
 )
 from ilsolve.analysis import generalized_sym_eigpairs, null_space_basis
 from ilsolve.exceptions import AccuracyWarning, RankAmbiguityWarning
-from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
+from ilsolve.sparse import rectangular_identity_csr
 
 from conftest import random_desk_problem, scalar_problem
 

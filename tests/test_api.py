@@ -1,5 +1,5 @@
 """Export lists stay in step with the modules they describe, so a deleted
-function cannot linger in one."""
+function cannot linger in one, and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -28,3 +28,28 @@ def test_package_imports_only_exported_names():
         if hasattr(module, "__all__"):
             unexported = [alias.name for alias in node.names if alias.name not in module.__all__]
             assert unexported == [], node.module
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads and does not export."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_no_unused_imports():
+    sources = [p for p in Path(ilsolve.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    sources += Path(__file__).parent.glob("*.py")
+    unused = {path.name: names for path in sorted(sources) if (names := _unused_imports(path))}
+    assert unused == {}

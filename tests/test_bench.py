@@ -212,6 +212,27 @@ class TestSpecBoundary:
         assert main(["bench", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:4: runs: set twice\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("preconditioners =", "preconditioners must name at least one variant"),
+            ("seed = -1", "seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_invalid_value_rejected_before_building(self, tmp_path, capsys, monkeypatch, line, message):
+        path = tmp_path / "v.spec"
+        path.write_text(f"problem = random\np = 6\nq = 4\nn = 3\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_experiment_spec(path)
+        assert str(exc.value) == f"{path}: {message}"
+        monkeypatch.setattr(il.bench, "build_problem", pytest.fail)
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_negative_seed_rejected_on_the_command_line(self, capsys):
+        assert main(["solve", "--random", "6,4,3", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize("text, value", [("no", False), ("0", False), ("YES", True), ("1", True)])
     def test_boolean_spellings(self, tmp_path, text, value):
         path = tmp_path / "b.spec"
@@ -419,7 +440,7 @@ def test_full_pipeline_at_benchmark_scale(rng):
         )
         x, rep = il.fgmres_solve(op, pre, rhs, config=il.FgmresConfig(1e-8, 2000))
         assert rep.converged and rep.final_res < 1e-8
-        err = np.linalg.norm(x[prob.layout.sx] - x_star) / np.linalg.norm(x_star)
+        err = np.linalg.norm(prob.split(x)[1] - x_star) / np.linalg.norm(x_star)
         assert err < 1e-6
         its[kind] = rep.iterations
     assert max(its["ibs2"], its["ibs4"]) <= min(its["ibs1"], its["ibs3"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from ilsolve import ParseError, SparseMatrixCsr, parse_matrix_market, read_matrix_market
+from ilsolve import ParseError, parse_matrix_market, read_matrix_market
 from ilsolve.mmio import write_matrix_market, write_vector_matrix_market
 
 from conftest import random_csr

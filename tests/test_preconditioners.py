@@ -47,13 +47,25 @@ def test_ibs1_applies_shifted_inverse_to_middle_block(rng):
     pre = make_preconditioner("ibs1", prob, inner="cholesky")
     r = rng.standard_normal(prob.size)
     z = pre.apply(r)
-    r1, r2, r3 = prob.layout.split(r)
+    r1, r2, r3 = prob.split(r)
+    z1, z2, z3 = prob.split(z)
     a1d, _ = dense_blocks(prob)
     shifted = a1d.T @ a1d + prob.alpha * np.eye(prob.n)
     want_mid = cholesky_solve(dense_cholesky(shifted), r2)
-    assert np.array_equal(z[prob.layout.s1], r1)
-    assert np.array_equal(z[prob.layout.s2], r3)
-    np.testing.assert_allclose(z[prob.layout.sx], want_mid, rtol=1e-12, atol=1e-13)
+    assert np.array_equal(z1, r1)
+    assert np.array_equal(z3, r3)
+    np.testing.assert_allclose(z2, want_mid, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+def test_apply_returns_a_new_array(kind, rng):
+    prob = random_desk_problem(4)
+    pre = make_preconditioner(kind, prob, inner="cholesky")
+    r = rng.standard_normal(prob.size)
+    kept = r.copy()
+    z = pre.apply(r)
+    z[:] = 0.0
+    assert np.array_equal(r, kept)
 
 
 def test_ibs4_equals_ibs3_when_a2_vanishes(rng):
@@ -212,6 +224,10 @@ class TestInnerSolvers:
     def test_unknown_inner_mode(self):
         with pytest.raises(ValueError, match="inner solver"):
             make_preconditioner("ibs1", scalar_problem(), inner="lu")
+
+    def test_unknown_inner_mode_rejected_for_none(self):
+        with pytest.raises(ValueError, match="unknown inner solver mode 'lu'"):
+            make_preconditioner("none", scalar_problem(), inner="lu")
 
 
 def test_scalar_problem_apply():

@@ -16,17 +16,19 @@ from ilsolve import (
     reference_solution,
 )
 from ilsolve import problem as problem_module
-from ilsolve.problem import BlockLayout, reduced_normal_operator, shifted_gram_operator
+from ilsolve.problem import reduced_normal_operator, shifted_gram_operator
 from ilsolve.sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
 
 from conftest import dense_block_system, random_csr, random_desk_problem, scalar_problem
 
 
-class TestBlockLayout:
+class TestSplit:
+    # p, n, q = 2, 3, 4
+    SMALL = IlsProblem(np.ones((2, 3)), np.ones((4, 3)), np.ones(2), np.ones(4), 1.0)
+
     def test_slices_cover_vector(self):
-        layout = BlockLayout(2, 3, 4)
         v = np.arange(9.0)
-        d1, x, d2 = layout.split(v)
+        d1, x, d2 = self.SMALL.split(v)
         assert d1.tolist() == [0, 1]
         assert x.tolist() == [2, 3, 4]
         assert d2.tolist() == [5, 6, 7, 8]
@@ -35,10 +37,27 @@ class TestBlockLayout:
         prob = random_desk_problem(2)
         for v in (build_rhs(prob), full_solution_from_x(prob, rng.standard_normal(prob.n))):
             assert v.dtype == np.float64 and v.shape == (prob.size,)
-            for block in prob.layout.split(v):
+            for block in prob.split(v):
                 assert block.base is v
-            prob.layout.split(v)[1][:] = 7.0
-            assert np.all(v[prob.layout.sx] == 7.0)
+            prob.split(v)[1][:] = 7.0
+            assert np.all(v[prob.p : prob.p + prob.n] == 7.0)
+
+    def test_other_dtypes_are_converted(self):
+        blocks = self.SMALL.split(list(range(9)))
+        assert all(block.dtype == np.float64 for block in blocks)
+        assert np.concatenate(blocks).tolist() == list(range(9))
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1), (1, 9)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"vector has shape \({shape[0]},.*expected \(9,\)"):
+            self.SMALL.split(np.zeros(shape))
+
+    def test_block_products_use_the_same_check(self):
+        prob = random_desk_problem(3)
+        pre = il.make_preconditioner("ibs2", prob, inner="cholesky")
+        for apply in (lambda v: apply_block_A(prob, v), pre.apply):
+            with pytest.raises(ValueError, match=rf"expected \({prob.size},\)"):
+                apply(np.zeros(prob.size + 1))
 
 
 class TestPartition:
@@ -82,6 +101,10 @@ class TestProblemValidation:
         a1, a2 = (bad, np.eye(2)) if which == "A1" else (np.eye(2), bad)
         with pytest.raises(ValueError, match=f"{which} has non-finite entries"):
             IlsProblem(a1, a2, np.ones(2), np.ones(2), 1.0)
+
+    def test_no_unknowns_rejected(self):
+        with pytest.raises(DegenerateProblemError, match="no unknowns"):
+            IlsProblem(np.zeros((2, 0)), np.zeros((3, 0)), np.ones(2), np.ones(3), 1.0)
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError, match="A1 has 2 columns but A2 has 3"):
@@ -175,7 +198,7 @@ class TestBuildRhs:
         a2 = rectangular_identity_csr(2, 2, scale=0.5)
         prob = IlsProblem(a1, a2, np.array([1.0, 2.0]), np.zeros(2), 1.0)
         rhs = build_rhs(prob)
-        assert np.array_equal(rhs[prob.layout.sx], [1.0, 2.0])
+        assert np.array_equal(prob.split(rhs)[1], [1.0, 2.0])
 
     def test_all_ones_b_gives_column_sums(self, rng):
         core = random_csr(rng, 7, 7)
@@ -186,7 +209,7 @@ class TestBuildRhs:
         for i in range(7):
             for j in range(7):
                 colsums[j] += dense[i, j]
-        assert np.allclose(rhs[prob.layout.sx], colsums, rtol=1e-13, atol=1e-13)
+        assert np.allclose(prob.split(rhs)[1], colsums, rtol=1e-13, atol=1e-13)
 
 
 class TestOperators:
