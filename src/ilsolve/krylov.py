@@ -72,6 +72,9 @@ class SolveReport:
     notes: tuple[str, ...] = ()
 
 
+_BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
+
+
 def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
@@ -179,9 +182,12 @@ def fgmres_solve(
 
     ``precond`` is any object whose ``apply`` maps a residual-space vector
     to a preconditioned one (``make_preconditioner("none", prob)`` is the
-    identity); it may differ between iterations.  Orthogonalization
-    is modified Gram-Schmidt with one reorthogonalization pass whenever
-    the new basis vector loses more than half its norm.
+    identity); it may differ between iterations.  The Arnoldi basis V is
+    one row-major array, started at 33 rows (fewer for a shorter cycle)
+    and grown by 32 rows whenever it fills.  Orthogonalization is
+    classical Gram-Schmidt applied twice, two matrix-vector products per
+    pass ("twice is enough": Giraud, Langou and Rozloznik, 2005); the
+    flexible variant permits it because only V, not Z, is orthogonalized.
 
     A subdiagonal entry at or below 1e-14 * |rhs| is a breakdown; like an
     estimate below the tolerance it ends the cycle early, subject to the
@@ -210,7 +216,8 @@ def fgmres_solve(
         cycle_cap = cfg.max_iterations - it
         if cfg.restart is not None:
             cycle_cap = min(cycle_cap, cfg.restart)
-        basis = [r / rnorm]          # orthonormal Arnoldi basis V
+        basis = np.empty((min(cycle_cap, _BASIS_CHUNK) + 1, len(rhs)))  # orthonormal V, by rows
+        np.divide(r, rnorm, out=basis[0])
         zdirs: list[np.ndarray] = [] # preconditioned directions Z
         r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
         cos: list[float] = []
@@ -224,20 +231,13 @@ def fgmres_solve(
                 raise NumericalFailureError(f"non-finite basis vector at iteration {it + 1}")
             zdirs.append(z)
 
-            h = np.zeros(j + 2)
-            norm_before = _norm(w)
-            for i in range(j + 1):
-                hij = float(basis[i] @ w)
-                w -= hij * basis[i]
-                h[i] = hij
+            v = basis[: j + 1]
+            coef = v @ w
+            w -= coef @ v
+            corr = v @ w
+            w -= corr @ v
             wnorm = _norm(w)
-            if wnorm < 0.5 * norm_before:
-                for i in range(j + 1):
-                    corr = float(basis[i] @ w)
-                    w -= corr * basis[i]
-                    h[i] += corr
-                wnorm = _norm(w)
-            h[j + 1] = wnorm
+            h = np.append(coef + corr, wnorm)
 
             for i in range(j):
                 hi, hi1 = h[i], h[i + 1]
@@ -277,7 +277,9 @@ def fgmres_solve(
                         + ("giving up" if finished else "resuming")
                     )
                 break
-            basis.append(w / wnorm)
+            if j + 1 == len(basis):
+                basis = np.concatenate([basis, np.empty((_BASIS_CHUNK, len(rhs)))])
+            np.divide(w, wnorm, out=basis[j + 1])
 
     report = SolveReport(
         it,

@@ -12,10 +12,11 @@ rows:
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
 A Preconditioner solves its inner systems itself, either exactly (with a
-precomputed dense Cholesky factor) or inexactly (matrix-free CG on the
-shifted Gram operator from a zero start).  Inner CG failure is a recorded
-statistic, not a fatal error: the loose-tolerance regime is the intended
-operating point for the outer flexible solver.
+dense Cholesky factor, computed once per problem and shift and shared by
+the preconditioners built on that problem) or inexactly (matrix-free CG
+on the shifted Gram operator from a zero start).  Inner CG failure is a
+recorded statistic, not a fatal error: the loose-tolerance regime is the
+intended operating point for the outer flexible solver.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ def make_preconditioner(
     ``inner`` is 'cg' (matrix-free, inexact) or 'cholesky' (exact, dense
     factorization of the n x n inner matrix, permitted only for
     n <= ilsolve.problem.DENSE_MAX_N).  The ibs variants shift the inner matrix by
-    problem.alpha; the baselines solve with the Gram matrix itself.
+    problem.alpha; the baselines solve with the Gram matrix itself.  A
+    factor is shared, read-only, by all exact preconditioners of a
+    problem with the same shift.
     """
     kind = kind.lower()
     if kind not in VARIANTS:
@@ -135,11 +138,16 @@ def make_preconditioner(
         raise ConfigurationError(
             f"dense inner factorization requested for n = {problem.n} > cap {cap}"
         )
-    a1d = densify(problem.a1)
-    inner_matrix = a1d.T @ a1d
-    if shift:
-        inner_matrix[np.diag_indices_from(inner_matrix)] += shift
-    return Preconditioner(kind, problem, lower=dense_cholesky(inner_matrix))
+    lower = problem._factors.get(shift)
+    if lower is None:
+        a1d = densify(problem.a1)
+        inner_matrix = a1d.T @ a1d
+        if shift:
+            inner_matrix[np.diag_indices_from(inner_matrix)] += shift
+        lower = dense_cholesky(inner_matrix)
+        lower.flags.writeable = False
+        problem._factors[shift] = lower
+    return Preconditioner(kind, problem, lower=lower)
 
 
 DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A

@@ -71,6 +71,9 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
+    # Read-only Cholesky factors of shift*I + A1'A1, by shift, shared by
+    # the exact-inner preconditioners built on this instance.
+    _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))

@@ -2,12 +2,14 @@
 
 Everything here is plain numpy: values and indices are ordinary arrays and
 the products are computed with bincount-style scatter/gather, which keeps
-the hot paths vectorized without any compiled extension.
+the hot paths vectorized without any compiled extension.  The row index of
+every stored entry, which both products need, is computed once per matrix
+at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +48,7 @@ class SparseMatrixCsr:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
@@ -58,18 +61,16 @@ class SparseMatrixCsr:
             raise ValueError("row_offsets must have length n_rows + 1")
         if offs[0] != 0 or offs[-1] != len(vals) or len(cols) != len(vals):
             raise ValueError("row_offsets endpoints inconsistent with stored entries")
-        if np.any(np.diff(offs) < 0):
+        counts = np.diff(offs)
+        if np.any(counts < 0):
             raise ValueError("row_offsets must be non-decreasing")
-        nnz = len(vals)
-        if nnz:
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
+        object.__setattr__(self, "_rows", rows)
+        if len(vals):
             if cols.min() < 0 or cols.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-            d = np.diff(cols)
-            cross = np.zeros(nnz - 1, dtype=bool)
-            starts = offs[1:-1]
-            starts = starts[(starts > 0) & (starts < nnz)]
-            cross[starts - 1] = True
-            if np.any(d[~cross] <= 0):
+            same_row = rows[1:] == rows[:-1]
+            if np.any(np.diff(cols)[same_row] <= 0):
                 raise ValueError("column indices must be strictly increasing within each row")
 
     @property
@@ -112,13 +113,11 @@ class SparseMatrixCsr:
         return cls(n_rows, n_cols, offsets, c, summed)
 
     def to_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
-        return rows, self.col_indices.copy(), self.values.copy()
+        return self._rows.copy(), self.col_indices.copy(), self.values.copy()
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        rows, cols, vals = self.to_triplets()
-        out[rows, cols] = vals
+        out[self._rows, self.col_indices] = self.values
         return out
 
     def row_slice(self, start: int, stop: int) -> "SparseMatrixCsr":
@@ -140,9 +139,6 @@ class SparseMatrixCsr:
     def __rmatmul__(self, y) -> np.ndarray:
         return spmv_transpose(self, y)
 
-    def _nnz_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
-
 
 def spmv(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     """y = A x."""
@@ -150,7 +146,7 @@ def spmv(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     if x.shape != (a.n_cols,):
         raise ValueError(f"operand has length {x.shape}, expected ({a.n_cols},)")
     prod = a.values * x[a.col_indices]
-    return np.bincount(a._nnz_rows(), weights=prod, minlength=a.n_rows)
+    return np.bincount(a._rows, weights=prod, minlength=a.n_rows)
 
 
 def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
@@ -158,7 +154,7 @@ def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.n_rows,):
         raise ValueError(f"operand has length {x.shape}, expected ({a.n_rows},)")
-    prod = a.values * x[a._nnz_rows()]
+    prod = a.values * x[a._rows]
     return np.bincount(a.col_indices, weights=prod, minlength=a.n_cols)
 
 

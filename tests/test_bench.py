@@ -442,8 +442,11 @@ def test_full_pipeline_at_benchmark_scale(rng):
         assert rep.converged and rep.final_res < 1e-8
         err = np.linalg.norm(prob.split(x)[1] - x_star) / np.linalg.norm(x_star)
         assert err < 1e-6
-        its[kind] = rep.iterations
-    assert max(its["ibs2"], its["ibs4"]) <= min(its["ibs1"], its["ibs3"])
+        its[kind] = (rep.iterations, pre.inner_iterations)
+    assert max(its["ibs2"][0], its["ibs4"][0]) <= min(its["ibs1"][0], its["ibs3"][0])
+    # (outer, inner) counts, the first stand-in of the sparse-ibs
+    # benchmark: a change to the solve path must not move them.
+    assert its == {"ibs1": (15, 45), "ibs2": (11, 33), "ibs3": (15, 45), "ibs4": (11, 33)}
 
 
 def test_baseline_preconditioners_run_and_report(tmp_path):

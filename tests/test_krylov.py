@@ -261,6 +261,21 @@ class TestFgmres:
         assert "happy breakdown at iteration 1" in report.notes
         assert any("did not meet the tolerance" in n and "resuming" in n for n in report.notes)
 
+    @pytest.mark.parametrize("restart, iterations", [(None, 97), (40, 259), (10, 827)])
+    def test_basis_growth(self, restart, iterations):
+        # The basis starts at 33 rows and grows by 32: unrestarted, this
+        # solve grows it twice; restart=40 grows it once per cycle and
+        # restart=10 never.  The counts pin the orthogonalization.
+        diag = np.logspace(0, 3, 120)
+        rhs = np.ones(120)
+        x, report = fgmres_solve(
+            aslinearoperator(np.diag(diag)), identity(120), rhs,
+            config=FgmresConfig(1e-8, 2000, restart=restart),
+        )
+        assert report.converged and report.iterations == iterations
+        assert len(report.res_history) == report.iterations + 1
+        np.testing.assert_allclose(x, rhs / diag, rtol=1e-6, atol=0)
+
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             FgmresConfig(restart=0)

@@ -221,6 +221,39 @@ class TestInnerSolvers:
         with pytest.raises(ConfigurationError):
             make_preconditioner("ibs1", prob, inner="cholesky")
 
+    def test_cholesky_factor_shared_per_problem_and_shift(self, monkeypatch):
+        prob = random_desk_problem(13)
+        calls = []
+        monkeypatch.setattr(
+            preconditioners_module, "dense_cholesky", lambda m: calls.append(1) or dense_cholesky(m)
+        )
+        ibs2 = make_preconditioner("ibs2", prob, inner="cholesky")
+        ibs4 = make_preconditioner("ibs4", prob, inner="cholesky")
+        assert ibs2.lower is ibs4.lower and len(calls) == 1
+        baseline = make_preconditioner("bs2", prob, inner="cholesky")
+        assert baseline.lower is not ibs2.lower and len(calls) == 2
+        # A copy with another shift is another problem: it factors afresh.
+        shifted = dataclasses.replace(prob, alpha=2 * prob.alpha)
+        other = make_preconditioner("ibs2", shifted, inner="cholesky")
+        assert other.lower is not ibs2.lower and len(calls) == 3
+        a1d, _ = dense_blocks(shifted)
+        np.testing.assert_allclose(
+            other.lower @ other.lower.T, a1d.T @ a1d + shifted.alpha * np.eye(prob.n),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_shared_factor_is_read_only(self):
+        pre = make_preconditioner("ibs1", random_desk_problem(14), inner="cholesky")
+        with pytest.raises(ValueError):
+            pre.lower[0, 0] = 1.0
+
+    def test_factor_cache_leaves_equality_and_repr_alone(self):
+        prob = random_desk_problem(15)
+        before = repr(prob)
+        make_preconditioner("ibs3", prob, inner="cholesky")
+        assert repr(prob) == before and "_factors" not in before
+        assert prob == dataclasses.replace(prob)
+
     def test_unknown_inner_mode(self):
         with pytest.raises(ValueError, match="inner solver"):
             make_preconditioner("ibs1", scalar_problem(), inner="lu")

@@ -137,6 +137,51 @@ class TestMatmul:
             np.ones((2, 5)) @ a
 
 
+class TestCachedRowIndex:
+    """The row index of the stored entries is computed once per matrix;
+    every way of making a matrix must give it one that fits."""
+
+    def check_products(self, a, rng):
+        x, y = rng.standard_normal(a.n_cols), rng.standard_normal(a.n_rows)
+        np.testing.assert_allclose(a @ x, a.to_dense() @ x, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(y @ a, a.to_dense().T @ y, rtol=1e-14, atol=1e-14)
+
+    def test_writing_into_triplets_leaves_products_unchanged(self, rng):
+        a = random_csr(rng, 7, 4)
+        x = rng.standard_normal(4)
+        before = a @ x
+        for arr in a.to_triplets():
+            arr[:] = 0
+        assert np.array_equal(a @ x, before)
+
+    def test_row_slice(self, rng):
+        a = random_csr(rng, 9, 5)
+        for start, stop in ((0, 4), (3, 9), (2, 2)):
+            self.check_products(a.row_slice(start, stop), rng)
+
+    def test_normalized_copy(self, rng):
+        self.check_products(normalize_to_unit_one_norm(random_csr(rng, 8, 6)), rng)
+
+    def test_empty_leading_and_trailing_rows(self, rng):
+        a = SparseMatrixCsr.from_triplets(6, 3, [2, 2, 3], [0, 2, 1], [1.0, -2.0, 3.0])
+        assert a.row_offsets.tolist() == [0, 0, 0, 2, 3, 3, 3]
+        self.check_products(a, rng)
+
+    def test_zero_rows(self):
+        a = SparseMatrixCsr(0, 3, [0], [], [])
+        assert (a @ np.ones(3)).shape == (0,)
+        assert np.array_equal(np.ones(0) @ a, np.zeros(3))
+
+    def test_products_do_not_rebuild_the_index(self, rng, monkeypatch):
+        a = random_csr(rng, 7, 4)
+
+        def no_repeat(*args, **kwargs):
+            raise AssertionError("np.repeat called by a product")
+
+        monkeypatch.setattr(np, "repeat", no_repeat)
+        self.check_products(a, rng)
+
+
 class TestOneNorm:
     def test_identity(self):
         assert one_norm(rectangular_identity_csr(5, 5)) == 1.0
