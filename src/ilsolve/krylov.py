@@ -15,6 +15,11 @@ GMRES a breakdown yields the solution only when H_j is nonsingular (Saad,
 SIAM J. Sci. Comput. 14, 1993), and loose inner solves let the estimate
 drift.  An unconfirmed early end resumes from the assembled iterate (at
 most three times) before giving up.
+
+On the block system of a problem whose A1 or A2 has two or more empty
+rows, flexible GMRES runs on the problem's folded twin, an isometry of the
+Krylov space that leaves the iterates unchanged (see ilsolve.problem); the
+answer is lifted back, and the report describes the full system.
 """
 
 from __future__ import annotations
@@ -155,10 +160,11 @@ def _givens(a: float, b: float) -> tuple[float, float]:
 
 
 def _assemble(x, g, r_cols, zdirs) -> np.ndarray:
-    """x + Z y, with y from back substitution in the rotated upper
-    triangular system R y = g over the cycle's directions Z."""
-    j_count = len(zdirs)
-    y = np.zeros(j_count)
+    """x + y Z, with y from back substitution in the rotated upper
+    triangular system R y = g (column k of R is ``r_cols[k]``) and the
+    cycle's directions as the rows of Z."""
+    j_count = len(r_cols)
+    y = [0.0] * j_count
     for k in range(j_count - 1, -1, -1):
         acc = g[k]
         for l in range(k + 1, j_count):
@@ -166,10 +172,11 @@ def _assemble(x, g, r_cols, zdirs) -> np.ndarray:
         # A zero diagonal means the direction contributed nothing
         # (degenerate preconditioner); leave its weight at zero.
         y[k] = acc / r_cols[k][k] if r_cols[k][k] != 0.0 else 0.0
-    xa = x.copy()
-    for k in range(j_count):
-        xa += y[k] * zdirs[k]
-    return xa
+    # A running sum over the rows adds them in order, so this rounds as
+    # x += y_k z_k for k = 0, 1, ... would.
+    terms = np.array(y)[:, None] * zdirs[:j_count]
+    terms[0] += x
+    return np.cumsum(terms, axis=0, out=terms)[-1].copy()
 
 
 def fgmres_solve(
@@ -182,21 +189,45 @@ def fgmres_solve(
 
     ``precond`` is any object whose ``apply`` maps a residual-space vector
     to a preconditioned one (``make_preconditioner("none", prob)`` is the
-    identity); it may differ between iterations.  The Arnoldi basis V is
-    one row-major array, started at 33 rows (fewer for a shorter cycle)
-    and grown by 32 rows whenever it fills.  Orthogonalization is
-    classical Gram-Schmidt applied twice, two matrix-vector products per
-    pass ("twice is enough": Giraud, Langou and Rozloznik, 2005); the
-    flexible variant permits it because only V, not Z, is orthogonalized.
+    identity); it may differ between iterations.  The Arnoldi basis V and
+    the preconditioned directions Z are row-major arrays, started at 33
+    rows (fewer for a shorter cycle) and grown by 32 rows whenever they
+    fill.  Orthogonalization is classical Gram-Schmidt applied twice, two
+    matrix-vector products per pass ("twice is enough": Giraud, Langou and
+    Rozloznik, 2005); the flexible variant permits it because only V, not
+    Z, is orthogonalized.
 
     A subdiagonal entry at or below 1e-14 * |rhs| is a breakdown; like an
     estimate below the tolerance it ends the cycle early, subject to the
     true-residual confirmation described in the module docstring.
+
+    Given ``block_system_operator(prob)``, a Preconditioner built on the
+    same ``prob`` and a block of ``prob`` with two or more empty rows, the
+    solve runs on the folded twin of ilsolve.problem.  The report still
+    describes the full system: x is full-length, and ``final_res`` and
+    ``converged`` come from its true residual.  Any other operator, a
+    wrapped block operator included, gets the full-length solve.
     """
     cfg = config or FgmresConfig()
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    t0 = time.perf_counter()
+    folded = getattr(op, "_fold", lambda *_: None)(precond, rhs)
+    if folded is None:
+        return _fgmres(op, precond, rhs, cfg)
+    twin_op, twin_precond, twin_rhs, lift = folded
+    y, report = _fgmres(twin_op, twin_precond, twin_rhs, cfg)
+    x = lift(y)
+    bnorm = _norm(rhs)
+    true_res = _norm(rhs - op.apply(x)) / bnorm if bnorm else 0.0
+    report.final_res = report.res_history[-1] = true_res
+    report.converged = true_res < cfg.rel_tolerance
+    report.wall_seconds = time.perf_counter() - t0
+    return x, report
+
+
+def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:
     t0 = time.perf_counter()
     bnorm = _norm(rhs)
     if bnorm == 0.0:
@@ -216,10 +247,11 @@ def fgmres_solve(
         cycle_cap = cfg.max_iterations - it
         if cfg.restart is not None:
             cycle_cap = min(cycle_cap, cfg.restart)
-        basis = np.empty((min(cycle_cap, _BASIS_CHUNK) + 1, len(rhs)))  # orthonormal V, by rows
+        rows = min(cycle_cap, _BASIS_CHUNK) + 1
+        basis = np.empty((rows, len(rhs)))  # orthonormal V, by rows
+        zdirs = np.empty((rows, len(rhs)))  # preconditioned directions Z, by rows
         np.divide(r, rnorm, out=basis[0])
-        zdirs: list[np.ndarray] = [] # preconditioned directions Z
-        r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
+        r_cols: list[list[float]] = []  # rotated Hessenberg columns (upper triangle)
         cos: list[float] = []
         sin: list[float] = []
         g = [rnorm]
@@ -229,7 +261,7 @@ def fgmres_solve(
             w = op.apply(z)
             if not np.all(np.isfinite(w)):
                 raise NumericalFailureError(f"non-finite basis vector at iteration {it + 1}")
-            zdirs.append(z)
+            zdirs[j] = z
 
             v = basis[: j + 1]
             coef = v @ w
@@ -247,7 +279,7 @@ def fgmres_solve(
             cos.append(c)
             sin.append(s)
             h[j] = c * h[j] + s * h[j + 1]
-            r_cols.append(h[: j + 1].copy())
+            r_cols.append(h[: j + 1].tolist())
             g.append(-s * g[j])
             g[j] = c * g[j]
 
@@ -279,6 +311,7 @@ def fgmres_solve(
                 break
             if j + 1 == len(basis):
                 basis = np.concatenate([basis, np.empty((_BASIS_CHUNK, len(rhs)))])
+                zdirs = np.concatenate([zdirs, np.empty((_BASIS_CHUNK, len(rhs)))])
             np.divide(w, wnorm, out=basis[j + 1])
 
     report = SolveReport(

@@ -4,9 +4,17 @@ Supports the coordinate and array layouts with real or integer fields and
 general or symmetric storage.  Symmetric storage is expanded eagerly to a
 full general matrix; pattern, complex, hermitian and skew-symmetric files
 are rejected because nothing downstream can use them.
+
+A coordinate body is parsed in one numpy pass.  Anything that pass does
+not accept outright (a comment, a malformed token, a wrong count, an index
+out of bounds, a non-finite value) is parsed again line by line, so each
+error names its line.
 """
 
 from __future__ import annotations
+
+import io
+import warnings
 
 import numpy as np
 
@@ -16,6 +24,37 @@ from .sparse import SparseMatrixCsr
 __all__ = ["parse_matrix_market", "read_matrix_market", "write_matrix_market", "write_vector_matrix_market"]
 
 _BANNER = "%%matrixmarket"
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _content(lines: list[str], start: int):
+    """(line number, stripped text) of each line from index ``start`` on
+    that is neither blank nor a comment."""
+    for idx in range(start, len(lines)):
+        stripped = lines[idx].strip()
+        if stripped and not stripped.startswith("%"):
+            yield idx + 1, stripped
+
+
+def _coordinate_fast(lines: list[str], n_rows: int, n_cols: int, nnz: int):
+    """0-based (rows, cols, vals) of a coordinate body, or None unless the
+    body is comment-free and every entry is well formed and in bounds.
+    np.loadtxt accepts a subset of what int() and float() accept."""
+    text = "\n".join(lines)
+    if nnz == 0 or "%" in text:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an all-blank body only warns
+            table = np.loadtxt(io.StringIO(text), dtype=_TRIPLET, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    rows, cols, vals = table["i"] - 1, table["j"] - 1, np.ascontiguousarray(table["v"])
+    if len(table) != nnz or not np.isfinite(vals).all():
+        return None
+    if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+        return None
+    return rows, cols, vals
 
 
 def parse_matrix_market(text: str) -> SparseMatrixCsr:
@@ -39,17 +78,10 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}", line_no=1)
 
-    # Skip comments and blanks up to the size line.
-    body = []
-    for idx, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        body.append((idx, stripped))
-    if not body:
+    body = _content(lines, 1)
+    size_line_no, size_line = next(body, (None, None))
+    if size_line is None:
         raise ParseError("missing size line")
-
-    size_line_no, size_line = body[0]
     size_tokens = size_line.split()
     n_counts = 3 if fmt == "coordinate" else 2
     if len(size_tokens) != n_counts:
@@ -61,8 +93,11 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     if min(counts) < 0:
         raise ParseError(f"negative count in size line {size_line!r}", line_no=size_line_no)
     n_rows, n_cols = counts[:2]
-    entries = body[1:]
-    if fmt == "coordinate":
+    fast = _coordinate_fast(lines[size_line_no:], n_rows, n_cols, counts[2]) if fmt == "coordinate" else None
+    entries = [] if fast is not None else list(body)
+    if fast is not None:
+        rows, cols, vals = fast
+    elif fmt == "coordinate":
         nnz = counts[2]
         if len(entries) != nnz:
             raise ParseError(f"declared {nnz} entries but found {len(entries)}", line_no=size_line_no)

@@ -81,6 +81,13 @@ class Preconditioner:
         self.inner_iterations = 0
         self.inner_failures = 0
 
+    def _on(self, twin: IlsProblem) -> Preconditioner:
+        """This preconditioner on the folded twin of its problem, with this
+        instance's inner solve and statistics."""
+        pre = Preconditioner(self.kind, twin)
+        pre._inner_solve = self._inner_solve
+        return pre
+
     def _inner_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.lower is not None:
             return cholesky_solve(self.lower, rhs)

@@ -15,6 +15,15 @@ ndarray; both kinds give A x as ``A @ x`` and A'y as ``y @ A``.  Vectors
 of the block system are flat float64 arrays of length p + n + q, and
 ``prob.split(v)`` gives their (d1, x, d2) blocks as views.  Every solve
 starts from the zero vector.
+
+Empty rows fold.  On an empty row i of A2, block row 3 reads d2_i = b2_i,
+d2_i reaches no other row, and every preconditioner passes it through
+(empty rows of A1 act alike in block row 1), so the part of each Krylov
+vector on a block's empty rows is a multiple of the right-hand side's.
+When a block has two or more, ``fgmres_solve`` on ``block_system_operator``
+solves a twin in which they are one zero row: an isometry of the Krylov
+space, with the same iterates, counts and residuals, whose answer is
+lifted back to full length.
 """
 
 from __future__ import annotations
@@ -74,6 +83,9 @@ class IlsProblem:
     # Read-only Cholesky factors of shift*I + A1'A1, by shift, shared by
     # the exact-inner preconditioners built on this instance.
     _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # The folded twin (see _build_fold, False when nothing folds), built
+    # on first use.  It must hold no reference to this instance.
+    _fold: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
@@ -123,6 +135,43 @@ class IlsProblem:
             raise ValueError(f"vector has shape {v.shape}, expected ({self.size},)")
         return v[: self.p], v[self.p : self.p + self.n], v[self.p + self.n :]
 
+    def _folded(self):
+        if self._fold is None:
+            object.__setattr__(self, "_fold", _build_fold(self) or False)
+        return self._fold or None
+
+
+def _build_fold(prob: IlsProblem):
+    """(twin, kept, at, groups), or None when no block has two empty rows.
+    In the twin each such block keeps its other rows and ends in one zero
+    row, its slot.  ``kept`` masks the entries of a full vector that the
+    twin carries and ``at`` where they sit in it; each group is (slot,
+    mask of the rows folded into it)."""
+    parts, folds = [], []
+    for block, b, start in ((prob.a1, prob.b1, 0), (prob.a2, prob.b2, prob.p + prob.n)):
+        sparse = isinstance(block, SparseMatrixCsr)
+        empty = np.diff(block.row_offsets) == 0 if sparse else ~block.any(axis=1)
+        rows = None
+        if np.count_nonzero(empty) > 1:
+            keep = ~empty
+            if sparse:  # the dropped rows hold no entries
+                offsets = np.concatenate([[0], block.row_offsets[1:][keep], [block.nnz]])
+                block = SparseMatrixCsr(len(offsets) - 1, block.n_cols, offsets, block.col_indices, block.values)
+            else:
+                block = np.vstack([block[keep], np.zeros((1, block.shape[1]))])
+            b = np.append(b[keep], np.linalg.norm(b[empty]))
+            rows = np.zeros(prob.size, dtype=bool)
+            rows[start : start + len(empty)] = empty
+        parts += [block, b]
+        folds.append(rows)
+    if all(rows is None for rows in folds):
+        return None
+    twin = IlsProblem(parts[0], parts[2], parts[1], parts[3], prob.alpha)
+    groups = [(slot, rows) for slot, rows in zip((twin.p - 1, twin.size - 1), folds) if rows is not None]
+    at = np.ones(twin.size, dtype=bool)
+    at[[slot for slot, _ in groups]] = False
+    return twin, ~np.logical_or.reduce([rows for _, rows in groups]), at, groups
+
 
 def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:
     """Split an m x n matrix and length-m vector into the (A1, A2, b1, b2)
@@ -167,9 +216,49 @@ def build_rhs(prob: IlsProblem) -> np.ndarray:
     return np.concatenate([prob.b1, prob.b1 @ prob.a1, prob.b2])
 
 
+class _BlockOperator(LinearOperator):
+    """The block system of one problem, which can offer FGMRES the folded
+    twin of a solve."""
+
+    __slots__ = ("_problem",)
+
+    def __init__(self, prob: IlsProblem):
+        super().__init__(prob.size, prob.size, lambda v: apply_block_A(prob, v))
+        self._problem = prob
+
+    def _fold(self, precond, rhs: np.ndarray):
+        """(operator, preconditioner, rhs, lift) of the twin solve, or None
+        when the problem does not fold or ``precond`` is not a
+        Preconditioner built on it.  The rhs on a group's rows becomes its
+        norm at the slot, and the lift spreads the slot's entry back along
+        that direction."""
+        on_twin = getattr(precond, "_on", None)
+        if on_twin is None or precond.problem is not self._problem:
+            return None
+        fold = self._problem._folded()
+        if fold is None:
+            return None
+        twin, kept, at, groups = fold
+        twin_rhs = np.empty(twin.size)
+        twin_rhs[at] = rhs[kept]
+        dirs = []  # per group, the unit direction of the rhs on its rows
+        for slot, rows in groups:
+            part = rhs[rows]
+            twin_rhs[slot] = norm = np.linalg.norm(part)
+            dirs.append(part / norm if norm else np.zeros_like(part))
+
+        def lift(t):
+            x = np.empty(len(rhs))
+            x[kept] = t[at]
+            for (slot, rows), u in zip(groups, dirs):
+                x[rows] = t[slot] * u
+            return x
+
+        return _BlockOperator(twin), on_twin(twin), twin_rhs, lift
+
+
 def block_system_operator(prob: IlsProblem) -> LinearOperator:
-    size = prob.size
-    return LinearOperator(size, size, lambda v: apply_block_A(prob, v))
+    return _BlockOperator(prob)
 
 
 def shifted_gram_operator(prob: IlsProblem, shift: float) -> LinearOperator:

@@ -1,0 +1,203 @@
+"""The folded solve: when a block of the problem has two or more empty rows,
+``fgmres_solve`` works on a twin in which those rows are one zero row, and
+must give what the full-length solve gives.
+
+The full-length solve is reached by wrapping the block operator in a plain
+LinearOperator, which ``fgmres_solve`` never folds.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ilsolve as il
+from ilsolve import (
+    CgConfig,
+    FgmresConfig,
+    IlsProblem,
+    LinearOperator,
+    block_system_operator,
+    build_rhs,
+    fgmres_solve,
+    make_preconditioner,
+)
+from ilsolve.preconditioners import INNER_SOLVERS, Preconditioner
+from ilsolve.problem import densify
+
+from conftest import dense_block_system
+
+CONFIG = FgmresConfig(1e-10, 300)
+
+
+def with_empty_rows(prob, e1, e2, seed, sparse):
+    """``prob`` with ``e1`` zero rows put among the rows of A1 and ``e2``
+    among those of A2, at seeded places, with random right-hand-side
+    entries on them; CSR blocks when ``sparse``."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for block, b, extra in ((prob.a1, prob.b1, e1), (prob.a2, prob.b2, e2)):
+        dense = densify(block)
+        rows = len(b) + extra
+        place = np.sort(rng.choice(rows, size=len(b), replace=False))
+        full = np.zeros((rows, dense.shape[1]))
+        full[place] = dense
+        rhs = rng.standard_normal(rows)
+        rhs[place] = b
+        if sparse:
+            i, j = np.nonzero(full)
+            full = il.SparseMatrixCsr.from_triplets(rows, full.shape[1], i, j, full[i, j])
+        blocks.append((full, rhs))
+    (a1, b1), (a2, b2) = blocks
+    return IlsProblem(a1, a2, b1, b2, prob.alpha)
+
+
+def unfolded(prob):
+    op = block_system_operator(prob)
+    return LinearOperator(op.n_rows, op.n_cols, op.apply)
+
+
+def solve_both(prob, kind, inner, rhs=None, config=CONFIG):
+    """(x, report, inner counters) of the folded and of the full solve."""
+    rhs = build_rhs(prob) if rhs is None else rhs
+    out = []
+    for op in (block_system_operator(prob), unfolded(prob)):
+        pre = make_preconditioner(kind, prob, inner=inner, inner_config=CgConfig(1e-3, 1000))
+        pre.reset_stats()
+        x, rep = fgmres_solve(op, pre, rhs, config=config)
+        out.append((x, rep, (pre.inner_iterations, pre.inner_failures)))
+    return out
+
+
+def true_residual(prob, x, rhs):
+    return np.linalg.norm(rhs - dense_block_system(prob) @ x) / np.linalg.norm(rhs)
+
+
+@pytest.fixture
+def applied_lengths(monkeypatch):
+    """Lengths of the vectors every Preconditioner is applied to."""
+    seen = []
+    apply = Preconditioner.apply
+
+    def recording(self, r):
+        seen.append(len(r))
+        return apply(self, r)
+
+    monkeypatch.setattr(Preconditioner, "apply", recording)
+    return seen
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**16),
+    shape=st.tuples(st.integers(2, 5), st.integers(0, 3), st.integers(1, 5)),
+    empty=st.sampled_from([(2, 0), (3, 1), (0, 2), (1, 4), (2, 2), (4, 3)]),
+    sparse=st.booleans(),
+    kind=st.sampled_from(il.VARIANTS),
+    inner=st.sampled_from(INNER_SOLVERS),
+    restart=st.sampled_from([None, 2]),
+)
+def test_folded_solve_matches_full_solve(seed, shape, empty, sparse, kind, inner, restart):
+    n, extra_p, q = shape
+    core = il.generate_random_problem(n + extra_p, q, n, seed=seed)
+    prob = with_empty_rows(core, *empty, seed, sparse)
+    config = FgmresConfig(1e-10, 300, restart=restart)
+    (xf, rf, cf), (xu, ru, cu) = solve_both(prob, kind, inner, config=config)
+    assert rf.iterations == ru.iterations
+    assert cf == cu
+    assert rf.converged == ru.converged
+    assert len(rf.res_history) == rf.iterations + 1 and rf.res_history[-1] == rf.final_res
+    assert abs(rf.final_res - ru.final_res) <= 1e-12
+    np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
+
+
+def test_folded_solve_uses_short_vectors(applied_lengths):
+    # The paper's augmentation: A2 = s I with q > n leaves q - n empty rows,
+    # which fold to one; A1 has no empty row.
+    rng = np.random.default_rng(5)
+    core = il.SparseMatrixCsr.from_triplets(
+        30, 30, np.arange(30), np.arange(30), rng.uniform(1.0, 2.0, 30)
+    )
+    prob = il.generate_augmented_problem(core, 200, 0.5)
+    (xf, rf, _), (xu, ru, _) = solve_both(prob, "ibs2", "cg")
+    folded_calls = rf.iterations
+    assert set(applied_lengths[:folded_calls]) == {30 + 30 + 30 + 1}
+    assert set(applied_lengths[folded_calls:]) == {prob.size}
+    assert rf.iterations == ru.iterations and rf.converged
+    assert len(xf) == prob.size
+    np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-12 * np.linalg.norm(xu))
+
+
+def test_one_empty_row_per_block_does_not_fold(applied_lengths):
+    prob = with_empty_rows(il.generate_random_problem(6, 4, 3, seed=2), 1, 1, 2, sparse=True)
+    (xf, rf, cf), (xu, ru, cu) = solve_both(prob, "ibs4", "cg")
+    assert set(applied_lengths) == {prob.size}
+    assert np.array_equal(xf, xu) and cf == cu
+    assert rf.iterations == ru.iterations and rf.final_res == ru.final_res
+
+
+def test_other_operators_take_the_full_path(applied_lengths):
+    # Same size, equal blocks, but another problem: no fold.
+    prob = with_empty_rows(il.generate_random_problem(5, 3, 3, seed=4), 3, 4, 4, sparse=False)
+    other = IlsProblem(prob.a1, prob.a2, prob.b1, prob.b2, prob.alpha)
+    pre = make_preconditioner("ibs1", prob, inner="cholesky")
+    x, rep = fgmres_solve(block_system_operator(other), pre, build_rhs(prob), config=CONFIG)
+    assert set(applied_lengths) == {prob.size}
+    (xu, ru, _) = solve_both(prob, "ibs1", "cholesky")[1]
+    assert np.array_equal(x, xu) and rep.iterations == ru.iterations
+
+
+@pytest.mark.parametrize("kind", ["ibs2", "but", "none"])
+@pytest.mark.parametrize("pass_through", ["arbitrary", "zero"])
+def test_any_rhs_is_solved_exactly(rng, kind, pass_through):
+    # The fold direction comes from the rhs passed in, so a pass-through
+    # part unlike build_rhs's, or a zero one, is still solved exactly:
+    # the empty rows' unknowns equal their rhs entries.
+    prob = with_empty_rows(il.generate_random_problem(6, 4, 4, seed=8), 3, 5, 8, sparse=True)
+    rhs = rng.standard_normal(prob.size)
+    empty = np.concatenate([
+        np.flatnonzero(~densify(prob.a1).any(axis=1)),
+        prob.p + prob.n + np.flatnonzero(~densify(prob.a2).any(axis=1)),
+    ])
+    if pass_through == "zero":
+        rhs[empty] = 0.0
+    (x, rep, _), (xu, ru, _) = solve_both(prob, kind, "cholesky", rhs=rhs)
+    assert rep.converged and rep.iterations == ru.iterations
+    assert true_residual(prob, x, rhs) < 1e-10
+    np.testing.assert_allclose(x[empty], rhs[empty], rtol=0, atol=1e-12 * np.linalg.norm(rhs))
+    if pass_through == "zero":
+        assert np.all(x[empty] == 0.0)
+
+
+@pytest.mark.parametrize("restart", [None, 2])
+def test_final_res_is_the_full_systems_residual(restart):
+    prob = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 4, 6, 3, sparse=True)
+    rhs = build_rhs(prob)
+    pre = make_preconditioner("ibs3", prob, inner="cg")
+    x, rep = fgmres_solve(block_system_operator(prob), pre, rhs, config=FgmresConfig(1e-10, 300, restart))
+    assert len(x) == prob.size
+    assert rep.converged and len(rep.res_history) == rep.iterations + 1
+    assert rep.res_history[-1] == rep.final_res
+    assert abs(rep.final_res - true_residual(prob, x, rhs)) <= 1e-14
+
+
+def test_solved_problem_is_freed_without_the_cycle_collector():
+    # The fold is cached on the problem; a cache that referred back to it
+    # would leave every solved problem for the cycle collector.
+    core = il.SparseMatrixCsr.from_triplets(4, 4, np.arange(4), np.arange(4), np.ones(4) * 2.0)
+    gc.collect()
+    gc.disable()
+    try:
+        prob = il.generate_augmented_problem(core, 12, 0.5)
+        pre = make_preconditioner("ibs4", prob, inner="cholesky")
+        x, rep = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob))
+        assert rep.converged
+        ref = weakref.ref(prob)
+        del prob, pre
+        assert ref() is None
+    finally:
+        gc.enable()

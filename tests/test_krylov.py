@@ -11,6 +11,7 @@ from ilsolve import (
     dense_cholesky,
     fgmres_solve,
 )
+from ilsolve.krylov import _assemble
 from ilsolve.operators import LinearOperator, aslinearoperator
 
 from conftest import random_spd
@@ -275,6 +276,29 @@ class TestFgmres:
         assert report.converged and report.iterations == iterations
         assert len(report.res_history) == report.iterations + 1
         np.testing.assert_allclose(x, rhs / diag, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("size", [1, 3, 200])
+    def test_assembly_rounds_like_an_axpy_loop(self, rng, size):
+        # The reference is the loop x += y_k z_k with y from scalar back
+        # substitution (a zero diagonal leaves its weight at zero); the
+        # assembly must equal it bit for bit, counts depend on it.
+        j = 40
+        r_cols = [rng.standard_normal(k + 1) * 10.0 ** rng.integers(-6, 6) for k in range(j)]
+        r_cols[7][7] = 0.0
+        g = list(rng.standard_normal(j + 1))
+        x = rng.standard_normal(size)
+        zdirs = rng.standard_normal((j + 5, size)) * 10.0 ** rng.integers(-6, 6, size=(j + 5, 1))
+        y = np.zeros(j)
+        for k in range(j - 1, -1, -1):
+            acc = g[k]
+            for l in range(k + 1, j):
+                acc -= r_cols[l][k] * y[l]
+            y[k] = acc / r_cols[k][k] if r_cols[k][k] != 0.0 else 0.0
+        want = x.copy()
+        for k in range(j):
+            want += y[k] * zdirs[k]
+        got = _assemble(x, g, [col.tolist() for col in r_cols], zdirs)
+        assert np.array_equal(got, want)
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,59 @@ class TestErrors:
         assert exc.value.line_no == 2
 
 
+class TestLongBody:
+    """A body long enough that the one-pass parse does the work; any line
+    it cannot take goes to the per-line parse and its message."""
+
+    @staticmethod
+    def body(rng, count=600):
+        rows = rng.integers(1, 41, count)
+        cols = rng.integers(1, 31, count)
+        return [f"{i} {j} {float(v)!r}" for i, j, v in zip(rows, cols, rng.standard_normal(count))]
+
+    @staticmethod
+    def text(lines, header="%%MatrixMarket matrix coordinate real general"):
+        count = sum(not line.startswith("%") for line in lines)
+        return "\n".join([header, f"40 30 {count}", *lines]) + "\n"
+
+    def test_matches_the_per_line_parse(self, rng):
+        lines = self.body(rng)
+        fast = parse_matrix_market(self.text(lines))
+        # A comment line sends the whole body through the per-line parse.
+        slow = parse_matrix_market(self.text(lines[:300] + ["% c"] + lines[300:]))
+        assert np.array_equal(fast.to_dense(), slow.to_dense())
+        for field in ("row_offsets", "col_indices", "values"):
+            assert np.array_equal(getattr(fast, field), getattr(slow, field))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("7 3 abc", "bad entry '7 3 abc'"),
+            ("7.0 3 1.5", "bad entry '7.0 3 1.5'"),
+            ("7 3 1.5 2", "coordinate entry needs 'i j value'"),
+            ("41 3 1.5", "index \\(41, 3\\) outside declared 40 x 30 bounds"),
+            ("7 3 inf", "non-finite value in '7 3 inf'"),
+        ],
+    )
+    def test_bad_late_line_is_named(self, rng, entry, message):
+        lines = self.body(rng)
+        lines[500] = entry
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_matrix_market(self.text(lines))
+        assert exc.value.line_no == 503  # banner, size line, then entries
+
+    def test_symmetric_and_integer_bodies(self, rng):
+        lines = [f"{i} {j} {int(v)}" for i, j, v in
+                 zip(rng.integers(1, 31, 300), rng.integers(1, 31, 300), rng.integers(-9, 10, 300))]
+        lines = [line for line in lines if int(line.split()[0]) >= int(line.split()[1])]
+        header = "%%MatrixMarket matrix coordinate integer symmetric"
+        text = "\n".join([header, f"30 30 {len(lines)}", *lines]) + "\n"
+        fast = parse_matrix_market(text)
+        slow = parse_matrix_market(text.replace("\n", "\n% c\n", 1))
+        assert np.array_equal(fast.to_dense(), slow.to_dense())
+        assert np.array_equal(fast.to_dense(), fast.to_dense().T)
+
+
 class TestWriteReadRoundTrip:
     def test_matrix_roundtrip_exact(self, rng, tmp_path):
         a = random_csr(rng, 6, 4, density=0.5)
