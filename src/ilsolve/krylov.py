@@ -94,8 +94,9 @@ def cg_solve(
     Convergence is declared on the recurrence residual relative to |rhs|.
     A zero right-hand side returns the zero vector immediately.  On a
     breakdown (p'Ap <= 0) an IndefiniteOperatorError is raised carrying
-    the best iterate reached so far; when the iteration cap is hit the
-    lowest-residual iterate is returned with converged=False.
+    the best iterate reached so far, and on a non-finite p'Ap a
+    NumericalFailureError naming the iteration; when the iteration cap is
+    hit the lowest-residual iterate is returned with converged=False.
     """
     cfg = config or CgConfig()
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -118,6 +119,10 @@ def cg_solve(
     while k < cfg.max_iterations:
         ap = op.apply(p)
         pap = float(p @ ap)
+        if not math.isfinite(pap):
+            raise NumericalFailureError(
+                f"p'Ap = {pap} at iteration {k + 1}: operator output is not finite"
+            )
         if pap <= 0.0:
             raise IndefiniteOperatorError(
                 f"p'Ap = {pap:.3e} <= 0 at iteration {k + 1}: operator is not SPD",
@@ -197,9 +202,10 @@ def fgmres_solve(
     Rozloznik, 2005); the flexible variant permits it because only V, not
     Z, is orthogonalized.
 
-    A subdiagonal entry at or below 1e-14 * |rhs| is a breakdown; like an
-    estimate below the tolerance it ends the cycle early, subject to the
-    true-residual confirmation described in the module docstring.
+    A subdiagonal entry at or below 1e-14 * |A z_j| is a breakdown (a
+    test that does not change when A is scaled); like an estimate below
+    the tolerance it ends the cycle early, subject to the true-residual
+    confirmation described in the module docstring.
 
     Given ``block_system_operator(prob)``, a Preconditioner built on the
     same ``prob`` and a block of ``prob`` with two or more empty rows, the
@@ -241,7 +247,6 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
     resumptions = 0
     converged = False
     finished = False
-    breakdown_tol = 1e-14 * bnorm
 
     while not finished:
         cycle_cap = cfg.max_iterations - it
@@ -270,6 +275,9 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
             w -= corr @ v
             wnorm = _norm(w)
             h = np.append(coef + corr, wnorm)
+            # A z_j = V_{j+1} h, so |h| is |A z_j|: a test relative to it
+            # does not change when A is scaled.
+            breakdown = wnorm <= 1e-14 * _norm(h)
 
             for i in range(j):
                 hi, hi1 = h[i], h[i + 1]
@@ -286,7 +294,6 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
             it += 1
             estimate = abs(g[j + 1]) / bnorm
             history.append(estimate)
-            breakdown = wnorm <= breakdown_tol
             early = breakdown or estimate < cfg.rel_tolerance
 
             if early or it >= cfg.max_iterations or j == cycle_cap - 1:

@@ -12,9 +12,10 @@ rows:
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
 A Preconditioner solves its inner systems itself, either exactly (with a
-dense Cholesky factor, computed once per problem and shift and shared by
-the preconditioners built on that problem) or inexactly (matrix-free CG
-on the shifted Gram operator from a zero start).  Inner CG failure is a
+dense Cholesky factor and the inverses of its diagonal blocks, computed
+once per problem and shift and shared by the preconditioners built on
+that problem) or inexactly (matrix-free CG on the shifted Gram operator
+from a zero start).  Inner CG failure is a
 recorded statistic, not a fatal error: the loose-tolerance regime is the
 intended operating point for the outer flexible solver.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import problem as _problem
-from .dense import cholesky_solve, dense_cholesky
+from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator
@@ -55,10 +56,11 @@ class Preconditioner:
     """Applies z = M^{-1} r for one splitting variant.
 
     The inner solve uses ``lower``, the Cholesky factor of the inner
-    matrix, when there is one, and otherwise CG on ``gram`` with
-    ``config``.  Instances are reusable across solves; ``inner_iterations``
-    and ``inner_failures`` accumulate CG statistics (call ``reset_stats``
-    between timed runs).
+    matrix, when there is one (with ``inverses``, the inverses of its
+    diagonal blocks, when given; see ilsolve.dense), and otherwise CG on
+    ``gram`` with ``config``.  Instances are reusable across solves;
+    ``inner_iterations`` and ``inner_failures`` accumulate CG statistics
+    (call ``reset_stats`` between timed runs).
     """
 
     def __init__(
@@ -66,12 +68,14 @@ class Preconditioner:
         kind: str,
         problem: IlsProblem,
         lower: np.ndarray | None = None,
+        inverses: np.ndarray | None = None,
         gram: LinearOperator | None = None,
         config: CgConfig | None = None,
     ):
         self.kind = kind
         self.problem = problem
         self.lower = lower
+        self.inverses = inverses
         self.gram = gram
         self.config = config
         self.inner_iterations = 0
@@ -90,7 +94,7 @@ class Preconditioner:
 
     def _inner_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.lower is not None:
-            return cholesky_solve(self.lower, rhs)
+            return cholesky_solve(self.lower, rhs, self.inverses)
         try:
             z, report = cg_solve(self.gram, rhs, config=self.config)
         except IndefiniteOperatorError as exc:
@@ -126,8 +130,8 @@ def make_preconditioner(
     factorization of the n x n inner matrix, permitted only for
     n <= ilsolve.problem.DENSE_MAX_N).  The ibs variants shift the inner matrix by
     problem.alpha; the baselines solve with the Gram matrix itself.  A
-    factor is shared, read-only, by all exact preconditioners of a
-    problem with the same shift.
+    factor and its diagonal-block inverses are shared, read-only, by all
+    exact preconditioners of a problem with the same shift.
     """
     kind = kind.lower()
     if kind not in VARIANTS:
@@ -145,16 +149,19 @@ def make_preconditioner(
         raise ConfigurationError(
             f"dense inner factorization requested for n = {problem.n} > cap {cap}"
         )
-    lower = problem._factors.get(shift)
-    if lower is None:
+    factor = problem._factors.get(shift)
+    if factor is None:
         a1d = densify(problem.a1)
         inner_matrix = a1d.T @ a1d
         if shift:
             inner_matrix[np.diag_indices_from(inner_matrix)] += shift
         lower = dense_cholesky(inner_matrix)
-        lower.flags.writeable = False
-        problem._factors[shift] = lower
-    return Preconditioner(kind, problem, lower=lower)
+        factor = lower, _block_inverses(lower)
+        for part in factor:
+            part.flags.writeable = False
+        problem._factors[shift] = factor
+    lower, inverses = factor
+    return Preconditioner(kind, problem, lower=lower, inverses=inverses)
 
 
 DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A

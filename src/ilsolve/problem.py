@@ -80,8 +80,9 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
-    # Read-only Cholesky factors of shift*I + A1'A1, by shift, shared by
-    # the exact-inner preconditioners built on this instance.
+    # Read-only Cholesky factors of shift*I + A1'A1 with the inverses of
+    # their diagonal blocks, by shift, shared by the exact-inner
+    # preconditioners built on this instance.
     _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # The folded twin (see _build_fold, False when nothing folds), built
     # on first use.  It must hold no reference to this instance.

@@ -130,21 +130,37 @@ class TestCholeskySolve:
         assert np.allclose(m @ z, b, rtol=0, atol=1e-10)
 
 
+_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 200]
+
+
 class TestBlockedTriangularSolves:
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200])
+    @pytest.mark.parametrize(
+        "n, cond",
+        [pytest.param(n, 1e4, id=str(n)) for n in _SIZES]
+        + [pytest.param(n, 1e10, id=f"{n}-cond1e10") for n in _SIZES],
+    )
     @pytest.mark.parametrize("cols", [None, 3])
-    def test_match_scipy_solve_triangular(self, rng, n, cols):
-        lower = np.linalg.cholesky(random_spd(rng, n, cond=1e4))
+    def test_match_scipy_solve_triangular(self, rng, n, cols, cond):
+        lower = np.linalg.cholesky(random_spd(rng, n, cond=cond))
         b = rng.standard_normal(n if cols is None else (n, cols))
         kept = b.copy()
         y = solve_lower(lower, b)
         z = solve_lower_transpose(lower, b)
         assert np.array_equal(b, kept)
         assert y.shape == z.shape == b.shape
-        want_y = scipy.linalg.solve_triangular(lower, b, lower=True)
-        want_z = scipy.linalg.solve_triangular(lower, b, lower=True, trans="T")
-        np.testing.assert_allclose(y, want_y, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(z, want_z, rtol=1e-10, atol=1e-12)
+        # Backward error of substitution, n eps |L| |y| (Higham, Accuracy
+        # and Stability of Numerical Algorithms, Thm 8.5), in norms;
+        # multiplying by inverted diagonal blocks keeps it within c n eps
+        # (Du Croz and Higham, 1992), here with c = 1.
+        eps = np.finfo(np.float64).eps
+        for m, x in ((lower, y), (lower.T, z)):
+            bound = n * eps * np.linalg.norm(lower) * np.linalg.norm(x)
+            assert np.linalg.norm(m @ x - b) <= bound
+        if cond <= 1e4:
+            want_y = scipy.linalg.solve_triangular(lower, b, lower=True)
+            want_z = scipy.linalg.solve_triangular(lower, b, lower=True, trans="T")
+            np.testing.assert_allclose(y, want_y, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(z, want_z, rtol=1e-10, atol=1e-12)
 
 
 def test_one_norm_dense():

@@ -108,6 +108,12 @@ class TestCg:
         with pytest.raises(IndefiniteOperatorError):
             cg_solve(op, np.array([1.0, 1.0]), config=CgConfig(1e-14, 10))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_raises(self, value):
+        op = LinearOperator(5, 5, lambda v: np.full(5, value))
+        with pytest.raises(NumericalFailureError, match="at iteration 1"):
+            cg_solve(op, np.ones(5))
+
     def test_nonconvergence_returns_best_iterate(self, rng):
         m = random_spd(rng, 30, cond=1e6)
         rhs = rng.standard_normal(30)
@@ -217,6 +223,15 @@ class TestFgmres:
         _, report = fgmres_solve(aslinearoperator(np.eye(4)), identity(4), np.array([1.0, 2.0, 3.0, 4.0]))
         assert report.converged
         assert any("happy breakdown" in note for note in report.notes)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-16, 1e16])
+    def test_breakdown_test_is_scale_invariant(self, scale):
+        rng = np.random.default_rng(0)
+        a = np.diag(np.logspace(0, 3, 60)) + 0.1 * rng.standard_normal((60, 60))
+        _, report = fgmres_solve(
+            aslinearoperator(scale * a), identity(60), np.ones(60), config=FgmresConfig(1e-10)
+        )
+        assert report.converged and report.iterations == 60
 
     def test_nonconvergence_reports_true_residual(self, rng):
         m = random_spd(rng, 40, cond=1e8)

@@ -230,12 +230,18 @@ class TestInnerSolvers:
         ibs2 = make_preconditioner("ibs2", prob, inner="cholesky")
         ibs4 = make_preconditioner("ibs4", prob, inner="cholesky")
         assert ibs2.lower is ibs4.lower and len(calls) == 1
+        assert ibs2.inverses is ibs4.inverses is not None
         baseline = make_preconditioner("bs2", prob, inner="cholesky")
         assert baseline.lower is not ibs2.lower and len(calls) == 2
-        # A copy with another shift is another problem: it factors afresh.
+        assert baseline.inverses is not ibs2.inverses
+        # A copy is another problem with a cache of its own: it factors
+        # afresh, with the same shift or another.
+        same = make_preconditioner("ibs2", dataclasses.replace(prob), inner="cholesky")
+        assert same.lower is not ibs2.lower and same.inverses is not ibs2.inverses
+        assert len(calls) == 3
         shifted = dataclasses.replace(prob, alpha=2 * prob.alpha)
         other = make_preconditioner("ibs2", shifted, inner="cholesky")
-        assert other.lower is not ibs2.lower and len(calls) == 3
+        assert other.lower is not ibs2.lower and len(calls) == 4
         a1d, _ = dense_blocks(shifted)
         np.testing.assert_allclose(
             other.lower @ other.lower.T, a1d.T @ a1d + shifted.alpha * np.eye(prob.n),
@@ -243,9 +249,28 @@ class TestInnerSolvers:
         )
 
     def test_shared_factor_is_read_only(self):
-        pre = make_preconditioner("ibs1", random_desk_problem(14), inner="cholesky")
+        prob = random_desk_problem(14)
+        pre = make_preconditioner("ibs2", prob, inner="cholesky")
+        assert make_preconditioner("ibs4", prob, inner="cholesky").inverses is pre.inverses
         with pytest.raises(ValueError):
             pre.lower[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            pre.inverses[0, 0, 0] = 1.0
+
+    def test_exact_apply_needs_no_dense_solve(self, rng, monkeypatch):
+        # The exact inner solve is two sweeps of products with the cached
+        # block inverses, not a dense solve per block.
+        prob = random_desk_problem(16)
+        pre = make_preconditioner("ibs4", prob, inner="cholesky")
+        r = rng.standard_normal(prob.size)
+        _, r2, r3 = prob.split(r)
+        want = cholesky_solve(pre.lower, r2 - r3 @ prob.a2)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        np.testing.assert_allclose(prob.split(pre.apply(r))[1], want, rtol=1e-12, atol=1e-14)
 
     def test_factor_cache_leaves_equality_and_repr_alone(self):
         prob = random_desk_problem(15)
