@@ -14,7 +14,9 @@ breakdown, and only the true residual declares convergence: in flexible
 GMRES a breakdown yields the solution only when H_j is nonsingular (Saad,
 SIAM J. Sci. Comput. 14, 1993), and loose inner solves let the estimate
 drift.  An unconfirmed early end resumes from the assembled iterate (at
-most three times) before giving up.
+most three times) before giving up.  A solve that gives up returns the
+confirmed iterate with the lowest true residual (the zero start counts),
+as CG returns its best iterate; its residual then closes the history.
 
 On the block system of a problem whose A1 or A2 has two or more empty
 rows, flexible GMRES runs on the problem's folded twin, an isometry of the
@@ -67,7 +69,8 @@ class FgmresConfig:
 class SolveReport:
     """Outcome of one solve: iteration count, wall time, relative residual
     history (length iterations + 1, last entry equals final_res), whether
-    the solve converged, and free-text notes."""
+    the solve converged, free-text notes, and how many times flexible
+    GMRES resumed after an unconfirmed early end."""
 
     iterations: int
     wall_seconds: float
@@ -75,6 +78,7 @@ class SolveReport:
     res_history: np.ndarray
     converged: bool
     notes: tuple[str, ...] = ()
+    resumptions: int = 0
 
 
 _BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
@@ -103,16 +107,18 @@ def cg_solve(
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
     t0 = time.perf_counter()
-    bnorm = _norm(rhs)
+    # r is updated in place; x and p are only rebound, so p may alias rhs
+    # and the best iterate is a reference, not a copy.
+    r, p = rhs.copy(), np.ascontiguousarray(rhs)
+    rs = float(r @ r)
+    bnorm = math.sqrt(rs)  # what np.linalg.norm computes
     if bnorm == 0.0:
         report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
         return np.zeros_like(rhs), report
 
-    x = np.zeros_like(rhs)
-    r, p = rhs.copy(), rhs.copy()
+    x = best_x = np.zeros_like(rhs)
     history = [1.0]
-    rs = float(r @ r)
-    best_x, best_res = x.copy(), 1.0
+    best_res = 1.0
     converged = False
     notes: list[str] = []
     k = 0
@@ -130,14 +136,14 @@ def cg_solve(
                 iterations=k,
             )
         gamma = rs / pap
-        x += gamma * p
+        x = x + gamma * p
         r -= gamma * ap
         rs_new = float(r @ r)
         res = math.sqrt(rs_new) / bnorm
         history.append(res)
         k += 1
         if res < best_res:
-            best_x, best_res = x.copy(), res
+            best_x, best_res = x, res
         if res < cfg.rel_tolerance:
             converged = True
             break
@@ -167,7 +173,12 @@ def _givens(a: float, b: float) -> tuple[float, float]:
 def _assemble(x, g, r_cols, zdirs) -> np.ndarray:
     """x + y Z, with y from back substitution in the rotated upper
     triangular system R y = g (column k of R is ``r_cols[k]``) and the
-    cycle's directions as the rows of Z."""
+    cycle's directions as the rows of Z.
+
+    The rows y_k z_k are added to x one at a time, in order, so the sum
+    rounds as the loop x += y_k z_k does; iteration counts depend on it.
+    np.cumsum along the rows gives the same sums at several times the
+    cost, and np.sum and x + y @ Z add in other orders."""
     j_count = len(r_cols)
     y = [0.0] * j_count
     for k in range(j_count - 1, -1, -1):
@@ -177,11 +188,11 @@ def _assemble(x, g, r_cols, zdirs) -> np.ndarray:
         # A zero diagonal means the direction contributed nothing
         # (degenerate preconditioner); leave its weight at zero.
         y[k] = acc / r_cols[k][k] if r_cols[k][k] != 0.0 else 0.0
-    # A running sum over the rows adds them in order, so this rounds as
-    # x += y_k z_k for k = 0, 1, ... would.
     terms = np.array(y)[:, None] * zdirs[:j_count]
-    terms[0] += x
-    return np.cumsum(terms, axis=0, out=terms)[-1].copy()
+    out = x + terms[0]
+    for row in terms[1:]:
+        out += row
+    return out
 
 
 def fgmres_solve(
@@ -205,7 +216,10 @@ def fgmres_solve(
     A subdiagonal entry at or below 1e-14 * |A z_j| is a breakdown (a
     test that does not change when A is scaled); like an estimate below
     the tolerance it ends the cycle early, subject to the true-residual
-    confirmation described in the module docstring.
+    confirmation described in the module docstring.  A NaN or inf in
+    A z_j raises NumericalFailureError naming the iteration; the check
+    reads the |A z_j| of the breakdown test rather than scanning A z_j
+    entry by entry.
 
     Given ``block_system_operator(prob)``, a Preconditioner built on the
     same ``prob`` and a block of ``prob`` with two or more empty rows, the
@@ -242,6 +256,9 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
     x = np.zeros_like(rhs)
     r, rnorm = rhs, bnorm
     history = [1.0]
+    # The confirmed iterate with the lowest true residual (x = 0 to start),
+    # returned when the solve gives up.
+    best_x, best_res, best_it = x, 1.0, 0
     notes: list[str] = []
     it = 0
     resumptions = 0
@@ -264,7 +281,10 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
         for j in range(cycle_cap):
             z = np.asarray(precond.apply(basis[j]), dtype=np.float64)
             w = op.apply(z)
-            if not np.all(np.isfinite(w)):
+            # |A z_j| scales the breakdown test, so scaling A leaves the test
+            # alone, and shows a NaN or inf in A z_j before V w warns of it.
+            az2 = float(w @ w)
+            if not math.isfinite(az2):
                 raise NumericalFailureError(f"non-finite basis vector at iteration {it + 1}")
             zdirs[j] = z
 
@@ -273,11 +293,10 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
             w -= coef @ v
             corr = v @ w
             w -= corr @ v
-            wnorm = _norm(w)
-            h = np.append(coef + corr, wnorm)
-            # A z_j = V_{j+1} h, so |h| is |A z_j|: a test relative to it
-            # does not change when A is scaled.
-            breakdown = wnorm <= 1e-14 * _norm(h)
+            wnorm = math.sqrt(float(w @ w))  # what np.linalg.norm computes
+            breakdown = wnorm <= 1e-14 * math.sqrt(az2)
+            h = (coef + corr).tolist()
+            h.append(wnorm)
 
             for i in range(j):
                 hi, hi1 = h[i], h[i + 1]
@@ -287,7 +306,8 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
             cos.append(c)
             sin.append(s)
             h[j] = c * h[j] + s * h[j + 1]
-            r_cols.append(h[: j + 1].tolist())
+            del h[j + 1]
+            r_cols.append(h)
             g.append(-s * g[j])
             g[j] = c * g[j]
 
@@ -303,13 +323,17 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
                 true_res = _norm(r) / bnorm
                 rnorm = true_res * bnorm
                 history[-1] = true_res
+                if true_res < best_res:
+                    best_x, best_res, best_it = x, true_res, it
                 if breakdown:
                     notes.append(f"happy breakdown at iteration {it}")
                 converged = true_res < cfg.rel_tolerance
                 unconfirmed = early and not converged
-                resumptions += unconfirmed
-                finished = converged or resumptions > 3 or it >= cfg.max_iterations
+                finished = (
+                    converged or it >= cfg.max_iterations or (unconfirmed and resumptions == 3)
+                )
                 if unconfirmed:
+                    resumptions += not finished
                     notes.append(
                         f"iterate at iteration {it} did not meet the tolerance "
                         f"(estimate {estimate:.3e}, true {true_res:.3e}); "
@@ -321,6 +345,14 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
                 zdirs = np.concatenate([zdirs, np.empty((_BASIS_CHUNK, len(rhs)))])
             np.divide(w, wnorm, out=basis[j + 1])
 
+    if best_res < history[-1]:
+        # Giving up: the last iterate is not the best one confirmed.
+        notes.append(
+            f"returned the iterate of iteration {best_it} (true residual "
+            f"{best_res:.3e}) instead of the last ({history[-1]:.3e})"
+        )
+        x = best_x
+        history[-1] = best_res
     report = SolveReport(
         it,
         time.perf_counter() - t0,
@@ -328,5 +360,6 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
         np.array(history),
         converged,
         notes=tuple(notes),
+        resumptions=resumptions,
     )
     return x, report

@@ -109,7 +109,7 @@ def test_folded_solve_matches_full_solve(seed, shape, empty, sparse, kind, inner
     (xf, rf, cf), (xu, ru, cu) = solve_both(prob, kind, inner, config=config)
     assert rf.iterations == ru.iterations
     assert cf == cu
-    assert rf.converged == ru.converged
+    assert rf.converged == ru.converged and rf.resumptions == ru.resumptions
     assert len(rf.res_history) == rf.iterations + 1 and rf.res_history[-1] == rf.final_res
     assert abs(rf.final_res - ru.final_res) <= 1e-12
     np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
@@ -183,6 +183,27 @@ def test_final_res_is_the_full_systems_residual(restart):
     assert rep.converged and len(rep.res_history) == rep.iterations + 1
     assert rep.res_history[-1] == rep.final_res
     assert abs(rep.final_res - true_residual(prob, x, rhs)) <= 1e-14
+
+
+def test_resumption_count_survives_the_fold(monkeypatch):
+    # A zero first direction breaks the first cycle down unconfirmed, so
+    # the solve resumes once, on the twin as on the full system.
+    prob = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 4, 6, 3, sparse=True)
+    apply, lengths = Preconditioner.apply, []
+
+    def zero_first(self, r):
+        lengths.append(len(r))
+        return np.zeros_like(r) if len(lengths) == 1 else apply(self, r)
+
+    monkeypatch.setattr(Preconditioner, "apply", zero_first)
+    first_lengths = []
+    for op in (block_system_operator(prob), unfolded(prob)):
+        lengths.clear()
+        x, rep = fgmres_solve(op, make_preconditioner("ibs2", prob), build_rhs(prob), config=CONFIG)
+        first_lengths.append(lengths[0])
+        assert rep.converged and rep.resumptions == 1
+        assert sum(note.endswith("resuming") for note in rep.notes) == 1
+    assert first_lengths[0] < first_lengths[1] == prob.size
 
 
 def test_solved_problem_is_freed_without_the_cycle_collector():

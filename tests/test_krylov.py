@@ -22,6 +22,36 @@ def identity(n):
     return LinearOperator(n, n, np.copy)
 
 
+def textbook_cg(op, rhs, tol, maxit):
+    """CG as textbooks write it, with in-place updates and copies of the
+    best iterate: (x, history), where x is the best iterate when the cap
+    is hit, or (x_best, None) on a breakdown p'Ap <= 0."""
+    bnorm = np.linalg.norm(rhs)
+    x, r, p = np.zeros(len(rhs)), rhs.copy(), rhs.copy()
+    rs = r @ r
+    history = [1.0]
+    best_x, best_res = x.copy(), 1.0
+    for _ in range(maxit):
+        ap = op.apply(p)
+        pap = p @ ap
+        if pap <= 0.0:
+            return best_x, None
+        gamma = rs / pap
+        x += gamma * p
+        r -= gamma * ap
+        rs_new = r @ r
+        history.append(np.sqrt(rs_new) / bnorm)
+        if history[-1] < best_res:
+            best_x, best_res = x.copy(), history[-1]
+        if history[-1] < tol:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    else:
+        x = best_x
+    return x, np.array(history)
+
+
 class TestCgConfig:
     def test_defaults(self):
         cfg = CgConfig()
@@ -122,6 +152,36 @@ class TestCg:
         assert report.iterations == 3
         assert report.final_res == min(report.res_history.min(), report.final_res)
 
+    @pytest.mark.parametrize("case", ["converges", "capped", "strided-rhs"])
+    def test_bit_identical_to_textbook_loop(self, rng, case):
+        # cg_solve rebinds x and keeps references where the textbook loop
+        # updates in place and copies; both must round alike.  The strided
+        # rhs is long enough that a BLAS dot over it rounds differently
+        # from one over a contiguous copy.
+        n = 300 if case == "strided-rhs" else 40
+        m = random_spd(rng, n, cond={"capped": 200.0}.get(case, 1e3))
+        rhs = rng.standard_normal(2 * n)[::2] if case == "strided-rhs" else rng.standard_normal(n)
+        tol, maxit = (1e-15, 2) if case == "capped" else (1e-10, 1000)
+        op = aslinearoperator(m)
+        x, report = cg_solve(op, rhs, config=CgConfig(tol, maxit))
+        want_x, want_history = textbook_cg(op, rhs, tol, maxit)
+        assert report.converged == (case != "capped")
+        if case == "capped":
+            assert report.notes and report.final_res < report.res_history[-1]
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(report.res_history, want_history)
+
+    def test_breakdown_best_iterate_is_bit_identical(self):
+        # Positive curvature for four iterations, then p'Ap < 0.
+        op = aslinearoperator(np.diag([1.0, 3.0, 10.0, 30.0, -0.02]))
+        rhs = np.ones(5)
+        with pytest.raises(IndefiniteOperatorError) as info:
+            cg_solve(op, rhs, config=CgConfig(1e-12, 50))
+        want_x, history = textbook_cg(op, rhs, 1e-12, 50)
+        assert history is None and info.value.iterations == 4
+        assert np.any(want_x != want_x[0])  # not the first step's multiple of rhs
+        assert np.array_equal(info.value.x_best, want_x)
+
 
 class TestFgmres:
     def test_identity_one_iteration(self):
@@ -218,6 +278,56 @@ class TestFgmres:
         with pytest.raises(NumericalFailureError, match="iteration 1"):
             fgmres_solve(op, identity(3), np.ones(3))
 
+    @staticmethod
+    def faulty_on_call(apply, call, fault):
+        """``apply`` whose output from the ``call``-th call on is passed
+        through ``fault``."""
+        calls = []
+
+        def wrapped(v):
+            calls.append(1)
+            out = apply(v)
+            return fault(out) if len(calls) >= call else out
+
+        return wrapped
+
+    def test_inf_in_operator_output_raises(self):
+        m = np.diag(np.arange(1.0, 7.0))
+
+        def inf_entry(out):
+            out[2] = np.inf
+            return out
+
+        op = LinearOperator(6, 6, self.faulty_on_call(lambda v: m @ v, 3, inf_entry))
+        with pytest.raises(NumericalFailureError, match="at iteration 3$"):
+            fgmres_solve(op, identity(6), np.ones(6))
+
+    def test_nan_where_every_basis_vector_is_zero_raises(self):
+        # rhs[4] = 0 and a diagonal operator keep entry 4 of every basis
+        # vector at zero, so the NaN there meets only zeros in V w.
+        m = np.diag(np.arange(1.0, 7.0))
+        rhs = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 5.0])
+
+        def nan_entry(out):
+            out[4] = np.nan
+            return out
+
+        seen = []
+
+        def op_apply(v):
+            seen.append(v[4])
+            return m @ v
+
+        op = LinearOperator(6, 6, self.faulty_on_call(op_apply, 2, nan_entry))
+        with pytest.raises(NumericalFailureError, match="at iteration 2$"):
+            fgmres_solve(op, identity(6), rhs)
+        assert seen == [0.0, 0.0]
+
+    def test_nan_from_preconditioner_raises(self):
+        precond = LinearOperator(6, 6, self.faulty_on_call(np.copy, 2, lambda out: out * np.nan))
+        with pytest.raises(NumericalFailureError, match="at iteration 2$"):
+            fgmres_solve(aslinearoperator(np.diag(np.arange(1.0, 7.0))), precond, np.ones(6))
+
     def test_happy_breakdown_note(self):
         # With the identity operator the first Arnoldi vector is exact.
         _, report = fgmres_solve(aslinearoperator(np.eye(4)), identity(4), np.array([1.0, 2.0, 3.0, 4.0]))
@@ -252,6 +362,7 @@ class TestFgmres:
         assert any("did not meet" in note for note in report.notes)
         # Three resumptions, then the fourth unconfirmed end gives up.
         assert sum(note.endswith("resuming") for note in report.notes) == 3
+        assert report.resumptions == 3
         assert report.notes[-1].endswith("giving up")
 
     def test_unconfirmed_breakdown_resumes(self, rng):
@@ -276,6 +387,37 @@ class TestFgmres:
         assert report.final_res < 1e-10
         assert "happy breakdown at iteration 1" in report.notes
         assert any("did not meet the tolerance" in n and "resuming" in n for n in report.notes)
+
+    def test_giving_up_returns_the_best_confirmed_iterate(self):
+        # After its first call the preconditioner adds 1e16 * u to r: each
+        # cycle's last direction is A-parallel to the one before it, the
+        # cycle breaks down, and summing the huge terms in x + y Z rounds
+        # away the iterate carried into the cycle.  The confirmed residuals
+        # grow, the last beyond the 1.0 of x = 0.
+        n = 12
+        m = np.diag(np.linspace(1.0, 10.0, n))
+        u = np.random.default_rng(0).standard_normal(n)
+        calls = []
+
+        def garbage_after_first(r):
+            calls.append(1)
+            return r.copy() if len(calls) == 1 else r + 1e16 * u
+
+        rhs = np.ones(n)
+        x, report = fgmres_solve(
+            aslinearoperator(m), LinearOperator(n, n, garbage_after_first), rhs,
+            config=FgmresConfig(1e-10, 50),
+        )
+        confirmed = [float(note.split("true ")[1].split(")")[0])
+                     for note in report.notes if "did not meet" in note]
+        assert not report.converged and report.resumptions == 3 and len(confirmed) == 4
+        assert max(confirmed) > 1.0  # the case this guards against
+        true_res = np.linalg.norm(rhs - m @ x) / np.linalg.norm(rhs)
+        assert report.final_res == report.res_history[-1]
+        assert abs(report.final_res - true_res) <= 1e-12
+        assert report.final_res <= min(confirmed) * (1.0 + 1e-3) and report.final_res < 1.0
+        assert report.notes[-1].startswith("returned the iterate of iteration")
+        assert len(report.res_history) == report.iterations + 1
 
     @pytest.mark.parametrize("restart, iterations", [(None, 97), (40, 259), (10, 827)])
     def test_basis_growth(self, restart, iterations):
