@@ -219,7 +219,8 @@ def fgmres_solve(
     confirmation described in the module docstring.  A NaN or inf in
     A z_j raises NumericalFailureError naming the iteration; the check
     reads the |A z_j| of the breakdown test rather than scanning A z_j
-    entry by entry.
+    entry by entry.  A preconditioner output whose shape is not that of
+    ``rhs`` raises ValueError naming its shape and the iteration.
 
     Given ``block_system_operator(prob)``, a Preconditioner built on the
     same ``prob`` and a block of ``prob`` with two or more empty rows, the
@@ -280,6 +281,11 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
 
         for j in range(cycle_cap):
             z = np.asarray(precond.apply(basis[j]), dtype=np.float64)
+            if z.shape != rhs.shape:
+                raise ValueError(
+                    f"preconditioner output has shape {z.shape}, expected {rhs.shape}, "
+                    f"at iteration {it + 1}"
+                )
             w = op.apply(z)
             # |A z_j| scales the breakdown test, so scaling A leaves the test
             # alone, and shows a NaN or inf in A z_j before V w warns of it.

@@ -449,6 +449,28 @@ def test_full_pipeline_at_benchmark_scale(rng):
     assert its == {"ibs1": (15, 45), "ibs2": (11, 33), "ibs3": (15, 45), "ibs4": (11, 33)}
 
 
+def test_hilbert_counts_at_benchmark_scale():
+    # The dense-hilbert benchmark: Hilbert A1 (n = 1000, one dense block
+    # swept by row panels in every Gram product), A2 = 0.7 I.  An exact
+    # inner solve counts as one inner iteration, as in the benchmark.
+    prob = generate_hilbert_problem(1000, a2_scale=0.7)
+    rhs = il.build_rhs(prob)
+    op = il.block_system_operator(prob)
+    its = {}
+    for kind in ("ibs2", "ibs4"):
+        for inner in ("cholesky", "cg"):
+            pre = il.make_preconditioner(kind, prob, inner=inner, inner_config=il.CgConfig(1e-3, 1000))
+            _, rep = il.fgmres_solve(op, pre, rhs, config=il.FgmresConfig(1e-8, 2000))
+            assert rep.converged and rep.final_res < 1e-8
+            its[kind, inner] = (rep.iterations, pre.inner_iterations if inner == "cg" else rep.iterations)
+    # (outer, inner) counts of the dense-hilbert benchmark: a rounding
+    # change in the Gram product or the inner solves must not move them.
+    assert its == {
+        ("ibs2", "cholesky"): (8, 8), ("ibs4", "cholesky"): (8, 8),
+        ("ibs2", "cg"): (10, 18), ("ibs4", "cg"): (10, 18),
+    }
+
+
 def test_baseline_preconditioners_run_and_report(tmp_path):
     # The harness must be able to run the baseline splittings and record
     # a non-convergence row faithfully when they stall.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,26 @@ class TestFgmres:
         precond = LinearOperator(6, 6, self.faulty_on_call(np.copy, 2, lambda out: out * np.nan))
         with pytest.raises(NumericalFailureError, match="at iteration 2$"):
             fgmres_solve(aslinearoperator(np.diag(np.arange(1.0, 7.0))), precond, np.ones(6))
+
+    @pytest.mark.parametrize("reshape", [lambda z: z[:-1], lambda z: z[:, None]], ids=["short", "column"])
+    def test_wrong_shape_from_preconditioner_raises(self, reshape):
+        # A (size - 1,) or (size, 1) direction is named as the
+        # preconditioner's, not left to the operator's shape check.
+        precond = LinearOperator(6, 6, self.faulty_on_call(np.copy, 2, reshape))
+        shape = reshape(np.zeros(6)).shape
+        want = f"preconditioner output has shape {shape}, expected (6,), at iteration 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            fgmres_solve(aslinearoperator(np.diag(np.arange(1.0, 7.0))), precond, np.ones(6))
+
+    def test_single_iteration_cap(self):
+        m = np.diag(np.arange(1.0, 7.0))
+        op, rhs = aslinearoperator(m), np.ones(6)
+        x, report = fgmres_solve(op, identity(6), rhs, config=FgmresConfig(max_iterations=1))
+        assert report.iterations == 1 and len(report.res_history) == 2
+        assert report.final_res == report.res_history[-1]
+        assert report.final_res == np.linalg.norm(rhs - op.apply(x)) / np.linalg.norm(rhs)
+        assert 0.0 < report.final_res < 1.0
+        assert not report.converged
 
     def test_happy_breakdown_note(self):
         # With the identity operator the first Arnoldi vector is exact.

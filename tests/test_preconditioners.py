@@ -6,6 +6,7 @@ import pytest
 from ilsolve import (
     CgConfig,
     ConfigurationError,
+    IndefiniteOperatorError,
     VARIANTS,
     IlsProblem,
     apply_block_A,
@@ -16,6 +17,8 @@ from ilsolve import (
 from ilsolve import preconditioners as preconditioners_module
 from ilsolve import problem as problem_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
+from ilsolve.krylov import cg_solve
+from ilsolve.operators import LinearOperator
 from ilsolve.problem import dense_blocks
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
 
@@ -214,6 +217,28 @@ class TestInnerSolvers:
         assert pre.inner_failures == 1
         pre.reset_stats()
         assert pre.inner_failures == 0
+
+    @pytest.mark.parametrize("signs", [-np.ones(6), np.array([1.0, 1.0, 1.0, 1.0, 1.0, -50.0])], ids=["minus_identity", "late"])
+    def test_inner_breakdown_keeps_the_best_iterate(self, rng, signs):
+        # An indefinite Gram operator: -I breaks CG down on its first step,
+        # the other after one.  The preconditioner keeps CG's best iterate
+        # and counts the breakdown as a failure.
+        prob = random_desk_problem(13)
+        pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
+        r = rng.standard_normal(prob.size)
+        pre.apply(r)
+        before = pre.inner_iterations
+        assert before > 0 and pre.inner_failures == 0
+        diag = np.resize(signs, prob.n)
+        pre.gram = LinearOperator(prob.n, prob.n, lambda v: diag * v)
+        with pytest.raises(IndefiniteOperatorError) as info:
+            cg_solve(pre.gram, prob.split(r)[1], config=pre.config)
+        z = pre.apply(r)
+        assert pre.inner_failures == 1
+        assert pre.inner_iterations == before + info.value.iterations
+        assert np.array_equal(prob.split(z)[1], info.value.x_best)
+        assert np.array_equal(prob.split(z)[0], prob.split(r)[0])
+        assert np.array_equal(prob.split(z)[2], prob.split(r)[2])
 
     def test_dense_cap_enforced(self, monkeypatch):
         prob = random_desk_problem(12)

@@ -186,6 +186,67 @@ class TestApplyBlockA:
             apply_block_A(scalar_problem(), np.ones(4))
 
 
+def _rows_per_panel(n):
+    return max(problem_module._PANEL_BYTES // (8 * n), 1)
+
+
+PANEL = _rows_per_panel(200)  # rows of one panel at n = 200
+WIDE = problem_module._PANEL_BYTES // 8 + 1  # columns of a row wider than a panel
+
+
+class TestGramSweep:
+    @pytest.mark.parametrize(
+        "shape",
+        [(PANEL - 1, 200), (PANEL, 200), (PANEL + 1, 200), (1, 200), (1, WIDE), (3, WIDE), (3 * _rows_per_panel(1) + 5, 1)],
+        ids=["panel-1", "panel", "panel+1", "one-row", "wide-row", "wide-rows", "one-column"],
+    )
+    def test_matches_the_two_products(self, rng, shape):
+        a = rng.standard_normal(shape)
+        x = rng.standard_normal(shape[1])
+        ax, gram = problem_module._gram_sweep(a, x, _rows_per_panel(shape[1]))
+        want_ax = a @ x
+        # Both sides are within (p + n) eps |A|_F^2 |x| of A'(A x).
+        scale = np.finfo(np.float64).eps * np.linalg.norm(a) * np.linalg.norm(x)
+        assert np.linalg.norm(ax - want_ax) <= 2 * shape[1] * scale
+        assert np.linalg.norm(gram - want_ax @ a) <= 2 * sum(shape) * scale * np.linalg.norm(a)
+
+    @staticmethod
+    def two_products(prob, v):
+        d1, x, d2 = prob.split(v)
+        a1x = prob.a1 @ x
+        return np.concatenate([d1 + a1x, a1x @ prob.a1 + d2 @ prob.a2, prob.a2 @ x + d2])
+
+    @pytest.mark.parametrize(
+        "a1",
+        [lambda rng: random_csr(rng, 2 * PANEL, 200), lambda rng: rng.standard_normal((PANEL, 200)),
+         lambda rng: np.asfortranarray(rng.standard_normal((PANEL + 1, 200))),
+         lambda rng: random_desk_problem(5).a1],
+        ids=["csr", "dense-one-panel", "dense-column-major", "desk"],
+    )
+    def test_other_blocks_keep_the_two_products_bit_for_bit(self, rng, a1):
+        a1 = a1(rng)
+        prob = IlsProblem(a1, rng.standard_normal((7, a1.shape[1])), np.ones(a1.shape[0]), np.ones(7), 2.0)
+        assert prob._panel == 0
+        v = rng.standard_normal(prob.size)
+        assert np.array_equal(apply_block_A(prob, v), self.two_products(prob, v))
+        x = prob.split(v)[1]
+        for shift in (0.0, prob.alpha):
+            assert np.array_equal(shifted_gram_operator(prob, shift).apply(x), shift * x + (prob.a1 @ x) @ prob.a1)
+
+    def test_dense_block_over_one_panel_is_swept(self, rng):
+        prob = IlsProblem(rng.standard_normal((PANEL + 1, 200)), random_csr(rng, 7, 200), np.ones(PANEL + 1), np.ones(7), 2.0)
+        assert prob._panel == PANEL
+        v = rng.standard_normal(prob.size)
+        d1, x, d2 = prob.split(v)
+        ax, gram = problem_module._gram_sweep(prob.a1, x, PANEL)
+        want = np.concatenate([d1 + ax, gram + d2 @ prob.a2, prob.a2 @ x + d2])
+        assert np.array_equal(apply_block_A(prob, v), want)
+        assert np.array_equal(shifted_gram_operator(prob, 0.0).apply(x), gram)
+        assert np.array_equal(shifted_gram_operator(prob, prob.alpha).apply(x), prob.alpha * x + gram)
+        got, two = apply_block_A(prob, v), self.two_products(prob, v)
+        assert np.linalg.norm(got - two) <= 1e-13 * np.linalg.norm(two)
+
+
 class TestBuildRhs:
     def test_zero_rhs(self):
         a1 = rectangular_identity_csr(2, 2)
