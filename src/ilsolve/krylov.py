@@ -18,6 +18,16 @@ most three times) before giving up.  A solve that gives up returns the
 confirmed iterate with the lowest true residual (the zero start counts),
 as CG returns its best iterate; its residual then closes the history.
 
+Each outer step needs z_j = M^{-1} v_j and the Arnoldi product A z_j.  On
+the block system of a preconditioner's own problem, where the
+preconditioner takes its paired step (see ilsolve.preconditioners), both
+come from that step, with A z_j formed from the splitting A = M - N and no
+Gram product; otherwise z_j comes from ``precond.apply`` and A z_j from
+``op.apply``.  Confirmations and restarts always assemble the iterate and
+take its residual with ``op.apply``, so convergence rests on true
+residuals either way.  Each confirmation is recorded as (iteration,
+estimate, true residual) in the report.
+
 On the block system of a problem whose A1 or A2 has two or more empty
 rows, flexible GMRES runs on the problem's folded twin, an isometry of the
 Krylov space that leaves the iterates unchanged (see ilsolve.problem); the
@@ -28,7 +38,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,8 +79,9 @@ class FgmresConfig:
 class SolveReport:
     """Outcome of one solve: iteration count, wall time, relative residual
     history (length iterations + 1, last entry equals final_res), whether
-    the solve converged, free-text notes, and how many times flexible
-    GMRES resumed after an unconfirmed early end."""
+    the solve converged, free-text notes, how many times flexible GMRES
+    resumed after an unconfirmed early end, and one (iteration, estimate,
+    true residual) entry per flexible GMRES confirmation."""
 
     iterations: int
     wall_seconds: float
@@ -79,6 +90,11 @@ class SolveReport:
     converged: bool
     notes: tuple[str, ...] = ()
     resumptions: int = 0
+    confirmations: tuple[tuple[int, float, float], ...] = ()
+    # CG's recurrence residual of the returned iterate, when that is its
+    # last iterate (None otherwise); the preconditioners' paired step
+    # reads it.
+    _residual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 _BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
@@ -114,6 +130,7 @@ def cg_solve(
     bnorm = math.sqrt(rs)  # what np.linalg.norm computes
     if bnorm == 0.0:
         report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
+        report._residual = r
         return np.zeros_like(rhs), report
 
     x = best_x = np.zeros_like(rhs)
@@ -154,12 +171,13 @@ def cg_solve(
         # Return the best iterate seen; final_res reflects it.
         notes.append(f"returned best iterate (residual {best_res:.3e}) instead of the last")
         x = best_x
-        out_res = best_res
+        out_res, residual = best_res, None
     else:
-        out_res = history[-1]
+        out_res, residual = history[-1], r
     report = SolveReport(
         k, time.perf_counter() - t0, out_res, np.array(history), converged, notes=tuple(notes)
     )
+    report._residual = residual
     return x, report
 
 
@@ -222,12 +240,23 @@ def fgmres_solve(
     entry by entry.  A preconditioner output whose shape is not that of
     ``rhs`` raises ValueError naming its shape and the iteration.
 
-    Given ``block_system_operator(prob)``, a Preconditioner built on the
-    same ``prob`` and a block of ``prob`` with two or more empty rows, the
-    solve runs on the folded twin of ilsolve.problem.  The report still
-    describes the full system: x is full-length, and ``final_res`` and
-    ``converged`` come from its true residual.  Any other operator, a
-    wrapped block operator included, gets the full-length solve.
+    Given ``block_system_operator(prob)`` and a Preconditioner built on
+    the same ``prob``, each step takes z_j and A z_j from the
+    preconditioner's paired step where it offers one (exact inner solves,
+    and inner CG on a well-conditioned shifted inner matrix): A z_j is
+    then v_j - N z_j less the inner residual, from the splitting
+    A = M - N, and costs no Gram product.  Every other step, and every
+    step with another operator, applies ``precond`` and then ``op``.  The
+    true residuals of confirmations and restarts always come from
+    ``op.apply``; ``report.confirmations`` lists them with their
+    iterations and estimates.
+
+    When a block of ``prob`` also has two or more empty rows, the solve
+    runs on the folded twin of ilsolve.problem.  The report still
+    describes the full system: x is full-length, and ``final_res``,
+    ``converged`` and the returned iterate's confirmation entry come from
+    its true residual.  Any other operator, a wrapped block operator
+    included, gets the full-length solve.
     """
     cfg = config or FgmresConfig()
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -242,6 +271,11 @@ def fgmres_solve(
     x = lift(y)
     bnorm = _norm(rhs)
     true_res = _norm(rhs - op.apply(x)) / bnorm if bnorm else 0.0
+    if report.confirmations and report.confirmations[-1][2] == report.final_res:
+        # The last confirmed iterate is the one returned (a solve that gave
+        # up may return an earlier one): its entry gets the same residual.
+        it, estimate, _ = report.confirmations[-1]
+        report.confirmations = report.confirmations[:-1] + ((it, estimate, true_res),)
     report.final_res = report.res_history[-1] = true_res
     report.converged = true_res < cfg.rel_tolerance
     report.wall_seconds = time.perf_counter() - t0
@@ -254,9 +288,12 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
     if bnorm == 0.0:
         return np.zeros_like(rhs), SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
 
+    # The preconditioner's paired step (z, A z), where the operator offers it.
+    step = getattr(op, "_paired", lambda _: None)(precond)
     x = np.zeros_like(rhs)
     r, rnorm = rhs, bnorm
     history = [1.0]
+    confirmations: list[tuple[int, float, float]] = []
     # The confirmed iterate with the lowest true residual (x = 0 to start),
     # returned when the solve gives up.
     best_x, best_res, best_it = x, 1.0, 0
@@ -280,13 +317,16 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
         g = [rnorm]
 
         for j in range(cycle_cap):
-            z = np.asarray(precond.apply(basis[j]), dtype=np.float64)
-            if z.shape != rhs.shape:
-                raise ValueError(
-                    f"preconditioner output has shape {z.shape}, expected {rhs.shape}, "
-                    f"at iteration {it + 1}"
-                )
-            w = op.apply(z)
+            if step is None:
+                z = np.asarray(precond.apply(basis[j]), dtype=np.float64)
+                if z.shape != rhs.shape:
+                    raise ValueError(
+                        f"preconditioner output has shape {z.shape}, expected {rhs.shape}, "
+                        f"at iteration {it + 1}"
+                    )
+                w = op.apply(z)
+            else:
+                z, w = step(basis[j])
             # |A z_j| scales the breakdown test, so scaling A leaves the test
             # alone, and shows a NaN or inf in A z_j before V w warns of it.
             az2 = float(w @ w)
@@ -329,6 +369,7 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
                 true_res = _norm(r) / bnorm
                 rnorm = true_res * bnorm
                 history[-1] = true_res
+                confirmations.append((it, estimate, true_res))
                 if true_res < best_res:
                     best_x, best_res, best_it = x, true_res, it
                 if breakdown:
@@ -367,5 +408,6 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
         converged,
         notes=tuple(notes),
         resumptions=resumptions,
+        confirmations=tuple(confirmations),
     )
     return x, report

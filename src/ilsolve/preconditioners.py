@@ -18,6 +18,36 @@ that problem) or inexactly (matrix-free CG on the shifted Gram operator
 from a zero start).  Inner CG failure is a
 recorded statistic, not a fatal error: the loose-tolerance regime is the
 intended operating point for the outer flexible solver.
+
+Each variant is a splitting A = M - N of the block matrix.  With
+S = shift*I + A1'A1 as the inner matrix (shift = alpha for ibs, 0 for the
+baselines), N holds shift*I in its middle block and the couplings that M
+drops:
+
+    ibs1 / bs1:  N = [0 -A1 0; 0 shift*I -A2'; 0 -A2 0]
+    ibs2 / bs2:  N = [0 -A1 0; 0 shift*I 0;    0 -A2 0]
+    ibs3 / bs3:  N = [0 0 0;   0 shift*I -A2'; 0 -A2 0]
+    ibs4 / but:  N = [0 0 0;   0 shift*I 0;    0 -A2 0]
+
+So once z = M^{-1} v is known for v = (r1, r2, r3), the product A z is
+v - N z less the inner solve's residual s = c - S z2 in the middle block,
+where c is the inner right-hand side (Eisenstat, SIAM J. Sci. Stat.
+Comput. 2, 1981):
+
+    ibs1 / bs1:  A z = (r1 + A1 z2, r2 - s - shift*z2 + A2'r3, r3 + A2 z2)
+    ibs2 / bs2:  A z = (r1 + A1 z2, r2 - s - shift*z2,         r3 + A2 z2)
+    ibs3 / bs3:  A z = (r1,         r2 - s - shift*z2 + A2'r3, r3 + A2 z2)
+    ibs4 / but:  A z = (r1,         r2 - s - shift*z2,         r3 + A2 z2)
+
+The paired step (``_paired_apply``) returns z and this A z, with no
+product by A1'A1; its one product by A1 is the one ibs3/ibs4 need for z1
+anyway.  Flexible GMRES takes it in place of apply followed by the block
+operator wherever s is known to working accuracy: after an exact inner
+solve (s = 0, up to the Cholesky backward error) and after CG on an S
+whose condition bound (shift + |A1|_1 |A1|_inf) / shift is at most
+_PAIR_BOUND (s is CG's recurrence residual, or c - S z2 recomputed when CG
+returns an earlier iterate or breaks down).  The unshifted baselines on
+CG, a tiny shift and kind 'none' keep apply and the block operator.
 """
 
 from __future__ import annotations
@@ -51,6 +81,15 @@ INNER_SOLVERS = ("cg", "cholesky")
 _COUPLED_RHS = {"ibs2", "ibs4", "bs2", "but"}
 _BACKSUB_FIRST = {"ibs3", "ibs4", "bs3", "but"}
 
+# Largest condition bound (shift + |A1|_1 |A1|_inf) / shift of the inner
+# matrix at which the paired step trusts CG's recurrence residual.  With
+# the shift scaled down, ibs solves with inner CG at 1e-3 took the same
+# outer iterations on both paths up to bounds of 8.7e5 on the banded
+# stand-in and 1e5 on Hilbert n = 200, and parted at 8.7e6 and 1e6 (a
+# drifting estimate shows as an unconfirmed early end); unshifted Gram
+# matrices drift at once.
+_PAIR_BOUND = 1e4
+
 
 class Preconditioner:
     """Applies z = M^{-1} r for one splitting variant.
@@ -62,6 +101,10 @@ class Preconditioner:
     ``inner_iterations`` and ``inner_failures`` accumulate CG statistics
     (call ``reset_stats`` between timed runs).
     """
+
+    # Whether flexible GMRES may take the paired step; make_preconditioner
+    # sets it (see the module docstring).
+    _pairs = False
 
     def __init__(
         self,
@@ -87,14 +130,19 @@ class Preconditioner:
 
     def _on(self, twin: IlsProblem) -> Preconditioner:
         """This preconditioner on the folded twin of its problem, with this
-        instance's inner solve and statistics."""
-        pre = Preconditioner(self.kind, twin)
+        instance's inner solve, statistics and paired-step guard (the twin
+        has the same inner matrix)."""
+        pre = Preconditioner(self.kind, twin, gram=self.gram)
         pre._inner_solve = self._inner_solve
+        pre._pairs = self._pairs
         return pre
 
-    def _inner_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _inner_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float | None]:
+        """(z2, s): z2 solves S z2 = rhs, and s = rhs - S z2 where it is
+        known without a product by S: 0.0 for the exact solve, CG's
+        recurrence residual when CG returns its last iterate, else None."""
         if self.lower is not None:
-            return cholesky_solve(self.lower, rhs, self.inverses)
+            return cholesky_solve(self.lower, rhs, self.inverses), 0.0
         try:
             z, report = cg_solve(self.gram, rhs, config=self.config)
         except IndefiniteOperatorError as exc:
@@ -102,20 +150,47 @@ class Preconditioner:
             # arithmetic SPD) Gram matrix: keep the best iterate.
             self.inner_failures += 1
             self.inner_iterations += exc.iterations
-            return exc.x_best
+            return exc.x_best, None
         self.inner_iterations += report.iterations
         if not report.converged:
             self.inner_failures += 1
-        return z
+        return z, report._residual
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         r1, r2, r3 = self.problem.split(r)
         if self.kind == "none":
             return np.concatenate([r1, r2, r3])
         rhs = r2 - r3 @ self.problem.a2 if self.kind in _COUPLED_RHS else r2
-        z2 = self._inner_solve(rhs)
+        z2 = self._inner_solve(rhs)[0]
         z1 = r1 - self.problem.a1 @ z2 if self.kind in _BACKSUB_FIRST else r1
         return np.concatenate([z1, z2, r3])
+
+    def _paired_apply(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(z, w): z = M^{-1} v, bit for bit what apply(v) gives, and
+        w = A z from the splitting (see the module docstring)."""
+        prob = self.problem
+        r1, r2, r3 = prob.split(v)
+        a2r3 = r3 @ prob.a2
+        coupled = self.kind in _COUPLED_RHS
+        rhs = r2 - a2r3 if coupled else r2
+        z2, s = self._inner_solve(rhs)
+        if s is None:
+            s = rhs - self.gram.apply(z2)
+        a1z2 = prob.a1 @ z2
+        w = np.empty(prob.size)
+        w1, w2, w3 = w[: prob.p], w[prob.p : prob.p + prob.n], w[prob.p + prob.n :]
+        if self.kind in _BACKSUB_FIRST:
+            z1 = r1 - a1z2
+            w1[:] = r1
+        else:
+            z1 = r1
+            np.add(r1, a1z2, out=w1)
+        np.subtract(r2, s, out=w2)
+        w2 -= (prob.alpha if self.kind in IBS_VARIANTS else 0.0) * z2
+        if not coupled:
+            w2 += a2r3
+        np.add(r3, prob.a2 @ z2, out=w3)
+        return np.concatenate([z1, z2, r3]), w
 
 
 def make_preconditioner(
@@ -143,7 +218,9 @@ def make_preconditioner(
     shift = problem.alpha if kind in IBS_VARIANTS else 0.0
     if inner == "cg":
         gram = shifted_gram_operator(problem, shift)
-        return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
+        pre = Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
+        pre._pairs = shift > 0.0 and shift + problem._gram_norm_bound() <= _PAIR_BOUND * shift
+        return pre
     cap = _problem.DENSE_MAX_N
     if problem.n > cap:
         raise ConfigurationError(
@@ -161,7 +238,9 @@ def make_preconditioner(
             part.flags.writeable = False
         problem._factors[shift] = factor
     lower, inverses = factor
-    return Preconditioner(kind, problem, lower=lower, inverses=inverses)
+    pre = Preconditioner(kind, problem, lower=lower, inverses=inverses)
+    pre._pairs = True
+    return pre
 
 
 DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A

@@ -95,6 +95,8 @@ class IlsProblem:
     # Rows per panel of the Gram sweep over A1 (see _gram_sweep), or 0
     # where the Gram product stays (A1 @ x) @ A1.
     _panel: int = field(init=False, repr=False, compare=False, default=0)
+    # |A1|_1 |A1|_inf (see _gram_norm_bound), computed on first use.
+    _gram_bound: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
@@ -152,6 +154,22 @@ class IlsProblem:
         if self._fold is None:
             object.__setattr__(self, "_fold", _build_fold(self) or False)
         return self._fold or None
+
+    def _gram_norm_bound(self) -> float:
+        """|A1|_1 |A1|_inf, a bound on the 2-norm of A1'A1, so that the
+        spectrum of shift*I + A1'A1 lies in [shift, shift + this bound].
+        Computed once per instance."""
+        if self._gram_bound is None:
+            a1 = self.a1
+            if isinstance(a1, SparseMatrixCsr):
+                mags = np.abs(a1.values)
+                cols = np.bincount(a1.col_indices, weights=mags, minlength=a1.n_cols)
+                rows = np.bincount(a1._rows, weights=mags, minlength=a1.n_rows)
+            else:
+                mags = np.abs(a1)
+                cols, rows = mags.sum(axis=0), mags.sum(axis=1)
+            object.__setattr__(self, "_gram_bound", float(cols.max()) * float(rows.max()))
+        return self._gram_bound
 
 
 def _build_fold(prob: IlsProblem):
@@ -268,14 +286,23 @@ class _BlockOperator(LinearOperator):
         super().__init__(prob.size, prob.size, lambda v: apply_block_A(prob, v))
         self._problem = prob
 
+    def _owns(self, precond) -> bool:
+        """Whether ``precond`` is a Preconditioner built on this problem."""
+        return hasattr(precond, "_on") and precond.problem is self._problem
+
+    def _paired(self, precond):
+        """``precond``'s paired step v -> (M^{-1} v, A M^{-1} v), or None when
+        ``precond`` is not a Preconditioner built on this problem or does
+        not take the step (see ilsolve.preconditioners)."""
+        return precond._paired_apply if self._owns(precond) and precond._pairs else None
+
     def _fold(self, precond, rhs: np.ndarray):
         """(operator, preconditioner, rhs, lift) of the twin solve, or None
         when the problem does not fold or ``precond`` is not a
         Preconditioner built on it.  The rhs on a group's rows becomes its
         norm at the slot, and the lift spreads the slot's entry back along
         that direction."""
-        on_twin = getattr(precond, "_on", None)
-        if on_twin is None or precond.problem is not self._problem:
+        if not self._owns(precond):
             return None
         fold = self._problem._folded()
         if fold is None:
@@ -296,7 +323,7 @@ class _BlockOperator(LinearOperator):
                 x[rows] = t[slot] * u
             return x
 
-        return _BlockOperator(twin), on_twin(twin), twin_rhs, lift
+        return _BlockOperator(twin), precond._on(twin), twin_rhs, lift
 
 
 def block_system_operator(prob: IlsProblem) -> LinearOperator:

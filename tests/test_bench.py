@@ -408,13 +408,9 @@ def test_scalar_problem_with_no_preconditioner():
     assert row.res < 1e-8 and row.err < 1e-8
 
 
-def test_full_pipeline_at_benchmark_scale(rng):
-    # Synthetic stand-in shaped like the published sparse benchmark rows
-    # (banded 340x340 core, q = 10000, scale-6 rectangular identity): the
-    # reduced normal matrix goes indefinite exactly as with the real
-    # matrices, the fallback reference kicks in, and the paired variants
-    # should not lose to the unpaired ones.
-    n = 340
+def standin_problem(rng, n=340):
+    """Synthetic stand-in shaped like the published sparse benchmark rows:
+    banded n x n core, q = 10000, scale-6 rectangular identity."""
     rows, cols, vals = [], [], []
     for i in range(n):
         for j in (i - 2, i - 1, i, i + 1, i + 2):
@@ -425,7 +421,14 @@ def test_full_pipeline_at_benchmark_scale(rng):
     core = normalize_to_unit_one_norm(
         il.SparseMatrixCsr.from_triplets(n, n, rows, cols, vals)
     )
-    prob = generate_augmented_problem(core, q=10000, scale=6.0)
+    return generate_augmented_problem(core, q=10000, scale=6.0)
+
+
+def test_full_pipeline_at_benchmark_scale(rng):
+    # On the stand-in the reduced normal matrix goes indefinite exactly as
+    # with the real matrices, the fallback reference kicks in, and the
+    # paired variants should not lose to the unpaired ones.
+    prob = standin_problem(rng)
     assert abs(prob.alpha - 1.0) <= 1e-12
 
     x_star, note = reference_solution(prob)
@@ -469,6 +472,31 @@ def test_hilbert_counts_at_benchmark_scale():
         ("ibs2", "cholesky"): (8, 8), ("ibs4", "cholesky"): (8, 8),
         ("ibs2", "cg"): (10, 18), ("ibs4", "cg"): (10, 18),
     }
+
+
+@pytest.mark.parametrize(
+    "problem, kind, inner",
+    [("standin", kind, "cg") for kind in ("ibs1", "ibs2", "ibs3", "ibs4")]
+    + [("hilbert", kind, inner) for kind in ("ibs2", "ibs4") for inner in ("cholesky", "cg")],
+)
+def test_confirmations_match_the_wrapped_operator(rng, problem, kind, inner):
+    # The block operator gives FGMRES the paired step, whose A z comes from
+    # the splitting; the wrapped operator gives it apply and the block
+    # product.  A drifting paired product would show as an estimate below
+    # the tolerance whose true residual is not.
+    prob = standin_problem(rng) if problem == "standin" else generate_hilbert_problem(200)
+    op, rhs, cfg = il.block_system_operator(prob), il.build_rhs(prob), il.FgmresConfig(1e-8, 2000)
+    reports = []
+    for operator in (op, il.LinearOperator(prob.size, prob.size, op.apply)):
+        pre = il.make_preconditioner(kind, prob, inner=inner, inner_config=il.CgConfig(1e-3, 1000))
+        _, rep = il.fgmres_solve(operator, pre, rhs, config=cfg)
+        assert rep.converged and rep.confirmations[-1][2] == rep.final_res
+        assert all(true < cfg.rel_tolerance for _, estimate, true in rep.confirmations
+                   if estimate < cfg.rel_tolerance)
+        reports.append(rep)
+    assert op._paired(pre) is not None
+    paired, wrapped = ([it for it, _, _ in rep.confirmations] for rep in reports)
+    assert paired == wrapped
 
 
 def test_baseline_preconditioners_run_and_report(tmp_path):

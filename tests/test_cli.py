@@ -20,6 +20,10 @@ def test_solve_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
     assert payload["RES"] < 1e-8
+    # One (iteration, estimate, true residual) per confirmation; the last
+    # confirms the answer.
+    *_, (it, estimate, true_res) = payload["confirmations"]
+    assert it == payload["IT"] and true_res == payload["RES"] and estimate < 1e-8
 
 
 def test_solve_failure_exit_code(capsys):

@@ -8,6 +8,7 @@ LinearOperator, which ``fgmres_solve`` never folds.
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,16 +78,24 @@ def true_residual(prob, x, rhs):
 
 
 @pytest.fixture
-def applied_lengths(monkeypatch):
-    """Lengths of the vectors every Preconditioner is applied to."""
-    seen = []
-    apply = Preconditioner.apply
+def applied(monkeypatch):
+    """Lengths of the vectors every Preconditioner is applied to, by
+    ``apply`` or by the paired step that FGMRES takes on the block operator
+    (``lengths``), and those of the paired steps alone (``paired``)."""
+    seen = SimpleNamespace(lengths=[], paired=[])
+    apply, paired_apply = Preconditioner.apply, Preconditioner._paired_apply
 
     def recording(self, r):
-        seen.append(len(r))
+        seen.lengths.append(len(r))
         return apply(self, r)
 
+    def recording_pair(self, r):
+        seen.lengths.append(len(r))
+        seen.paired.append(len(r))
+        return paired_apply(self, r)
+
     monkeypatch.setattr(Preconditioner, "apply", recording)
+    monkeypatch.setattr(Preconditioner, "_paired_apply", recording_pair)
     return seen
 
 
@@ -115,9 +124,10 @@ def test_folded_solve_matches_full_solve(seed, shape, empty, sparse, kind, inner
     np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
 
 
-def test_folded_solve_uses_short_vectors(applied_lengths):
+def test_folded_solve_uses_short_vectors(applied):
     # The paper's augmentation: A2 = s I with q > n leaves q - n empty rows,
-    # which fold to one; A1 has no empty row.
+    # which fold to one; A1 has no empty row.  The twin's steps are paired
+    # steps; the wrapped operator's solve applies the preconditioner.
     rng = np.random.default_rng(5)
     core = il.SparseMatrixCsr.from_triplets(
         30, 30, np.arange(30), np.arange(30), rng.uniform(1.0, 2.0, 30)
@@ -125,28 +135,32 @@ def test_folded_solve_uses_short_vectors(applied_lengths):
     prob = il.generate_augmented_problem(core, 200, 0.5)
     (xf, rf, _), (xu, ru, _) = solve_both(prob, "ibs2", "cg")
     folded_calls = rf.iterations
-    assert set(applied_lengths[:folded_calls]) == {30 + 30 + 30 + 1}
-    assert set(applied_lengths[folded_calls:]) == {prob.size}
+    assert applied.paired == [30 + 30 + 30 + 1] * folded_calls
+    assert set(applied.lengths[folded_calls:]) == {prob.size}
     assert rf.iterations == ru.iterations and rf.converged
     assert len(xf) == prob.size
     np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-12 * np.linalg.norm(xu))
 
 
-def test_one_empty_row_per_block_does_not_fold(applied_lengths):
+def test_one_empty_row_per_block_does_not_fold(applied):
+    # Full-length paired steps on the block operator, full-length applies
+    # on the wrapped one; the two products of a step round differently.
     prob = with_empty_rows(il.generate_random_problem(6, 4, 3, seed=2), 1, 1, 2, sparse=True)
     (xf, rf, cf), (xu, ru, cu) = solve_both(prob, "ibs4", "cg")
-    assert set(applied_lengths) == {prob.size}
-    assert np.array_equal(xf, xu) and cf == cu
-    assert rf.iterations == ru.iterations and rf.final_res == ru.final_res
+    assert set(applied.lengths) == {prob.size}
+    assert applied.paired == [prob.size] * rf.iterations
+    assert cf == cu and rf.iterations == ru.iterations
+    assert abs(rf.final_res - ru.final_res) <= 1e-12
+    np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
 
 
-def test_other_operators_take_the_full_path(applied_lengths):
-    # Same size, equal blocks, but another problem: no fold.
+def test_other_operators_take_the_full_path(applied):
+    # Same size, equal blocks, but another problem: no fold, no paired step.
     prob = with_empty_rows(il.generate_random_problem(5, 3, 3, seed=4), 3, 4, 4, sparse=False)
     other = IlsProblem(prob.a1, prob.a2, prob.b1, prob.b2, prob.alpha)
     pre = make_preconditioner("ibs1", prob, inner="cholesky")
     x, rep = fgmres_solve(block_system_operator(other), pre, build_rhs(prob), config=CONFIG)
-    assert set(applied_lengths) == {prob.size}
+    assert set(applied.lengths) == {prob.size} and not applied.paired
     (xu, ru, _) = solve_both(prob, "ibs1", "cholesky")[1]
     assert np.array_equal(x, xu) and rep.iterations == ru.iterations
 
@@ -187,22 +201,31 @@ def test_final_res_is_the_full_systems_residual(restart):
 
 def test_resumption_count_survives_the_fold(monkeypatch):
     # A zero first direction breaks the first cycle down unconfirmed, so
-    # the solve resumes once, on the twin as on the full system.
+    # the solve resumes once, on the twin (paired steps) as on the full
+    # system (applies).
     prob = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 4, 6, 3, sparse=True)
-    apply, lengths = Preconditioner.apply, []
+    apply, paired_apply, calls = Preconditioner.apply, Preconditioner._paired_apply, []
 
     def zero_first(self, r):
-        lengths.append(len(r))
-        return np.zeros_like(r) if len(lengths) == 1 else apply(self, r)
+        calls.append(("apply", len(r)))
+        return np.zeros_like(r) if len(calls) == 1 else apply(self, r)
+
+    def zero_first_pair(self, r):
+        calls.append(("paired", len(r)))
+        return (np.zeros_like(r),) * 2 if len(calls) == 1 else paired_apply(self, r)
 
     monkeypatch.setattr(Preconditioner, "apply", zero_first)
-    first_lengths = []
+    monkeypatch.setattr(Preconditioner, "_paired_apply", zero_first_pair)
+    first_calls = []
     for op in (block_system_operator(prob), unfolded(prob)):
-        lengths.clear()
+        calls.clear()
         x, rep = fgmres_solve(op, make_preconditioner("ibs2", prob), build_rhs(prob), config=CONFIG)
-        first_lengths.append(lengths[0])
+        first_calls.append(calls[0])
         assert rep.converged and rep.resumptions == 1
         assert sum(note.endswith("resuming") for note in rep.notes) == 1
+    (twin_how, twin_length), (full_how, full_length) = first_calls
+    assert (twin_how, full_how) == ("paired", "apply")
+    first_lengths = [twin_length, full_length]
     assert first_lengths[0] < first_lengths[1] == prob.size
 
 

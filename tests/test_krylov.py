@@ -127,6 +127,25 @@ class TestCg:
         true_res = np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs)
         assert abs(true_res - report.final_res) <= 1e-10
 
+    def test_residual_of_the_returned_iterate(self, rng):
+        # The report keeps CG's recurrence residual when the returned
+        # iterate is the last one (the preconditioners' paired step reads
+        # it), and None when an earlier best iterate is returned.
+        m = random_spd(rng, 15, cond=200.0)
+        rhs = rng.standard_normal(15)
+        op = aslinearoperator(m)
+        substituted = 0
+        for cap in range(1, 16):
+            x, report = cg_solve(op, rhs, config=CgConfig(1e-15, cap))
+            if report.final_res < report.res_history[-1]:
+                substituted += 1
+                assert report._residual is None
+            else:
+                np.testing.assert_allclose(report._residual, rhs - m @ x, rtol=0, atol=1e-12 * np.linalg.norm(rhs))
+        assert substituted
+        _, report = cg_solve(op, np.zeros(15))
+        assert np.array_equal(report._residual, np.zeros(15))
+
     def test_history_contract(self, rng):
         m = random_spd(rng, 10)
         rhs = rng.standard_normal(10)
@@ -269,6 +288,17 @@ class TestFgmres:
         _, stopped = fgmres_solve(op, identity(30), rhs, config=FgmresConfig(1e-12, 2))
         assert restarted.iterations == 5 and not stopped.converged
         assert restarted.res_history[2] == stopped.final_res
+
+    def test_confirmations_record_each_true_residual(self, rng):
+        # One (iteration, estimate, true residual) per confirmation: at each
+        # restart boundary and at the cap; the history holds the true one.
+        m = rng.standard_normal((30, 30)) + 5.0 * np.eye(30)
+        rhs = rng.standard_normal(30)
+        _, rep = fgmres_solve(aslinearoperator(m), identity(30), rhs, config=FgmresConfig(1e-12, 5, restart=2))
+        assert [it for it, _, _ in rep.confirmations] == [2, 4, 5]
+        for it, estimate, true in rep.confirmations:
+            assert rep.res_history[it] == true
+            assert abs(estimate - true) <= 1e-10 * true
 
     def test_nan_in_basis_raises(self):
         def bad_apply(v):
@@ -433,6 +463,7 @@ class TestFgmres:
         confirmed = [float(note.split("true ")[1].split(")")[0])
                      for note in report.notes if "did not meet" in note]
         assert not report.converged and report.resumptions == 3 and len(confirmed) == 4
+        assert [f"{true:.3e}" for _, _, true in report.confirmations] == [f"{c:.3e}" for c in confirmed]
         assert max(confirmed) > 1.0  # the case this guards against
         true_res = np.linalg.norm(rhs - m @ x) / np.linalg.norm(rhs)
         assert report.final_res == report.res_history[-1]

@@ -6,11 +6,16 @@ import pytest
 from ilsolve import (
     CgConfig,
     ConfigurationError,
+    FgmresConfig,
     IndefiniteOperatorError,
     VARIANTS,
     IlsProblem,
     apply_block_A,
     assemble_dense_preconditioned,
+    block_system_operator,
+    build_rhs,
+    compute_alpha,
+    fgmres_solve,
     generate_augmented_problem,
     make_preconditioner,
 )
@@ -319,3 +324,128 @@ def test_scalar_problem_apply():
     out = pre.apply(np.ones(3))
     assert isinstance(out, np.ndarray)
     assert np.allclose(out, [1.0, 0.0, 1.0], rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The paired step: z = M^{-1} v and A z from the splitting
+# ---------------------------------------------------------------------------
+
+SPLITTINGS = ALL_IBS + tuple(IBS_TO_BASELINE.values())
+EPS = np.finfo(np.float64).eps
+# Rows of one Gram-sweep panel of A1 at n = 200.
+PANEL_200 = problem_module._PANEL_BYTES // (8 * 200)
+
+
+def _csr(a):
+    rows, cols = np.nonzero(a)
+    return SparseMatrixCsr.from_triplets(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
+
+
+def paired_problem(rng, layout):
+    """A problem with full-column-rank A1 in one of the three layouts that
+    the Gram product distinguishes, or with empty rows in both blocks
+    (``folds``), at the default shift."""
+    if layout == "dense-panels":
+        a1 = rng.standard_normal((2 * PANEL_200 + 5, 200))
+    else:
+        a1 = rng.standard_normal((30, 12))
+        a1[rng.random(a1.shape) < 0.5] = 0.0
+        a1[:12] += 4.0 * np.eye(12)
+    a2 = rng.standard_normal((9, a1.shape[1]))
+    if layout == "folds":
+        a1 = np.insert(a1, [0, 7, 7], 0.0, axis=0)
+        a2 = np.insert(a2, [2, 5, 9, 9], 0.0, axis=0)
+    if layout in ("csr", "folds"):
+        a1, a2 = _csr(a1), _csr(a2)
+    p, q = a1.shape[0], a2.shape[0]
+    return IlsProblem(a1, a2, rng.standard_normal(p), rng.standard_normal(q), compute_alpha(a1))
+
+
+class TestPairedStep:
+    @pytest.mark.parametrize("layout", ["csr", "dense-one-panel", "dense-panels", "folds"])
+    @pytest.mark.parametrize("inner", ["cg", "cholesky"])
+    @pytest.mark.parametrize("kind", SPLITTINGS)
+    def test_step_matches_apply_and_the_block_product(self, rng, kind, inner, layout):
+        prob = paired_problem(rng, layout)
+        assert (prob._panel > 0) == (layout == "dense-panels")
+        pre = make_preconditioner(kind, prob, inner=inner)
+        if layout == "folds":
+            # The folded twin shares the step, with the full problem's
+            # inner solve.
+            prob = prob._folded()[0]
+            pre = pre._on(prob)
+        v = rng.standard_normal(prob.size)
+        pre.reset_stats()
+        z, w = pre._paired_apply(v)
+        k = pre.inner_iterations
+        assert np.array_equal(z, pre.apply(v))
+        direct = apply_block_A(prob, z)
+        # Rounding of both sides is of order eps (|v| + |A| |z|), with
+        # |A| <= |S| + |A1| + |A2| in 2-norms; for CG add the drift of its
+        # recurrence residual from the true one, of order k eps |S| |z|
+        # (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997).  Measured
+        # here: at most 0.06 of the bound.
+        a1d, a2d = dense_blocks(prob)
+        shift = prob.alpha if kind in ALL_IBS else 0.0
+        norm_s = shift + np.linalg.norm(a1d, 2) ** 2
+        norm_a = norm_s + np.linalg.norm(a1d, 2) + np.linalg.norm(a2d, 2)
+        bound = 2 * EPS * (k + 1) * (np.linalg.norm(v) + norm_a * np.linalg.norm(z))
+        assert np.linalg.norm(w - direct) <= bound
+        if inner == "cg":
+            # The inner residual s that the step subtracts is far above the
+            # bound: a step that dropped it would fail.
+            r1, r2, r3 = prob.split(v)
+            c = r2 - r3 @ a2d if kind in ("ibs2", "ibs4", "bs2", "but") else r2
+            z2 = prob.split(z)[1]
+            s = c - (shift * z2 + a1d.T @ (a1d @ z2))
+            assert np.linalg.norm(s) > 100 * bound
+
+    def test_recomputes_the_residual_of_an_earlier_iterate(self, rng, monkeypatch):
+        # When CG returns its best iterate in place of its last (or breaks
+        # down), the step recomputes s = c - S z2 with a Gram product.
+        prob = paired_problem(rng, "csr")
+        pre = make_preconditioner("ibs2", prob, inner="cg")
+        v = rng.standard_normal(prob.size)
+        solve = pre._inner_solve
+        monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None))
+        z, w = pre._paired_apply(v)
+        direct = apply_block_A(prob, z)
+        assert np.linalg.norm(w - direct) <= 1e-13 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("inner", ["cg", "cholesky"])
+    @pytest.mark.parametrize("kind", SPLITTINGS)
+    def test_which_preconditioners_take_the_step(self, kind, inner):
+        # Exact inner solves always; CG only on the shifted inner matrix.
+        prob = random_desk_problem(3)
+        pre = make_preconditioner(kind, prob, inner=inner)
+        taken = inner == "cholesky" or kind in ALL_IBS
+        assert (block_system_operator(prob)._paired(pre) is not None) == taken
+        other = dataclasses.replace(prob)
+        assert block_system_operator(other)._paired(pre) is None
+
+    def test_shift_bound_is_the_guard(self):
+        prob = random_desk_problem(3)
+        bound = prob._gram_norm_bound()
+        limit = preconditioners_module._PAIR_BOUND
+        inside = dataclasses.replace(prob, alpha=bound / (limit - 2.0))
+        outside = dataclasses.replace(prob, alpha=bound / (limit - 0.5))
+        assert make_preconditioner("ibs1", inside)._pairs
+        assert not make_preconditioner("ibs1", outside)._pairs
+        assert make_preconditioner("ibs1", outside, inner="cholesky")._pairs
+
+    @pytest.mark.parametrize("case", ["none", "bs1", "bs2", "bs3", "but", "ibs2-shift-past-bound"])
+    def test_declined_step_keeps_the_wrapped_solve_bit_for_bit(self, case):
+        prob = random_desk_problem(21)
+        kind = case.split("-")[0]
+        if case.endswith("past-bound"):
+            limit = preconditioners_module._PAIR_BOUND
+            prob = dataclasses.replace(prob, alpha=prob._gram_norm_bound() / (10 * limit))
+        op, rhs = block_system_operator(prob), build_rhs(prob)
+        out = []
+        for operator in (op, LinearOperator(prob.size, prob.size, op.apply)):
+            pre = make_preconditioner(kind, prob, inner="cg")
+            assert op._paired(pre) is None
+            out.append(fgmres_solve(operator, pre, rhs, config=FgmresConfig(1e-10, 300)))
+        (x, rep), (xw, repw) = out
+        assert rep.converged
+        assert np.array_equal(x, xw) and np.array_equal(rep.res_history, repw.res_history)
