@@ -191,7 +191,10 @@ class ConditionReport:
     ``spd_normal`` covers A1'A1 - A2'A2; the *_shifted variants replace
     the Gram matrix by its alpha-shifted version inside the tested
     combinations.  The shift gap alpha*I needs no certificate: IlsProblem
-    rejects alpha < 0.
+    rejects alpha < 0.  Both convergence certificates also require
+    ``spd_normal``, the problem's standing hypothesis (see
+    ProblemAssumptionError): without it the shifted combinations can be SPD
+    while rho(I - M^{-1}A) exceeds 1.
     """
 
     spd_normal: bool
@@ -203,11 +206,11 @@ class ConditionReport:
 
     @property
     def ibs13_converges(self) -> bool:
-        return self.spd_two_shifted_minus and self.spd_shifted_minus_a2gram
+        return self.spd_normal and self.spd_two_shifted_minus and self.spd_shifted_minus_a2gram
 
     @property
     def ibs24_converges(self) -> bool:
-        return self.spd_two_shifted_plus
+        return self.spd_normal and self.spd_two_shifted_plus
 
 
 CONDITIONS_MAX_N = 2000  # largest n for which the conditions are checked densely

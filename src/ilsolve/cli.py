@@ -94,6 +94,7 @@ def _cmd_solve(args) -> int:
         "inner_iterations": row.inner_iterations,
         "inner_failures": row.inner_failures,
         "notes": list(report.notes),
+        "resumptions": report.resumptions,
         "confirmations": [list(entry) for entry in report.confirmations],
     }
     if args.json:

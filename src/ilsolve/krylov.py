@@ -18,24 +18,20 @@ most three times) before giving up.  A solve that gives up returns the
 confirmed iterate with the lowest true residual (the zero start counts),
 as CG returns its best iterate; its residual then closes the history.
 
-Each outer step needs z_j = M^{-1} v_j and the Arnoldi product A z_j.  On
-the block system of a preconditioner's own problem, where the
-preconditioner takes its paired step (see ilsolve.preconditioners), both
-come from that step, with A z_j formed from the splitting A = M - N and no
-Gram product; otherwise z_j comes from ``precond.apply`` and A z_j from
-``op.apply``.  Confirmations and restarts always assemble the iterate and
-take its residual with ``op.apply``, so convergence rests on true
-residuals either way.  Each confirmation is recorded as (iteration,
-estimate, true residual) in the report.
-
-On the block system of a problem whose A1 or A2 has two or more empty
-rows, flexible GMRES runs on the problem's folded twin, an isometry of the
-Krylov space that leaves the iterates unchanged (see ilsolve.problem); the
-answer is lifted back, and the report describes the full system.
+Each outer step needs z_j = M^{-1} v_j and the Arnoldi product A z_j,
+which the loop takes from one ``step`` callable; confirmations and
+restarts assemble the iterate and take its residual with the operator's
+apply, so convergence rests on true residuals whatever the step.  Each
+confirmation is recorded as (iteration, estimate, true residual) in the
+report.  ``fgmres_solve`` hands the block system of a Preconditioner's own
+problem to ``ilsolve.preconditioners._block_solve``, which folds
+empty rows and forms A z_j from the splitting; every other solve steps
+with ``precond.apply`` followed by ``op.apply``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -241,55 +237,50 @@ def fgmres_solve(
     ``rhs`` raises ValueError naming its shape and the iteration.
 
     Given ``block_system_operator(prob)`` and a Preconditioner built on
-    the same ``prob``, each step takes z_j and A z_j from the
-    preconditioner's paired step where it offers one (exact inner solves,
-    and inner CG on a well-conditioned shifted inner matrix): A z_j is
-    then v_j - N z_j less the inner residual, from the splitting
-    A = M - N, and costs no Gram product.  Every other step, and every
-    step with another operator, applies ``precond`` and then ``op``.  The
-    true residuals of confirmations and restarts always come from
-    ``op.apply``; ``report.confirmations`` lists them with their
-    iterations and estimates.
-
-    When a block of ``prob`` also has two or more empty rows, the solve
-    runs on the folded twin of ilsolve.problem.  The report still
-    describes the full system: x is full-length, and ``final_res``,
-    ``converged`` and the returned iterate's confirmation entry come from
-    its true residual.  Any other operator, a wrapped block operator
-    included, gets the full-length solve.
+    the same ``prob``, the solve is that preconditioner's block solve
+    (ilsolve.preconditioners._block_solve): it runs on the folded
+    twin when a block of ``prob`` has two or more empty rows, and takes
+    z_j and A z_j from the preconditioner's paired step where it has one.
+    Any other pair, a wrapped block operator included, gets the
+    full-length solve with ``precond.apply`` and ``op.apply``.  The true
+    residuals of confirmations and restarts always come from the
+    operator; ``report.confirmations`` lists them with their iterations
+    and estimates.
     """
     cfg = config or FgmresConfig()
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
-    t0 = time.perf_counter()
-    folded = getattr(op, "_fold", lambda *_: None)(precond, rhs)
-    if folded is None:
-        return _fgmres(op, precond, rhs, cfg)
-    twin_op, twin_precond, twin_rhs, lift = folded
-    y, report = _fgmres(twin_op, twin_precond, twin_rhs, cfg)
-    x = lift(y)
-    bnorm = _norm(rhs)
-    true_res = _norm(rhs - op.apply(x)) / bnorm if bnorm else 0.0
-    if report.confirmations and report.confirmations[-1][2] == report.final_res:
-        # The last confirmed iterate is the one returned (a solve that gave
-        # up may return an earlier one): its entry gets the same residual.
-        it, estimate, _ = report.confirmations[-1]
-        report.confirmations = report.confirmations[:-1] + ((it, estimate, true_res),)
-    report.final_res = report.res_history[-1] = true_res
-    report.converged = true_res < cfg.rel_tolerance
-    report.wall_seconds = time.perf_counter() - t0
-    return x, report
+    # Imported here: both modules import this one.
+    from .preconditioners import Preconditioner, _block_solve
+    from .problem import _BlockOperator
+
+    own = isinstance(op, _BlockOperator) and isinstance(precond, Preconditioner)
+    if own and op.problem is precond.problem:
+        return _block_solve(precond, rhs, cfg)
+    calls = itertools.count(1)  # the step runs once per iteration
+
+    def step(v):
+        z = np.asarray(precond.apply(v), dtype=np.float64)
+        it = next(calls)
+        if z.shape != rhs.shape:
+            raise ValueError(
+                f"preconditioner output has shape {z.shape}, expected {rhs.shape}, at iteration {it}"
+            )
+        return z, op.apply(z)
+
+    return _fgmres(op.apply, step, rhs, cfg)
 
 
-def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:
+def _fgmres(apply, step, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:
+    """The flexible GMRES loop: ``step(v)`` gives (z, A z) for z the
+    preconditioned direction of v, and ``apply(x)`` the product A x of a
+    true residual."""
     t0 = time.perf_counter()
     bnorm = _norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs), SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
 
-    # The preconditioner's paired step (z, A z), where the operator offers it.
-    step = getattr(op, "_paired", lambda _: None)(precond)
     x = np.zeros_like(rhs)
     r, rnorm = rhs, bnorm
     history = [1.0]
@@ -317,16 +308,7 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
         g = [rnorm]
 
         for j in range(cycle_cap):
-            if step is None:
-                z = np.asarray(precond.apply(basis[j]), dtype=np.float64)
-                if z.shape != rhs.shape:
-                    raise ValueError(
-                        f"preconditioner output has shape {z.shape}, expected {rhs.shape}, "
-                        f"at iteration {it + 1}"
-                    )
-                w = op.apply(z)
-            else:
-                z, w = step(basis[j])
+            z, w = step(basis[j])
             # |A z_j| scales the breakdown test, so scaling A leaves the test
             # alone, and shows a NaN or inf in A z_j before V w warns of it.
             az2 = float(w @ w)
@@ -365,7 +347,7 @@ def _fgmres(op, precond, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
             if early or it >= cfg.max_iterations or j == cycle_cap - 1:
                 # Confirmation: only the true residual declares convergence.
                 x = _assemble(x, g, r_cols, zdirs)
-                r = rhs - op.apply(x)
+                r = rhs - apply(x)
                 true_res = _norm(r) / bnorm
                 rnorm = true_res * bnorm
                 history[-1] = true_res

@@ -39,27 +39,37 @@ Comput. 2, 1981):
     ibs3 / bs3:  A z = (r1,         r2 - s - shift*z2 + A2'r3, r3 + A2 z2)
     ibs4 / but:  A z = (r1,         r2 - s - shift*z2,         r3 + A2 z2)
 
-The paired step (``_paired_apply``) returns z and this A z, with no
-product by A1'A1; its one product by A1 is the one ibs3/ibs4 need for z1
-anyway.  Flexible GMRES takes it in place of apply followed by the block
-operator wherever s is known to working accuracy: after an exact inner
-solve (s = 0, up to the Cholesky backward error) and after CG on an S
-whose condition bound (shift + |A1|_1 |A1|_inf) / shift is at most
-_PAIR_BOUND (s is CG's recurrence residual, or c - S z2 recomputed when CG
-returns an earlier iterate or breaks down).  The unshifted baselines on
-CG, a tiny shift and kind 'none' keep apply and the block operator.
+The paired step returns z and this A z, with no product by A1'A1; its
+one product by A1 is the one ibs3/ibs4 need for z1 anyway.  It is exact
+where s is known to working accuracy: after an exact inner solve (s = 0,
+up to the Cholesky backward error) and after CG on an S whose condition
+bound (shift + |A1|_1 |A1|_inf) / shift is at most _PAIR_BOUND (s is CG's
+recurrence residual, or c - S z2 recomputed when CG returns an earlier
+iterate or breaks down).  ``Preconditioner.paired`` says whether a
+preconditioner takes it: the unshifted baselines on CG, a tiny shift and
+kind 'none' do not.
+
+``_block_solve`` owns the solve of a preconditioner's own block system,
+which ``fgmres_solve`` hands it for ``block_system_operator(problem)``.
+When a block of the problem has two or more empty rows it runs on the
+folded twin of ilsolve.problem (the twin has the same inner matrix, so the
+preconditioner acts on it as on its own problem) and lifts the answer
+back; each step is the paired step where the preconditioner takes it,
+else apply followed by the block product.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
 from . import problem as _problem
 from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
-from .krylov import CgConfig, cg_solve
+from .krylov import CgConfig, FgmresConfig, SolveReport, _fgmres, cg_solve
 from .operators import LinearOperator
-from .problem import IlsProblem, apply_block_A, densify, shifted_gram_operator
+from .problem import IlsProblem, apply_block_A, block_system_operator, densify, shifted_gram_operator
 
 __all__ = [
     "VARIANTS",
@@ -97,14 +107,12 @@ class Preconditioner:
     The inner solve uses ``lower``, the Cholesky factor of the inner
     matrix, when there is one (with ``inverses``, the inverses of its
     diagonal blocks, when given; see ilsolve.dense), and otherwise CG on
-    ``gram`` with ``config``.  Instances are reusable across solves;
-    ``inner_iterations`` and ``inner_failures`` accumulate CG statistics
-    (call ``reset_stats`` between timed runs).
+    ``gram`` with ``config``.  ``paired`` says whether FGMRES on the block
+    system takes the paired step (see the module docstring).  Instances
+    are reusable across solves; ``inner_iterations`` and
+    ``inner_failures`` accumulate CG statistics (call ``reset_stats``
+    between timed runs).
     """
-
-    # Whether flexible GMRES may take the paired step; make_preconditioner
-    # sets it (see the module docstring).
-    _pairs = False
 
     def __init__(
         self,
@@ -121,21 +129,17 @@ class Preconditioner:
         self.inverses = inverses
         self.gram = gram
         self.config = config
+        shift = self.shift = problem.alpha if kind in IBS_VARIANTS else 0.0
+        self.paired = kind != "none" and (
+            lower is not None
+            or (shift > 0.0 and shift + problem._gram_norm_bound() <= _PAIR_BOUND * shift)
+        )
         self.inner_iterations = 0
         self.inner_failures = 0
 
     def reset_stats(self) -> None:
         self.inner_iterations = 0
         self.inner_failures = 0
-
-    def _on(self, twin: IlsProblem) -> Preconditioner:
-        """This preconditioner on the folded twin of its problem, with this
-        instance's inner solve, statistics and paired-step guard (the twin
-        has the same inner matrix)."""
-        pre = Preconditioner(self.kind, twin, gram=self.gram)
-        pre._inner_solve = self._inner_solve
-        pre._pairs = self._pairs
-        return pre
 
     def _inner_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float | None]:
         """(z2, s): z2 solves S z2 = rhs, and s = rhs - S z2 where it is
@@ -157,40 +161,37 @@ class Preconditioner:
         return z, report._residual
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        r1, r2, r3 = self.problem.split(r)
+        return self._apply(self.problem, r)
+
+    def _apply(self, prob: IlsProblem, r: np.ndarray, paired: bool = False):
+        """z = M^{-1} r on ``prob``, this preconditioner's problem or its
+        folded twin; with ``paired``, the paired step (z, A z), whose z is
+        bit for bit the one without (see the module docstring)."""
+        r1, r2, r3 = prob.split(r)
         if self.kind == "none":
             return np.concatenate([r1, r2, r3])
-        rhs = r2 - r3 @ self.problem.a2 if self.kind in _COUPLED_RHS else r2
-        z2 = self._inner_solve(rhs)[0]
-        z1 = r1 - self.problem.a1 @ z2 if self.kind in _BACKSUB_FIRST else r1
-        return np.concatenate([z1, z2, r3])
-
-    def _paired_apply(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z, w): z = M^{-1} v, bit for bit what apply(v) gives, and
-        w = A z from the splitting (see the module docstring)."""
-        prob = self.problem
-        r1, r2, r3 = prob.split(v)
-        a2r3 = r3 @ prob.a2
         coupled = self.kind in _COUPLED_RHS
-        rhs = r2 - a2r3 if coupled else r2
+        rhs = r2 - r3 @ prob.a2 if coupled else r2
         z2, s = self._inner_solve(rhs)
+        backsub = self.kind in _BACKSUB_FIRST
+        z1 = r1 - prob.a1 @ z2 if backsub else r1
+        z = np.concatenate([z1, z2, r3])
+        if not paired:
+            return z
         if s is None:
             s = rhs - self.gram.apply(z2)
-        a1z2 = prob.a1 @ z2
         w = np.empty(prob.size)
-        w1, w2, w3 = w[: prob.p], w[prob.p : prob.p + prob.n], w[prob.p + prob.n :]
-        if self.kind in _BACKSUB_FIRST:
-            z1 = r1 - a1z2
+        w1, w2, w3 = prob.split(w)
+        if backsub:
             w1[:] = r1
         else:
-            z1 = r1
-            np.add(r1, a1z2, out=w1)
+            np.add(r1, prob.a1 @ z2, out=w1)
         np.subtract(r2, s, out=w2)
-        w2 -= (prob.alpha if self.kind in IBS_VARIANTS else 0.0) * z2
+        w2 -= self.shift * z2
         if not coupled:
-            w2 += a2r3
+            w2 += r3 @ prob.a2
         np.add(r3, prob.a2 @ z2, out=w3)
-        return np.concatenate([z1, z2, r3]), w
+        return z, w
 
 
 def make_preconditioner(
@@ -218,9 +219,7 @@ def make_preconditioner(
     shift = problem.alpha if kind in IBS_VARIANTS else 0.0
     if inner == "cg":
         gram = shifted_gram_operator(problem, shift)
-        pre = Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
-        pre._pairs = shift > 0.0 and shift + problem._gram_norm_bound() <= _PAIR_BOUND * shift
-        return pre
+        return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
     cap = _problem.DENSE_MAX_N
     if problem.n > cap:
         raise ConfigurationError(
@@ -238,9 +237,53 @@ def make_preconditioner(
             part.flags.writeable = False
         problem._factors[shift] = factor
     lower, inverses = factor
-    pre = Preconditioner(kind, problem, lower=lower, inverses=inverses)
-    pre._pairs = True
-    return pre
+    return Preconditioner(kind, problem, lower=lower, inverses=inverses)
+
+
+def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:
+    """FGMRES on the block system of ``pre.problem`` with ``pre``, on the
+    folded twin when the problem folds.  The rhs on a folded group's rows
+    becomes its norm at the group's slot, and the lift spreads the slot's
+    entry back along that direction; the report then describes the full
+    system: ``final_res``, ``converged`` and the returned iterate's
+    confirmation entry come from the full system's true residual."""
+    t0 = time.perf_counter()
+    full, fold = pre.problem, pre.problem._folded()
+    prob, solve_rhs = full, rhs
+    if fold is not None:
+        prob, kept, at, groups = fold
+        solve_rhs = np.empty(prob.size)
+        solve_rhs[at] = rhs[kept]
+        dirs = []  # per group, the unit direction of the rhs on its rows
+        for slot, rows in groups:
+            part = rhs[rows]
+            solve_rhs[slot] = norm = np.linalg.norm(part)
+            dirs.append(part / norm if norm else np.zeros_like(part))
+    op = block_system_operator(prob)
+    if pre.paired:
+        step = lambda v: pre._apply(prob, v, paired=True)
+    else:
+        def step(v):
+            z = pre._apply(prob, v)
+            return z, op.apply(z)
+    y, report = _fgmres(op.apply, step, solve_rhs, cfg)
+    if fold is None:
+        return y, report
+    x = np.empty(len(rhs))
+    x[kept] = y[at]
+    for (slot, rows), u in zip(groups, dirs):
+        x[rows] = y[slot] * u
+    bnorm = np.linalg.norm(rhs)
+    true_res = float(np.linalg.norm(rhs - block_system_operator(full).apply(x)) / bnorm) if bnorm else 0.0
+    if report.confirmations and report.confirmations[-1][2] == report.final_res:
+        # The last confirmed iterate is the one returned (a solve that gave
+        # up may return an earlier one): its entry gets the same residual.
+        it, estimate, _ = report.confirmations[-1]
+        report.confirmations = report.confirmations[:-1] + ((it, estimate, true_res),)
+    report.final_res = report.res_history[-1] = true_res
+    report.converged = true_res < cfg.rel_tolerance
+    report.wall_seconds = time.perf_counter() - t0
+    return x, report
 
 
 DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A

@@ -25,10 +25,12 @@ Empty rows fold.  On an empty row i of A2, block row 3 reads d2_i = b2_i,
 d2_i reaches no other row, and every preconditioner passes it through
 (empty rows of A1 act alike in block row 1), so the part of each Krylov
 vector on a block's empty rows is a multiple of the right-hand side's.
-When a block has two or more, ``fgmres_solve`` on ``block_system_operator``
-solves a twin in which they are one zero row: an isometry of the Krylov
-space, with the same iterates, counts and residuals, whose answer is
-lifted back to full length.
+When a block has two or more, ``IlsProblem._folded`` builds a twin in
+which they are one zero row: an isometry of the Krylov space, with the
+same iterates, counts and residuals.  The block solve of
+ilsolve.preconditioners (``_block_solve``, which ``fgmres_solve`` reaches
+with ``block_system_operator(prob)`` and a preconditioner built on
+``prob``) runs on the twin and lifts the answer back to full length.
 """
 
 from __future__ import annotations
@@ -277,53 +279,14 @@ def build_rhs(prob: IlsProblem) -> np.ndarray:
 
 
 class _BlockOperator(LinearOperator):
-    """The block system of one problem, which can offer FGMRES the folded
-    twin of a solve."""
+    """The block system of ``problem``, which fgmres_solve solves with
+    the block solve of a preconditioner built on the same problem."""
 
-    __slots__ = ("_problem",)
+    __slots__ = ("problem",)
 
     def __init__(self, prob: IlsProblem):
         super().__init__(prob.size, prob.size, lambda v: apply_block_A(prob, v))
-        self._problem = prob
-
-    def _owns(self, precond) -> bool:
-        """Whether ``precond`` is a Preconditioner built on this problem."""
-        return hasattr(precond, "_on") and precond.problem is self._problem
-
-    def _paired(self, precond):
-        """``precond``'s paired step v -> (M^{-1} v, A M^{-1} v), or None when
-        ``precond`` is not a Preconditioner built on this problem or does
-        not take the step (see ilsolve.preconditioners)."""
-        return precond._paired_apply if self._owns(precond) and precond._pairs else None
-
-    def _fold(self, precond, rhs: np.ndarray):
-        """(operator, preconditioner, rhs, lift) of the twin solve, or None
-        when the problem does not fold or ``precond`` is not a
-        Preconditioner built on it.  The rhs on a group's rows becomes its
-        norm at the slot, and the lift spreads the slot's entry back along
-        that direction."""
-        if not self._owns(precond):
-            return None
-        fold = self._problem._folded()
-        if fold is None:
-            return None
-        twin, kept, at, groups = fold
-        twin_rhs = np.empty(twin.size)
-        twin_rhs[at] = rhs[kept]
-        dirs = []  # per group, the unit direction of the rhs on its rows
-        for slot, rows in groups:
-            part = rhs[rows]
-            twin_rhs[slot] = norm = np.linalg.norm(part)
-            dirs.append(part / norm if norm else np.zeros_like(part))
-
-        def lift(t):
-            x = np.empty(len(rhs))
-            x[kept] = t[at]
-            for (slot, rows), u in zip(groups, dirs):
-                x[rows] = t[slot] * u
-            return x
-
-        return _BlockOperator(twin), precond._on(twin), twin_rhs, lift
+        self.problem = prob
 
 
 def block_system_operator(prob: IlsProblem) -> LinearOperator:

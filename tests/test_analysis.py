@@ -147,6 +147,22 @@ class TestConditionReport:
         assert not report.spd_normal
         assert np.linalg.eigvalsh(np.eye(2) - 100.0 * np.eye(2)).min() < 0
 
+    def test_indefinite_normal_matrix_certifies_no_convergence(self):
+        # An augmented tridiag(-1, 2, -1) core: the shifted combination of
+        # ibs2/ibs4 is SPD, but A1'A1 - A2'A2 is not, and the stationary
+        # iterations diverge.
+        n = 20
+        i = np.arange(n)
+        rows, cols = np.r_[i, i[:-1], i[1:]], np.r_[i, i[1:], i[:-1]]
+        vals = np.r_[np.full(n, 2.0), np.full(2 * (n - 1), -1.0)]
+        core = il.normalize_to_unit_one_norm(il.SparseMatrixCsr.from_triplets(n, n, rows, cols, vals))
+        prob = il.generate_augmented_problem(core, 30, 6.0)
+        report = check_convergence_conditions(prob)
+        assert not report.spd_normal and report.spd_two_shifted_plus
+        assert not report.ibs13_converges and not report.ibs24_converges
+        for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
+            assert spectral_radius_estimate(kind, prob) > 1.0
+
     def test_kappa_ordering(self):
         for i in range(5):
             prob = random_desk_problem(i)

@@ -53,3 +53,28 @@ def test_no_unused_imports():
     sources += Path(__file__).parent.glob("*.py")
     unused = {path.name: names for path in sorted(sources) if (names := _unused_imports(path))}
     assert unused == {}
+
+
+def _private_lookups(path: Path) -> list[str]:
+    """``getattr``/``hasattr`` calls that name a private attribute by a
+    string literal, as 'name(attribute)' at their line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+            and node.args[1].value.startswith("_")
+        ):
+            found.append(f"{node.lineno}: {node.func.id}({node.args[1].value})")
+    return found
+
+
+def test_no_private_attribute_lookups_by_name():
+    # A private hook found by name is a decision no reader can follow.
+    sources = sorted(Path(ilsolve.__file__).parent.glob("*.py"))
+    found = {path.name: hits for path in sources if (hits := _private_lookups(path))}
+    assert found == {}

@@ -480,8 +480,8 @@ def test_hilbert_counts_at_benchmark_scale():
     + [("hilbert", kind, inner) for kind in ("ibs2", "ibs4") for inner in ("cholesky", "cg")],
 )
 def test_confirmations_match_the_wrapped_operator(rng, problem, kind, inner):
-    # The block operator gives FGMRES the paired step, whose A z comes from
-    # the splitting; the wrapped operator gives it apply and the block
+    # On the block operator FGMRES takes the paired step, whose A z comes
+    # from the splitting; on the wrapped operator apply and the block
     # product.  A drifting paired product would show as an estimate below
     # the tolerance whose true residual is not.
     prob = standin_problem(rng) if problem == "standin" else generate_hilbert_problem(200)
@@ -494,7 +494,7 @@ def test_confirmations_match_the_wrapped_operator(rng, problem, kind, inner):
         assert all(true < cfg.rel_tolerance for _, estimate, true in rep.confirmations
                    if estimate < cfg.rel_tolerance)
         reports.append(rep)
-    assert op._paired(pre) is not None
+    assert pre.paired
     paired, wrapped = ([it for it, _, _ in rep.confirmations] for rep in reports)
     assert paired == wrapped
 

@@ -20,6 +20,7 @@ def test_solve_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
     assert payload["RES"] < 1e-8
+    assert payload["resumptions"] == sum(note.endswith("resuming") for note in payload["notes"])
     # One (iteration, estimate, true residual) per confirmation; the last
     # confirms the answer.
     *_, (it, estimate, true_res) = payload["confirmations"]

@@ -81,21 +81,18 @@ def true_residual(prob, x, rhs):
 def applied(monkeypatch):
     """Lengths of the vectors every Preconditioner is applied to, by
     ``apply`` or by the paired step that FGMRES takes on the block operator
-    (``lengths``), and those of the paired steps alone (``paired``)."""
+    (``lengths``), and those of the paired steps alone (``paired``); both
+    go through the one body ``Preconditioner._apply``."""
     seen = SimpleNamespace(lengths=[], paired=[])
-    apply, paired_apply = Preconditioner.apply, Preconditioner._paired_apply
+    body = Preconditioner._apply
 
-    def recording(self, r):
+    def recording(self, prob, r, paired=False):
         seen.lengths.append(len(r))
-        return apply(self, r)
+        if paired:
+            seen.paired.append(len(r))
+        return body(self, prob, r, paired)
 
-    def recording_pair(self, r):
-        seen.lengths.append(len(r))
-        seen.paired.append(len(r))
-        return paired_apply(self, r)
-
-    monkeypatch.setattr(Preconditioner, "apply", recording)
-    monkeypatch.setattr(Preconditioner, "_paired_apply", recording_pair)
+    monkeypatch.setattr(Preconditioner, "_apply", recording)
     return seen
 
 
@@ -199,23 +196,41 @@ def test_final_res_is_the_full_systems_residual(restart):
     assert abs(rep.final_res - true_residual(prob, x, rhs)) <= 1e-14
 
 
+@pytest.mark.parametrize("restart", [None, 1, 2, 5])
+@pytest.mark.parametrize("inner", INNER_SOLVERS)
+@pytest.mark.parametrize("kind", il.VARIANTS)
+@pytest.mark.parametrize("folds", [False, True])
+def test_block_solve_report_contract(folds, kind, inner, restart):
+    # Every report of the block solve, folded or not, paired or not,
+    # describes the iterate it returns.  The cap of 12 iterations leaves
+    # about half of these solves unconverged.
+    prob = il.generate_random_problem(7, 5, 4, seed=11)
+    if folds:
+        prob = with_empty_rows(prob, 2, 3, 11, sparse=True)
+    rhs = build_rhs(prob)
+    pre = make_preconditioner(kind, prob, inner=inner, inner_config=CgConfig(1e-3, 1000))
+    config = FgmresConfig(1e-10, 12, restart=restart)
+    x, rep = fgmres_solve(block_system_operator(prob), pre, rhs, config=config)
+    assert len(rep.res_history) == rep.iterations + 1
+    assert rep.res_history[-1] == rep.final_res
+    assert abs(rep.final_res - true_residual(prob, x, rhs)) <= 1e-12
+    assert rep.converged == (rep.final_res < config.rel_tolerance)
+
+
 def test_resumption_count_survives_the_fold(monkeypatch):
     # A zero first direction breaks the first cycle down unconfirmed, so
     # the solve resumes once, on the twin (paired steps) as on the full
     # system (applies).
     prob = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 4, 6, 3, sparse=True)
-    apply, paired_apply, calls = Preconditioner.apply, Preconditioner._paired_apply, []
+    body, calls = Preconditioner._apply, []
 
-    def zero_first(self, r):
-        calls.append(("apply", len(r)))
-        return np.zeros_like(r) if len(calls) == 1 else apply(self, r)
+    def zero_first(self, prob, r, paired=False):
+        calls.append(("paired" if paired else "apply", len(r)))
+        if len(calls) > 1:
+            return body(self, prob, r, paired)
+        return (np.zeros_like(r),) * 2 if paired else np.zeros_like(r)
 
-    def zero_first_pair(self, r):
-        calls.append(("paired", len(r)))
-        return (np.zeros_like(r),) * 2 if len(calls) == 1 else paired_apply(self, r)
-
-    monkeypatch.setattr(Preconditioner, "apply", zero_first)
-    monkeypatch.setattr(Preconditioner, "_paired_apply", zero_first_pair)
+    monkeypatch.setattr(Preconditioner, "_apply", zero_first)
     first_calls = []
     for op in (block_system_operator(prob), unfolded(prob)):
         calls.clear()

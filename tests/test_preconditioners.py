@@ -369,16 +369,15 @@ class TestPairedStep:
         prob = paired_problem(rng, layout)
         assert (prob._panel > 0) == (layout == "dense-panels")
         pre = make_preconditioner(kind, prob, inner=inner)
-        if layout == "folds":
-            # The folded twin shares the step, with the full problem's
-            # inner solve.
+        own = layout != "folds"
+        if not own:
+            # The same preconditioner steps on the folded twin.
             prob = prob._folded()[0]
-            pre = pre._on(prob)
         v = rng.standard_normal(prob.size)
         pre.reset_stats()
-        z, w = pre._paired_apply(v)
+        z, w = pre._apply(prob, v, paired=True)
         k = pre.inner_iterations
-        assert np.array_equal(z, pre.apply(v))
+        assert np.array_equal(z, pre.apply(v) if own else pre._apply(prob, v))
         direct = apply_block_A(prob, z)
         # Rounding of both sides is of order eps (|v| + |A| |z|), with
         # |A| <= |S| + |A1| + |A2| in 2-norms; for CG add the drift of its
@@ -408,7 +407,7 @@ class TestPairedStep:
         v = rng.standard_normal(prob.size)
         solve = pre._inner_solve
         monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None))
-        z, w = pre._paired_apply(v)
+        z, w = pre._apply(prob, v, paired=True)
         direct = apply_block_A(prob, z)
         assert np.linalg.norm(w - direct) <= 1e-13 * np.linalg.norm(direct)
 
@@ -418,10 +417,7 @@ class TestPairedStep:
         # Exact inner solves always; CG only on the shifted inner matrix.
         prob = random_desk_problem(3)
         pre = make_preconditioner(kind, prob, inner=inner)
-        taken = inner == "cholesky" or kind in ALL_IBS
-        assert (block_system_operator(prob)._paired(pre) is not None) == taken
-        other = dataclasses.replace(prob)
-        assert block_system_operator(other)._paired(pre) is None
+        assert pre.paired == (inner == "cholesky" or kind in ALL_IBS)
 
     def test_shift_bound_is_the_guard(self):
         prob = random_desk_problem(3)
@@ -429,9 +425,9 @@ class TestPairedStep:
         limit = preconditioners_module._PAIR_BOUND
         inside = dataclasses.replace(prob, alpha=bound / (limit - 2.0))
         outside = dataclasses.replace(prob, alpha=bound / (limit - 0.5))
-        assert make_preconditioner("ibs1", inside)._pairs
-        assert not make_preconditioner("ibs1", outside)._pairs
-        assert make_preconditioner("ibs1", outside, inner="cholesky")._pairs
+        assert make_preconditioner("ibs1", inside).paired
+        assert not make_preconditioner("ibs1", outside).paired
+        assert make_preconditioner("ibs1", outside, inner="cholesky").paired
 
     @pytest.mark.parametrize("case", ["none", "bs1", "bs2", "bs3", "but", "ibs2-shift-past-bound"])
     def test_declined_step_keeps_the_wrapped_solve_bit_for_bit(self, case):
@@ -444,7 +440,7 @@ class TestPairedStep:
         out = []
         for operator in (op, LinearOperator(prob.size, prob.size, op.apply)):
             pre = make_preconditioner(kind, prob, inner="cg")
-            assert op._paired(pre) is None
+            assert not pre.paired
             out.append(fgmres_solve(operator, pre, rhs, config=FgmresConfig(1e-10, 300)))
         (x, rep), (xw, repw) = out
         assert rep.converged
