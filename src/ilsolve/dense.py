@@ -10,7 +10,7 @@ inverses come from one batched LAPACK inversion per factor; the factor
 itself is never inverted.  Inverting only small diagonal blocks keeps the
 accuracy of substitution in practice (Du Croz and Higham, IMA J. Numer.
 Anal. 12, 1992).  A caller that applies one factor many times computes
-the inverses once (see ilsolve.preconditioners); any other call computes
+the inverses once (see IlsProblem._inner_factor); any other call computes
 them itself.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import NotSpdError
 
-__all__ = ["dense_cholesky", "cholesky_solve", "is_spd", "one_norm_dense"]
+__all__ = ["dense_cholesky", "cholesky_solve", "is_spd"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -167,9 +167,3 @@ def is_spd(m: np.ndarray) -> bool:
         return False
     return True
 
-
-def one_norm_dense(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=np.float64)
-    if m.size == 0:
-        return 0.0
-    return float(np.abs(m).sum(axis=0).max())

@@ -25,7 +25,7 @@ apply, so convergence rests on true residuals whatever the step.  Each
 confirmation is recorded as (iteration, estimate, true residual) in the
 report.  ``fgmres_solve`` hands the block system of a Preconditioner's own
 problem to ``ilsolve.preconditioners._block_solve``, which folds
-empty rows and forms A z_j from the splitting; every other solve steps
+A2's empty rows and forms A z_j from the splitting; every other solve steps
 with ``precond.apply`` followed by ``op.apply``.
 """
 
@@ -108,13 +108,17 @@ def cg_solve(
     """Conjugate gradient for an SPD operator, from x = 0.
 
     Convergence is declared on the recurrence residual relative to |rhs|.
-    A zero right-hand side returns the zero vector immediately.  On a
-    breakdown (p'Ap <= 0) an IndefiniteOperatorError is raised carrying
-    the best iterate reached so far, and on a non-finite p'Ap a
-    NumericalFailureError naming the iteration; when the iteration cap is
-    hit the lowest-residual iterate is returned with converged=False.
+    A zero right-hand side returns the zero vector immediately, and a
+    non-square operator or an rhs of the wrong shape or of non-finite norm
+    raises ValueError.  On a breakdown (p'Ap <= 0) an
+    IndefiniteOperatorError is raised carrying the best iterate reached so
+    far, and on a non-finite p'Ap a NumericalFailureError naming the
+    iteration; when the iteration cap is hit the lowest-residual iterate
+    is returned with converged=False.
     """
     cfg = config or CgConfig()
+    if op.n_rows != op.n_cols:
+        raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
@@ -124,6 +128,8 @@ def cg_solve(
     r, p = rhs.copy(), np.ascontiguousarray(rhs)
     rs = float(r @ r)
     bnorm = math.sqrt(rs)  # what np.linalg.norm computes
+    if not math.isfinite(bnorm):
+        raise ValueError(f"rhs is not finite: its norm is {bnorm}")
     if bnorm == 0.0:
         report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
         report._residual = r
@@ -234,12 +240,14 @@ def fgmres_solve(
     A z_j raises NumericalFailureError naming the iteration; the check
     reads the |A z_j| of the breakdown test rather than scanning A z_j
     entry by entry.  A preconditioner output whose shape is not that of
-    ``rhs`` raises ValueError naming its shape and the iteration.
+    ``rhs`` raises ValueError naming its shape and the iteration; a
+    non-square operator or an rhs of the wrong shape or with a NaN or inf
+    raises ValueError before the solve.
 
     Given ``block_system_operator(prob)`` and a Preconditioner built on
     the same ``prob``, the solve is that preconditioner's block solve
     (ilsolve.preconditioners._block_solve): it runs on the folded
-    twin when a block of ``prob`` has two or more empty rows, and takes
+    twin when A2 of ``prob`` has two or more empty rows, and takes
     z_j and A z_j from the preconditioner's paired step where it has one.
     Any other pair, a wrapped block operator included, gets the
     full-length solve with ``precond.apply`` and ``op.apply``.  The true
@@ -248,9 +256,13 @@ def fgmres_solve(
     and estimates.
     """
     cfg = config or FgmresConfig()
+    if op.n_rows != op.n_cols:
+        raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs is not finite")
     # Imported here: both modules import this one.
     from .preconditioners import Preconditioner, _block_solve
     from .problem import _BlockOperator

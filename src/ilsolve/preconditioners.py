@@ -12,9 +12,9 @@ rows:
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
 A Preconditioner solves its inner systems itself, either exactly (with a
-dense Cholesky factor and the inverses of its diagonal blocks, computed
-once per problem and shift and shared by the preconditioners built on
-that problem) or inexactly (matrix-free CG on the shifted Gram operator
+dense Cholesky factor and the inverses of its diagonal blocks, which the
+problem computes once per shift and shares among the preconditioners
+built on it) or inexactly (matrix-free CG on the shifted Gram operator
 from a zero start).  Inner CG failure is a
 recorded statistic, not a fatal error: the loose-tolerance regime is the
 intended operating point for the outer flexible solver.
@@ -51,11 +51,11 @@ kind 'none' do not.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
 which ``fgmres_solve`` hands it for ``block_system_operator(problem)``.
-When a block of the problem has two or more empty rows it runs on the
-folded twin of ilsolve.problem (the twin has the same inner matrix, so the
-preconditioner acts on it as on its own problem) and lifts the answer
-back; each step is the paired step where the preconditioner takes it,
-else apply followed by the block product.
+When A2 has two or more empty rows it runs on the folded twin of
+ilsolve.problem (the twin has the same A1 and so the same inner matrix,
+and the preconditioner acts on it as on its own problem) and lifts the
+answer back; each step is the paired step where the preconditioner takes
+it, else apply followed by the block product.
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ import time
 
 import numpy as np
 
-from . import problem as _problem
-from .dense import _block_inverses, cholesky_solve, dense_cholesky
+from .dense import cholesky_solve
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _fgmres, cg_solve
 from .operators import LinearOperator
-from .problem import IlsProblem, apply_block_A, block_system_operator, densify, shifted_gram_operator
+from .problem import IlsProblem, apply_block_A, block_system_operator, shifted_gram_operator
 
 __all__ = [
     "VARIANTS",
@@ -132,7 +131,7 @@ class Preconditioner:
         shift = self.shift = problem.alpha if kind in IBS_VARIANTS else 0.0
         self.paired = kind != "none" and (
             lower is not None
-            or (shift > 0.0 and shift + problem._gram_norm_bound() <= _PAIR_BOUND * shift)
+            or (shift > 0.0 and shift + problem._gram_bound <= _PAIR_BOUND * shift)
         )
         self.inner_iterations = 0
         self.inner_failures = 0
@@ -220,45 +219,26 @@ def make_preconditioner(
     if inner == "cg":
         gram = shifted_gram_operator(problem, shift)
         return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
-    cap = _problem.DENSE_MAX_N
-    if problem.n > cap:
-        raise ConfigurationError(
-            f"dense inner factorization requested for n = {problem.n} > cap {cap}"
-        )
-    factor = problem._factors.get(shift)
-    if factor is None:
-        a1d = densify(problem.a1)
-        inner_matrix = a1d.T @ a1d
-        if shift:
-            inner_matrix[np.diag_indices_from(inner_matrix)] += shift
-        lower = dense_cholesky(inner_matrix)
-        factor = lower, _block_inverses(lower)
-        for part in factor:
-            part.flags.writeable = False
-        problem._factors[shift] = factor
-    lower, inverses = factor
+    lower, inverses = problem._inner_factor(shift)
     return Preconditioner(kind, problem, lower=lower, inverses=inverses)
 
 
 def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:
     """FGMRES on the block system of ``pre.problem`` with ``pre``, on the
-    folded twin when the problem folds.  The rhs on a folded group's rows
-    becomes its norm at the group's slot, and the lift spreads the slot's
-    entry back along that direction; the report then describes the full
-    system: ``final_res``, ``converged`` and the returned iterate's
-    confirmation entry come from the full system's true residual."""
+    folded twin when A2's empty rows fold: there the rhs on them becomes
+    its norm at the twin's last entry, and the lift spreads that entry back
+    along the rhs's direction.  The report then describes the full system:
+    ``final_res``, ``converged`` and the returned iterate's confirmation
+    entry come from the full system's true residual."""
     t0 = time.perf_counter()
-    full, fold = pre.problem, pre.problem._folded()
+    full, fold = pre.problem, pre.problem._fold
     prob, solve_rhs = full, rhs
     if fold is not None:
-        prob, kept, at, groups = fold
-        solve_rhs = np.empty(prob.size)
-        solve_rhs[at] = rhs[kept]
-        dirs = []  # per group, the unit direction of the rhs on its rows
-        for slot, rows in groups:
-            part = rhs[rows]
-            solve_rhs[slot] = norm = np.linalg.norm(part)
-            dirs.append(part / norm if norm else np.zeros_like(part))
+        prob, empty = fold
+        head = full.p + full.n
+        part = rhs[head:][empty]
+        norm = np.linalg.norm(part)
+        solve_rhs = np.concatenate([rhs[:head], rhs[head:][~empty], [norm]])
     op = block_system_operator(prob)
     if pre.paired:
         step = lambda v: pre._apply(prob, v, paired=True)
@@ -270,9 +250,10 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
     if fold is None:
         return y, report
     x = np.empty(len(rhs))
-    x[kept] = y[at]
-    for (slot, rows), u in zip(groups, dirs):
-        x[rows] = y[slot] * u
+    x[:head] = y[:head]
+    tail = x[head:]
+    tail[~empty] = y[head:-1]
+    tail[empty] = y[-1] * (part / norm) if norm else 0.0
     bnorm = np.linalg.norm(rhs)
     true_res = float(np.linalg.norm(rhs - block_system_operator(full).apply(x)) / bnorm) if bnorm else 0.0
     if report.confirmations and report.confirmations[-1][2] == report.final_res:

@@ -22,26 +22,28 @@ of the block system are flat float64 arrays of length p + n + q, and
 starts from the zero vector.
 
 Empty rows fold.  On an empty row i of A2, block row 3 reads d2_i = b2_i,
-d2_i reaches no other row, and every preconditioner passes it through
-(empty rows of A1 act alike in block row 1), so the part of each Krylov
-vector on a block's empty rows is a multiple of the right-hand side's.
-When a block has two or more, ``IlsProblem._folded`` builds a twin in
-which they are one zero row: an isometry of the Krylov space, with the
-same iterates, counts and residuals.  The block solve of
-ilsolve.preconditioners (``_block_solve``, which ``fgmres_solve`` reaches
-with ``block_system_operator(prob)`` and a preconditioner built on
-``prob``) runs on the twin and lifts the answer back to full length.
+d2_i reaches no other row, and every preconditioner passes it through, so
+the part of each Krylov vector on A2's empty rows is a multiple of the
+right-hand side's.  The paper's A2 = s*I_{q x n}, q > n, has q - n of them.
+When A2 has two or more, ``IlsProblem._fold`` is a twin in which they are
+one zero row: an isometry of the Krylov space, with the same iterates,
+counts and residuals.  The block solve of ilsolve.preconditioners
+(``_block_solve``, which ``fgmres_solve`` reaches with
+``block_system_operator(prob)`` and a preconditioner built on ``prob``)
+runs on the twin and lifts the answer back.  A1's empty rows do not fold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dense import dense_cholesky, cholesky_solve, one_norm_dense
+from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import (
+    ConfigurationError,
     DegenerateMatrixError,
     DegenerateProblemError,
     IndefiniteOperatorError,
@@ -87,18 +89,8 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
-    # Read-only Cholesky factors of shift*I + A1'A1 with the inverses of
-    # their diagonal blocks, by shift, shared by the exact-inner
-    # preconditioners built on this instance.
+    # The read-only factors of _inner_factor, by shift.
     _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # The folded twin (see _build_fold, False when nothing folds), built
-    # on first use.  It must hold no reference to this instance.
-    _fold: object = field(init=False, repr=False, compare=False, default=None)
-    # Rows per panel of the Gram sweep over A1 (see _gram_sweep), or 0
-    # where the Gram product stays (A1 @ x) @ A1.
-    _panel: int = field(init=False, repr=False, compare=False, default=0)
-    # |A1|_1 |A1|_inf (see _gram_norm_bound), computed on first use.
-    _gram_bound: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
@@ -128,10 +120,6 @@ class IlsProblem:
             raise ValueError("right-hand side has non-finite entries")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        a1 = self.a1
-        if not isinstance(a1, SparseMatrixCsr) and a1.flags.c_contiguous:
-            rows = max(_PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1)
-            object.__setattr__(self, "_panel", rows if p > rows else 0)
 
     @property
     def m(self) -> int:
@@ -152,58 +140,74 @@ class IlsProblem:
             raise ValueError(f"vector has shape {v.shape}, expected ({self.size},)")
         return v[: self.p], v[self.p : self.p + self.n], v[self.p + self.n :]
 
-    def _folded(self):
-        if self._fold is None:
-            object.__setattr__(self, "_fold", _build_fold(self) or False)
-        return self._fold or None
+    @cached_property
+    def _fold(self):
+        """_build_fold's (twin, empty), or None; it holds no reference to this instance."""
+        return _build_fold(self)
 
-    def _gram_norm_bound(self) -> float:
+    @cached_property
+    def _panel(self) -> int:
+        """Rows per panel of the Gram sweep over A1 (see _gram_sweep), or 0
+        where the Gram product stays (A1 @ x) @ A1."""
+        a1 = self.a1
+        if isinstance(a1, SparseMatrixCsr) or not a1.flags.c_contiguous:
+            return 0
+        rows = max(_PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1)
+        return rows if self.p > rows else 0
+
+    @cached_property
+    def _gram_bound(self) -> float:
         """|A1|_1 |A1|_inf, a bound on the 2-norm of A1'A1, so that the
-        spectrum of shift*I + A1'A1 lies in [shift, shift + this bound].
-        Computed once per instance."""
-        if self._gram_bound is None:
-            a1 = self.a1
-            if isinstance(a1, SparseMatrixCsr):
-                mags = np.abs(a1.values)
-                cols = np.bincount(a1.col_indices, weights=mags, minlength=a1.n_cols)
-                rows = np.bincount(a1._rows, weights=mags, minlength=a1.n_rows)
-            else:
-                mags = np.abs(a1)
-                cols, rows = mags.sum(axis=0), mags.sum(axis=1)
-            object.__setattr__(self, "_gram_bound", float(cols.max()) * float(rows.max()))
-        return self._gram_bound
+        spectrum of shift*I + A1'A1 lies in [shift, shift + this bound]."""
+        a1 = self.a1
+        if isinstance(a1, SparseMatrixCsr):
+            mags = np.abs(a1.values)
+            cols = np.bincount(a1.col_indices, weights=mags, minlength=a1.n_cols)
+            rows = np.bincount(a1._rows, weights=mags, minlength=a1.n_rows)
+        else:
+            mags = np.abs(a1)
+            cols, rows = mags.sum(axis=0), mags.sum(axis=1)
+        return float(cols.max()) * float(rows.max())
+
+    def _inner_factor(self, shift: float) -> tuple[np.ndarray, np.ndarray]:
+        """The Cholesky factor of shift*I + A1'A1 and the inverses of its
+        diagonal blocks, read-only, built once per shift for the exact
+        preconditioners on this instance; above DENSE_MAX_N, an error."""
+        if self.n > DENSE_MAX_N:
+            raise ConfigurationError(
+                f"dense inner factorization requested for n = {self.n} > cap {DENSE_MAX_N}"
+            )
+        factor = self._factors.get(shift)
+        if factor is None:
+            a1d = densify(self.a1)
+            inner = a1d.T @ a1d
+            if shift:
+                inner[np.diag_indices_from(inner)] += shift
+            lower = dense_cholesky(inner)
+            factor = lower, _block_inverses(lower)
+            for part in factor:
+                part.flags.writeable = False
+            self._factors[shift] = factor
+        return factor
 
 
 def _build_fold(prob: IlsProblem):
-    """(twin, kept, at, groups), or None when no block has two empty rows.
-    In the twin each such block keeps its other rows and ends in one zero
-    row, its slot.  ``kept`` masks the entries of a full vector that the
-    twin carries and ``at`` where they sit in it; each group is (slot,
-    mask of the rows folded into it)."""
-    parts, folds = [], []
-    for block, b, start in ((prob.a1, prob.b1, 0), (prob.a2, prob.b2, prob.p + prob.n)):
-        sparse = isinstance(block, SparseMatrixCsr)
-        empty = np.diff(block.row_offsets) == 0 if sparse else ~block.any(axis=1)
-        rows = None
-        if np.count_nonzero(empty) > 1:
-            keep = ~empty
-            if sparse:  # the dropped rows hold no entries
-                offsets = np.concatenate([[0], block.row_offsets[1:][keep], [block.nnz]])
-                block = SparseMatrixCsr(len(offsets) - 1, block.n_cols, offsets, block.col_indices, block.values)
-            else:
-                block = np.vstack([block[keep], np.zeros((1, block.shape[1]))])
-            b = np.append(b[keep], np.linalg.norm(b[empty]))
-            rows = np.zeros(prob.size, dtype=bool)
-            rows[start : start + len(empty)] = empty
-        parts += [block, b]
-        folds.append(rows)
-    if all(rows is None for rows in folds):
+    """(twin, empty), or None when A2 has fewer than two empty rows.
+    ``empty`` masks A2's empty rows; in the twin A2 keeps its other rows
+    and ends in one zero row, the slot, and A1 and b1 are unchanged."""
+    a2 = prob.a2
+    sparse = isinstance(a2, SparseMatrixCsr)
+    empty = np.diff(a2.row_offsets) == 0 if sparse else ~a2.any(axis=1)
+    if np.count_nonzero(empty) < 2:
         return None
-    twin = IlsProblem(parts[0], parts[2], parts[1], parts[3], prob.alpha)
-    groups = [(slot, rows) for slot, rows in zip((twin.p - 1, twin.size - 1), folds) if rows is not None]
-    at = np.ones(twin.size, dtype=bool)
-    at[[slot for slot, _ in groups]] = False
-    return twin, ~np.logical_or.reduce([rows for _, rows in groups]), at, groups
+    keep = ~empty
+    if sparse:  # the dropped rows hold no entries
+        offsets = np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]])
+        a2 = SparseMatrixCsr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
+    else:
+        a2 = np.vstack([a2[keep], np.zeros((1, a2.shape[1]))])
+    b2 = np.append(prob.b2[keep], np.linalg.norm(prob.b2[empty]))
+    return IlsProblem(prob.a1, a2, prob.b1, b2, prob.alpha), empty
 
 
 def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:
@@ -228,7 +232,7 @@ def compute_alpha(a1) -> float:
     if isinstance(a1, SparseMatrixCsr):
         norm = one_norm(a1)
     else:
-        norm = one_norm_dense(np.asarray(a1, dtype=np.float64))
+        norm = float(np.linalg.norm(np.asarray(a1, dtype=np.float64), 1))
     if norm == 0.0:
         raise DegenerateMatrixError("cannot derive a shift from an all-zero matrix")
     return norm * norm

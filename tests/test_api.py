@@ -78,3 +78,95 @@ def test_no_private_attribute_lookups_by_name():
     sources = sorted(Path(ilsolve.__file__).parent.glob("*.py"))
     found = {path.name: hits for path in sources if (hits := _private_lookups(path))}
     assert found == {}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _declared(tree: ast.Module) -> set[str]:
+    """Attributes the module's own classes declare: the names their bodies
+    bind or list in ``__slots__``, and those their methods assign on
+    ``self``."""
+    names = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id == "__slots__":
+                        names.update(ast.literal_eval(node.value))
+                    elif isinstance(target, ast.Name):
+                        names.add(target.id)
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    names.add(node.attr)
+    return names
+
+
+def _foreign_private_writes(path: Path) -> list[str]:
+    """Assignments to a private attribute, or to an item of one, on
+    anything but ``self``, where no class of the module declares the
+    attribute, as 'line: target'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    declared = _declared(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+                continue
+            if isinstance(target, ast.Starred):
+                targets.append(target.value)
+                continue
+            owner = target
+            while isinstance(owner, ast.Subscript):
+                owner = owner.value
+            if (
+                isinstance(owner, ast.Attribute)
+                and _private(owner.attr)
+                and not (isinstance(owner.value, ast.Name) and owner.value.id == "self")
+                and owner.attr not in declared
+            ):
+                found.append(f"{node.lineno}: {ast.unparse(target)}")
+    return found
+
+
+def test_no_module_writes_another_modules_private_state():
+    # A private attribute has one owner: the module whose class declares
+    # it.  Another module that writes it shares a cache or a flag with no
+    # owner a reader can find.
+    sources = sorted(Path(ilsolve.__file__).parent.glob("*.py"))
+    found = {path.name: hits for path in sources if (hits := _foreign_private_writes(path))}
+    assert found == {}
+
+
+def test_private_write_check_sees_items_and_allows_declared_attributes(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "class Report:\n"
+        "    _residual: object = None\n"
+        "def f(report, problem, self):\n"
+        "    report._residual = 1\n"
+        "    problem._factors[0] = 2\n"
+        "    problem._cache, x = 3, 4\n"
+        "    problem._count += 1\n"
+        "    self._own = 5\n",
+        encoding="utf-8",
+    )
+    assert _foreign_private_writes(source) == [
+        "5: problem._factors[0]",
+        "6: problem._cache",
+        "7: problem._count",
+    ]

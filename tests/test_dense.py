@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from ilsolve import CgConfig, NotSpdError, cg_solve, cholesky_solve, dense_cholesky
-from ilsolve.dense import _BLOCK, is_spd, one_norm_dense, solve_lower, solve_lower_transpose
+from ilsolve.dense import _BLOCK, is_spd, solve_lower, solve_lower_transpose
 from ilsolve.operators import aslinearoperator
 
 from conftest import random_spd
@@ -162,7 +162,3 @@ class TestBlockedTriangularSolves:
             np.testing.assert_allclose(y, want_y, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(z, want_z, rtol=1e-10, atol=1e-12)
 
-
-def test_one_norm_dense():
-    assert one_norm_dense(np.array([[1.0, -2.0], [3.0, 4.0]])) == 6.0
-    assert one_norm_dense(np.zeros((2, 2))) == 0.0

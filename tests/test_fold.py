@@ -1,11 +1,12 @@
-"""The folded solve: when a block of the problem has two or more empty rows,
-``fgmres_solve`` works on a twin in which those rows are one zero row, and
-must give what the full-length solve gives.
+"""The folded solve: when A2 has two or more empty rows, ``fgmres_solve``
+works on a twin in which those rows are one zero row, and must give what
+the full-length solve gives.  Empty rows of A1 do not fold.
 
 The full-length solve is reached by wrapping the block operator in a plain
 LinearOperator, which ``fgmres_solve`` never folds.
 """
 
+import dataclasses
 import gc
 import weakref
 from types import SimpleNamespace
@@ -26,12 +27,18 @@ from ilsolve import (
     fgmres_solve,
     make_preconditioner,
 )
+from ilsolve import problem as problem_module
 from ilsolve.preconditioners import INNER_SOLVERS, Preconditioner
 from ilsolve.problem import densify
 
 from conftest import dense_block_system
 
 CONFIG = FgmresConfig(1e-10, 300)
+
+
+def csr(dense):
+    i, j = np.nonzero(dense)
+    return il.SparseMatrixCsr.from_triplets(*dense.shape, i, j, dense[i, j])
 
 
 def with_empty_rows(prob, e1, e2, seed, sparse):
@@ -48,10 +55,7 @@ def with_empty_rows(prob, e1, e2, seed, sparse):
         full[place] = dense
         rhs = rng.standard_normal(rows)
         rhs[place] = b
-        if sparse:
-            i, j = np.nonzero(full)
-            full = il.SparseMatrixCsr.from_triplets(rows, full.shape[1], i, j, full[i, j])
-        blocks.append((full, rhs))
+        blocks.append((csr(full) if sparse else full, rhs))
     (a1, b1), (a2, b2) = blocks
     return IlsProblem(a1, a2, b1, b2, prob.alpha)
 
@@ -149,6 +153,57 @@ def test_one_empty_row_per_block_does_not_fold(applied):
     assert cf == cu and rf.iterations == ru.iterations
     assert abs(rf.final_res - ru.final_res) <= 1e-12
     np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
+
+
+@pytest.mark.parametrize("kind, paired", [("ibs4", True), ("bs2", False), ("none", False)])
+def test_empty_rows_of_a1_alone_do_not_fold(applied, kind, paired):
+    # Three empty rows in A1, none in A2: no twin.  A preconditioner that
+    # takes the paired step takes it at full length, and its products
+    # round unlike apply followed by the block product; one that declines
+    # it gives the wrapped operator's solve bit for bit.
+    prob = with_empty_rows(il.generate_random_problem(6, 4, 3, seed=6), 3, 0, 6, sparse=True)
+    assert prob._fold is None
+    (xf, rf, cf), (xu, ru, cu) = solve_both(prob, kind, "cg")
+    assert set(applied.lengths) == {prob.size}
+    assert rf.converged and cf == cu and rf.iterations == ru.iterations
+    assert make_preconditioner(kind, prob).paired == paired
+    if paired:
+        assert applied.paired == [prob.size] * rf.iterations
+        np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
+    else:
+        assert applied.paired == []
+        assert np.array_equal(xf, xu) and np.array_equal(rf.res_history, ru.res_history)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_twin_drops_interleaved_empty_rows_of_a2(sparse):
+    # Five empty rows of A2 among its four others, and two of A1, which
+    # the twin keeps.
+    core = il.generate_random_problem(5, 4, 3, seed=9)
+    a1 = np.insert(densify(core.a1), [1, 1], 0.0, axis=0)
+    a2 = np.insert(densify(core.a2), [0, 1, 2, 2, 3], 0.0, axis=0)
+    rng = np.random.default_rng(9)
+    blocks = [csr(a) if sparse else a for a in (a1, a2)]
+    prob = IlsProblem(*blocks, rng.standard_normal(len(a1)), rng.standard_normal(len(a2)), core.alpha)
+    twin, empty = prob._fold
+    assert np.flatnonzero(empty).tolist() == [0, 2, 4, 5, 7]
+    assert twin.size == prob.p + prob.n + (prob.q - 5) + 1
+    assert twin.a1 is prob.a1 and twin.b1 is prob.b1
+    assert np.array_equal(densify(twin.a2), np.vstack([a2[~empty], np.zeros((1, prob.n))]))
+    assert np.array_equal(twin.b2, np.append(prob.b2[~empty], np.linalg.norm(prob.b2[empty])))
+
+
+def test_fold_is_built_once_per_problem(monkeypatch):
+    builds = []
+    build = problem_module._build_fold
+    monkeypatch.setattr(problem_module, "_build_fold", lambda prob: builds.append(prob) or build(prob))
+    prob = with_empty_rows(il.generate_random_problem(5, 4, 3, seed=10), 0, 3, 10, sparse=True)
+    for _ in range(2):
+        x, rep = fgmres_solve(block_system_operator(prob), make_preconditioner("ibs2", prob), build_rhs(prob))
+        assert rep.converged
+    assert prob._fold is prob._fold and len(builds) == 1 and builds[0] is prob
+    copy = dataclasses.replace(prob)
+    assert copy._fold is not prob._fold and len(builds) == 2 and builds[1] is copy
 
 
 def test_other_operators_take_the_full_path(applied):

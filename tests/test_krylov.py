@@ -8,15 +8,18 @@ from ilsolve import (
     FgmresConfig,
     IndefiniteOperatorError,
     NumericalFailureError,
+    block_system_operator,
+    build_rhs,
     cg_solve,
     cholesky_solve,
     dense_cholesky,
     fgmres_solve,
+    make_preconditioner,
 )
 from ilsolve.krylov import _assemble
 from ilsolve.operators import LinearOperator, aslinearoperator
 
-from conftest import random_spd
+from conftest import random_desk_problem, random_spd
 
 
 def identity(n):
@@ -513,3 +516,37 @@ class TestFgmres:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             FgmresConfig(restart=0)
+
+
+class TestSolverInput:
+    """Bad input is rejected before any iteration, with its cause named."""
+
+    SOLVERS = {
+        "cg": lambda op, rhs: cg_solve(op, rhs),
+        "fgmres": lambda op, rhs: fgmres_solve(op, identity(op.n_rows), rhs),
+    }
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_non_square_operator(self, solver):
+        op = aslinearoperator(np.ones((3, 4)))
+        with pytest.raises(ValueError, match=r"^operator is 3 x 4, not square$"):
+            self.SOLVERS[solver](op, np.ones(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_non_finite_rhs(self, solver, value):
+        applied = []
+        op = LinearOperator(4, 4, lambda v: applied.append(1) or 2.0 * v)
+        rhs = np.array([1.0, value, 0.0, 3.0])
+        with pytest.raises(ValueError, match="^rhs is not finite"):
+            self.SOLVERS[solver](op, rhs)
+        assert applied == []
+
+    def test_non_finite_rhs_on_the_block_system(self):
+        prob = random_desk_problem(2)
+        rhs = build_rhs(prob)
+        rhs[prob.size - 1] = np.inf
+        pre = make_preconditioner("ibs2", prob, inner="cg")
+        with pytest.raises(ValueError, match="^rhs is not finite"):
+            fgmres_solve(block_system_operator(prob), pre, rhs)
+        assert pre.inner_iterations == 0

@@ -255,7 +255,7 @@ class TestInnerSolvers:
         prob = random_desk_problem(13)
         calls = []
         monkeypatch.setattr(
-            preconditioners_module, "dense_cholesky", lambda m: calls.append(1) or dense_cholesky(m)
+            problem_module, "dense_cholesky", lambda m: calls.append(1) or dense_cholesky(m)
         )
         ibs2 = make_preconditioner("ibs2", prob, inner="cholesky")
         ibs4 = make_preconditioner("ibs4", prob, inner="cholesky")
@@ -372,7 +372,7 @@ class TestPairedStep:
         own = layout != "folds"
         if not own:
             # The same preconditioner steps on the folded twin.
-            prob = prob._folded()[0]
+            prob = prob._fold[0]
         v = rng.standard_normal(prob.size)
         pre.reset_stats()
         z, w = pre._apply(prob, v, paired=True)
@@ -421,7 +421,7 @@ class TestPairedStep:
 
     def test_shift_bound_is_the_guard(self):
         prob = random_desk_problem(3)
-        bound = prob._gram_norm_bound()
+        bound = prob._gram_bound
         limit = preconditioners_module._PAIR_BOUND
         inside = dataclasses.replace(prob, alpha=bound / (limit - 2.0))
         outside = dataclasses.replace(prob, alpha=bound / (limit - 0.5))
@@ -435,7 +435,7 @@ class TestPairedStep:
         kind = case.split("-")[0]
         if case.endswith("past-bound"):
             limit = preconditioners_module._PAIR_BOUND
-            prob = dataclasses.replace(prob, alpha=prob._gram_norm_bound() / (10 * limit))
+            prob = dataclasses.replace(prob, alpha=prob._gram_bound / (10 * limit))
         op, rhs = block_system_operator(prob), build_rhs(prob)
         out = []
         for operator in (op, LinearOperator(prob.size, prob.size, op.apply)):

@@ -150,6 +150,11 @@ class TestComputeAlpha:
     def test_dense_input(self):
         assert compute_alpha(np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])) == 1.5**2
 
+    def test_dense_one_norm_sums_magnitudes_by_column(self):
+        assert compute_alpha(np.array([[1.0, -2.0], [3.0, 4.0]])) == 6.0**2
+        with pytest.raises(il.DegenerateMatrixError):
+            compute_alpha(np.zeros((2, 2)))
+
 
 class TestApplyBlockA:
     def test_zero_x_annihilates_a1_terms(self, rng):
