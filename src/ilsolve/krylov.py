@@ -87,10 +87,11 @@ class SolveReport:
     notes: tuple[str, ...] = ()
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
-    # CG's recurrence residual of the returned iterate, when that is its
-    # last iterate (None otherwise); the preconditioners' paired step
-    # reads it.
+    # CG's recurrence residual and carried image A1 x (never from cg_solve)
+    # of the returned iterate, when that is its last (None otherwise); with
+    # them the paired step makes no product by A1 or A1'A1.
     _residual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _image: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 _BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
@@ -122,6 +123,13 @@ def cg_solve(
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    return _cg(lambda p: (op.apply(p), None), rhs, cfg)
+
+
+def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None) -> tuple[np.ndarray, SolveReport]:
+    """The CG loop of cg_solve: ``product(p)`` gives (S p, A1 p), whose
+    A1 p may be None where ``image`` is None.  ``image``, zeros of length
+    p, is updated in place to A1 x and reported as the residual is."""
     t0 = time.perf_counter()
     # r is updated in place; x and p are only rebound, so p may alias rhs
     # and the best iterate is a reference, not a copy.
@@ -132,7 +140,7 @@ def cg_solve(
         raise ValueError(f"rhs is not finite: its norm is {bnorm}")
     if bnorm == 0.0:
         report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
-        report._residual = r
+        report._residual, report._image = r, image
         return np.zeros_like(rhs), report
 
     x = best_x = np.zeros_like(rhs)
@@ -142,7 +150,7 @@ def cg_solve(
     notes: list[str] = []
     k = 0
     while k < cfg.max_iterations:
-        ap = op.apply(p)
+        ap, a1p = product(p)
         pap = float(p @ ap)
         if not math.isfinite(pap):
             raise NumericalFailureError(
@@ -156,6 +164,8 @@ def cg_solve(
             )
         gamma = rs / pap
         x = x + gamma * p
+        if image is not None:
+            image += gamma * a1p
         r -= gamma * ap
         rs_new = float(r @ r)
         res = math.sqrt(rs_new) / bnorm
@@ -173,13 +183,13 @@ def cg_solve(
         # Return the best iterate seen; final_res reflects it.
         notes.append(f"returned best iterate (residual {best_res:.3e}) instead of the last")
         x = best_x
-        out_res, residual = best_res, None
+        out_res, residual, image = best_res, None, None
     else:
         out_res, residual = history[-1], r
     report = SolveReport(
         k, time.perf_counter() - t0, out_res, np.array(history), converged, notes=tuple(notes)
     )
-    report._residual = residual
+    report._residual, report._image = residual, image
     return x, report
 
 

@@ -39,15 +39,16 @@ Comput. 2, 1981):
     ibs3 / bs3:  A z = (r1,         r2 - s - shift*z2 + A2'r3, r3 + A2 z2)
     ibs4 / but:  A z = (r1,         r2 - s - shift*z2,         r3 + A2 z2)
 
-The paired step returns z and this A z, with no product by A1'A1; its
-one product by A1 is the one ibs3/ibs4 need for z1 anyway.  It is exact
-where s is known to working accuracy: after an exact inner solve (s = 0,
-up to the Cholesky backward error) and after CG on an S whose condition
-bound (shift + |A1|_1 |A1|_inf) / shift is at most _PAIR_BOUND (s is CG's
-recurrence residual, or c - S z2 recomputed when CG returns an earlier
-iterate or breaks down).  ``Preconditioner.paired`` says whether a
-preconditioner takes it: the unshifted baselines on CG, a tiny shift and
-kind 'none' do not.
+The paired step returns z and this A z.  It is exact where s is known to
+working accuracy: after an exact inner solve (s = 0, up to the Cholesky
+backward error), where it makes the one product A1 z2, and after CG on an
+S whose condition bound (shift + |A1|_1 |A1|_inf) / shift is at most
+_PAIR_BOUND.  There s is CG's recurrence residual and A1 z2 the image
+that CG carries from its Gram products, so after trusted inner CG the
+step makes no product by A1 or A1'A1; when CG returns an earlier iterate
+or breaks down, one Gram product of z2 gives both.  ``paired`` says
+whether a preconditioner takes the step (and the image, in ``apply``
+too): the unshifted baselines on CG, a tiny shift and kind 'none' do not.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
 which ``fgmres_solve`` hands it for ``block_system_operator(problem)``.
@@ -66,9 +67,9 @@ import numpy as np
 
 from .dense import cholesky_solve
 from .exceptions import ConfigurationError, IndefiniteOperatorError
-from .krylov import CgConfig, FgmresConfig, SolveReport, _fgmres, cg_solve
+from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
 from .operators import LinearOperator
-from .problem import IlsProblem, apply_block_A, block_system_operator, shifted_gram_operator
+from .problem import IlsProblem, _GramOperator, apply_block_A, block_system_operator, shifted_gram_operator
 
 __all__ = [
     "VARIANTS",
@@ -140,24 +141,34 @@ class Preconditioner:
         self.inner_iterations = 0
         self.inner_failures = 0
 
-    def _inner_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float | None]:
-        """(z2, s): z2 solves S z2 = rhs, and s = rhs - S z2 where it is
-        known without a product by S: 0.0 for the exact solve, CG's
-        recurrence residual when CG returns its last iterate, else None."""
+    def _product(self):
+        """CG's product v -> (S v, A1 v) where ``paired`` holds, from one
+        Gram product on the problem's own inner matrix; else (S v, None)."""
+        gram, a1, paired = self.gram, self.problem.a1, self.paired
+        if paired and isinstance(gram, _GramOperator):
+            return gram.pair
+        return lambda v: (gram.apply(v), a1 @ v if paired else None)
+
+    def _inner_solve(self, rhs: np.ndarray) -> tuple:
+        """(z2, s, u) with s = rhs - S z2 and u = A1 z2 where known without
+        a product by A1, else None: s = 0.0 after the exact solve; CG's
+        recurrence residual and, where ``paired``, its carried image when CG
+        returns its last iterate, so the paired step makes no such product."""
         if self.lower is not None:
-            return cholesky_solve(self.lower, rhs, self.inverses), 0.0
+            return cholesky_solve(self.lower, rhs, self.inverses), 0.0, None
+        image = np.zeros(self.problem.p) if self.paired else None
         try:
-            z, report = cg_solve(self.gram, rhs, config=self.config)
+            z, report = _cg(self._product(), rhs, self.config, image)
         except IndefiniteOperatorError as exc:
             # Numerical breakdown on an ill-conditioned (but in exact
             # arithmetic SPD) Gram matrix: keep the best iterate.
             self.inner_failures += 1
             self.inner_iterations += exc.iterations
-            return exc.x_best, None
+            return exc.x_best, None, None
         self.inner_iterations += report.iterations
         if not report.converged:
             self.inner_failures += 1
-        return z, report._residual
+        return z, report._residual, report._image
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self._apply(self.problem, r)
@@ -171,20 +182,24 @@ class Preconditioner:
             return np.concatenate([r1, r2, r3])
         coupled = self.kind in _COUPLED_RHS
         rhs = r2 - r3 @ prob.a2 if coupled else r2
-        z2, s = self._inner_solve(rhs)
+        z2, s, a1z2 = self._inner_solve(rhs)
+        if s is None and self.paired:
+            # CG returned an earlier iterate or broke down: one Gram product
+            # gives s and A1 z2, in both modes, so that z is the same.
+            sz2, a1z2 = self._product()(z2)
+            s = rhs - sz2
         backsub = self.kind in _BACKSUB_FIRST
-        z1 = r1 - prob.a1 @ z2 if backsub else r1
-        z = np.concatenate([z1, z2, r3])
+        if a1z2 is None and (backsub or paired):
+            a1z2 = prob.a1 @ z2
+        z = np.concatenate([r1 - a1z2 if backsub else r1, z2, r3])
         if not paired:
             return z
-        if s is None:
-            s = rhs - self.gram.apply(z2)
         w = np.empty(prob.size)
         w1, w2, w3 = prob.split(w)
         if backsub:
             w1[:] = r1
         else:
-            np.add(r1, prob.a1 @ z2, out=w1)
+            np.add(r1, a1z2, out=w1)
         np.subtract(r2, s, out=w2)
         w2 -= self.shift * z2
         if not coupled:

@@ -260,6 +260,14 @@ def _gram_sweep(a1: np.ndarray, x: np.ndarray, rows: int) -> tuple[np.ndarray, n
     return ax, gram
 
 
+def _gram(a1, x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A1 x, A1'(A1 x)), by _gram_sweep where ``rows`` (prob._panel) is set."""
+    if rows:
+        return _gram_sweep(a1, x, rows)
+    a1x = a1 @ x
+    return a1x, a1x @ a1
+
+
 def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
     """Product of the block system matrix with a flat (d1; x; d2) vector.
 
@@ -269,11 +277,7 @@ def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
     as ``a1x = A1 @ x`` and ``a1x @ A1``.
     """
     d1, x, d2 = prob.split(v)
-    if prob._panel:
-        a1x, gram = _gram_sweep(prob.a1, x, prob._panel)
-    else:
-        a1x = prob.a1 @ x
-        gram = a1x @ prob.a1
+    a1x, gram = _gram(prob.a1, x, prob._panel)
     return np.concatenate([d1 + a1x, gram + d2 @ prob.a2, prob.a2 @ x + d2])
 
 
@@ -297,22 +301,29 @@ def block_system_operator(prob: IlsProblem) -> LinearOperator:
     return _BlockOperator(prob)
 
 
+class _GramOperator(LinearOperator):
+    """The inner matrix S = shift*I + A1'A1; ``pair(v)`` is (S v, A1 v),
+    both from the one Gram product that S v takes."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, n: int, pair):
+        super().__init__(n, n, lambda v: pair(v)[0])
+        self.pair = pair
+
+
 def shifted_gram_operator(prob: IlsProblem, shift: float) -> LinearOperator:
     """v -> shift*v + A1'(A1 v): with shift = alpha the well-conditioned
     inner matrix of the inexact preconditioners, with 0 the Gram matrix,
     whose apply is A1'(A1 v) alone.  The Gram product is that of
-    apply_block_A."""
+    apply_block_A, and the operator's ``pair`` also returns its A1 v."""
     a1, rows = prob.a1, prob._panel
-    if rows:
-        if shift:
-            apply = lambda v: shift * v + _gram_sweep(a1, v, rows)[1]
-        else:
-            apply = lambda v: _gram_sweep(a1, v, rows)[1]
-    elif shift:
-        apply = lambda v: shift * v + (a1 @ v) @ a1
-    else:
-        apply = lambda v: (a1 @ v) @ a1
-    return LinearOperator(prob.n, prob.n, apply)
+
+    def pair(v):
+        a1v, gram = _gram(a1, v, rows)
+        return (shift * v + gram if shift else gram), a1v
+
+    return _GramOperator(prob.n, pair)
 
 
 def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:

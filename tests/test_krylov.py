@@ -2,22 +2,29 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ilsolve import (
     CgConfig,
     FgmresConfig,
+    IlsProblem,
     IndefiniteOperatorError,
     NumericalFailureError,
+    SparseMatrixCsr,
     block_system_operator,
     build_rhs,
     cg_solve,
     cholesky_solve,
+    compute_alpha,
     dense_cholesky,
     fgmres_solve,
     make_preconditioner,
 )
-from ilsolve.krylov import _assemble
+from ilsolve import problem as problem_module
+from ilsolve.krylov import _assemble, _cg
 from ilsolve.operators import LinearOperator, aslinearoperator
+from ilsolve.problem import _GramOperator, densify, shifted_gram_operator
 
 from conftest import random_desk_problem, random_spd
 
@@ -205,6 +212,130 @@ class TestCg:
         assert history is None and info.value.iterations == 4
         assert np.any(want_x != want_x[0])  # not the first step's multiple of rhs
         assert np.array_equal(info.value.x_best, want_x)
+
+
+EPS = np.finfo(np.float64).eps
+IMAGE_LAYOUTS = ("dense-one-panel", "dense-panels", "dense-fortran", "csr")
+# Rows of one Gram-sweep panel of A1 at n = 100.
+PANEL_100 = problem_module._PANEL_BYTES // (8 * 100)
+
+
+def image_problem(layout, seed, spread=10.0):
+    """A problem whose A1 takes the Gram product of ``layout``: dense and
+    row-major within one panel or over several, dense and Fortran-ordered,
+    or CSR.  Its columns are scaled from 1 to ``spread``."""
+    rng = np.random.default_rng(seed)
+    if layout == "dense-panels":
+        n, p = 100, 2 * PANEL_100 + 3
+    else:
+        n = int(rng.integers(2, 13))
+        p = int(rng.integers(n, 3 * n + 2))
+    a1 = rng.standard_normal((p, n))
+    if layout == "csr":
+        a1[rng.random(a1.shape) < 0.5] = 0.0
+        a1[:n] += 4.0 * np.eye(n)  # full column rank
+    a1 *= np.geomspace(1.0, spread, n)
+    if layout == "csr":
+        rows, cols = np.nonzero(a1)
+        a1 = SparseMatrixCsr.from_triplets(p, n, rows, cols, a1[rows, cols])
+    elif layout == "dense-fortran":
+        a1 = np.asfortranarray(a1)
+    a2 = rng.standard_normal((2, n))
+    return IlsProblem(a1, a2, rng.standard_normal(p), rng.standard_normal(2), compute_alpha(a1))
+
+
+class TestCarriedImage:
+    """The CG loop that the preconditioners run carries u = A1 x beside x,
+    from the A1 p of its Gram products, and returns it under the rule of
+    its recurrence residual."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**16),
+        layout=st.sampled_from(IMAGE_LAYOUTS),
+        shifted=st.booleans(),
+        tol=st.sampled_from([1e-3, 1e-8, 1e-14]),
+        cap=st.integers(1, 40),
+    )
+    def test_image_is_a1_times_the_returned_iterate(self, seed, layout, shifted, tol, cap):
+        prob = image_problem(layout, seed)
+        assert (prob._panel > 0) == (layout == "dense-panels")
+        if layout == "dense-fortran":
+            assert not prob.a1.flags.c_contiguous
+        gram = shifted_gram_operator(prob, prob.alpha if shifted else 0.0)
+        rhs = np.random.default_rng(seed).standard_normal(prob.n)
+        cfg = CgConfig(tol, cap)
+        x, report = _cg(gram.pair, rhs, cfg, np.zeros(prob.p))
+        # Carrying the image changes no iterate, and cg_solve carries none.
+        want_x, want = cg_solve(gram, rhs, cfg)
+        assert np.array_equal(x, want_x) and np.array_equal(report.res_history, want.res_history)
+        assert want._image is None
+        if report._residual is None:  # an earlier iterate was returned
+            assert report._image is None
+            return
+        # u and x sum the k terms gamma_i A1 p_i and gamma_i p_i; products
+        # and sums round at (n + k) eps of the terms' magnitudes.  CG's
+        # iterates grow in norm from zero (Hestenes and Stiefel, J. Res. NBS
+        # 49, 1952, Theorem 6:3), so each term gamma_i p_i = x_i - x_(i-1)
+        # is at most 2 |x| long.  Measured here: at most 0.03 of the bound.
+        k = report.iterations
+        a1d = densify(prob.a1)
+        bound = 2 * (prob.n + k) * EPS * np.linalg.norm(a1d) * 2 * k * np.linalg.norm(x)
+        assert report._image.shape == (prob.p,)
+        assert np.linalg.norm(report._image - a1d @ x) <= bound
+
+    def test_no_image_for_an_earlier_iterate(self):
+        # With the Gram matrix of widely scaled columns the residual rises
+        # before it falls, and a capped run returns an earlier iterate.
+        prob = image_problem("dense-one-panel", 3, spread=100.0)
+        gram = shifted_gram_operator(prob, 0.0)
+        rhs = np.random.default_rng(3).standard_normal(prob.n)
+        earlier = 0
+        for cap in range(1, 3 * prob.n):
+            x, report = _cg(gram.pair, rhs, CgConfig(1e-15, cap), np.zeros(prob.p))
+            if report.final_res < report.res_history[-1]:
+                earlier += 1
+                assert report._residual is None and report._image is None
+            else:
+                want = prob.a1 @ x
+                np.testing.assert_allclose(report._image, want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+        assert earlier
+
+    def test_no_image_after_a_breakdown(self, rng):
+        # The loop raises on a breakdown, so no image leaves it: the inner
+        # solve returns CG's best iterate with neither s nor A1 z2.
+        prob = random_desk_problem(13)
+        pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
+        assert pre.paired
+        diag = np.resize([1.0, 1.0, 1.0, 1.0, 1.0, -50.0], prob.n)
+        pre.gram = _GramOperator(prob.n, lambda v: (diag * v, prob.a1 @ v))
+        rhs = rng.standard_normal(prob.n)
+        with pytest.raises(IndefiniteOperatorError) as info:
+            cg_solve(pre.gram, rhs, config=pre.config)
+        z, s, u = pre._inner_solve(rhs)
+        assert s is None and u is None
+        assert np.array_equal(z, info.value.x_best)
+
+    @pytest.mark.parametrize("layout", IMAGE_LAYOUTS)
+    def test_zero_rhs_gives_a_zero_image(self, layout):
+        prob = image_problem(layout, 5)
+        gram = shifted_gram_operator(prob, prob.alpha)
+        x, report = _cg(gram.pair, np.zeros(prob.n), CgConfig(), np.zeros(prob.p))
+        assert report.iterations == 0 and np.array_equal(x, np.zeros(prob.n))
+        assert np.array_equal(report._image, np.zeros(prob.p))
+        pre = make_preconditioner("ibs3", prob)
+        assert pre.paired
+        z2, s, u = pre._inner_solve(np.zeros(prob.n))
+        assert np.array_equal(u, np.zeros(prob.p)) and np.array_equal(s, np.zeros(prob.n))
+
+    def test_public_cg_carries_no_image(self, rng):
+        prob = image_problem("csr", 9)
+        rhs = rng.standard_normal(prob.n)
+        for gram in (shifted_gram_operator(prob, prob.alpha), aslinearoperator(np.eye(prob.n))):
+            for b in (rhs, np.zeros(prob.n)):
+                _, report = cg_solve(gram, b)
+                assert report._residual is not None and report._image is None
 
 
 class TestFgmres:

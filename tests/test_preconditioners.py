@@ -21,6 +21,7 @@ from ilsolve import (
 )
 from ilsolve import preconditioners as preconditioners_module
 from ilsolve import problem as problem_module
+from ilsolve import sparse as sparse_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
@@ -406,10 +407,49 @@ class TestPairedStep:
         pre = make_preconditioner("ibs2", prob, inner="cg")
         v = rng.standard_normal(prob.size)
         solve = pre._inner_solve
-        monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None))
+        monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None, None))
         z, w = pre._apply(prob, v, paired=True)
         direct = apply_block_A(prob, z)
         assert np.linalg.norm(w - direct) <= 1e-13 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("inner", ["cg", "cg-earlier", "cholesky"])
+    @pytest.mark.parametrize("kind", SPLITTINGS)
+    def test_products_by_a1_in_one_step(self, rng, monkeypatch, kind, inner):
+        # One step on a CSR problem, counted as (A1 x, y A1) products.  The
+        # paired step after inner CG of k iterations makes the k Gram
+        # products of CG and no other product by A1; after CG returns an
+        # earlier iterate, one Gram product more; after an exact solve,
+        # one A1 z2.  An unpaired step (the baselines on CG) is apply, with
+        # A1 z2 for ibs3/bs3 and ibs4/but, followed by the block product.
+        prob = paired_problem(rng, "csr")
+        pre = make_preconditioner(kind, prob, inner=inner.split("-")[0])
+        if inner == "cg-earlier":
+            solve = pre._inner_solve
+            monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None, None))
+        counts = [0, 0]
+        for i, name in enumerate(("spmv", "spmv_transpose")):
+            kernel = getattr(sparse_module, name)
+
+            def counted(a, x, kernel=kernel, i=i):
+                counts[i] += a is prob.a1
+                return kernel(a, x)
+
+            monkeypatch.setattr(sparse_module, name, counted)
+        v = rng.standard_normal(prob.size)
+        pre.reset_stats()
+        if pre.paired:
+            pre._apply(prob, v, paired=True)
+        else:
+            apply_block_A(prob, pre.apply(v))
+        k = pre.inner_iterations
+        assert pre.inner_failures == 0
+        if inner == "cholesky":
+            assert counts == [1, 0]
+        elif not pre.paired:
+            assert kind in IBS_TO_BASELINE.values()
+            assert counts == [k + 1 + (kind in ("bs3", "but")), k + 1]
+        else:
+            assert k > 0 and counts == [k + (inner == "cg-earlier")] * 2
 
     @pytest.mark.parametrize("inner", ["cg", "cholesky"])
     @pytest.mark.parametrize("kind", SPLITTINGS)
