@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +87,6 @@ class SolveReport:
     notes: tuple[str, ...] = ()
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
-    # CG's recurrence residual and carried image A1 x (never from cg_solve)
-    # of the returned iterate, when that is its last (None otherwise); with
-    # them the paired step makes no product by A1 or A1'A1.
-    _residual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _image: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 _BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
@@ -123,13 +118,16 @@ def cg_solve(
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
-    return _cg(lambda p: (op.apply(p), None), rhs, cfg)
+    return _cg(lambda p: (op.apply(p), None), rhs, cfg)[:2]
 
 
-def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None) -> tuple[np.ndarray, SolveReport]:
-    """The CG loop of cg_solve: ``product(p)`` gives (S p, A1 p), whose
-    A1 p may be None where ``image`` is None.  ``image``, zeros of length
-    p, is updated in place to A1 x and reported as the residual is."""
+def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None):
+    """The CG loop of cg_solve, as (x, report, residual, image):
+    ``product(p)`` gives (S p, A1 p), whose A1 p may be None where
+    ``image`` is None.  ``image``, zeros of length p, is updated in place
+    to A1 x.  ``residual`` is the recurrence residual rhs - S x; both are
+    None when an earlier iterate is returned, and with them the paired
+    step of ilsolve.preconditioners makes no product by A1 or A1'A1."""
     t0 = time.perf_counter()
     # r is updated in place; x and p are only rebound, so p may alias rhs
     # and the best iterate is a reference, not a copy.
@@ -140,8 +138,7 @@ def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None) -> tuple[np.ndarray
         raise ValueError(f"rhs is not finite: its norm is {bnorm}")
     if bnorm == 0.0:
         report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
-        report._residual, report._image = r, image
-        return np.zeros_like(rhs), report
+        return np.zeros_like(rhs), report, r, image
 
     x = best_x = np.zeros_like(rhs)
     history = [1.0]
@@ -189,8 +186,7 @@ def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None) -> tuple[np.ndarray
     report = SolveReport(
         k, time.perf_counter() - t0, out_res, np.array(history), converged, notes=tuple(notes)
     )
-    report._residual, report._image = residual, image
-    return x, report
+    return x, report, residual, image
 
 
 def _givens(a: float, b: float) -> tuple[float, float]:

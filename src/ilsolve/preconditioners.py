@@ -11,11 +11,12 @@ rows:
     ibs3 / bs3:  solve z2;  z1 = r1 - A1 z2;               z3 = r3
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
-A Preconditioner solves its inner systems itself, either exactly (with a
-dense Cholesky factor and the inverses of its diagonal blocks, which the
-problem computes once per shift and shares among the preconditioners
-built on it) or inexactly (matrix-free CG on the shifted Gram operator
-from a zero start).  Inner CG failure is a
+A Preconditioner is built from the arguments of make_preconditioner
+(kind, problem, inner solver, inner CG settings) and owns its inner solve:
+exact, with a dense Cholesky factor and the inverses of its diagonal
+blocks, which the problem computes once per shift and shares among the
+preconditioners built on it; or inexact, matrix-free CG from a zero start
+on the problem's Gram pair v -> (S v, A1 v).  Inner CG failure is a
 recorded statistic, not a fatal error: the loose-tolerance regime is the
 intended operating point for the outer flexible solver.
 
@@ -68,8 +69,7 @@ import numpy as np
 from .dense import cholesky_solve
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
-from .operators import LinearOperator
-from .problem import IlsProblem, _GramOperator, apply_block_A, block_system_operator, shifted_gram_operator
+from .problem import IlsProblem, _gram_pair, apply_block_A, block_system_operator
 
 __all__ = [
     "VARIANTS",
@@ -104,34 +104,32 @@ _PAIR_BOUND = 1e4
 class Preconditioner:
     """Applies z = M^{-1} r for one splitting variant.
 
-    The inner solve uses ``lower``, the Cholesky factor of the inner
-    matrix, when there is one (with ``inverses``, the inverses of its
-    diagonal blocks, when given; see ilsolve.dense), and otherwise CG on
-    ``gram`` with ``config``.  ``paired`` says whether FGMRES on the block
+    Built from make_preconditioner's arguments, it owns its inner solve:
+    with inner 'cholesky', ``lower`` and ``inverses``, the problem's shared
+    Cholesky factor of the inner matrix and the inverses of its diagonal
+    blocks (see ilsolve.dense); with 'cg', CG at ``config`` on the
+    problem's Gram pair.  ``paired`` says whether FGMRES on the block
     system takes the paired step (see the module docstring).  Instances
     are reusable across solves; ``inner_iterations`` and
     ``inner_failures`` accumulate CG statistics (call ``reset_stats``
     between timed runs).
     """
 
-    def __init__(
-        self,
-        kind: str,
-        problem: IlsProblem,
-        lower: np.ndarray | None = None,
-        inverses: np.ndarray | None = None,
-        gram: LinearOperator | None = None,
-        config: CgConfig | None = None,
-    ):
-        self.kind = kind
+    def __init__(self, kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None):
+        kind = self.kind = kind.lower()
+        if kind not in VARIANTS:
+            raise ValueError(f"unknown preconditioner kind {kind!r}; choose from {VARIANTS}")
+        if inner not in INNER_SOLVERS:
+            raise ValueError(f"unknown inner solver mode {inner!r}")
         self.problem = problem
-        self.lower = lower
-        self.inverses = inverses
-        self.gram = gram
-        self.config = config
+        self.config = inner_config or CgConfig()
         shift = self.shift = problem.alpha if kind in IBS_VARIANTS else 0.0
+        self.lower = self.inverses = None
+        if kind != "none" and inner == "cholesky":
+            self.lower, self.inverses = problem._inner_factor(shift)
+        self._pair = _gram_pair(problem, shift)
         self.paired = kind != "none" and (
-            lower is not None
+            self.lower is not None
             or (shift > 0.0 and shift + problem._gram_bound <= _PAIR_BOUND * shift)
         )
         self.inner_iterations = 0
@@ -140,14 +138,6 @@ class Preconditioner:
     def reset_stats(self) -> None:
         self.inner_iterations = 0
         self.inner_failures = 0
-
-    def _product(self):
-        """CG's product v -> (S v, A1 v) where ``paired`` holds, from one
-        Gram product on the problem's own inner matrix; else (S v, None)."""
-        gram, a1, paired = self.gram, self.problem.a1, self.paired
-        if paired and isinstance(gram, _GramOperator):
-            return gram.pair
-        return lambda v: (gram.apply(v), a1 @ v if paired else None)
 
     def _inner_solve(self, rhs: np.ndarray) -> tuple:
         """(z2, s, u) with s = rhs - S z2 and u = A1 z2 where known without
@@ -158,7 +148,7 @@ class Preconditioner:
             return cholesky_solve(self.lower, rhs, self.inverses), 0.0, None
         image = np.zeros(self.problem.p) if self.paired else None
         try:
-            z, report = _cg(self._product(), rhs, self.config, image)
+            z, report, residual, image = _cg(self._pair, rhs, self.config, image)
         except IndefiniteOperatorError as exc:
             # Numerical breakdown on an ill-conditioned (but in exact
             # arithmetic SPD) Gram matrix: keep the best iterate.
@@ -168,7 +158,7 @@ class Preconditioner:
         self.inner_iterations += report.iterations
         if not report.converged:
             self.inner_failures += 1
-        return z, report._residual, report._image
+        return z, residual, image
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self._apply(self.problem, r)
@@ -186,7 +176,7 @@ class Preconditioner:
         if s is None and self.paired:
             # CG returned an earlier iterate or broke down: one Gram product
             # gives s and A1 z2, in both modes, so that z is the same.
-            sz2, a1z2 = self._product()(z2)
+            sz2, a1z2 = self._pair(z2)
             s = rhs - sz2
         backsub = self.kind in _BACKSUB_FIRST
         if a1z2 is None and (backsub or paired):
@@ -209,33 +199,20 @@ class Preconditioner:
 
 
 def make_preconditioner(
-    kind: str,
-    problem: IlsProblem,
-    inner: str = "cg",
-    inner_config: CgConfig | None = None,
+    kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None
 ) -> Preconditioner:
-    """Build a preconditioner.
+    """Build a preconditioner; ``Preconditioner`` takes the same arguments
+    and validates them (an unknown kind or inner solver is a ValueError).
 
-    ``inner`` is 'cg' (matrix-free, inexact) or 'cholesky' (exact, dense
-    factorization of the n x n inner matrix, permitted only for
-    n <= ilsolve.problem.DENSE_MAX_N).  The ibs variants shift the inner matrix by
-    problem.alpha; the baselines solve with the Gram matrix itself.  A
-    factor and its diagonal-block inverses are shared, read-only, by all
-    exact preconditioners of a problem with the same shift.
+    ``inner`` is 'cg' (matrix-free, inexact, at ``inner_config``, by
+    default CgConfig()) or 'cholesky' (exact, dense factorization of the
+    n x n inner matrix, permitted only for n <= ilsolve.problem.DENSE_MAX_N).
+    The ibs variants shift the inner matrix by problem.alpha; the baselines
+    solve with the Gram matrix itself.  A factor and its diagonal-block
+    inverses are shared, read-only, by all exact preconditioners of a
+    problem with the same shift.
     """
-    kind = kind.lower()
-    if kind not in VARIANTS:
-        raise ValueError(f"unknown preconditioner kind {kind!r}; choose from {VARIANTS}")
-    if inner not in INNER_SOLVERS:
-        raise ValueError(f"unknown inner solver mode {inner!r}")
-    if kind == "none":
-        return Preconditioner(kind, problem)
-    shift = problem.alpha if kind in IBS_VARIANTS else 0.0
-    if inner == "cg":
-        gram = shifted_gram_operator(problem, shift)
-        return Preconditioner(kind, problem, gram=gram, config=inner_config or CgConfig())
-    lower, inverses = problem._inner_factor(shift)
-    return Preconditioner(kind, problem, lower=lower, inverses=inverses)
+    return Preconditioner(kind, problem, inner, inner_config)
 
 
 def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:

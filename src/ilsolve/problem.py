@@ -301,29 +301,24 @@ def block_system_operator(prob: IlsProblem) -> LinearOperator:
     return _BlockOperator(prob)
 
 
-class _GramOperator(LinearOperator):
-    """The inner matrix S = shift*I + A1'A1; ``pair(v)`` is (S v, A1 v),
-    both from the one Gram product that S v takes."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, n: int, pair):
-        super().__init__(n, n, lambda v: pair(v)[0])
-        self.pair = pair
-
-
-def shifted_gram_operator(prob: IlsProblem, shift: float) -> LinearOperator:
-    """v -> shift*v + A1'(A1 v): with shift = alpha the well-conditioned
-    inner matrix of the inexact preconditioners, with 0 the Gram matrix,
-    whose apply is A1'(A1 v) alone.  The Gram product is that of
-    apply_block_A, and the operator's ``pair`` also returns its A1 v."""
+def _gram_pair(prob: IlsProblem, shift: float):
+    """v -> (shift*v + A1'(A1 v), A1 v), both from the one Gram product of
+    apply_block_A: the inner CG product of the inexact preconditioners."""
     a1, rows = prob.a1, prob._panel
 
     def pair(v):
         a1v, gram = _gram(a1, v, rows)
         return (shift * v + gram if shift else gram), a1v
 
-    return _GramOperator(prob.n, pair)
+    return pair
+
+
+def shifted_gram_operator(prob: IlsProblem, shift: float) -> LinearOperator:
+    """v -> shift*v + A1'(A1 v): with shift = alpha the well-conditioned
+    inner matrix of the inexact preconditioners, with 0 the Gram matrix,
+    whose apply is A1'(A1 v) alone.  The product is _gram_pair's."""
+    pair = _gram_pair(prob, shift)
+    return LinearOperator(prob.n, prob.n, lambda v: pair(v)[0])
 
 
 def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:

@@ -29,12 +29,16 @@ __all__ = [
 class SparseMatrixCsr:
     """Real matrix in CSR layout.
 
-    Invariants enforced at construction:
+    The constructor checks that:
 
-    * ``row_offsets`` is non-decreasing, starts at 0 and ends at nnz;
-    * column indices are strictly increasing within each row and < n_cols;
-    * no explicitly stored zeros (use :meth:`from_triplets`, which sums
-      duplicates and drops exact cancellations).
+    * ``n_rows`` and ``n_cols`` are nonnegative;
+    * ``row_offsets`` has n_rows + 1 entries, is non-decreasing, starts at
+      0 and ends at nnz, the length of both ``col_indices`` and ``values``;
+    * column indices lie in [0, n_cols), strictly increasing within a row.
+
+    It does not look at the values, so it keeps an explicitly stored zero;
+    :meth:`from_triplets` is what drops exact zeros (after summing
+    duplicates, so exact cancellations go too).
 
     ``A @ x`` is :func:`spmv` and ``y @ A`` is :func:`spmv_transpose` (the
     vector A'y), as for a 2-D ndarray; numpy defers ``y @ A`` to this class

@@ -170,3 +170,68 @@ def test_private_write_check_sees_items_and_allows_declared_attributes(tmp_path)
         "6: problem._cache",
         "7: problem._count",
     ]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level private functions, classes and constants, and the
+    private methods of the module's classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    item.name for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if _private(name)]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names the module reads, as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _unreferenced_private_names(sources: list[Path]) -> dict[str, list[str]]:
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    read = set().union(*(_references(tree) for tree in trees.values()))
+    unread = {name: [d for d in _private_definitions(tree) if d not in read] for name, tree in trees.items()}
+    return {name: names for name, names in unread.items() if names}
+
+
+def test_every_private_definition_is_referenced():
+    # A private name is not part of the API, so one that nothing in the
+    # package reads is dead code.
+    assert _unreferenced_private_names(sorted(Path(ilsolve.__file__).parent.glob("*.py"))) == {}
+
+
+def test_private_reference_check_sees_leftovers(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "_LIMIT = 3\n"
+        "_unused: int = 4\n"
+        "class _Helper:\n"
+        "    def _used(self):\n"
+        "        return _LIMIT\n"
+        "    def _stale(self):\n"
+        "        return self._used()\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "class _Leftover:\n"
+        "    pass\n"
+        "def run():\n"
+        "    return _Helper()\n",
+        encoding="utf-8",
+    )
+    assert _unreferenced_private_names([source]) == {"module.py": ["_unused", "_stale", "_Leftover"]}

@@ -260,9 +260,11 @@ def test_final_res_is_the_full_systems_residual(restart):
 @given(seed=st.integers(0, 2**16), shape=st.tuples(st.integers(2, 6), st.integers(0, 3), st.integers(1, 6)))
 @example(seed=11, shape=(4, 3, 5))
 def test_block_solve_report_contract(folds, kind, inner, restart, seed, shape):
-    # Every report of the block solve, folded or not, paired or not,
-    # describes the iterate it returns, on random desk problems.  The cap
-    # of 12 iterations leaves about half of these solves unconverged.
+    # Every report of the block solve, folded or not, paired or not, and
+    # of the generic solve on the wrapped operator, describes the iterate
+    # it returns, on random desk problems; a converged solve's last
+    # confirmation is of that iterate.  The cap of 12 iterations leaves
+    # about half of these solves unconverged.
     n, extra_p, q = shape
     prob = il.generate_random_problem(n + extra_p, q, n, seed=seed)
     if folds:
@@ -270,11 +272,14 @@ def test_block_solve_report_contract(folds, kind, inner, restart, seed, shape):
     rhs = build_rhs(prob)
     pre = make_preconditioner(kind, prob, inner=inner, inner_config=CgConfig(1e-3, 1000))
     config = FgmresConfig(1e-10, 12, restart=restart)
-    x, rep = fgmres_solve(block_system_operator(prob), pre, rhs, config=config)
-    assert len(rep.res_history) == rep.iterations + 1
-    assert rep.res_history[-1] == rep.final_res
-    assert abs(rep.final_res - true_residual(prob, x, rhs)) <= 1e-12
-    assert rep.converged == (rep.final_res < config.rel_tolerance)
+    for op in (block_system_operator(prob), unfolded(prob)):
+        x, rep = fgmres_solve(op, pre, rhs, config=config)
+        assert len(rep.res_history) == rep.iterations + 1
+        assert rep.res_history[-1] == rep.final_res
+        assert abs(rep.final_res - true_residual(prob, x, rhs)) <= 1e-12
+        assert rep.converged == (rep.final_res < config.rel_tolerance)
+        if rep.converged:
+            assert rep.confirmations[-1][2] == rep.final_res
 
 
 def test_resumption_count_survives_the_fold(monkeypatch):

@@ -24,7 +24,7 @@ from ilsolve import (
 from ilsolve import problem as problem_module
 from ilsolve.krylov import _assemble, _cg
 from ilsolve.operators import LinearOperator, aslinearoperator
-from ilsolve.problem import _GramOperator, densify, shifted_gram_operator
+from ilsolve.problem import _gram_pair, densify, shifted_gram_operator
 
 from conftest import random_desk_problem, random_spd
 
@@ -138,23 +138,29 @@ class TestCg:
         assert abs(true_res - report.final_res) <= 1e-10
 
     def test_residual_of_the_returned_iterate(self, rng):
-        # The report keeps CG's recurrence residual when the returned
+        # The CG loop returns its recurrence residual when the returned
         # iterate is the last one (the preconditioners' paired step reads
-        # it), and None when an earlier best iterate is returned.
+        # it), and None when an earlier best iterate is returned; its x and
+        # report are cg_solve's.
         m = random_spd(rng, 15, cond=200.0)
         rhs = rng.standard_normal(15)
         op = aslinearoperator(m)
+        product = lambda p: (op.apply(p), None)
         substituted = 0
         for cap in range(1, 16):
-            x, report = cg_solve(op, rhs, config=CgConfig(1e-15, cap))
+            cfg = CgConfig(1e-15, cap)
+            x, report, residual, image = _cg(product, rhs, cfg)
+            want_x, want = cg_solve(op, rhs, config=cfg)
+            assert np.array_equal(x, want_x) and np.array_equal(report.res_history, want.res_history)
+            assert image is None
             if report.final_res < report.res_history[-1]:
                 substituted += 1
-                assert report._residual is None
+                assert residual is None
             else:
-                np.testing.assert_allclose(report._residual, rhs - m @ x, rtol=0, atol=1e-12 * np.linalg.norm(rhs))
+                np.testing.assert_allclose(residual, rhs - m @ x, rtol=0, atol=1e-12 * np.linalg.norm(rhs))
         assert substituted
-        _, report = cg_solve(op, np.zeros(15))
-        assert np.array_equal(report._residual, np.zeros(15))
+        _, _, residual, _ = _cg(product, np.zeros(15), CgConfig())
+        assert np.array_equal(residual, np.zeros(15))
 
     def test_history_contract(self, rng):
         m = random_spd(rng, 10)
@@ -263,16 +269,17 @@ class TestCarriedImage:
         assert (prob._panel > 0) == (layout == "dense-panels")
         if layout == "dense-fortran":
             assert not prob.a1.flags.c_contiguous
-        gram = shifted_gram_operator(prob, prob.alpha if shifted else 0.0)
+        shift = prob.alpha if shifted else 0.0
         rhs = np.random.default_rng(seed).standard_normal(prob.n)
         cfg = CgConfig(tol, cap)
-        x, report = _cg(gram.pair, rhs, cfg, np.zeros(prob.p))
-        # Carrying the image changes no iterate, and cg_solve carries none.
-        want_x, want = cg_solve(gram, rhs, cfg)
+        x, report, residual, image = _cg(_gram_pair(prob, shift), rhs, cfg, np.zeros(prob.p))
+        # Carrying the image changes no iterate, and the loop without an
+        # image to carry returns none.
+        want_x, want = cg_solve(shifted_gram_operator(prob, shift), rhs, cfg)
         assert np.array_equal(x, want_x) and np.array_equal(report.res_history, want.res_history)
-        assert want._image is None
-        if report._residual is None:  # an earlier iterate was returned
-            assert report._image is None
+        assert _cg(_gram_pair(prob, shift), rhs, cfg)[3] is None
+        if residual is None:  # an earlier iterate was returned
+            assert image is None
             return
         # u and x sum the k terms gamma_i A1 p_i and gamma_i p_i; products
         # and sums round at (n + k) eps of the terms' magnitudes.  CG's
@@ -282,37 +289,37 @@ class TestCarriedImage:
         k = report.iterations
         a1d = densify(prob.a1)
         bound = 2 * (prob.n + k) * EPS * np.linalg.norm(a1d) * 2 * k * np.linalg.norm(x)
-        assert report._image.shape == (prob.p,)
-        assert np.linalg.norm(report._image - a1d @ x) <= bound
+        assert image.shape == (prob.p,)
+        assert np.linalg.norm(image - a1d @ x) <= bound
 
     def test_no_image_for_an_earlier_iterate(self):
         # With the Gram matrix of widely scaled columns the residual rises
         # before it falls, and a capped run returns an earlier iterate.
         prob = image_problem("dense-one-panel", 3, spread=100.0)
-        gram = shifted_gram_operator(prob, 0.0)
+        pair = _gram_pair(prob, 0.0)
         rhs = np.random.default_rng(3).standard_normal(prob.n)
         earlier = 0
         for cap in range(1, 3 * prob.n):
-            x, report = _cg(gram.pair, rhs, CgConfig(1e-15, cap), np.zeros(prob.p))
+            x, report, residual, image = _cg(pair, rhs, CgConfig(1e-15, cap), np.zeros(prob.p))
             if report.final_res < report.res_history[-1]:
                 earlier += 1
-                assert report._residual is None and report._image is None
+                assert residual is None and image is None
             else:
                 want = prob.a1 @ x
-                np.testing.assert_allclose(report._image, want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+                np.testing.assert_allclose(image, want, rtol=0, atol=1e-10 * np.linalg.norm(want))
         assert earlier
 
-    def test_no_image_after_a_breakdown(self, rng):
+    def test_no_image_after_a_breakdown(self, rng, monkeypatch):
         # The loop raises on a breakdown, so no image leaves it: the inner
         # solve returns CG's best iterate with neither s nor A1 z2.
         prob = random_desk_problem(13)
         pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
         assert pre.paired
         diag = np.resize([1.0, 1.0, 1.0, 1.0, 1.0, -50.0], prob.n)
-        pre.gram = _GramOperator(prob.n, lambda v: (diag * v, prob.a1 @ v))
+        monkeypatch.setattr(pre, "_pair", lambda v: (diag * v, prob.a1 @ v))
         rhs = rng.standard_normal(prob.n)
         with pytest.raises(IndefiniteOperatorError) as info:
-            cg_solve(pre.gram, rhs, config=pre.config)
+            _cg(pre._pair, rhs, pre.config, np.zeros(prob.p))
         z, s, u = pre._inner_solve(rhs)
         assert s is None and u is None
         assert np.array_equal(z, info.value.x_best)
@@ -320,22 +327,25 @@ class TestCarriedImage:
     @pytest.mark.parametrize("layout", IMAGE_LAYOUTS)
     def test_zero_rhs_gives_a_zero_image(self, layout):
         prob = image_problem(layout, 5)
-        gram = shifted_gram_operator(prob, prob.alpha)
-        x, report = _cg(gram.pair, np.zeros(prob.n), CgConfig(), np.zeros(prob.p))
+        x, report, _, image = _cg(_gram_pair(prob, prob.alpha), np.zeros(prob.n), CgConfig(), np.zeros(prob.p))
         assert report.iterations == 0 and np.array_equal(x, np.zeros(prob.n))
-        assert np.array_equal(report._image, np.zeros(prob.p))
+        assert np.array_equal(image, np.zeros(prob.p))
         pre = make_preconditioner("ibs3", prob)
         assert pre.paired
         z2, s, u = pre._inner_solve(np.zeros(prob.n))
         assert np.array_equal(u, np.zeros(prob.p)) and np.array_equal(s, np.zeros(prob.n))
 
     def test_public_cg_carries_no_image(self, rng):
+        # cg_solve runs the loop with no image to carry, gives (x, report),
+        # and its report holds no private state.
         prob = image_problem("csr", 9)
         rhs = rng.standard_normal(prob.n)
         for gram in (shifted_gram_operator(prob, prob.alpha), aslinearoperator(np.eye(prob.n))):
             for b in (rhs, np.zeros(prob.n)):
-                _, report = cg_solve(gram, b)
-                assert report._residual is not None and report._image is None
+                out = cg_solve(gram, b)
+                assert len(out) == 2 and not [k for k in vars(out[1]) if k.startswith("_")]
+                _, _, residual, image = _cg(lambda p: (gram.apply(p), None), b, CgConfig())
+                assert residual is not None and image is None
 
 
 class TestFgmres:

@@ -10,6 +10,7 @@ from ilsolve import (
     IndefiniteOperatorError,
     VARIANTS,
     IlsProblem,
+    Preconditioner,
     apply_block_A,
     assemble_dense_preconditioned,
     block_system_operator,
@@ -25,6 +26,7 @@ from ilsolve import sparse as sparse_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
+from ilsolve.preconditioners import INNER_SOLVERS
 from ilsolve.problem import dense_blocks
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
 
@@ -225,7 +227,7 @@ class TestInnerSolvers:
         assert pre.inner_failures == 0
 
     @pytest.mark.parametrize("signs", [-np.ones(6), np.array([1.0, 1.0, 1.0, 1.0, 1.0, -50.0])], ids=["minus_identity", "late"])
-    def test_inner_breakdown_keeps_the_best_iterate(self, rng, signs):
+    def test_inner_breakdown_keeps_the_best_iterate(self, rng, monkeypatch, signs):
         # An indefinite Gram operator: -I breaks CG down on its first step,
         # the other after one.  The preconditioner keeps CG's best iterate
         # and counts the breakdown as a failure.
@@ -236,9 +238,9 @@ class TestInnerSolvers:
         before = pre.inner_iterations
         assert before > 0 and pre.inner_failures == 0
         diag = np.resize(signs, prob.n)
-        pre.gram = LinearOperator(prob.n, prob.n, lambda v: diag * v)
+        monkeypatch.setattr(pre, "_pair", lambda v: (diag * v, prob.a1 @ v))
         with pytest.raises(IndefiniteOperatorError) as info:
-            cg_solve(pre.gram, prob.split(r)[1], config=pre.config)
+            cg_solve(LinearOperator(prob.n, prob.n, lambda v: diag * v), prob.split(r)[1], config=pre.config)
         z = pre.apply(r)
         assert pre.inner_failures == 1
         assert pre.inner_iterations == before + info.value.iterations
@@ -317,6 +319,34 @@ class TestInnerSolvers:
     def test_unknown_inner_mode_rejected_for_none(self):
         with pytest.raises(ValueError, match="unknown inner solver mode 'lu'"):
             make_preconditioner("none", scalar_problem(), inner="lu")
+
+
+class TestDirectConstruction:
+    """``Preconditioner(kind, problem, inner, inner_config)`` is what
+    make_preconditioner builds, and validates its arguments itself."""
+
+    @pytest.mark.parametrize("inner", INNER_SOLVERS)
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_applies_bit_for_bit_like_make_preconditioner(self, rng, kind, inner):
+        prob = random_desk_problem(17)
+        r = rng.standard_normal(prob.size)
+        cfg = CgConfig(1e-6, 50)
+        direct = Preconditioner(kind.upper(), prob, inner, cfg)
+        built = make_preconditioner(kind, prob, inner=inner, inner_config=cfg)
+        assert np.array_equal(direct.apply(r), built.apply(r))
+        assert (direct.kind, direct.paired, direct.inner_iterations) == (kind, built.paired, built.inner_iterations)
+
+    def test_defaults_are_make_preconditioners(self, rng):
+        prob = random_desk_problem(18)
+        r = rng.standard_normal(prob.size)
+        assert np.array_equal(Preconditioner("ibs2", prob).apply(r), make_preconditioner("ibs2", prob).apply(r))
+
+    @pytest.mark.parametrize(
+        "kind, inner, name", [("bogus", "cg", "'bogus'"), ("ibs1", "lu", "'lu'"), ("none", "lu", "'lu'")]
+    )
+    def test_unknown_kind_or_inner_solver_is_named(self, kind, inner, name):
+        with pytest.raises(ValueError, match=name):
+            Preconditioner(kind, scalar_problem(), inner=inner)
 
 
 def test_scalar_problem_apply():
