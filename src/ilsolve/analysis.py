@@ -9,6 +9,8 @@ preconditioned operator M^{-1} A is assembled densely once per check.
 Spectral radii of the (non-symmetric) iteration operators I - M^{-1} A are
 the largest eigenvalue moduli of that matrix (``np.linalg.eigvals``), and
 the predicted eigenvector families are checked against the same matrix.
+The pencil (A1'A1 - A2'A2, alpha*I + A1'A1) and null(A2') are decomposed
+once per problem and shared by the four variants' eigenstructure checks.
 """
 
 from __future__ import annotations
@@ -379,7 +381,7 @@ def _null_family(label, t, prob, m, part) -> EigenvectorFamily:
     with warnings.catch_warnings():
         warnings.simplefilter("error", RankAmbiguityWarning)
         try:
-            basis = null_space_basis(m)
+            basis = prob._shared(label, lambda: null_space_basis(m))
         except RankAmbiguityWarning:
             basis = None
     if basis is None:
@@ -404,8 +406,8 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     are reported as vacuous rather than failed.  A null-space family whose
     rank decision is ambiguous is reported as vacuous, with a
     RankAmbiguityWarning.  Non-unit families (ibs2 and ibs4) come from the
-    symmetric generalized eigenproblem of the reduced normal matrix
-    against the shifted Gram matrix.
+    symmetric pencil (A1'A1 - A2'A2, alpha*I + A1'A1).  The pencil and
+    null(A2') are decomposed once per problem and shared by the variants.
     """
     kind = _ibs_kind(kind, "the eigenstructure check")
     coupled = kind in ("ibs2", "ibs4")
@@ -413,9 +415,9 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     t = assemble_dense_preconditioned(kind, prob)
 
     a1d, a2d = dense_blocks(prob)
-    gram = a1d.T @ a1d
-    shifted = gram + prob.alpha * np.eye(prob.n)
-    normal = gram - a2d.T @ a2d
+    def pencil():
+        gram = a1d.T @ a1d
+        return generalized_sym_eigpairs(gram - a2d.T @ a2d, gram + prob.alpha * np.eye(prob.n))
 
     unit = [_family("unit: first-block basis", t, _stack(prob, d1=np.eye(p)), np.ones(p))]
     if coupled:
@@ -430,7 +432,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
         else:
             unit.append(_null_family("null(A2) middle-block basis", t, prob, a2d, "x"))
 
-    interval_eigs, y_vectors = generalized_sym_eigpairs(normal, shifted)
+    interval_eigs, y_vectors = prob._shared("pencil", pencil)
 
     if coupled:
         keep = np.abs(interval_eigs - 1.0) > 1e-8

@@ -1,10 +1,10 @@
 """A minimal matrix-free linear-operator abstraction.
 
-The Krylov solvers only ever need "apply to a vector", so they take a
-LinearOperator: the block system, the shifted Gram matrix of the inner
-solves and the reduced normal matrix are composed expressions built on the
-problem's blocks.  The blocks themselves are plain matrices (CSR or 2-D
-ndarray) and are used with ``@`` directly.
+FGMRES and cg_solve only ever need "apply to a vector", so they take a
+LinearOperator: the block system and the reduced normal matrix are composed
+expressions built on the problem's blocks.  The preconditioners' inner CG
+takes the Gram product pair of ilsolve.problem instead.  The blocks are
+plain matrices (CSR or 2-D ndarray) and are used with ``@`` directly.
 """
 
 from __future__ import annotations

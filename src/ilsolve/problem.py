@@ -36,6 +36,7 @@ runs on the twin and lifts the answer back.  A1's empty rows do not fold.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,7 +63,6 @@ __all__ = [
     "apply_block_A",
     "build_rhs",
     "block_system_operator",
-    "shifted_gram_operator",
     "reduced_normal_operator",
     "densify",
     "dense_blocks",
@@ -89,7 +89,7 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
-    # The read-only factors of _inner_factor, by shift.
+    # Read-only derived data: _inner_factor's factors by shift, _shared's values by name.
     _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -189,6 +189,22 @@ class IlsProblem:
                 part.flags.writeable = False
             self._factors[shift] = factor
         return factor
+
+    def _shared(self, name: str, compute):
+        """compute()'s value, its arrays read-only, kept under ``name`` for later
+        calls; one whose computation warned is not kept, so each call warns."""
+        if name not in self._factors:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = compute()
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            if caught:
+                return value
+            for part in value if isinstance(value, tuple) else (value,):
+                part.flags.writeable = False
+            self._factors[name] = value
+        return self._factors[name]
 
 
 def _build_fold(prob: IlsProblem):
@@ -311,14 +327,6 @@ def _gram_pair(prob: IlsProblem, shift: float):
         return (shift * v + gram if shift else gram), a1v
 
     return pair
-
-
-def shifted_gram_operator(prob: IlsProblem, shift: float) -> LinearOperator:
-    """v -> shift*v + A1'(A1 v): with shift = alpha the well-conditioned
-    inner matrix of the inexact preconditioners, with 0 the Gram matrix,
-    whose apply is A1'(A1 v) alone.  The product is _gram_pair's."""
-    pair = _gram_pair(prob, shift)
-    return LinearOperator(prob.n, prob.n, lambda v: pair(v)[0])
 
 
 def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:

@@ -33,6 +33,19 @@ def rank_edge_problem(a2_small=np.sqrt(10 * EPS), alpha=1.0):
     return IlsProblem(2.0 * np.eye(3), a2, np.ones(3), np.ones(2), alpha)
 
 
+def assert_same_fields(got, want):
+    """Every field of two dataclass reports equal, arrays bit for bit."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        elif isinstance(b, list):
+            for x, y in zip(a, b, strict=True):
+                assert_same_fields(x, y)
+        else:
+            assert a == b, field.name
+
+
 class TestJacobiEigh:
     def test_diagonal_matrix(self):
         w, v = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
@@ -333,12 +346,54 @@ class TestEigenstructure:
             assert report.rho_estimate == spectral_radius_estimate(kind, prob)
 
     def test_ambiguous_null_a2t_family_is_skipped(self):
+        # Both variants that build null(A2') warn, on one problem.
         prob = rank_edge_problem()
-        with pytest.warns(RankAmbiguityWarning, match="null"):
-            report = verify_eigenstructure("ibs1", prob)
-        family = report.unit_eigenvalue_checks[1]
-        assert family.label == "unit: null(A2') basis (skipped, rank ambiguous)"
-        assert family.vacuous and family.count == 0 and family.passed()
+        for kind in ("ibs1", "ibs3"):
+            with pytest.warns(RankAmbiguityWarning, match="null"):
+                report = verify_eigenstructure(kind, prob)
+            family = report.unit_eigenvalue_checks[1]
+            assert family.label == "unit: null(A2') basis (skipped, rank ambiguous)"
+            assert family.vacuous and family.count == 0 and family.passed()
+
+    def test_sweep_cap_warns_on_every_call(self, monkeypatch):
+        jacobi = il.analysis.jacobi_eigh
+        monkeypatch.setattr(il.analysis, "jacobi_eigh", lambda s: jacobi(s, max_sweeps=1))
+        prob = random_desk_problem(4)
+        for kind in ("ibs2", "ibs4", "ibs2"):
+            with pytest.warns(AccuracyWarning, match="sweep cap"):
+                verify_eigenstructure(kind, prob)
+
+    @pytest.mark.parametrize("kind", ["ibs1", "ibs2", "ibs3", "ibs4"])
+    def test_shared_decompositions_change_no_report(self, kind):
+        # q > n, so the null(A2') family is not empty.
+        fresh = verify_eigenstructure(kind, il.generate_random_problem(12, 9, 5, seed=3))
+        prob = il.generate_random_problem(12, 9, 5, seed=3)
+        for other in ("ibs1", "ibs2", "ibs3", "ibs4"):
+            if other != kind:
+                verify_eigenstructure(other, prob)
+        report = verify_eigenstructure(kind, prob)
+        assert report.unit_eigenvalue_checks[1].count > 0
+        assert_same_fields(report, fresh)
+
+    def test_pencil_and_null_basis_are_decomposed_once_per_problem(self, monkeypatch):
+        calls = []
+        for name in ("generalized_sym_eigpairs", "null_space_basis"):
+            original = getattr(il.analysis, name)
+            monkeypatch.setattr(
+                il.analysis, name, lambda *args, f=original, name=name: calls.append(name) or f(*args)
+            )
+        prob = il.generate_random_problem(12, 9, 5, seed=3)
+        for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
+            verify_eigenstructure(kind, prob)
+        assert sorted(calls) == ["generalized_sym_eigpairs", "null_space_basis"]
+
+    def test_writing_into_a_report_cannot_reach_the_next(self):
+        prob = random_desk_problem(5)
+        report = verify_eigenstructure("ibs2", prob)
+        before = report.interval_eigs.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            report.interval_eigs[0] = 0.5
+        assert np.array_equal(verify_eigenstructure("ibs4", prob).interval_eigs, before)
 
     @pytest.mark.parametrize("kind", ["ibs3", "ibs4"])
     def test_ambiguous_middle_block_family_is_skipped(self, kind):

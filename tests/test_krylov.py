@@ -24,9 +24,15 @@ from ilsolve import (
 from ilsolve import problem as problem_module
 from ilsolve.krylov import _assemble, _cg
 from ilsolve.operators import LinearOperator, aslinearoperator
-from ilsolve.problem import _gram_pair, densify, shifted_gram_operator
+from ilsolve.problem import _gram_pair, densify
 
 from conftest import random_desk_problem, random_spd
+
+
+def shifted_gram(prob, shift):
+    """v -> shift*v + A1'(A1 v) as a LinearOperator, from _gram_pair."""
+    pair = _gram_pair(prob, shift)
+    return LinearOperator(prob.n, prob.n, lambda v: pair(v)[0])
 
 
 def identity(n):
@@ -275,7 +281,7 @@ class TestCarriedImage:
         x, report, residual, image = _cg(_gram_pair(prob, shift), rhs, cfg, np.zeros(prob.p))
         # Carrying the image changes no iterate, and the loop without an
         # image to carry returns none.
-        want_x, want = cg_solve(shifted_gram_operator(prob, shift), rhs, cfg)
+        want_x, want = cg_solve(shifted_gram(prob, shift), rhs, cfg)
         assert np.array_equal(x, want_x) and np.array_equal(report.res_history, want.res_history)
         assert _cg(_gram_pair(prob, shift), rhs, cfg)[3] is None
         if residual is None:  # an earlier iterate was returned
@@ -340,7 +346,7 @@ class TestCarriedImage:
         # and its report holds no private state.
         prob = image_problem("csr", 9)
         rhs = rng.standard_normal(prob.n)
-        for gram in (shifted_gram_operator(prob, prob.alpha), aslinearoperator(np.eye(prob.n))):
+        for gram in (shifted_gram(prob, prob.alpha), aslinearoperator(np.eye(prob.n))):
             for b in (rhs, np.zeros(prob.n)):
                 out = cg_solve(gram, b)
                 assert len(out) == 2 and not [k for k in vars(out[1]) if k.startswith("_")]

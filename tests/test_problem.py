@@ -16,7 +16,7 @@ from ilsolve import (
     reference_solution,
 )
 from ilsolve import problem as problem_module
-from ilsolve.problem import reduced_normal_operator, shifted_gram_operator
+from ilsolve.problem import _gram_pair, reduced_normal_operator
 from ilsolve.sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
 
 from conftest import dense_block_system, random_csr, random_desk_problem, scalar_problem
@@ -236,7 +236,8 @@ class TestGramSweep:
         assert np.array_equal(apply_block_A(prob, v), self.two_products(prob, v))
         x = prob.split(v)[1]
         for shift in (0.0, prob.alpha):
-            assert np.array_equal(shifted_gram_operator(prob, shift).apply(x), shift * x + (prob.a1 @ x) @ prob.a1)
+            sx, a1x = _gram_pair(prob, shift)(x)
+            assert np.array_equal(sx, shift * x + (prob.a1 @ x) @ prob.a1) and np.array_equal(a1x, prob.a1 @ x)
 
     def test_dense_block_over_one_panel_is_swept(self, rng):
         prob = IlsProblem(rng.standard_normal((PANEL + 1, 200)), random_csr(rng, 7, 200), np.ones(PANEL + 1), np.ones(7), 2.0)
@@ -246,8 +247,8 @@ class TestGramSweep:
         ax, gram = problem_module._gram_sweep(prob.a1, x, PANEL)
         want = np.concatenate([d1 + ax, gram + d2 @ prob.a2, prob.a2 @ x + d2])
         assert np.array_equal(apply_block_A(prob, v), want)
-        assert np.array_equal(shifted_gram_operator(prob, 0.0).apply(x), gram)
-        assert np.array_equal(shifted_gram_operator(prob, prob.alpha).apply(x), prob.alpha * x + gram)
+        assert np.array_equal(_gram_pair(prob, 0.0)(x)[0], gram)
+        assert np.array_equal(_gram_pair(prob, prob.alpha)(x)[0], prob.alpha * x + gram)
         got, two = apply_block_A(prob, v), self.two_products(prob, v)
         assert np.linalg.norm(got - two) <= 1e-13 * np.linalg.norm(two)
 
@@ -282,9 +283,9 @@ class TestOperators:
     def test_shift_identity_exact(self, rng):
         prob = random_desk_problem(3)
         v = rng.standard_normal(prob.n)
-        shifted = shifted_gram_operator(prob, prob.alpha)
-        gram = shifted_gram_operator(prob, 0.0)
-        assert np.array_equal(shifted.apply(v), prob.alpha * v + gram.apply(v))
+        shifted = _gram_pair(prob, prob.alpha)
+        gram = _gram_pair(prob, 0.0)
+        assert np.array_equal(shifted(v)[0], prob.alpha * v + gram(v)[0])
 
     def test_reduced_normal_operator(self, rng):
         prob = random_desk_problem(4)
