@@ -5,15 +5,15 @@ general or symmetric storage.  Symmetric storage is expanded eagerly to a
 full general matrix; pattern, complex, hermitian and skew-symmetric files
 are rejected because nothing downstream can use them.
 
-A coordinate body is parsed in one numpy pass.  Anything that pass does
-not accept outright (a comment, a malformed token, a wrong count, an index
-out of bounds, a non-finite value) is parsed again line by line, so each
-error names its line.
+A symmetric file must be square.  The lines of a coordinate body go to
+one np.loadtxt call.  A body that call does not accept outright (a
+comment, a malformed token, a wrong count, an index out of bounds, a
+non-finite value) is parsed again line by line, so each error names its
+line.
 """
 
 from __future__ import annotations
 
-import io
 import warnings
 
 import numpy as np
@@ -38,15 +38,15 @@ def _content(lines: list[str], start: int):
 
 def _coordinate_fast(lines: list[str], n_rows: int, n_cols: int, nnz: int):
     """0-based (rows, cols, vals) of a coordinate body, or None unless the
-    body is comment-free and every entry is well formed and in bounds.
-    np.loadtxt accepts a subset of what int() and float() accept."""
-    text = "\n".join(lines)
-    if nnz == 0 or "%" in text:
+    body is comment-free and every entry is well formed, in bounds and
+    finite.  The line list goes to np.loadtxt as is; it accepts a subset of
+    what int() and float() accept."""
+    if nnz == 0 or "%" in "".join(lines):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an all-blank body only warns
-            table = np.loadtxt(io.StringIO(text), dtype=_TRIPLET, comments=None, ndmin=1)
+            table = np.loadtxt(lines, dtype=_TRIPLET, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     rows, cols, vals = table["i"] - 1, table["j"] - 1, np.ascontiguousarray(table["v"])
@@ -93,6 +93,8 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     if min(counts) < 0:
         raise ParseError(f"negative count in size line {size_line!r}", line_no=size_line_no)
     n_rows, n_cols = counts[:2]
+    if symmetry == "symmetric" and n_rows != n_cols:
+        raise ParseError(f"symmetric {fmt} matrix must be square", line_no=size_line_no)
     fast = _coordinate_fast(lines[size_line_no:], n_rows, n_cols, counts[2]) if fmt == "coordinate" else None
     entries = [] if fast is not None else list(body)
     if fast is not None:
@@ -125,8 +127,6 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
             rows = np.tile(np.arange(n_rows, dtype=np.int64), n_cols)
             cols = np.repeat(np.arange(n_cols, dtype=np.int64), n_rows)
         else:
-            if n_rows != n_cols:
-                raise ParseError("symmetric array matrix must be square", line_no=size_line_no)
             expected = n_rows * (n_rows + 1) // 2
             # Lower triangle in column-major order: the upper triangle's
             # row-major (i, j) pairs, swapped.
@@ -143,9 +143,8 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
             except ValueError:
                 raise ParseError(f"bad value {entry!r}", line_no=line_no) from None
 
-    # float() accepts 'nan' and 'inf'; checked once here, not per line.
-    finite = np.isfinite(vals)
-    if not finite.all():
+    # float() accepts 'nan' and 'inf'; a per-line parse checks them here.
+    if fast is None and not (finite := np.isfinite(vals)).all():
         line_no, entry = entries[int(np.argmin(finite))]
         raise ParseError(f"non-finite value in {entry!r}", line_no=line_no)
 

@@ -1,0 +1,67 @@
+"""Properties of the CSR matrix and of its Matrix Market round trip, over
+matrices built by ``from_triplets`` from drawn triplets: duplicates, exact
+cancellations, empty rows and columns, shapes down to 1 x 1."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ilsolve import SparseMatrixCsr, read_matrix_market
+from ilsolve.mmio import write_matrix_market
+
+# Few distinct values make duplicates that cancel; the rest are arbitrary
+# finite floats, kept small enough that summed duplicates stay finite.
+VALUES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-1e150, 1e150))
+
+property_settings = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def csr_matrices(draw, values=VALUES):
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    count = draw(st.integers(0, 2 * n_rows * n_cols))
+    index = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), values)
+    triplets = draw(st.lists(index, min_size=count, max_size=count))
+    rows, cols, vals = (np.array(t) for t in zip(*triplets)) if triplets else ([], [], [])
+    return SparseMatrixCsr.from_triplets(n_rows, n_cols, rows, cols, vals)
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("row_offsets", "col_indices", "values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@property_settings
+@given(a=csr_matrices())
+def test_matrix_market_round_trip_is_exact(a, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "round_trip.mtx"
+    write_matrix_market(a, path)
+    assert_same_csr(read_matrix_market(path), a)
+
+
+@property_settings
+@given(a=csr_matrices())
+def test_triplets_rebuild_the_matrix(a):
+    assert_same_csr(SparseMatrixCsr.from_triplets(a.n_rows, a.n_cols, *a.to_triplets()), a)
+
+
+@property_settings
+@given(a=csr_matrices(values=st.floats(-1e3, 1e3)), seed=st.integers(0, 2**16))
+def test_products_match_the_dense_matrix(a, seed):
+    rng = np.random.default_rng(seed)
+    dense = a.to_dense()
+    x, y = rng.standard_normal(a.n_cols), rng.standard_normal(a.n_rows)
+    eps = np.finfo(float).eps
+    # The rounding bound of a length-k dot product: k eps |A| |x|.
+    assert np.all(np.abs(a @ x - dense @ x) <= 2 * a.n_cols * eps * (np.abs(dense) @ np.abs(x)))
+    assert np.all(np.abs(y @ a - y @ dense) <= 2 * a.n_rows * eps * (np.abs(y) @ np.abs(dense)))
+
+
+@property_settings
+@given(a=csr_matrices(), data=st.data())
+def test_row_slices_stack_to_the_matrix(a, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, a.n_rows), max_size=4)))
+    bounds = [0, *cuts, a.n_rows]
+    pieces = [a.row_slice(lo, hi).to_dense() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(np.vstack(pieces), a.to_dense())

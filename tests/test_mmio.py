@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from ilsolve import ParseError, parse_matrix_market, read_matrix_market
+from ilsolve import ParseError, mmio, parse_matrix_market, read_matrix_market
 from ilsolve.mmio import write_matrix_market, write_vector_matrix_market
 
 from conftest import random_csr
@@ -124,9 +124,23 @@ class TestErrors:
             parse_matrix_market(text)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "layout, body",
+        [
+            ("coordinate", "3 2 1\n3 1 1.0\n"),  # its mirror (1, 3) is out of bounds
+            ("coordinate", "3 2 1\n2 1 1.0\n"),  # the entry and its mirror both fit
+            ("array", "3 2\n1\n2\n3\n"),
+        ],
+    )
+    def test_symmetric_must_be_square(self, layout, body):
+        text = f"%%MatrixMarket matrix {layout} real symmetric\n{body}"
+        with pytest.raises(ParseError, match=f"symmetric {layout} matrix must be square") as exc:
+            parse_matrix_market(text)
+        assert exc.value.line_no == 2
+
 
 class TestLongBody:
-    """A body long enough that the one-pass parse does the work; any line
+    """A body long enough that the one-call parse does the work; any line
     it cannot take goes to the per-line parse and its message."""
 
     @staticmethod
@@ -140,14 +154,43 @@ class TestLongBody:
         count = sum(not line.startswith("%") for line in lines)
         return "\n".join([header, f"40 30 {count}", *lines]) + "\n"
 
-    def test_matches_the_per_line_parse(self, rng):
+    @pytest.fixture
+    def fast_results(self, monkeypatch):
+        """What each call of ``mmio._coordinate_fast`` returned, in order."""
+        seen = []
+        real = mmio._coordinate_fast
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(mmio, "_coordinate_fast", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda text: text,  # the line format perfbench/workloads.py writes
+            lambda text: text.replace("\n", "\n\n  \n"),
+            lambda text: text.replace(" ", "\t"),
+            lambda text: text.replace("\n", "  \n"),
+            lambda text: text.replace("\n", "\r\n"),
+        ],
+        ids=["as-written", "blank-lines", "tabs", "trailing-spaces", "crlf"],
+    )
+    def test_matches_the_per_line_parse(self, rng, fast_results, layout):
         lines = self.body(rng)
-        fast = parse_matrix_market(self.text(lines))
+        fast = parse_matrix_market(layout(self.text(lines)))
         # A comment line sends the whole body through the per-line parse.
-        slow = parse_matrix_market(self.text(lines[:300] + ["% c"] + lines[300:]))
-        assert np.array_equal(fast.to_dense(), slow.to_dense())
+        slow = parse_matrix_market(layout(self.text(lines[:300] + ["% c"] + lines[300:])))
+        assert fast_results[0] is not None and fast_results[1] is None
         for field in ("row_offsets", "col_indices", "values"):
             assert np.array_equal(getattr(fast, field), getattr(slow, field))
+
+    def test_all_blank_body_falls_back(self, fast_results):
+        with pytest.raises(ParseError, match="declared 1 entries but found 0"):
+            parse_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2 1\n\n  \n")
+        assert fast_results == [None]
 
     @pytest.mark.parametrize(
         "entry, message",
