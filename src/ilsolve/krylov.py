@@ -1,10 +1,9 @@
 """Matrix-free conjugate gradient and right-preconditioned flexible GMRES.
 
-CG is the workhorse for the symmetric positive definite inner systems of
-the preconditioners; flexible GMRES is the outer solver.  The flexible
-variant stores the preconditioned basis Z so the preconditioner may change
-from one iteration to the next (it does, whenever the inner solves are
-themselves iterative).
+CG solves the symmetric positive definite inner systems of the
+preconditioners; flexible GMRES is the outer solver, and keeps the
+preconditioned basis Z so that the preconditioner may change from one
+iteration to the next (it does, whenever the inner solves are iterative).
 
 Both solvers start from zero.  An iteration records the Arnoldi
 least-squares estimate, or the true residual of the assembled iterate
@@ -26,7 +25,10 @@ confirmation is recorded as (iteration, estimate, true residual) in the
 report.  ``fgmres_solve`` hands the block system of a Preconditioner's own
 problem to ``ilsolve.preconditioners._block_solve``, which folds
 A2's empty rows and forms A z_j from the splitting; every other solve steps
-with ``precond.apply`` followed by ``op.apply``.
+with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
+``fgmres_solve`` check the operator and the right-hand side; their loops
+``_cg`` and ``_fgmres`` trust float64 vectors and use ``ndarray.dot``, the
+BLAS calls of ``@`` without its dispatch.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 
 from .exceptions import IndefiniteOperatorError, NumericalFailureError
 from .operators import LinearOperator
+from .sparse import _real
 
 __all__ = ["CgConfig", "FgmresConfig", "SolveReport", "cg_solve", "fgmres_solve"]
 
@@ -92,10 +95,6 @@ class SolveReport:
 _BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
 
 
-def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
 def cg_solve(
     op: LinearOperator,
     rhs: np.ndarray,
@@ -106,7 +105,7 @@ def cg_solve(
     Convergence is declared on the recurrence residual relative to |rhs|.
     A zero right-hand side returns the zero vector immediately, and a
     non-square operator or an rhs of the wrong shape or of non-finite norm
-    raises ValueError.  On a breakdown (p'Ap <= 0) an
+    raises ValueError, a complex rhs TypeError.  On a breakdown (p'Ap <= 0) an
     IndefiniteOperatorError is raised carrying the best iterate reached so
     far, and on a non-finite p'Ap a NumericalFailureError naming the
     iteration; when the iteration cap is hit the lowest-residual iterate
@@ -115,7 +114,7 @@ def cg_solve(
     cfg = config or CgConfig()
     if op.n_rows != op.n_cols:
         raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
-    rhs = np.asarray(rhs, dtype=np.float64)
+    rhs = _real(rhs, "rhs")
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
     return _cg(lambda p: (op.apply(p), None), rhs, cfg)[:2]
@@ -132,15 +131,15 @@ def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None):
     # r is updated in place; x and p are only rebound, so p may alias rhs
     # and the best iterate is a reference, not a copy.
     r, p = rhs.copy(), np.ascontiguousarray(rhs)
-    rs = float(r @ r)
+    rs = float(r.dot(r))
     bnorm = math.sqrt(rs)  # what np.linalg.norm computes
     if not math.isfinite(bnorm):
         raise ValueError(f"rhs is not finite: its norm is {bnorm}")
     if bnorm == 0.0:
         report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
-        return np.zeros_like(rhs), report, r, image
+        return np.zeros(len(rhs)), report, r, image
 
-    x = best_x = np.zeros_like(rhs)
+    x = best_x = np.zeros(len(rhs))
     history = [1.0]
     best_res = 1.0
     converged = False
@@ -148,7 +147,7 @@ def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None):
     k = 0
     while k < cfg.max_iterations:
         ap, a1p = product(p)
-        pap = float(p @ ap)
+        pap = float(p.dot(ap))
         if not math.isfinite(pap):
             raise NumericalFailureError(
                 f"p'Ap = {pap} at iteration {k + 1}: operator output is not finite"
@@ -164,7 +163,7 @@ def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None):
         if image is not None:
             image += gamma * a1p
         r -= gamma * ap
-        rs_new = float(r @ r)
+        rs_new = float(r.dot(r))
         res = math.sqrt(rs_new) / bnorm
         history.append(res)
         k += 1
@@ -248,23 +247,18 @@ def fgmres_solve(
     entry by entry.  A preconditioner output whose shape is not that of
     ``rhs`` raises ValueError naming its shape and the iteration; a
     non-square operator or an rhs of the wrong shape or with a NaN or inf
-    raises ValueError before the solve.
+    raises ValueError before the solve, and a complex one TypeError.
 
     Given ``block_system_operator(prob)`` and a Preconditioner built on
-    the same ``prob``, the solve is that preconditioner's block solve
-    (ilsolve.preconditioners._block_solve): it runs on the folded
-    twin when A2 of ``prob`` has two or more empty rows, and takes
-    z_j and A z_j from the preconditioner's paired step where it has one.
-    Any other pair, a wrapped block operator included, gets the
-    full-length solve with ``precond.apply`` and ``op.apply``.  The true
-    residuals of confirmations and restarts always come from the
-    operator; ``report.confirmations`` lists them with their iterations
-    and estimates.
+    the same ``prob``, the solve is that preconditioner's block solve (see
+    the module docstring); any other pair, a wrapped block operator
+    included, steps with ``precond.apply`` and ``op.apply``.  The true
+    residuals of confirmations and restarts always come from the operator.
     """
     cfg = config or FgmresConfig()
     if op.n_rows != op.n_cols:
         raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
-    rhs = np.asarray(rhs, dtype=np.float64)
+    rhs = _real(rhs, "rhs")
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
     if not np.isfinite(rhs).all():
@@ -279,7 +273,7 @@ def fgmres_solve(
     calls = itertools.count(1)  # the step runs once per iteration
 
     def step(v):
-        z = np.asarray(precond.apply(v), dtype=np.float64)
+        z = _real(precond.apply(v), "preconditioner output")
         it = next(calls)
         if z.shape != rhs.shape:
             raise ValueError(
@@ -295,11 +289,11 @@ def _fgmres(apply, step, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
     preconditioned direction of v, and ``apply(x)`` the product A x of a
     true residual."""
     t0 = time.perf_counter()
-    bnorm = _norm(rhs)
+    bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return np.zeros_like(rhs), SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
+        return np.zeros(len(rhs)), SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
 
-    x = np.zeros_like(rhs)
+    x = np.zeros(len(rhs))
     r, rnorm = rhs, bnorm
     history = [1.0]
     confirmations: list[tuple[int, float, float]] = []
@@ -329,17 +323,17 @@ def _fgmres(apply, step, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
             z, w = step(basis[j])
             # |A z_j| scales the breakdown test, so scaling A leaves the test
             # alone, and shows a NaN or inf in A z_j before V w warns of it.
-            az2 = float(w @ w)
+            az2 = float(w.dot(w))
             if not math.isfinite(az2):
                 raise NumericalFailureError(f"non-finite basis vector at iteration {it + 1}")
             zdirs[j] = z
 
             v = basis[: j + 1]
-            coef = v @ w
-            w -= coef @ v
-            corr = v @ w
-            w -= corr @ v
-            wnorm = math.sqrt(float(w @ w))  # what np.linalg.norm computes
+            coef = v.dot(w)
+            w -= coef.dot(v)
+            corr = v.dot(w)
+            w -= corr.dot(v)
+            wnorm = math.sqrt(float(w.dot(w)))  # what np.linalg.norm computes
             breakdown = wnorm <= 1e-14 * math.sqrt(az2)
             h = (coef + corr).tolist()
             h.append(wnorm)
@@ -366,7 +360,7 @@ def _fgmres(apply, step, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
                 # Confirmation: only the true residual declares convergence.
                 x = _assemble(x, g, r_cols, zdirs)
                 r = rhs - apply(x)
-                true_res = _norm(r) / bnorm
+                true_res = float(np.linalg.norm(r)) / bnorm
                 rnorm = true_res * bnorm
                 history[-1] = true_res
                 confirmations.append((it, estimate, true_res))

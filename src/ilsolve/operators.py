@@ -2,16 +2,17 @@
 
 FGMRES and cg_solve only ever need "apply to a vector", so they take a
 LinearOperator: the block system and the reduced normal matrix are composed
-expressions built on the problem's blocks.  The preconditioners' inner CG
-takes the Gram product pair of ilsolve.problem instead.  The blocks are
-plain matrices (CSR or 2-D ndarray) and are used with ``@`` directly.
+expressions built on the problem's blocks.  ``apply`` checks the operand's
+shape and dtype, so the callable it wraps can trust them.  Inner CG takes
+the unchecked Gram pair of ilsolve.problem instead.  The blocks, CSR or 2-D
+ndarray as ``as_matrix`` checks them, are used with ``@`` directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sparse import SparseMatrixCsr
+from .sparse import SparseMatrixCsr, _real
 
 __all__ = ["LinearOperator", "as_matrix", "aslinearoperator"]
 
@@ -32,7 +33,7 @@ class LinearOperator:
         return (self.n_rows, self.n_cols)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
+        v = _real(v, "operand")
         if v.shape != (self.n_cols,):
             raise ValueError(f"operand has shape {v.shape}, expected ({self.n_cols},)")
         return self._apply(v)
@@ -40,7 +41,7 @@ class LinearOperator:
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         if self._apply_t is None:
             raise NotImplementedError("operator has no transpose apply")
-        v = np.asarray(v, dtype=np.float64)
+        v = _real(v, "operand")
         if v.shape != (self.n_rows,):
             raise ValueError(f"operand has shape {v.shape}, expected ({self.n_rows},)")
         return self._apply_t(v)
@@ -48,16 +49,16 @@ class LinearOperator:
 
 def as_matrix(a, name: str = "matrix"):
     """A CSR matrix as given, anything else as a 2-D float64 ndarray; a
-    TypeError naming ``name`` for input that is neither."""
+    TypeError naming ``name`` for input that is neither, or is complex."""
     if isinstance(a, SparseMatrixCsr):
         return a
     try:
-        arr = np.asarray(a, dtype=np.float64)
-    except (TypeError, ValueError):
+        arr = np.asarray(a)
+    except ValueError:
         arr = None
-    if arr is None or arr.ndim != 2:
+    if arr is None or arr.ndim != 2 or arr.dtype.kind not in "biufc":
         raise TypeError(f"{name} must be a CSR matrix or a 2-D array, got {type(a).__name__}")
-    return arr
+    return _real(arr, name)
 
 
 def aslinearoperator(a) -> LinearOperator:

@@ -70,6 +70,7 @@ from .dense import cholesky_solve
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
 from .problem import IlsProblem, _gram_pair, apply_block_A, block_system_operator
+from .sparse import _real
 
 __all__ = [
     "VARIANTS",
@@ -161,13 +162,16 @@ class Preconditioner:
         return z, residual, image
 
     def apply(self, r: np.ndarray) -> np.ndarray:
+        r = _real(r, "r")
+        self.problem.split(r)  # the length check
         return self._apply(self.problem, r)
 
     def _apply(self, prob: IlsProblem, r: np.ndarray, paired: bool = False):
         """z = M^{-1} r on ``prob``, this preconditioner's problem or its
         folded twin; with ``paired``, the paired step (z, A z), whose z is
-        bit for bit the one without (see the module docstring)."""
-        r1, r2, r3 = prob.split(r)
+        bit for bit the one without (see the module docstring); r is trusted."""
+        p, pn = prob.p, prob.p + prob.n
+        r1, r2, r3 = r[:p], r[p:pn], r[pn:]
         if self.kind == "none":
             return np.concatenate([r1, r2, r3])
         coupled = self.kind in _COUPLED_RHS
@@ -185,7 +189,7 @@ class Preconditioner:
         if not paired:
             return z
         w = np.empty(prob.size)
-        w1, w2, w3 = prob.split(w)
+        w1, w2, w3 = w[:p], w[p:pn], w[pn:]
         if backsub:
             w1[:] = r1
         else:

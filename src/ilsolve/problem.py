@@ -12,14 +12,18 @@ whose operator is applied matrix-free throughout: the Gram matrix A1'A1
 is never formed outside the dense desk-scale helpers and the reference
 solution.  The blocks A1 and A2 are plain matrices, CSR or 2-D float64
 ndarray; both kinds give A x as ``A @ x`` and A'y as ``y @ A``.  The Gram
-product A1'(A1 x) of the block operator and of the inner CG is
-``(A1 @ x) @ A1``, except for a row-major dense A1 of more than one row
-panel (about 512 KiB): that one is swept once, panel by panel, each panel
-giving its rows of A1 x and its term of A1'(A1 x) while it is still in
-cache, where the two products would read all of A1 twice.  Vectors
-of the block system are flat float64 arrays of length p + n + q, and
-``prob.split(v)`` gives their (d1, x, d2) blocks as views.  Every solve
-starts from the zero vector.
+product A1'(A1 x) of the block operator and of the inner CG runs the CSR
+kernel sparse._product twice on a CSR A1's arrays; a row-major dense A1
+of more than one row panel (about 512 KiB) is swept once, each panel
+giving its rows of A1 x and its term of A1'(A1 x) while still in cache;
+any other A1 gives ``(A1 @ x) @ A1``.  Vectors of the block system are
+flat float64 arrays of length p + n + q, and ``prob.split(v)`` gives their
+(d1, x, d2) blocks as views.  Every solve starts from the zero vector.
+
+Inputs are checked once, at the public entry points (IlsProblem, split,
+spmv, the applies, the solvers): shape, dtype (complex input is a
+TypeError naming it) and, for data and right-hand sides, finiteness.  The
+private loops (the Gram product, inner CG, FGMRES, the paired step) trust them.
 
 Empty rows fold.  On an empty row i of A2, block row 3 reads d2_i = b2_i,
 d2_i reaches no other row, and every preconditioner passes it through, so
@@ -54,7 +58,8 @@ from .exceptions import (
 )
 from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator, as_matrix
-from .sparse import SparseMatrixCsr, one_norm
+from . import sparse
+from .sparse import SparseMatrixCsr, _real, one_norm
 
 __all__ = [
     "IlsProblem",
@@ -78,7 +83,8 @@ class IlsProblem:
 
     p, q and n are read from the block shapes.  A CSR block is kept as
     given; any other block is stored as a 2-D float64 ndarray (Hilbert
-    blocks, say, stay dense).  Blocks and right-hand side must be finite.
+    blocks, say, stay dense).  Blocks and right-hand side must be real
+    and finite.
     """
 
     a1: SparseMatrixCsr | np.ndarray
@@ -93,8 +99,8 @@ class IlsProblem:
     _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "b1", np.asarray(self.b1, dtype=np.float64))
-        object.__setattr__(self, "b2", np.asarray(self.b2, dtype=np.float64))
+        object.__setattr__(self, "b1", _real(self.b1, "b1"))
+        object.__setattr__(self, "b2", _real(self.b2, "b2"))
         for name in ("a1", "a2"):
             block = as_matrix(getattr(self, name), name.upper())
             entries = block.values if isinstance(block, SparseMatrixCsr) else block
@@ -135,7 +141,7 @@ class IlsProblem:
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (d1, x, d2) blocks of a length p + n + q vector, as views
         of its float64 form."""
-        v = np.asarray(v, dtype=np.float64)
+        v = _real(v, "vector")
         if v.shape != (self.size,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.size},)")
         return v[: self.p], v[self.p : self.p + self.n], v[self.p + self.n :]
@@ -212,12 +218,12 @@ def _build_fold(prob: IlsProblem):
     ``empty`` masks A2's empty rows; in the twin A2 keeps its other rows
     and ends in one zero row, the slot, and A1 and b1 are unchanged."""
     a2 = prob.a2
-    sparse = isinstance(a2, SparseMatrixCsr)
-    empty = np.diff(a2.row_offsets) == 0 if sparse else ~a2.any(axis=1)
+    csr = isinstance(a2, SparseMatrixCsr)
+    empty = np.diff(a2.row_offsets) == 0 if csr else ~a2.any(axis=1)
     if np.count_nonzero(empty) < 2:
         return None
     keep = ~empty
-    if sparse:  # the dropped rows hold no entries
+    if csr:  # the dropped rows hold no entries
         offsets = np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]])
         a2 = SparseMatrixCsr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
     else:
@@ -229,7 +235,7 @@ def _build_fold(prob: IlsProblem):
 def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:
     """Split an m x n matrix and length-m vector into the (A1, A2, b1, b2)
     blocks, with A1 the first p rows and the default shift from A1."""
-    b = np.asarray(b, dtype=np.float64)
+    b = _real(b, "b")
     if p + q != a.n_rows:
         raise ValueError(f"p + q = {p + q} does not match the {a.n_rows} rows of A")
     if b.shape != (a.n_rows,):
@@ -277,21 +283,20 @@ def _gram_sweep(a1: np.ndarray, x: np.ndarray, rows: int) -> tuple[np.ndarray, n
 
 
 def _gram(a1, x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A1 x, A1'(A1 x)), by _gram_sweep where ``rows`` (prob._panel) is set."""
+    """(A1 x, A1'(A1 x)) for a trusted x: by _gram_sweep where ``rows``
+    (prob._panel) is set, by sparse._product (looked up per call) on CSR."""
     if rows:
         return _gram_sweep(a1, x, rows)
+    if isinstance(a1, SparseMatrixCsr):
+        a1x = sparse._product(a1.values, a1.col_indices, a1._rows, x, a1.n_rows)
+        return a1x, sparse._product(a1.values, a1._rows, a1.col_indices, a1x, a1.n_cols)
     a1x = a1 @ x
     return a1x, a1x @ a1
 
 
 def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
-    """Product of the block system matrix with a flat (d1; x; d2) vector.
-
-    The Gram product uses A1'(A1 x); nothing is materialized.  A dense
-    row-major A1 of more than one row panel is swept once for both A1 x
-    and A1'(A1 x) (see the module docstring); any other A1 is read twice,
-    as ``a1x = A1 @ x`` and ``a1x @ A1``.
-    """
+    """Product of the block system matrix with a flat (d1; x; d2) vector;
+    nothing is materialized, and the Gram product is _gram's."""
     d1, x, d2 = prob.split(v)
     a1x, gram = _gram(prob.a1, x, prob._panel)
     return np.concatenate([d1 + a1x, gram + d2 @ prob.a2, prob.a2 @ x + d2])
@@ -390,5 +395,5 @@ def reference_solution(prob: IlsProblem) -> tuple[np.ndarray, str]:
 
 def full_solution_from_x(prob: IlsProblem, x: np.ndarray) -> np.ndarray:
     """Lift a length-n solution to the flat (b1 - A1 x; x; b2 - A2 x)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     return np.concatenate([prob.b1 - prob.a1 @ x, x, prob.b2 - prob.a2 @ x])

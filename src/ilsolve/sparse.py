@@ -1,10 +1,10 @@
 """Compressed-sparse-row matrices and the kernels built on them.
 
-Everything here is plain numpy: values and indices are ordinary arrays and
-the products are computed with bincount-style scatter/gather, which keeps
-the hot paths vectorized without any compiled extension.  The row index of
-every stored entry, which both products need, is computed once per matrix
-at construction.
+Everything here is plain numpy.  Both products are one bincount-style
+scatter/gather kernel, ``_product``: spmv and spmv_transpose call it after
+checking the operand, and inner CG's Gram pair calls it unchecked on A1's
+arrays.  The row index of every stored entry, which both products need, is
+computed once per matrix at construction; index arrays must hold whole numbers.
 """
 
 from __future__ import annotations
@@ -23,6 +23,25 @@ __all__ = [
     "normalize_to_unit_one_norm",
     "rectangular_identity_csr",
 ]
+
+
+def _real(x, name: str) -> np.ndarray:
+    """``x`` as float64; complex input is a TypeError naming ``name``."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError(f"{name} must be real, got dtype {x.dtype}")
+    return x.astype(np.float64, copy=False)
+
+
+def _indices(values, name: str) -> np.ndarray:
+    """``values`` as int64; a ValueError naming ``name`` if one is not whole."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            arr, given = arr.astype(np.int64), arr
+        if not np.array_equal(arr, given):
+            raise ValueError(f"{name} must hold whole numbers")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -55,9 +74,9 @@ class SparseMatrixCsr:
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices", np.asarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "row_offsets", _indices(self.row_offsets, "row_offsets"))
+        object.__setattr__(self, "col_indices", _indices(self.col_indices, "col_indices"))
+        object.__setattr__(self, "values", _real(self.values, "values"))
         offs, cols, vals = self.row_offsets, self.col_indices, self.values
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -70,12 +89,10 @@ class SparseMatrixCsr:
             raise ValueError("row_offsets must be non-decreasing")
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
         object.__setattr__(self, "_rows", rows)
-        if len(vals):
-            if cols.min() < 0 or cols.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            same_row = rows[1:] == rows[:-1]
-            if np.any(np.diff(cols)[same_row] <= 0):
-                raise ValueError("column indices must be strictly increasing within each row")
+        if len(vals) and (cols.min() < 0 or cols.max() >= self.n_cols):
+            raise ValueError("column index out of range")
+        if np.any(np.diff(cols)[rows[1:] == rows[:-1]] <= 0):
+            raise ValueError("column indices must be strictly increasing within each row")
 
     @property
     def nnz(self) -> int:
@@ -89,29 +106,23 @@ class SparseMatrixCsr:
     def from_triplets(cls, n_rows, n_cols, rows, cols, values) -> "SparseMatrixCsr":
         """Build from (i, j, v) triplets; duplicates are summed, exact zeros
         after summation are dropped."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
+        values = _real(values, "values")
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("triplet arrays must have matching lengths")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_rows:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("column index out of range")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ValueError("row index out of range")
+        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError("column index out of range")
         order = np.lexsort((cols, rows))
         r, c, v = rows[order], cols[order], values[order]
-        if r.size:
-            first = np.ones(r.size, dtype=bool)
-            first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            group = np.cumsum(first) - 1
-            summed = np.bincount(group, weights=v)
-            r, c = r[first], c[first]
-            keep = summed != 0.0
-            r, c, summed = r[keep], c[keep], summed[keep]
-        else:
-            summed = v
-        counts = np.bincount(r, minlength=n_rows) if n_rows else np.zeros(0, np.int64)
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        summed = np.bincount(np.cumsum(first) - 1, weights=v)
+        r, c = r[first], c[first]
+        keep = summed != 0.0
+        r, c, summed = r[keep], c[keep], summed[keep]
+        counts = np.bincount(r, minlength=n_rows)
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(n_rows, n_cols, offsets, c, summed)
@@ -144,22 +155,25 @@ class SparseMatrixCsr:
         return spmv_transpose(self, y)
 
 
+def _product(values, gather, scatter, x: np.ndarray, size: int) -> np.ndarray:
+    """out[scatter[k]] += values[k] * x[gather[k]], unchecked: A x or A'x."""
+    return np.bincount(scatter, weights=values * x[gather], minlength=size)
+
+
 def spmv(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     """y = A x."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "operand")
     if x.shape != (a.n_cols,):
         raise ValueError(f"operand has length {x.shape}, expected ({a.n_cols},)")
-    prod = a.values * x[a.col_indices]
-    return np.bincount(a._rows, weights=prod, minlength=a.n_rows)
+    return _product(a.values, a.col_indices, a._rows, x, a.n_rows)
 
 
 def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     """y = A' x, computed without materializing the transpose."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "operand")
     if x.shape != (a.n_rows,):
         raise ValueError(f"operand has length {x.shape}, expected ({a.n_rows},)")
-    prod = a.values * x[a._rows]
-    return np.bincount(a.col_indices, weights=prod, minlength=a.n_cols)
+    return _product(a.values, a._rows, a.col_indices, x, a.n_cols)
 
 
 def one_norm(a: SparseMatrixCsr) -> float:
@@ -186,8 +200,5 @@ def rectangular_identity_csr(n_rows: int, n_cols: int, scale: float = 1.0) -> Sp
     k = min(n_rows, n_cols) if scale != 0.0 else 0
     idx = np.arange(k, dtype=np.int64)
     vals = np.full(k, float(scale))
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    offsets[1 : k + 1] = idx + 1
-    if k:
-        offsets[k + 1 :] = k
+    offsets = np.minimum(np.arange(n_rows + 1, dtype=np.int64), k)
     return SparseMatrixCsr(n_rows, n_cols, offsets, idx, vals)

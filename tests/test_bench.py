@@ -1,5 +1,8 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,6 +475,21 @@ def test_hilbert_counts_at_benchmark_scale():
         ("ibs2", "cholesky"): (8, 8), ("ibs4", "cholesky"): (8, 8),
         ("ibs2", "cg"): (10, 18), ("ibs4", "cg"): (10, 18),
     }
+
+
+@pytest.mark.parametrize("workload, counts", [("sparse-ibs", (954, 2972)), ("desk-analysis", (586, 586))])
+def test_benchmark_pool_counts(workload, counts):
+    # The whole pool of a benchmark workload, run as the benchmark runs it:
+    # its (outer, inner) totals are pinned here, since the benchmark itself
+    # lets a count move by up to a quarter before it objects.
+    run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    args = ["--workload", workload, "--seed", "1234", "--seconds", "0", "--trace", "0"]
+    out = subprocess.run([sys.executable, str(run), *args], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    metrics = result["metrics"]
+    assert (metrics["outer_it"]["value"], metrics["inner_it"]["value"]) == counts
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,12 @@ matrices built by ``from_triplets`` from drawn triplets: duplicates, exact
 cancellations, empty rows and columns, shapes down to 1 x 1."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilsolve import SparseMatrixCsr, read_matrix_market
+from ilsolve import SparseMatrixCsr, read_matrix_market, spmv, spmv_transpose
 from ilsolve.mmio import write_matrix_market
+from ilsolve.problem import IlsProblem, _gram_pair
 
 # Few distinct values make duplicates that cancel; the rest are arbitrary
 # finite floats, kept small enough that summed duplicates stay finite.
@@ -65,3 +66,27 @@ def test_row_slices_stack_to_the_matrix(a, data):
     bounds = [0, *cuts, a.n_rows]
     pieces = [a.row_slice(lo, hi).to_dense() for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert np.array_equal(np.vstack(pieces), a.to_dense())
+
+
+@property_settings
+@given(a=csr_matrices(values=st.floats(-1e3, 1e3)), seed=st.integers(0, 2**16), shift=st.sampled_from([0.0, 0.5]))
+@example(a=SparseMatrixCsr.from_triplets(1, 1, [], [], []), seed=0, shift=0.5)
+@example(a=SparseMatrixCsr.from_triplets(1, 1, [0], [0], [2.0]), seed=0, shift=0.0)
+@example(a=SparseMatrixCsr.from_triplets(3, 3, [0, 2], [2, 2], [1.5, -1.0]), seed=1, shift=0.5)
+def test_products_are_the_bincount_formula_bit_for_bit(a, seed, shift):
+    # spmv, spmv_transpose and the Gram pair of inner CG share one kernel;
+    # each must give exactly the bincount of the gathered products, so
+    # that iterates and counts do not depend on which path a product takes.
+    # The strategy and the examples cover empty rows and columns, nnz = 0
+    # and 1 x 1.
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = a.to_triplets()
+    x, y = rng.standard_normal(a.n_cols), rng.standard_normal(a.n_rows)
+    ax = np.bincount(rows, weights=vals * x[cols], minlength=a.n_rows)
+    assert np.array_equal(spmv(a, x), ax)
+    assert np.array_equal(spmv_transpose(a, y), np.bincount(cols, weights=vals * y[rows], minlength=a.n_cols))
+    gram = np.bincount(cols, weights=vals * ax[rows], minlength=a.n_cols)
+    prob = IlsProblem(a, np.ones((1, a.n_cols)), np.ones(a.n_rows), np.ones(1), 1.0)
+    sx, a1x = _gram_pair(prob, shift)(x)
+    assert np.array_equal(a1x, ax)
+    assert np.array_equal(sx, shift * x + gram if shift else gram)

@@ -456,15 +456,17 @@ class TestPairedStep:
         if inner == "cg-earlier":
             solve = pre._inner_solve
             monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None, None))
+        # Every CSR product runs the one kernel: A1 x gathers by column,
+        # y A1 by row.
         counts = [0, 0]
-        for i, name in enumerate(("spmv", "spmv_transpose")):
-            kernel = getattr(sparse_module, name)
+        kernel = sparse_module._product
 
-            def counted(a, x, kernel=kernel, i=i):
-                counts[i] += a is prob.a1
-                return kernel(a, x)
+        def counted(values, gather, scatter, x, size):
+            if values is prob.a1.values:
+                counts[gather is not prob.a1.col_indices] += 1
+            return kernel(values, gather, scatter, x, size)
 
-            monkeypatch.setattr(sparse_module, name, counted)
+        monkeypatch.setattr(sparse_module, "_product", counted)
         v = rng.standard_normal(prob.size)
         pre.reset_stats()
         if pre.paired:

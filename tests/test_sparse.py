@@ -54,6 +54,44 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseMatrixCsr.from_triplets(2, 2, [0], [5], [1.0])
 
+    @pytest.mark.parametrize(
+        "field, offsets, cols",
+        [("row_offsets", [0, 1.7, 2], [0, 1]), ("col_indices", [0, 1, 2], [0, 1.2]),
+         ("col_indices", [0, 1, 2], [0, np.nan]), ("row_offsets", [0, np.inf, 2], [0, 1])],
+    )
+    def test_fractional_index_rejected(self, field, offsets, cols):
+        # A cast to int64 would truncate 1.7 to 1 and accept the matrix.
+        with pytest.raises(ValueError, match=f"{field} must hold whole numbers"):
+            SparseMatrixCsr(2, 2, offsets, cols, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "field, rows, cols",
+        [("rows", [0.5, 1.9], [0, 1]), ("cols", [0, 1], [0, 1.2]), ("cols", [0, 1], [0, 1e300])],
+    )
+    def test_fractional_triplet_index_rejected(self, field, rows, cols):
+        with pytest.raises(ValueError, match=f"{field} must hold whole numbers"):
+            SparseMatrixCsr.from_triplets(2, 2, rows, cols, [1.0, 1.0])
+
+    def test_whole_float_indices_accepted(self):
+        a = SparseMatrixCsr(2, 2, np.array([0.0, 1.0, 2.0]), [0.0, 1.0], [1.0, 2.0])
+        b = SparseMatrixCsr.from_triplets(2, 2, [0.0, 1.0], np.array([0.0, 1.0]), [1.0, 2.0])
+        for m in (a, b):
+            assert m.row_offsets.dtype == m.col_indices.dtype == np.int64
+            assert np.array_equal(m.to_dense(), np.diag([1.0, 2.0]))
+
+    def test_integer_indices_are_not_copied(self):
+        offsets, cols = np.array([0, 1, 2]), np.array([0, 1])
+        a = SparseMatrixCsr(2, 2, offsets, cols, [1.0, 2.0])
+        assert a.row_offsets is offsets and a.col_indices is cols
+
+    @pytest.mark.parametrize("build", ["csr", "triplets"])
+    def test_complex_values_rejected(self, build):
+        with pytest.raises(TypeError, match="values must be real, got dtype complex128"):
+            if build == "csr":
+                SparseMatrixCsr(1, 1, [0, 1], [0], [1 + 1j])
+            else:
+                SparseMatrixCsr.from_triplets(1, 1, [0], [0], np.array([1j]))
+
     def test_row_slice(self, rng):
         a = random_csr(rng, 8, 4)
         top = a.row_slice(0, 3)
