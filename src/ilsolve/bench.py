@@ -12,12 +12,13 @@ computed reference solution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError
-from .krylov import CgConfig, FgmresConfig, fgmres_solve
+from .krylov import CgConfig, FgmresConfig, _count, fgmres_solve
 from .mmio import read_matrix_market
 from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS, make_preconditioner
 from .problem import (
@@ -111,13 +112,14 @@ def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem
 # Experiment specification
 # ---------------------------------------------------------------------------
 
-# The spec fields each problem source reads; a source rejects the others.
+# The spec fields each problem source reads, as (required, optional); a
+# source rejects the others.
 _SOURCE_FIELDS = {
-    "matrix-market": ("matrix", "q", "a2_scale", "normalize"),
-    "hilbert": ("n", "a2_scale"),
-    "random": ("p", "q", "n", "seed"),
+    "matrix-market": (("matrix", "q"), ("a2_scale", "normalize")),
+    "hilbert": (("n",), ("a2_scale",)),
+    "random": (("p", "q", "n"), ("seed",)),
 }
-_SOURCE_SETTINGS = {name for names in _SOURCE_FIELDS.values() for name in names}
+_SOURCE_SETTINGS = {name for required, optional in _SOURCE_FIELDS.values() for name in required + optional}
 
 
 @dataclass
@@ -126,9 +128,9 @@ class ExperimentSpec:
     settings, and output destination; spec files and the command line both
     describe a run with one.  The solver settings default to CgConfig's and
     FgmresConfig's, and an unset ``a2_scale`` or ``seed`` to the
-    generator's own; an unset ``normalize`` means True.  Setting a field
-    that the problem source does not read (see ``_SOURCE_FIELDS``) is an
-    error."""
+    generator's own; an unset ``normalize`` means True.  Leaving out a field
+    that the problem source requires, or setting one that it does not read
+    (see ``_SOURCE_FIELDS``), is an error."""
 
     problem: str = "matrix-market"    # "matrix-market" | "hilbert" | "random"
     matrix: str | None = None         # path for matrix-market sources
@@ -149,18 +151,21 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, least in (("p", 1), ("q", 1), ("n", 1), ("runs", 1), ("seed", 0)):
+            if getattr(self, name) is not None:
+                _count(name, getattr(self, name), least)
         if not self.preconditioners:
             raise ValueError("preconditioners must name at least one variant")
         if self.problem not in _SOURCE_FIELDS:
             raise ValueError(f"unknown problem source {self.problem!r}")
-        used = _SOURCE_FIELDS[self.problem]
+        required, optional = _SOURCE_FIELDS[self.problem]
         for name, value in vars(self).items():
-            if value is not None and name in _SOURCE_SETTINGS and name not in used:
+            if value is not None and name in _SOURCE_SETTINGS and name not in required + optional:
                 raise ValueError(f"{name} does not apply to problem = {self.problem}")
+        if self.a2_scale is not None and not math.isfinite(self.a2_scale):
+            raise ValueError(f"a2_scale must be finite, got {self.a2_scale}")
         bad = [k for k in self.preconditioners if k.lower() not in VARIANTS]
         if bad:
             raise ValueError(f"unknown preconditioners {bad}; choose from {VARIANTS}")
@@ -170,6 +175,9 @@ class ExperimentSpec:
         # Bad solver settings fail here, before any problem is built.
         self.inner_config()
         self.outer_config()
+        for name in required:
+            if getattr(self, name) in (None, ""):
+                raise ValueError(f"{name} is required for problem = {self.problem}")
 
     def inner_config(self) -> CgConfig:
         return CgConfig(self.inner_tol, self.inner_maxit)
@@ -241,20 +249,12 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
     """Materialize the problem a spec describes."""
     scale = () if spec.a2_scale is None else (spec.a2_scale,)
     if spec.problem == "matrix-market":
-        if not spec.matrix:
-            raise ValueError("matrix-market source needs a 'matrix' path")
         core = read_matrix_market(spec.matrix)
         if spec.normalize is not False:
             core = normalize_to_unit_one_norm(core)
-        if spec.q is None:
-            raise ValueError("matrix-market source needs 'q'")
         return generate_augmented_problem(core, spec.q, *scale)
     if spec.problem == "hilbert":
-        if spec.n is None:
-            raise ValueError("hilbert source needs 'n'")
         return generate_hilbert_problem(spec.n, *scale)
-    if spec.p is None or spec.q is None or spec.n is None:
-        raise ValueError("random source needs 'p', 'q', and 'n'")
     seed = () if spec.seed is None else (spec.seed,)
     return generate_random_problem(spec.p, spec.q, spec.n, *seed)
 

@@ -69,8 +69,6 @@ def _spec_from_args(args, **fixed) -> ExperimentSpec:
     settings = {key: value for key, value in vars(args).items() if key in _SPEC_SETTINGS}
     settings.update(fixed)
     if args.matrix:
-        if args.q is None:
-            raise ValueError("--matrix needs --q")
         return ExperimentSpec(problem="matrix-market", matrix=args.matrix, q=args.q, **settings)
     if args.hilbert is not None:
         return ExperimentSpec(problem="hilbert", n=args.hilbert, **settings)
@@ -126,12 +124,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec = _spec_from_args(args)
-    prob = build_problem(spec)
     kinds = [k.strip().lower() for k in args.preconditioners.split(",") if k.strip()]
+    if not kinds:
+        raise ValueError("--preconditioners must name at least one variant")
     unknown = [k for k in kinds if k not in IBS_VARIANTS]
     if unknown:
         raise ValueError(f"analyze handles {IBS_VARIANTS}, got {unknown}")
+    prob = build_problem(_spec_from_args(args))
     conditions = check_convergence_conditions(prob)
     out = {
         "problem": prob.label(),

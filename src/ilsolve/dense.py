@@ -10,7 +10,8 @@ inverses come from one batched LAPACK inversion per factor; the factor
 itself is never inverted.  Inverting only small diagonal blocks keeps the
 accuracy of substitution in practice (Du Croz and Higham, IMA J. Numer.
 Anal. 12, 1992).  A caller that applies one factor many times computes
-the inverses once (see IlsProblem._inner_factor); any other call computes
+the inverses once (IlsProblem._inner_factor keeps them beside the factor
+in the problem's one cache, IlsProblem._shared); any other call computes
 them itself.
 """
 

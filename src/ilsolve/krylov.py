@@ -23,9 +23,9 @@ restarts assemble the iterate and take its residual with the operator's
 apply, so convergence rests on true residuals whatever the step.  Each
 confirmation is recorded as (iteration, estimate, true residual) in the
 report.  ``fgmres_solve`` hands the block system of a Preconditioner's own
-problem to ``ilsolve.preconditioners._block_solve``, which folds
-A2's empty rows and forms A z_j from the splitting; every other solve steps
-with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
+problem to ``ilsolve.preconditioners._block_solve``, which folds A2's
+empty rows and takes z_j and A z_j from the preconditioner's own step;
+every other solve steps with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
 ``fgmres_solve`` check the operator and the right-hand side; their loops
 ``_cg`` and ``_fgmres`` trust float64 vectors and use ``ndarray.dot``, the
 BLAS calls of ``@`` without its dispatch.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -47,6 +48,14 @@ from .sparse import _real
 __all__ = ["CgConfig", "FgmresConfig", "SolveReport", "cg_solve", "fgmres_solve"]
 
 
+def _count(name: str, value, least: int = 1) -> None:
+    """A ValueError naming ``name`` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 @dataclass(frozen=True)
 class CgConfig:
     rel_tolerance: float = 1e-3
@@ -55,8 +64,7 @@ class CgConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tolerance < 1.0):
             raise ValueError("rel_tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _count("max_iterations", self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,9 @@ class FgmresConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tolerance < 1.0):
             raise ValueError("rel_tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.restart is not None and self.restart < 1:
-            raise ValueError("restart must be at least 1 when bounded")
+        _count("max_iterations", self.max_iterations)
+        if self.restart is not None:
+            _count("restart", self.restart)
 
 
 @dataclass

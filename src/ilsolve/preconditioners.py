@@ -40,24 +40,24 @@ Comput. 2, 1981):
     ibs3 / bs3:  A z = (r1,         r2 - s - shift*z2 + A2'r3, r3 + A2 z2)
     ibs4 / but:  A z = (r1,         r2 - s - shift*z2,         r3 + A2 z2)
 
-The paired step returns z and this A z.  It is exact where s is known to
-working accuracy: after an exact inner solve (s = 0, up to the Cholesky
-backward error), where it makes the one product A1 z2, and after CG on an
-S whose condition bound (shift + |A1|_1 |A1|_inf) / shift is at most
-_PAIR_BOUND.  There s is CG's recurrence residual and A1 z2 the image
-that CG carries from its Gram products, so after trusted inner CG the
-step makes no product by A1 or A1'A1; when CG returns an earlier iterate
-or breaks down, one Gram product of z2 gives both.  ``paired`` says
-whether a preconditioner takes the step (and the image, in ``apply``
-too): the unshifted baselines on CG, a tiny shift and kind 'none' do not.
+The step ``_apply(problem, v, paired=True)`` returns z and A z for every
+kind.  It takes A z from the splitting where s is known to working
+accuracy: after an exact inner solve (s = 0, up to the Cholesky backward
+error), where it makes the one product A1 z2, and after CG on an S whose
+condition bound (shift + |A1|_1 |A1|_inf) / shift is at most _PAIR_BOUND.
+There s is CG's recurrence residual and A1 z2 the image that CG carries
+from its Gram products, so after trusted inner CG the step makes no
+product by A1 or A1'A1; when CG returns an earlier iterate or breaks
+down, one Gram product of z2 gives both.  ``paired`` says whether this
+holds (and CG carries the image, in ``apply`` too); for the unshifted
+baselines on CG, a tiny shift and kind 'none' A z is one block product.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
 which ``fgmres_solve`` hands it for ``block_system_operator(problem)``.
 When A2 has two or more empty rows it runs on the folded twin of
 ilsolve.problem (the twin has the same A1 and so the same inner matrix,
 and the preconditioner acts on it as on its own problem) and lifts the
-answer back; each step is the paired step where the preconditioner takes
-it, else apply followed by the block product.
+answer back; FGMRES takes each z and A z from the step.
 """
 
 from __future__ import annotations
@@ -109,11 +109,10 @@ class Preconditioner:
     with inner 'cholesky', ``lower`` and ``inverses``, the problem's shared
     Cholesky factor of the inner matrix and the inverses of its diagonal
     blocks (see ilsolve.dense); with 'cg', CG at ``config`` on the
-    problem's Gram pair.  ``paired`` says whether FGMRES on the block
-    system takes the paired step (see the module docstring).  Instances
-    are reusable across solves; ``inner_iterations`` and
-    ``inner_failures`` accumulate CG statistics (call ``reset_stats``
-    between timed runs).
+    problem's Gram pair.  ``paired`` says whether the step takes A z from
+    the splitting (see the module docstring).  Instances are reusable
+    across solves; ``inner_iterations`` and ``inner_failures`` accumulate
+    CG statistics (call ``reset_stats`` between timed runs).
     """
 
     def __init__(self, kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None):
@@ -168,8 +167,12 @@ class Preconditioner:
 
     def _apply(self, prob: IlsProblem, r: np.ndarray, paired: bool = False):
         """z = M^{-1} r on ``prob``, this preconditioner's problem or its
-        folded twin; with ``paired``, the paired step (z, A z), whose z is
-        bit for bit the one without (see the module docstring); r is trusted."""
+        folded twin; with ``paired``, the step (z, A z), whose z is bit for
+        bit the one without: A z from the splitting where ``self.paired``
+        holds (see the module docstring), else one block product; r is trusted."""
+        if paired and not self.paired:
+            z = self._apply(prob, r)
+            return z, apply_block_A(prob, z)
         p, pn = prob.p, prob.p + prob.n
         r1, r2, r3 = r[:p], r[p:pn], r[pn:]
         if self.kind == "none":
@@ -235,14 +238,8 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
         part = rhs[head:][empty]
         norm = np.linalg.norm(part)
         solve_rhs = np.concatenate([rhs[:head], rhs[head:][~empty], [norm]])
-    op = block_system_operator(prob)
-    if pre.paired:
-        step = lambda v: pre._apply(prob, v, paired=True)
-    else:
-        def step(v):
-            z = pre._apply(prob, v)
-            return z, op.apply(z)
-    y, report = _fgmres(op.apply, step, solve_rhs, cfg)
+    step = lambda v: pre._apply(prob, v, paired=True)
+    y, report = _fgmres(block_system_operator(prob).apply, step, solve_rhs, cfg)
     if fold is None:
         return y, report
     x = np.empty(len(rhs))

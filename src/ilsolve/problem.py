@@ -13,12 +13,14 @@ is never formed outside the dense desk-scale helpers and the reference
 solution.  The blocks A1 and A2 are plain matrices, CSR or 2-D float64
 ndarray; both kinds give A x as ``A @ x`` and A'y as ``y @ A``.  The Gram
 product A1'(A1 x) of the block operator and of the inner CG runs the CSR
-kernel sparse._product twice on a CSR A1's arrays; a row-major dense A1
-of more than one row panel (about 512 KiB) is swept once, each panel
-giving its rows of A1 x and its term of A1'(A1 x) while still in cache;
-any other A1 gives ``(A1 @ x) @ A1``.  Vectors of the block system are
+kernel sparse._product twice on a CSR A1's arrays; a dense A1 is swept
+once by row panels of about 512 KiB, each panel giving its rows of A1 x
+and its term of A1'(A1 x) while still in cache (a small A1 is one panel,
+which gives exactly ``(A1 @ x) @ A1``).  Vectors of the block system are
 flat float64 arrays of length p + n + q, and ``prob.split(v)`` gives their
 (d1, x, d2) blocks as views.  Every solve starts from the zero vector.
+A problem keeps its exact inner factors (by shift) and the analysis's
+decompositions (by name) in one read-only cache, ``IlsProblem._shared``.
 
 Inputs are checked once, at the public entry points (IlsProblem, split,
 spmv, the applies, the solvers): shape, dtype (complex input is a
@@ -76,7 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IlsProblem:
     """One partitioned problem: A1 (p x n), A2 (q x n), split right-hand
     side, and the diagonal shift used by the inexact preconditioners.
@@ -84,7 +86,7 @@ class IlsProblem:
     p, q and n are read from the block shapes.  A CSR block is kept as
     given; any other block is stored as a 2-D float64 ndarray (Hilbert
     blocks, say, stay dense).  Blocks and right-hand side must be real
-    and finite.
+    and finite.  A problem equals only itself, and hashes by identity.
     """
 
     a1: SparseMatrixCsr | np.ndarray
@@ -95,8 +97,8 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
-    # Read-only derived data: _inner_factor's factors by shift, _shared's values by name.
-    _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # Read-only derived data, kept by _shared: values by name, inner factors by shift.
+    _factors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", _real(self.b1, "b1"))
@@ -153,13 +155,11 @@ class IlsProblem:
 
     @cached_property
     def _panel(self) -> int:
-        """Rows per panel of the Gram sweep over A1 (see _gram_sweep), or 0
-        where the Gram product stays (A1 @ x) @ A1."""
+        """Rows per panel of _gram_sweep over a dense A1; 0 for a CSR A1."""
         a1 = self.a1
-        if isinstance(a1, SparseMatrixCsr) or not a1.flags.c_contiguous:
+        if isinstance(a1, SparseMatrixCsr):
             return 0
-        rows = max(_PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1)
-        return rows if self.p > rows else 0
+        return max(_PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1)
 
     @cached_property
     def _gram_bound(self) -> float:
@@ -177,29 +177,27 @@ class IlsProblem:
 
     def _inner_factor(self, shift: float) -> tuple[np.ndarray, np.ndarray]:
         """The Cholesky factor of shift*I + A1'A1 and the inverses of its
-        diagonal blocks, read-only, built once per shift for the exact
-        preconditioners on this instance; above DENSE_MAX_N, an error."""
+        diagonal blocks, read-only, built once per shift (see _shared) for
+        the exact preconditioners on this instance; above DENSE_MAX_N, an error."""
         if self.n > DENSE_MAX_N:
             raise ConfigurationError(
                 f"dense inner factorization requested for n = {self.n} > cap {DENSE_MAX_N}"
             )
-        factor = self._factors.get(shift)
-        if factor is None:
+
+        def factor():
             a1d = densify(self.a1)
             inner = a1d.T @ a1d
             if shift:
                 inner[np.diag_indices_from(inner)] += shift
             lower = dense_cholesky(inner)
-            factor = lower, _block_inverses(lower)
-            for part in factor:
-                part.flags.writeable = False
-            self._factors[shift] = factor
-        return factor
+            return lower, _block_inverses(lower)
 
-    def _shared(self, name: str, compute):
-        """compute()'s value, its arrays read-only, kept under ``name`` for later
-        calls; one whose computation warned is not kept, so each call warns."""
-        if name not in self._factors:
+        return self._shared(shift, factor)
+
+    def _shared(self, key, compute):
+        """compute()'s value, its arrays read-only, kept under ``key`` (a name
+        or a shift) for later calls; one that warned is not kept, so each call warns."""
+        if key not in self._factors:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 value = compute()
@@ -209,8 +207,8 @@ class IlsProblem:
                 return value
             for part in value if isinstance(value, tuple) else (value,):
                 part.flags.writeable = False
-            self._factors[name] = value
-        return self._factors[name]
+            self._factors[key] = value
+        return self._factors[key]
 
 
 def _build_fold(prob: IlsProblem):
@@ -268,30 +266,27 @@ _PANEL_BYTES = 512 * 1024
 
 
 def _gram_sweep(a1: np.ndarray, x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A1 x, A1'(A1 x)) for a dense row-major A1 in one pass over its
-    panels of ``rows`` rows, which are views.  Each panel's rows of A1 x
-    are computed into place and its term of A1'(A1 x) added at once,
-    while the panel is still in cache."""
+    """(A1 x, A1'(A1 x)) for a dense A1 in one pass over its panels of
+    ``rows`` rows, which are views.  Each panel's rows of A1 x are
+    computed into place and its term of A1'(A1 x) added at once, while
+    the panel is still in cache; one panel gives ``(A1 @ x) @ A1``."""
     ax = np.empty(a1.shape[0])
-    gram = np.zeros(a1.shape[1])
-    term = np.empty(a1.shape[1])
+    gram, term = np.empty(a1.shape[1]), np.empty(a1.shape[1])
     for i in range(0, len(ax), rows):
         panel = a1[i : i + rows]
-        np.dot(np.dot(panel, x, out=ax[i : i + rows]), panel, out=term)
-        gram += term
+        np.dot(np.dot(panel, x, out=ax[i : i + rows]), panel, out=term if i else gram)
+        if i:
+            gram += term
     return ax, gram
 
 
 def _gram(a1, x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A1 x, A1'(A1 x)) for a trusted x: by _gram_sweep where ``rows``
-    (prob._panel) is set, by sparse._product (looked up per call) on CSR."""
+    """(A1 x, A1'(A1 x)) for a trusted x: by _gram_sweep on a dense A1
+    (``rows`` is prob._panel), by sparse._product (looked up per call) on CSR."""
     if rows:
         return _gram_sweep(a1, x, rows)
-    if isinstance(a1, SparseMatrixCsr):
-        a1x = sparse._product(a1.values, a1.col_indices, a1._rows, x, a1.n_rows)
-        return a1x, sparse._product(a1.values, a1._rows, a1.col_indices, a1x, a1.n_cols)
-    a1x = a1 @ x
-    return a1x, a1x @ a1
+    a1x = sparse._product(a1.values, a1.col_indices, a1._rows, x, a1.n_rows)
+    return a1x, sparse._product(a1.values, a1._rows, a1.col_indices, a1x, a1.n_cols)
 
 
 def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:

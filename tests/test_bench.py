@@ -182,9 +182,9 @@ class TestSpecParsing:
             ExperimentSpec(problem="random", runs=0)
 
     def test_missing_matrix_path(self):
-        spec = ExperimentSpec(problem="matrix-market", q=10)
-        with pytest.raises(ValueError, match="matrix"):
-            build_problem(spec)
+        # Rejected by the spec itself, before any problem is built.
+        with pytest.raises(ValueError, match="^matrix is required for problem = matrix-market$"):
+            ExperimentSpec(problem="matrix-market", q=10)
 
     def test_missing_matrix_file_fails_before_solving(self, tmp_path):
         spec = ExperimentSpec(problem="matrix-market", matrix=str(tmp_path / "nope.mtx"), q=10)
@@ -239,7 +239,7 @@ class TestSpecBoundary:
     @pytest.mark.parametrize("text, value", [("no", False), ("0", False), ("YES", True), ("1", True)])
     def test_boolean_spellings(self, tmp_path, text, value):
         path = tmp_path / "b.spec"
-        path.write_text(f"problem = matrix-market\nnormalize = {text}\n")
+        path.write_text(f"problem = matrix-market\nmatrix = a.mtx\nq = 1\nnormalize = {text}\n")
         assert load_experiment_spec(path).normalize is value
 
     def test_unknown_inner_rejected_at_load(self, tmp_path, capsys):

@@ -86,6 +86,19 @@ def test_analyze_reports_conditions(tmp_path):
     assert variant["interval_contained"] is True
 
 
+@pytest.mark.parametrize("names", [",", " , ,", ""])
+def test_analyze_without_a_variant_exits_one(capsys, names):
+    assert main(["analyze", "--random", "8,5,4", "--preconditioners", names]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --preconditioners must name at least one variant\n"
+
+
+def test_matrix_without_q_exits_one(capsys):
+    assert main(["solve", "--matrix", "x.mtx"]) == 1
+    assert capsys.readouterr().err == "error: q is required for problem = matrix-market\n"
+
+
 def test_generate_roundtrip(tmp_path):
     prefix = tmp_path / "prob"
     code = main(["generate", "--random", "6,4,3", "--out-prefix", str(prefix)])

@@ -157,21 +157,21 @@ def test_one_empty_row_per_block_does_not_fold(applied):
 
 @pytest.mark.parametrize("kind, paired", [("ibs4", True), ("bs2", False), ("none", False)])
 def test_empty_rows_of_a1_alone_do_not_fold(applied, kind, paired):
-    # Three empty rows in A1, none in A2: no twin.  A preconditioner that
-    # takes the paired step takes it at full length, and its products
-    # round unlike apply followed by the block product; one that declines
-    # it gives the wrapped operator's solve bit for bit.
+    # Three empty rows in A1, none in A2: no twin.  Every step on the block
+    # operator is the step (z, A z) at full length.  Where A z comes from
+    # the splitting, its products round unlike apply followed by the block
+    # product; where it does not, the step is that apply and block product,
+    # and gives the wrapped operator's solve bit for bit.
     prob = with_empty_rows(il.generate_random_problem(6, 4, 3, seed=6), 3, 0, 6, sparse=True)
     assert prob._fold is None
     (xf, rf, cf), (xu, ru, cu) = solve_both(prob, kind, "cg")
     assert set(applied.lengths) == {prob.size}
     assert rf.converged and cf == cu and rf.iterations == ru.iterations
     assert make_preconditioner(kind, prob).paired == paired
+    assert applied.paired == [prob.size] * rf.iterations
     if paired:
-        assert applied.paired == [prob.size] * rf.iterations
         np.testing.assert_allclose(xf, xu, rtol=0, atol=1e-9 * np.linalg.norm(xu))
     else:
-        assert applied.paired == []
         assert np.array_equal(xf, xu) and np.array_equal(rf.res_history, ru.res_history)
 
 

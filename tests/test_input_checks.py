@@ -2,7 +2,8 @@
 private loops behind them (inner CG, the FGMRES loop, the paired step and
 the Gram pair) can trust their input.  Complex input is a TypeError naming
 the argument and its dtype: a cast to float64 would keep only the real
-part."""
+part.  Solver and experiment settings are checked when they are built, so
+that a bad one fails before any problem is built or solved."""
 
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import ilsolve as il
+from ilsolve.bench import ExperimentSpec, build_problem
 from ilsolve.operators import as_matrix
 from ilsolve.problem import IlsProblem, densify
 
@@ -95,3 +97,40 @@ def test_complex_problem_data_rejected(prob, field):
 def test_as_matrix_names_the_argument():
     with pytest.raises(TypeError, match="^M must be real, got dtype complex64$"):
         as_matrix(np.eye(2, dtype=np.complex64), "M")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: il.CgConfig(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+        (lambda: il.CgConfig(max_iterations=True), "max_iterations must be an integer, got True"),
+        (lambda: il.FgmresConfig(max_iterations=10.0), "max_iterations must be an integer, got 10.0"),
+        (lambda: il.FgmresConfig(restart=2.5), "restart must be an integer, got 2.5"),
+        (lambda: ExperimentSpec(problem="random", p=6, q=4, n=3, runs=1.5), "runs must be an integer, got 1.5"),
+        (lambda: ExperimentSpec(problem="random", p=6.0, q=4, n=3), "p must be an integer, got 6.0"),
+        (lambda: ExperimentSpec(problem="random", p=6, q=4, n=3, seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda: ExperimentSpec(problem="hilbert"), "n is required for problem = hilbert"),
+        (lambda: ExperimentSpec(problem="random", p=6, q=4), "n is required for problem = random"),
+        (lambda: ExperimentSpec(problem="matrix-market", matrix="a.mtx"), "q is required for problem = matrix-market"),
+        (lambda: ExperimentSpec(problem="matrix-market", matrix="", q=3), "matrix is required for problem = matrix-market"),
+        (lambda: ExperimentSpec(problem="hilbert", n=4, a2_scale=float("nan")), "a2_scale must be finite, got nan"),
+        (lambda: ExperimentSpec(problem="hilbert", n=4, a2_scale=float("inf")), "a2_scale must be finite, got inf"),
+    ],
+)
+def test_bad_setting_rejected_at_construction(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_whole_settings_of_any_integer_type_accepted():
+    assert il.CgConfig(max_iterations=np.int64(5)).max_iterations == 5
+    assert il.FgmresConfig(restart=np.int32(3)).restart == 3
+    spec = ExperimentSpec(problem="hilbert", n=np.int64(4), runs=np.int64(2), a2_scale=0.5)
+    assert build_problem(spec).n == 4
+
+
+def test_missing_setting_in_a_spec_file_names_the_file(tmp_path):
+    path = tmp_path / "h.spec"
+    path.write_text("problem = hilbert\n")
+    with pytest.raises(ValueError, match=f"^{path}: n is required for problem = hilbert$"):
+        il.load_experiment_spec(path)

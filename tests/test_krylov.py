@@ -234,8 +234,8 @@ PANEL_100 = problem_module._PANEL_BYTES // (8 * 100)
 
 def image_problem(layout, seed, spread=10.0):
     """A problem whose A1 takes the Gram product of ``layout``: dense and
-    row-major within one panel or over several, dense and Fortran-ordered,
-    or CSR.  Its columns are scaled from 1 to ``spread``."""
+    row-major within one panel or over several, dense and Fortran-ordered
+    within one panel, or CSR.  Its columns are scaled from 1 to ``spread``."""
     rng = np.random.default_rng(seed)
     if layout == "dense-panels":
         n, p = 100, 2 * PANEL_100 + 3
@@ -272,7 +272,9 @@ class TestCarriedImage:
     )
     def test_image_is_a1_times_the_returned_iterate(self, seed, layout, shifted, tol, cap):
         prob = image_problem(layout, seed)
-        assert (prob._panel > 0) == (layout == "dense-panels")
+        # Every dense A1 is swept by panels; a CSR A1 has none.
+        assert (prob._panel == 0) == (layout == "csr")
+        assert (0 < prob._panel < prob.p) == (layout == "dense-panels")
         if layout == "dense-fortran":
             assert not prob.a1.flags.c_contiguous
         shift = prob.alpha if shifted else 0.0

@@ -310,7 +310,9 @@ class TestInnerSolvers:
         before = repr(prob)
         make_preconditioner("ibs3", prob, inner="cholesky")
         assert repr(prob) == before and "_factors" not in before
-        assert prob == dataclasses.replace(prob)
+        # A problem equals itself alone: a copy, with its own cache, does not.
+        copy = dataclasses.replace(prob)
+        assert prob == prob and prob != copy and hash(prob) != hash(copy)
 
     def test_unknown_inner_mode(self):
         with pytest.raises(ValueError, match="inner solver"):
@@ -398,7 +400,9 @@ class TestPairedStep:
     @pytest.mark.parametrize("kind", SPLITTINGS)
     def test_step_matches_apply_and_the_block_product(self, rng, kind, inner, layout):
         prob = paired_problem(rng, layout)
-        assert (prob._panel > 0) == (layout == "dense-panels")
+        # Every dense A1 is swept by panels; a CSR A1 has none.
+        assert (prob._panel == 0) == (layout in ("csr", "folds"))
+        assert (0 < prob._panel < prob.p) == (layout == "dense-panels")
         pre = make_preconditioner(kind, prob, inner=inner)
         own = layout != "folds"
         if not own:
@@ -449,8 +453,9 @@ class TestPairedStep:
         # paired step after inner CG of k iterations makes the k Gram
         # products of CG and no other product by A1; after CG returns an
         # earlier iterate, one Gram product more; after an exact solve,
-        # one A1 z2.  An unpaired step (the baselines on CG) is apply, with
-        # A1 z2 for ibs3/bs3 and ibs4/but, followed by the block product.
+        # one A1 z2.  A step that declines the splitting (the baselines on
+        # CG) is apply, with A1 z2 for ibs3/bs3 and ibs4/but, followed by
+        # the block product.
         prob = paired_problem(rng, "csr")
         pre = make_preconditioner(kind, prob, inner=inner.split("-")[0])
         if inner == "cg-earlier":
@@ -469,10 +474,7 @@ class TestPairedStep:
         monkeypatch.setattr(sparse_module, "_product", counted)
         v = rng.standard_normal(prob.size)
         pre.reset_stats()
-        if pre.paired:
-            pre._apply(prob, v, paired=True)
-        else:
-            apply_block_A(prob, pre.apply(v))
+        pre._apply(prob, v, paired=True)
         k = pre.inner_iterations
         assert pre.inner_failures == 0
         if inner == "cholesky":
@@ -500,6 +502,15 @@ class TestPairedStep:
         assert make_preconditioner("ibs1", inside).paired
         assert not make_preconditioner("ibs1", outside).paired
         assert make_preconditioner("ibs1", outside, inner="cholesky").paired
+
+    @pytest.mark.parametrize("kind", ["none", "bs1", "bs2", "bs3", "but"])
+    def test_declined_step_is_apply_and_one_block_product(self, rng, kind):
+        prob = paired_problem(rng, "csr")
+        pre = make_preconditioner(kind, prob, inner="cg")
+        assert not pre.paired
+        v = rng.standard_normal(prob.size)
+        z, w = pre._apply(prob, v, paired=True)
+        assert np.array_equal(z, pre.apply(v)) and np.array_equal(w, apply_block_A(prob, z))
 
     @pytest.mark.parametrize("case", ["none", "bs1", "bs2", "bs3", "but", "ibs2-shift-past-bound"])
     def test_declined_step_keeps_the_wrapped_solve_bit_for_bit(self, case):

@@ -5,11 +5,14 @@ import pytest
 
 import ilsolve as il
 from ilsolve import (
+    CgConfig,
     DegenerateProblemError,
     IlsProblem,
+    OracleFailureError,
     ProblemAssumptionError,
     apply_block_A,
     build_rhs,
+    cg_solve,
     compute_alpha,
     full_solution_from_x,
     partition_problem,
@@ -208,8 +211,11 @@ class TestGramSweep:
     def test_matches_the_two_products(self, rng, shape):
         a = rng.standard_normal(shape)
         x = rng.standard_normal(shape[1])
-        ax, gram = problem_module._gram_sweep(a, x, _rows_per_panel(shape[1]))
+        rows = _rows_per_panel(shape[1])
+        ax, gram = problem_module._gram_sweep(a, x, rows)
         want_ax = a @ x
+        if shape[0] <= rows:  # one panel: the two products themselves
+            assert np.array_equal(ax, want_ax) and np.array_equal(gram, want_ax @ a)
         # Both sides are within (p + n) eps |A|_F^2 |x| of A'(A x).
         scale = np.finfo(np.float64).eps * np.linalg.norm(a) * np.linalg.norm(x)
         assert np.linalg.norm(ax - want_ax) <= 2 * shape[1] * scale
@@ -224,14 +230,17 @@ class TestGramSweep:
     @pytest.mark.parametrize(
         "a1",
         [lambda rng: random_csr(rng, 2 * PANEL, 200), lambda rng: rng.standard_normal((PANEL, 200)),
-         lambda rng: np.asfortranarray(rng.standard_normal((PANEL + 1, 200))),
+         lambda rng: np.asfortranarray(rng.standard_normal((PANEL, 200))),
          lambda rng: random_desk_problem(5).a1],
         ids=["csr", "dense-one-panel", "dense-column-major", "desk"],
     )
     def test_other_blocks_keep_the_two_products_bit_for_bit(self, rng, a1):
+        # A CSR A1 has no panels, and a dense A1 of one panel is swept as
+        # the two products, in either memory order.
         a1 = a1(rng)
         prob = IlsProblem(a1, rng.standard_normal((7, a1.shape[1])), np.ones(a1.shape[0]), np.ones(7), 2.0)
-        assert prob._panel == 0
+        assert (prob._panel == 0) == isinstance(a1, SparseMatrixCsr)
+        assert prob._panel == 0 or prob._panel >= prob.p
         v = rng.standard_normal(prob.size)
         assert np.array_equal(apply_block_A(prob, v), self.two_products(prob, v))
         x = prob.split(v)[1]
@@ -240,17 +249,20 @@ class TestGramSweep:
             assert np.array_equal(sx, shift * x + (prob.a1 @ x) @ prob.a1) and np.array_equal(a1x, prob.a1 @ x)
 
     def test_dense_block_over_one_panel_is_swept(self, rng):
-        prob = IlsProblem(rng.standard_normal((PANEL + 1, 200)), random_csr(rng, 7, 200), np.ones(PANEL + 1), np.ones(7), 2.0)
-        assert prob._panel == PANEL
-        v = rng.standard_normal(prob.size)
-        d1, x, d2 = prob.split(v)
-        ax, gram = problem_module._gram_sweep(prob.a1, x, PANEL)
-        want = np.concatenate([d1 + ax, gram + d2 @ prob.a2, prob.a2 @ x + d2])
-        assert np.array_equal(apply_block_A(prob, v), want)
-        assert np.array_equal(_gram_pair(prob, 0.0)(x)[0], gram)
-        assert np.array_equal(_gram_pair(prob, prob.alpha)(x)[0], prob.alpha * x + gram)
-        got, two = apply_block_A(prob, v), self.two_products(prob, v)
-        assert np.linalg.norm(got - two) <= 1e-13 * np.linalg.norm(two)
+        # In either memory order: a column-major A1 is summed by panels too.
+        for order in "CF":
+            a1 = np.asarray(rng.standard_normal((PANEL + 1, 200)), order=order)
+            prob = IlsProblem(a1, random_csr(rng, 7, 200), np.ones(PANEL + 1), np.ones(7), 2.0)
+            assert prob._panel == PANEL
+            v = rng.standard_normal(prob.size)
+            d1, x, d2 = prob.split(v)
+            ax, gram = problem_module._gram_sweep(prob.a1, x, PANEL)
+            want = np.concatenate([d1 + ax, gram + d2 @ prob.a2, prob.a2 @ x + d2])
+            assert np.array_equal(apply_block_A(prob, v), want)
+            assert np.array_equal(_gram_pair(prob, 0.0)(x)[0], gram)
+            assert np.array_equal(_gram_pair(prob, prob.alpha)(x)[0], prob.alpha * x + gram)
+            got, two = apply_block_A(prob, v), self.two_products(prob, v)
+            assert np.linalg.norm(got - two) <= 1e-13 * np.linalg.norm(two)
 
 
 class TestBuildRhs:
@@ -320,6 +332,34 @@ class TestExactSolutionOracle:
         assert dense_note == cg_note == ""
         assert np.linalg.norm(dense - cg) / np.linalg.norm(dense) <= 1e-6
 
+    def test_cap_boundary_selects_the_cg_branch(self, monkeypatch):
+        # n = DENSE_MAX_N stays dense; one past the cap runs CG, which
+        # converges to the dense answer (the reduced normal matrix has
+        # condition at most 8 here, and CG stops at 1e-14).
+        prob = il.generate_random_problem(p=20, q=10, n=15, seed=3)
+        calls = []
+        monkeypatch.setattr(
+            problem_module, "cg_solve", lambda op, rhs, config: calls.append(1) or cg_solve(op, rhs, config=config)
+        )
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n)
+        dense, _ = reference_solution(prob)
+        assert calls == []
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n - 1)
+        cg, note = reference_solution(prob)
+        assert calls == [1] and note == ""
+        assert np.linalg.norm(dense - cg) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_stalled_cg_is_an_oracle_failure(self, monkeypatch):
+        # CG held to one iteration cannot reach 1e-14 on 15 unknowns.
+        prob = il.generate_random_problem(p=20, q=10, n=15, seed=3)
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n - 1)
+        monkeypatch.setattr(
+            problem_module, "cg_solve",
+            lambda op, rhs, config: cg_solve(op, rhs, config=CgConfig(config.rel_tolerance, 1)),
+        )
+        with pytest.raises(OracleFailureError, match="^reference CG stalled at relative residual .* after 1 iterations$"):
+            reference_solution(prob)
+
     def test_assumption_violation_raises(self, monkeypatch):
         # A2 large enough that the reduced normal matrix goes indefinite.
         # Only the CG branch raises; the dense branch takes the LU fallback.
@@ -336,3 +376,13 @@ class TestExactSolutionOracle:
             rhs = build_rhs(prob)
             res = np.linalg.norm(apply_block_A(prob, v_star) - rhs)
             assert res / np.linalg.norm(rhs) <= 1e-10
+
+
+def test_problems_compare_and_hash_by_identity(rng):
+    # Equal-valued ndarray blocks must neither make == raise (the truth
+    # value of an array is ambiguous) nor hash() fail.
+    a1, a2 = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    one = IlsProblem(a1, a2, np.ones(5), np.ones(4), 2.0)
+    two = IlsProblem(a1.copy(), a2.copy(), np.ones(5), np.ones(4), 2.0)
+    assert one == one and one != two
+    assert len({one, two, one}) == 2 and hash(one) == hash(one)
