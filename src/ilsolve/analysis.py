@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_cholesky, is_spd, solve_lower, solve_lower_transpose
+from .dense import _block_inverses, dense_cholesky, is_spd, solve_lower, solve_lower_transpose
 from .exceptions import (
     AccuracyWarning,
     ConfigurationError,
@@ -143,11 +143,12 @@ def generalized_sym_eigpairs(b: np.ndarray, c: np.ndarray):
         lower = dense_cholesky(c)
     except NotSpdError as exc:
         raise ValueError("second matrix of the pencil must be SPD") from exc
-    t = solve_lower(lower, b)
-    s = solve_lower(lower, t.T).T
+    inverses = _block_inverses(lower)
+    t = solve_lower(lower, b, inverses)
+    s = solve_lower(lower, t.T, inverses).T
     s = 0.5 * (s + s.T)
     w, y_tilde = jacobi_eigh(s)
-    y = solve_lower_transpose(lower, y_tilde)
+    y = solve_lower_transpose(lower, y_tilde, inverses)
     return w, y
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,7 +122,7 @@ _SOURCE_FIELDS = {
 _SOURCE_SETTINGS = {name for required, optional in _SOURCE_FIELDS.values() for name in required + optional}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a problem source, preconditioner list, solver
     settings, and output destination; spec files and the command line both
@@ -130,7 +130,7 @@ class ExperimentSpec:
     FgmresConfig's, and an unset ``a2_scale`` or ``seed`` to the
     generator's own; an unset ``normalize`` means True.  Leaving out a field
     that the problem source requires, or setting one that it does not read
-    (see ``_SOURCE_FIELDS``), is an error."""
+    (see ``_SOURCE_FIELDS``), is an error.  A spec is immutable; ``replace`` rechecks it."""
 
     problem: str = "matrix-market"    # "matrix-market" | "hilbert" | "random"
     matrix: str | None = None         # path for matrix-market sources
@@ -169,7 +169,7 @@ class ExperimentSpec:
         bad = [k for k in self.preconditioners if k.lower() not in VARIANTS]
         if bad:
             raise ValueError(f"unknown preconditioners {bad}; choose from {VARIANTS}")
-        self.preconditioners = tuple(k.lower() for k in self.preconditioners)
+        object.__setattr__(self, "preconditioners", tuple(k.lower() for k in self.preconditioners))
         if self.inner not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner!r}; choose from {INNER_SOLVERS}")
         # Bad solver settings fail here, before any problem is built.
@@ -263,10 +263,10 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
 # Execution and reporting
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TableRow:
-    """One benchmark cell.  Unconverged rows keep it/res/err as None
-    (rendered as empty CSV cells); the inner counts are the final run's."""
+    """One benchmark cell, built once.  Unconverged rows keep it/res/err as
+    None (rendered as empty CSV cells); the inner counts are the final run's."""
 
     problem: str
     preconditioner: str
@@ -286,7 +286,8 @@ def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, not
 
     The row averages IT and CPU over the runs and takes the rest from the
     final run; ERR needs the reference solution ``x_star``, and ``note``
-    opens the row's note.  Set-up and solver errors propagate.
+    opens the row's note; the row is built once, from the final values.
+    Set-up and solver errors propagate.
     """
     pre = make_preconditioner(kind, prob, inner=spec.inner, inner_config=spec.inner_config())
     op, rhs, outer = block_system_operator(prob), build_rhs(prob), spec.outer_config()
@@ -296,21 +297,21 @@ def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, not
         x, report = fgmres_solve(op, pre, rhs, config=outer)
         its.append(report.iterations)
         cpus.append(report.wall_seconds)
-    row = TableRow(
-        prob.label(), kind, None, float(np.mean(cpus)), None, None, False,
-        inner_iterations=pre.inner_iterations, inner_failures=pre.inner_failures,
-    )
     notes = [note] if note else []
     if pre.inner_failures:
         notes.append(f"{pre.inner_failures} inner solves hit their cap")
+    it = res = err = None
     if report.converged:
-        row.it, row.res, row.converged = float(np.mean(its)), report.final_res, True
+        it, res = float(np.mean(its)), report.final_res
         x_star_norm = 0.0 if x_star is None else float(np.linalg.norm(x_star))
         if x_star_norm > 0.0:
-            row.err = float(np.linalg.norm(prob.split(x)[1] - x_star)) / x_star_norm
+            err = float(np.linalg.norm(prob.split(x)[1] - x_star)) / x_star_norm
     else:
         notes.append(f"no convergence in {report.iterations} iterations")
-    row.note = "; ".join(notes)
+    row = TableRow(
+        prob.label(), kind, it, float(np.mean(cpus)), res, err, report.converged, "; ".join(notes),
+        pre.inner_iterations, pre.inner_failures,
+    )
     return row, report
 
 
@@ -367,21 +368,8 @@ def report_write(rows: list[TableRow], fmt: str, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "json":
-        payload = [
-            {
-                "problem": r.problem,
-                "preconditioner": r.preconditioner,
-                "IT": r.it,
-                "CPU": r.cpu,
-                "RES": r.res,
-                "ERR": r.err,
-                "converged": r.converged,
-                "note": r.note,
-                "inner_iterations": r.inner_iterations,
-                "inner_failures": r.inner_failures,
-            }
-            for r in rows
-        ]
+        keys = {"it": "IT", "cpu": "CPU", "res": "RES", "err": "ERR"}  # the paper's column names
+        payload = [{keys.get(key, key): value for key, value in asdict(r).items()} for r in rows]
         with open(path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

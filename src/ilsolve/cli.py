@@ -108,7 +108,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     spec = load_experiment_spec(args.specfile)
     if args.out:
-        spec.out = args.out
+        spec = dataclasses.replace(spec, out=args.out)
 
     def echo(row):
         status = "ok" if row.converged else "FAILED"

@@ -81,13 +81,13 @@ class FgmresConfig:
             _count("restart", self.restart)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: iteration count, wall time, relative residual
     history (length iterations + 1, last entry equals final_res), whether
     the solve converged, free-text notes, how many times flexible GMRES
     resumed after an unconfirmed early end, and one (iteration, estimate,
-    true residual) entry per flexible GMRES confirmation."""
+    true residual) entry per flexible GMRES confirmation; built once."""
 
     iterations: int
     wall_seconds: float
@@ -97,6 +97,16 @@ class SolveReport:
     notes: tuple[str, ...] = ()
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
+
+
+def _checked_rhs(op: LinearOperator, rhs) -> np.ndarray:
+    """Both solvers' entry check: ``rhs`` as float64 of a square ``op``'s size."""
+    if op.n_rows != op.n_cols:
+        raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
+    rhs = _real(rhs, "rhs")
+    if rhs.shape != (op.n_cols,):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    return rhs
 
 
 _BASIS_CHUNK = 32  # rows the FGMRES basis starts with (plus one) and grows by
@@ -119,11 +129,7 @@ def cg_solve(
     is returned with converged=False.
     """
     cfg = config or CgConfig()
-    if op.n_rows != op.n_cols:
-        raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
-    rhs = _real(rhs, "rhs")
-    if rhs.shape != (op.n_cols,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    rhs = _checked_rhs(op, rhs)
     return _cg(lambda p: (op.apply(p), None), rhs, cfg)[:2]
 
 
@@ -263,11 +269,7 @@ def fgmres_solve(
     residuals of confirmations and restarts always come from the operator.
     """
     cfg = config or FgmresConfig()
-    if op.n_rows != op.n_cols:
-        raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
-    rhs = _real(rhs, "rhs")
-    if rhs.shape != (op.n_cols,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    rhs = _checked_rhs(op, rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("rhs is not finite")
     # Imported here: both modules import this one.

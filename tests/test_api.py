@@ -235,3 +235,64 @@ def test_private_reference_check_sees_leftovers(tmp_path):
         encoding="utf-8",
     )
     assert _unreferenced_private_names([source]) == {"module.py": ["_unused", "_stale", "_Leftover"]}
+
+
+def _mutable_dataclasses(path: Path) -> list[str]:
+    """Classes decorated ``@dataclass`` or ``@dataclasses.dataclass`` without
+    ``frozen=True``, as 'line: name'."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name != "dataclass":
+                continue
+            frozen = call and any(
+                kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in call.keywords
+            )
+            if not frozen:
+                found.append(f"{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_dataclass_is_frozen():
+    """A dataclass holds a value built and checked once: specs, rows,
+    reports, configurations and problems are never changed after
+    construction, so a setting cannot skip its check and a report cannot
+    be rewritten.  Out of scope: ``Preconditioner`` is not a dataclass,
+    and its ``inner_iterations``/``inner_failures`` counters are the one
+    mutable state left, kept while the benchmark calls ``reset_stats``."""
+    sources = sorted(Path(ilsolve.__file__).parent.glob("*.py"))
+    found = {path.name: hits for path in sources if (hits := _mutable_dataclasses(path))}
+    assert found == {}
+
+
+def test_frozen_dataclass_check_sees_every_form(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Bare:\n"
+        "    x: int\n"
+        "@dataclass(eq=False)\n"
+        "class Called:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=False)\n"
+        "class Thawed:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=True, eq=False)\n"
+        "class Qualified:\n"
+        "    x: int\n"
+        "class Plain:\n"
+        "    x: int\n",
+        encoding="utf-8",
+    )
+    assert _mutable_dataclasses(source) == ["4: Bare", "7: Called", "10: Thawed"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -299,6 +300,25 @@ class TestSpecBoundary:
         assert row.inner_iterations == payload["inner_iterations"]
 
 
+class TestSpecIsImmutable:
+    SPEC = ExperimentSpec(problem="hilbert", n=4, runs=1)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentSpec)])
+    def test_no_field_can_be_assigned(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.SPEC, name, None)
+
+    def test_replaced_runs_are_checked(self):
+        with pytest.raises(ValueError, match="^runs must be at least 1$"):
+            dataclasses.replace(self.SPEC, runs=0)
+
+    def test_replaced_preconditioners_are_checked(self):
+        with pytest.raises(ValueError, match=r"^unknown preconditioners \['IBS7'\]"):
+            dataclasses.replace(self.SPEC, preconditioners=("IBS7",))
+        spec = dataclasses.replace(self.SPEC, preconditioners=("IBS2", "But"))
+        assert spec.preconditioners == ("ibs2", "but")
+
+
 class TestRunExperiment:
     def test_rows_for_random_problem(self):
         spec = ExperimentSpec(
@@ -390,6 +410,19 @@ class TestReportWrite:
         data = json.loads((tmp_path / "r.json").read_text())
         assert data[0]["inner_iterations"] == rows[0].inner_iterations > 0
         assert data[0]["inner_failures"] == rows[0].inner_failures == 0
+
+    def test_json_keys_follow_the_row_fields(self, tmp_path):
+        rows = [TableRow("2x1", "ibs2", 3.0, 0.001, 1e-9, 2e-9, True, "a note", 7, 1)]
+        report_write(rows, "json", tmp_path / "r.json")
+        data = json.loads((tmp_path / "r.json").read_text())
+        assert data == [{
+            "problem": "2x1", "preconditioner": "ibs2", "IT": 3.0, "CPU": 0.001, "RES": 1e-9,
+            "ERR": 2e-9, "converged": True, "note": "a note", "inner_iterations": 7, "inner_failures": 1,
+        }]
+        assert list(data[0]) == [
+            "problem", "preconditioner", "IT", "CPU", "RES", "ERR", "converged", "note",
+            "inner_iterations", "inner_failures",
+        ]
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -74,6 +74,17 @@ def test_bench_writes_reports(tmp_path, capsys):
     assert all(row["converged"] for row in data)
 
 
+def test_bench_out_overrides_the_spec_files_out(tmp_path, capsys):
+    spec = tmp_path / "exp.txt"
+    spec.write_text(
+        "problem = random\np = 8\nq = 6\nn = 5\nseed = 3\npreconditioners = ibs2\n"
+        f"inner = cholesky\nruns = 1\nout = {tmp_path / 'from_spec'}\n"
+    )
+    assert main(["bench", str(spec), "--out", str(tmp_path / "from_flag")]) == 0
+    assert f"wrote {tmp_path / 'from_flag'}.csv" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.txt", "from_flag.csv", "from_flag.json"]
+
+
 def test_analyze_reports_conditions(tmp_path):
     out = tmp_path / "analysis.json"
     code = main(["analyze", "--random", "8,5,4", "--preconditioners", "ibs2", "--out", str(out)])
