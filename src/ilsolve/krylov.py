@@ -84,10 +84,10 @@ class FgmresConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: iteration count, wall time, relative residual
-    history (length iterations + 1, last entry equals final_res), whether
-    the solve converged, free-text notes, how many times flexible GMRES
-    resumed after an unconfirmed early end, and one (iteration, estimate,
-    true residual) entry per flexible GMRES confirmation; built once."""
+    history (read-only; length iterations + 1, last entry equals final_res),
+    whether the solve converged, free-text notes, how many times flexible
+    GMRES resumed after an unconfirmed early end, and one (iteration,
+    estimate, true residual) entry per flexible GMRES confirmation; built once."""
 
     iterations: int
     wall_seconds: float
@@ -97,6 +97,9 @@ class SolveReport:
     notes: tuple[str, ...] = ()
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
+
+    def __post_init__(self):
+        self.res_history.setflags(write=False)  # the given array, so it keeps ending in final_res
 
 
 def _checked_rhs(op: LinearOperator, rhs) -> np.ndarray:

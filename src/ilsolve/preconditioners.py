@@ -162,9 +162,22 @@ class Preconditioner:
         return z, residual, image
 
     def apply(self, r: np.ndarray) -> np.ndarray:
+        """z = M^{-1} r, for a (size,) vector or each column of a (size, k)
+        block: by one batched solve for exact inner solves and kind 'none';
+        column by column for inner CG, which is not linear."""
         r = _real(r, "r")
-        self.problem.split(r)  # the length check
-        return self._apply(self.problem, r)
+        r1, r2, r3 = self.problem.split(r)  # the shape check
+        if r.ndim == 1:
+            return self._apply(self.problem, r)
+        if self.lower is not None:
+            if self.kind in _COUPLED_RHS:
+                r2 = r2 - (r3.T @ self.problem.a2).T
+            r2 = cholesky_solve(self.lower, r2, self.inverses)
+            if self.kind in _BACKSUB_FIRST:
+                r1 = r1 - self.problem.a1 @ r2
+        elif self.kind != "none":
+            return np.stack([self._apply(self.problem, col) for col in r.T.copy()], axis=1)
+        return np.concatenate([r1, r2, r3])
 
     def _apply(self, prob: IlsProblem, r: np.ndarray, paired: bool = False):
         """z = M^{-1} r on ``prob``, this preconditioner's problem or its
@@ -267,18 +280,12 @@ DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A
 
 
 def assemble_dense_preconditioned(kind: str, problem: IlsProblem) -> np.ndarray:
-    """Dense M^{-1} A, column by column through the live application path
-    with exact inner solves.  Desk-scale only."""
+    """Dense M^{-1} A by the live application path with exact inner solves,
+    one block apply to ``apply_block_A`` of the identity.  Desk-scale only."""
     size = problem.size
     if size > DENSE_ASSEMBLY_MAX_SIZE:
         raise ConfigurationError(
             f"dense assembly requested for size {size} > cap {DENSE_ASSEMBLY_MAX_SIZE}"
         )
     pre = make_preconditioner(kind, problem, inner="cholesky")
-    out = np.empty((size, size))
-    e = np.zeros(size)
-    for j in range(size):
-        e[j] = 1.0
-        out[:, j] = pre.apply(apply_block_A(problem, e))
-        e[j] = 0.0
-    return out
+    return pre.apply(apply_block_A(problem, np.eye(size)))

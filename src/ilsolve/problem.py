@@ -18,7 +18,8 @@ once by row panels of about 512 KiB, each panel giving its rows of A1 x
 and its term of A1'(A1 x) while still in cache (a small A1 is one panel,
 which gives exactly ``(A1 @ x) @ A1``).  Vectors of the block system are
 flat float64 arrays of length p + n + q, and ``prob.split(v)`` gives their
-(d1, x, d2) blocks as views.  Every solve starts from the zero vector.
+(d1, x, d2) blocks as views; both it and ``apply_block_A`` also take a
+(p + n + q, k) block of columns.  Every solve starts from the zero vector.
 A problem keeps its exact inner factors (by shift) and the analysis's
 decompositions (by name) in one read-only cache, ``IlsProblem._shared``.
 
@@ -61,7 +62,7 @@ from .exceptions import (
 from .krylov import CgConfig, cg_solve
 from .operators import LinearOperator, as_matrix
 from . import sparse
-from .sparse import SparseMatrixCsr, _real, one_norm
+from .sparse import SparseMatrixCsr, _check_block, _real, one_norm
 
 __all__ = [
     "IlsProblem",
@@ -141,11 +142,11 @@ class IlsProblem:
         return f"{self.m}x{self.n}"
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (d1, x, d2) blocks of a length p + n + q vector, as views
-        of its float64 form."""
+        """The (d1, x, d2) blocks of a length p + n + q vector, or row blocks
+        of a (p + n + q, k) block, as views of its float64 form."""
         v = _real(v, "vector")
         if v.shape != (self.size,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.size},)")
+            _check_block(v, self.size, "vector")
         return v[: self.p], v[self.p : self.p + self.n], v[self.p + self.n :]
 
     @cached_property
@@ -290,9 +291,12 @@ def _gram(a1, x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
-    """Product of the block system matrix with a flat (d1; x; d2) vector;
-    nothing is materialized, and the Gram product is _gram's."""
+    """Product of the block system matrix with a flat (d1; x; d2) vector or a
+    (size, k) block; nothing is materialized, and a vector's Gram product is _gram's."""
     d1, x, d2 = prob.split(v)
+    if x.ndim == 2:  # the middle rows are those of (A1 x)'A1 + d2'A2, transposed
+        a1x = prob.a1 @ x
+        return np.concatenate([d1 + a1x, (a1x.T @ prob.a1 + d2.T @ prob.a2).T, prob.a2 @ x + d2])
     a1x, gram = _gram(prob.a1, x, prob._panel)
     return np.concatenate([d1 + a1x, gram + d2 @ prob.a2, prob.a2 @ x + d2])
 

@@ -3,7 +3,8 @@
 Everything here is plain numpy.  Both products are one bincount-style
 scatter/gather kernel, ``_product``: spmv and spmv_transpose call it after
 checking the operand, and inner CG's Gram pair calls it unchecked on A1's
-arrays.  The row index of every stored entry, which both products need, is
+arrays; ``_block_product`` gives the same columns, bit for bit, for a (rows, k)
+block.  The row index of every stored entry, which both products need, is
 computed once per matrix at construction; index arrays must hold whole numbers.
 """
 
@@ -33,6 +34,13 @@ def _real(x, name: str) -> np.ndarray:
     return x.astype(np.float64, copy=False)
 
 
+def _check_block(x: np.ndarray, rows: int, name: str, word: str = "shape") -> None:
+    """A ValueError naming the shape of ``x`` unless it is (rows, k), k >= 1."""
+    if x.ndim != 2 or x.shape[0] != rows or not x.shape[1]:
+        want = f"({rows},)" if x.ndim < 2 else f"({rows}, k) with k >= 1"
+        raise ValueError(f"{name} has {word} {x.shape}, expected {want}")
+
+
 def _indices(values, name: str) -> np.ndarray:
     """``values`` as int64; a ValueError naming ``name`` if one is not whole."""
     arr = np.asarray(values)
@@ -60,8 +68,9 @@ class SparseMatrixCsr:
     duplicates, so exact cancellations go too).
 
     ``A @ x`` is :func:`spmv` and ``y @ A`` is :func:`spmv_transpose` (the
-    vector A'y), as for a 2-D ndarray; numpy defers ``y @ A`` to this class
-    because ``__array_ufunc__`` is None.
+    vector A'y), as for a 2-D ndarray, also for an (n_cols, k) block x and a
+    (k, n_rows) block y; numpy defers ``y @ A`` to this class because
+    ``__array_ufunc__`` is None.
     """
 
     __array_ufunc__ = None
@@ -152,7 +161,12 @@ class SparseMatrixCsr:
         return spmv(self, x)
 
     def __rmatmul__(self, y) -> np.ndarray:
-        return spmv_transpose(self, y)
+        y = np.asarray(y)
+        if y.ndim != 2:
+            return spmv_transpose(self, y)
+        if y.shape[1] != self.n_rows or not y.shape[0]:
+            raise ValueError(f"operand has shape {y.shape}, expected (k, {self.n_rows}) with k >= 1")
+        return spmv_transpose(self, y.T).T
 
 
 def _product(values, gather, scatter, x: np.ndarray, size: int) -> np.ndarray:
@@ -160,20 +174,31 @@ def _product(values, gather, scatter, x: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(scatter, weights=values * x[gather], minlength=size)
 
 
+def _block_product(values, gather, scatter, x: np.ndarray, size: int) -> np.ndarray:
+    """_product on each column of a (len, k) block x, as one bincount: bin
+    scatter[e] * k + c sums values[e] * x[gather[e], c] in the order of e."""
+    k = x.shape[1]
+    bins = (scatter[:, None] * k + np.arange(k)).ravel()
+    weights = (values[:, None] * x[gather]).ravel()
+    return np.bincount(bins, weights=weights, minlength=size * k).reshape(size, k)
+
+
 def spmv(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
-    """y = A x."""
+    """y = A x; also for an (n_cols, k) block x."""
     x = _real(x, "operand")
-    if x.shape != (a.n_cols,):
-        raise ValueError(f"operand has length {x.shape}, expected ({a.n_cols},)")
-    return _product(a.values, a.col_indices, a._rows, x, a.n_rows)
+    if x.shape == (a.n_cols,):
+        return _product(a.values, a.col_indices, a._rows, x, a.n_rows)
+    _check_block(x, a.n_cols, "operand", "length")
+    return _block_product(a.values, a.col_indices, a._rows, x, a.n_rows)
 
 
 def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
-    """y = A' x, computed without materializing the transpose."""
+    """y = A' x, without materializing the transpose; also for an (n_rows, k) block x."""
     x = _real(x, "operand")
-    if x.shape != (a.n_rows,):
-        raise ValueError(f"operand has length {x.shape}, expected ({a.n_rows},)")
-    return _product(a.values, a._rows, a.col_indices, x, a.n_cols)
+    if x.shape == (a.n_rows,):
+        return _product(a.values, a._rows, a.col_indices, x, a.n_cols)
+    _check_block(x, a.n_rows, "operand", "length")
+    return _block_product(a.values, a._rows, a.col_indices, x, a.n_cols)
 
 
 def one_norm(a: SparseMatrixCsr) -> float:

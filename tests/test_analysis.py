@@ -230,6 +230,17 @@ class TestStationary:
             stationary_solve("ibs1", prob, tol=1e-10, maxit=500)
         assert exc.value.report is not None
 
+    def test_both_reports_have_a_read_only_history(self):
+        _, converged = stationary_solve("ibs2", random_desk_problem(0))
+        a2 = rectangular_identity_csr(2, 2, scale=10.0)
+        prob = IlsProblem(rectangular_identity_csr(2, 2), a2, np.ones(2), np.ones(2), 1.0)
+        with pytest.raises(StationaryDivergenceError) as exc:
+            stationary_solve("ibs1", prob, tol=1e-10, maxit=500)
+        for report in (converged, exc.value.report):
+            with pytest.raises(ValueError, match="read-only"):
+                report.res_history[-1] = 5.0
+            assert report.res_history[-1] == report.final_res
+
     def test_convergence_matches_spectral_radius_both_ways(self):
         # Outside a small borderline band, the stationary iteration
         # converges exactly when the estimated radius is below one.
@@ -335,14 +346,14 @@ class TestEigenstructure:
         )
         applies = []
         apply = il.Preconditioner.apply
-        monkeypatch.setattr(il.Preconditioner, "apply", lambda self, r: applies.append(1) or apply(self, r))
+        monkeypatch.setattr(il.Preconditioner, "apply", lambda self, r: applies.append(r.shape) or apply(self, r))
         for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
             calls.clear()
             applies.clear()
             report = verify_eigenstructure(kind, prob)
             assert len(calls) == 1
-            # Every apply is one column of that assembly.
-            assert len(applies) == prob.size
+            # That assembly is one batched apply to the whole block matrix.
+            assert applies == [(prob.size, prob.size)]
             assert report.rho_estimate == spectral_radius_estimate(kind, prob)
 
     def test_ambiguous_null_a2t_family_is_skipped(self):

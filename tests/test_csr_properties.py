@@ -90,3 +90,33 @@ def test_products_are_the_bincount_formula_bit_for_bit(a, seed, shift):
     sx, a1x = _gram_pair(prob, shift)(x)
     assert np.array_equal(a1x, ax)
     assert np.array_equal(sx, shift * x + gram if shift else gram)
+
+
+@property_settings
+@given(
+    a=csr_matrices(values=st.floats(-1e3, 1e3)), seed=st.integers(0, 2**16),
+    k=st.integers(1, 4), layout=st.sampled_from(["C", "F", "strided"]),
+)
+@example(a=SparseMatrixCsr.from_triplets(1, 1, [], [], []), seed=0, k=1, layout="C")
+@example(a=SparseMatrixCsr.from_triplets(3, 3, [0, 2], [2, 2], [1.5, -1.0]), seed=1, k=1, layout="strided")
+@example(a=SparseMatrixCsr.from_triplets(4, 5, [0, 0, 3], [1, 4, 1], [2.0, -1.0, 0.5]), seed=2, k=3, layout="F")
+def test_block_products_are_the_vector_products_column_by_column(a, seed, k, layout):
+    # A @ X and Y @ A on a block give, column by column (row by row for
+    # Y @ A), exactly the 1-D kernel's products, whatever the memory
+    # layout of the block.  The strategy and the examples cover empty rows
+    # and columns, nnz = 0 and k = 1.
+    rng = np.random.default_rng(seed)
+
+    def block(rows):
+        full = rng.standard_normal((rows, 2 * k))
+        if layout == "strided":
+            return full[:, ::2]
+        return np.asfortranarray(full[:, :k]) if layout == "F" else full[:, :k].copy()
+
+    x, y = block(a.n_cols), block(a.n_rows)
+    ax, ya = a @ x, y.T @ a
+    assert ax.shape == (a.n_rows, k) and ya.shape == (k, a.n_cols)
+    assert np.array_equal(spmv(a, x), ax) and np.array_equal(spmv_transpose(a, y), ya.T)
+    for c in range(k):
+        assert np.array_equal(ax[:, c], spmv(a, x[:, c].copy()))
+        assert np.array_equal(ya[c], spmv_transpose(a, y[:, c].copy()))

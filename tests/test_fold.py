@@ -282,6 +282,17 @@ def test_block_solve_report_contract(folds, kind, inner, restart, seed, shape):
             assert rep.confirmations[-1][2] == rep.final_res
 
 
+def test_folded_report_history_is_read_only():
+    # The lifted report's history is built anew; like the loop's, it
+    # cannot be written.
+    prob = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 0, 6, 3, sparse=True)
+    assert prob._fold is not None
+    _, rep = fgmres_solve(block_system_operator(prob), make_preconditioner("ibs1", prob), build_rhs(prob))
+    with pytest.raises(ValueError, match="read-only"):
+        rep.res_history[-1] = 5.0
+    assert rep.res_history[-1] == rep.final_res
+
+
 def test_resumption_count_survives_the_fold(monkeypatch):
     # A zero first direction breaks the first cycle down unconfirmed, so
     # the solve resumes once, on the twin (paired steps) as on the full

@@ -1,10 +1,12 @@
 """The public entry points check their vectors' shape and dtype, so that the
 private loops behind them (inner CG, the FGMRES loop, the paired step and
-the Gram pair) can trust their input.  Complex input is a TypeError naming
+the Gram pair) can trust their input.  Where a (size, k) block is taken,
+it must have k >= 1 columns of the right length.  Complex input is a TypeError naming
 the argument and its dtype: a cast to float64 would keep only the real
 part.  Solver and experiment settings are checked when they are built, so
 that a bad one fails before any problem is built or solved."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,6 +85,37 @@ def test_preconditioner_apply_rejects_a_wrong_length_as_split_does(prob):
     with pytest.raises(ValueError) as by_apply:
         il.make_preconditioner("ibs3", prob).apply(v)
     assert str(by_apply.value) == str(by_split.value)
+
+
+# name -> (call on (problem, block), name in the dtype error)
+BLOCK_ENTRY_POINTS = {
+    "split": (lambda prob, v: prob.split(v), "vector"),
+    "apply_block_A": (lambda prob, v: il.apply_block_A(prob, v), "vector"),
+    "preconditioner_apply": (lambda prob, v: il.make_preconditioner("ibs2", prob).apply(v), "r"),
+}
+
+
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+def test_real_block_accepted(prob, entry):
+    call, _ = BLOCK_ENTRY_POINTS[entry]
+    call(prob, np.ones((SIZE, 2)))
+    call(prob, [[1, 2]] * SIZE)
+
+
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+def test_complex_block_rejected(prob, entry):
+    call, name = BLOCK_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be real, got dtype complex128$"):
+        call(prob, np.ones((SIZE, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("entry", BLOCK_ENTRY_POINTS)
+@pytest.mark.parametrize("shape", [(SIZE, 2, 1), (SIZE + 1, 2), (SIZE, 0)])
+def test_misshapen_block_rejected(prob, entry, shape):
+    call, _ = BLOCK_ENTRY_POINTS[entry]
+    message = rf"^vector has shape {re.escape(str(shape))}, expected \({SIZE}, k\) with k >= 1$"
+    with pytest.raises(ValueError, match=message):
+        call(prob, np.ones(shape))
 
 
 @pytest.mark.parametrize("field", ["a1", "a2", "b1", "b2"])

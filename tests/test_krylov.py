@@ -356,6 +356,30 @@ class TestCarriedImage:
                 assert residual is not None and image is None
 
 
+def assert_history_read_only(report):
+    """A write into the history raises, so it cannot disagree with final_res."""
+    with pytest.raises(ValueError, match="read-only"):
+        report.res_history[-1] = 5.0
+    assert report.res_history[-1] == report.final_res
+
+
+class TestHistoryIsReadOnly:
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_cg(self, rng, zero):
+        rhs = np.zeros(6) if zero else rng.standard_normal(6)
+        assert_history_read_only(cg_solve(aslinearoperator(random_spd(rng, 6)), rhs)[1])
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_fgmres(self, rng, zero):
+        rhs = np.zeros(6) if zero else rng.standard_normal(6)
+        assert_history_read_only(fgmres_solve(aslinearoperator(random_spd(rng, 6)), identity(6), rhs)[1])
+
+    def test_block_solve(self):
+        prob = random_desk_problem(3)
+        pre = make_preconditioner("ibs2", prob)
+        assert_history_read_only(fgmres_solve(block_system_operator(prob), pre, build_rhs(prob))[1])
+
+
 class TestFgmres:
     def test_identity_one_iteration(self):
         rhs = np.array([2.0, -1.0, 0.5])

@@ -50,10 +50,17 @@ class TestSplit:
         assert all(block.dtype == np.float64 for block in blocks)
         assert np.concatenate(blocks).tolist() == list(range(9))
 
-    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1), (1, 9)])
+    @pytest.mark.parametrize("shape", [(8,), (10,), (1, 9), (9, 0), (10, 2), (9, 1, 1)])
     def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match=rf"vector has shape \({shape[0]},.*expected \(9,\)"):
+        with pytest.raises(ValueError, match=rf"vector has shape \({shape[0]},.*expected \(9,"):
             self.SMALL.split(np.zeros(shape))
+
+    def test_a_block_splits_into_row_blocks(self):
+        v = np.arange(18.0).reshape(9, 2)
+        d1, x, d2 = self.SMALL.split(v)
+        assert d1.shape == (2, 2) and x.shape == (3, 2) and d2.shape == (4, 2)
+        assert all(np.shares_memory(block, v) for block in (d1, x, d2))
+        assert np.array_equal(np.vstack([d1, x, d2]), v)
 
     def test_block_products_use_the_same_check(self):
         prob = random_desk_problem(3)

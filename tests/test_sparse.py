@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,12 +169,16 @@ class TestMatmul:
         assert type(out) is np.ndarray
         assert out.dtype == np.float64 and out.shape == (3,)
 
-    def test_two_dimensional_operand_rejected(self, rng):
+    def test_misshapen_block_operand_rejected(self, rng):
+        # (3, k) blocks multiply A, (k, 5) blocks multiply it from the left;
+        # no other shape does.
         a = random_csr(rng, 5, 3)
-        with pytest.raises(ValueError, match="operand"):
-            a @ np.ones((3, 2))
-        with pytest.raises(ValueError, match="operand"):
-            np.ones((2, 5)) @ a
+        for shape in [(5, 2), (3, 0), (3, 2, 1)]:
+            with pytest.raises(ValueError, match=rf"^operand has length {re.escape(str(shape))}, expected \(3, k\)"):
+                a @ np.ones(shape)
+        for shape in [(2, 3), (0, 5)]:
+            with pytest.raises(ValueError, match=rf"^operand has shape {re.escape(str(shape))}, expected \(k, 5\)"):
+                np.ones(shape) @ a
 
 
 class TestCachedRowIndex:
