@@ -6,7 +6,7 @@ this module is verification, not production solving: positive
 definiteness is certified by attempted Cholesky factorizations (LAPACK),
 symmetric eigenproblems go through a cyclic Jacobi sweep, and the
 preconditioned operator M^{-1} A is assembled densely once per check, by
-one batched preconditioner apply to the block matrix.
+batched preconditioner applies to the block matrix (one at desk scale).
 Spectral radii of the (non-symmetric) iteration operators I - M^{-1} A are
 the largest eigenvalue moduli of that matrix (``np.linalg.eigvals``), and
 the predicted eigenvector families are checked against the same matrix.

@@ -84,10 +84,11 @@ class FgmresConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: iteration count, wall time, relative residual
-    history (read-only; length iterations + 1, last entry equals final_res),
-    whether the solve converged, free-text notes, how many times flexible
-    GMRES resumed after an unconfirmed early end, and one (iteration,
-    estimate, true residual) entry per flexible GMRES confirmation; built once."""
+    history (a read-only float64 copy of the sequence given; length
+    iterations + 1, last entry equals final_res), whether the solve
+    converged, free-text notes, how many times flexible GMRES resumed after
+    an unconfirmed early end, and one (iteration, estimate, true residual)
+    entry per flexible GMRES confirmation; built once."""
 
     iterations: int
     wall_seconds: float
@@ -98,8 +99,10 @@ class SolveReport:
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
 
-    def __post_init__(self):
-        self.res_history.setflags(write=False)  # the given array, so it keeps ending in final_res
+    def __post_init__(self):  # a read-only copy, so no one's writes make it disagree with final_res
+        history = np.array(self.res_history, dtype=float)
+        history.setflags(write=False)
+        object.__setattr__(self, "res_history", history)
 
 
 def _checked_rhs(op: LinearOperator, rhs) -> np.ndarray:

@@ -166,24 +166,17 @@ class Preconditioner:
         block: by one batched solve for exact inner solves and kind 'none';
         column by column for inner CG, which is not linear."""
         r = _real(r, "r")
-        r1, r2, r3 = self.problem.split(r)  # the shape check
-        if r.ndim == 1:
-            return self._apply(self.problem, r)
-        if self.lower is not None:
-            if self.kind in _COUPLED_RHS:
-                r2 = r2 - (r3.T @ self.problem.a2).T
-            r2 = cholesky_solve(self.lower, r2, self.inverses)
-            if self.kind in _BACKSUB_FIRST:
-                r1 = r1 - self.problem.a1 @ r2
-        elif self.kind != "none":
+        self.problem.split(r)  # the shape check
+        if r.ndim == 2 and self.lower is None and self.kind != "none":
             return np.stack([self._apply(self.problem, col) for col in r.T.copy()], axis=1)
-        return np.concatenate([r1, r2, r3])
+        return self._apply(self.problem, r)
 
     def _apply(self, prob: IlsProblem, r: np.ndarray, paired: bool = False):
         """z = M^{-1} r on ``prob``, this preconditioner's problem or its
         folded twin; with ``paired``, the step (z, A z), whose z is bit for
         bit the one without: A z from the splitting where ``self.paired``
-        holds (see the module docstring), else one block product; r is trusted."""
+        holds (see the module docstring), else one block product; r is trusted
+        (a block if unpaired with an exact inner solve or kind 'none')."""
         if paired and not self.paired:
             z = self._apply(prob, r)
             return z, apply_block_A(prob, z)
@@ -192,7 +185,7 @@ class Preconditioner:
         if self.kind == "none":
             return np.concatenate([r1, r2, r3])
         coupled = self.kind in _COUPLED_RHS
-        rhs = r2 - r3 @ prob.a2 if coupled else r2
+        rhs = r2 - (r3.T @ prob.a2).T if coupled else r2
         z2, s, a1z2 = self._inner_solve(rhs)
         if s is None and self.paired:
             # CG returned an earlier iterate or broke down: one Gram product
@@ -277,15 +270,21 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
 
 
 DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A
+_ASSEMBLY_COLUMNS = 256  # columns per block apply; its scratch is a few (size, 256) blocks
 
 
 def assemble_dense_preconditioned(kind: str, problem: IlsProblem) -> np.ndarray:
-    """Dense M^{-1} A by the live application path with exact inner solves,
-    one block apply to ``apply_block_A`` of the identity.  Desk-scale only."""
+    """Dense M^{-1} A by the live application path with exact inner solves:
+    block applies to ``apply_block_A`` of the identity's columns, at most
+    _ASSEMBLY_COLUMNS at a time (one block at desk scale).  Desk-scale only."""
     size = problem.size
     if size > DENSE_ASSEMBLY_MAX_SIZE:
         raise ConfigurationError(
             f"dense assembly requested for size {size} > cap {DENSE_ASSEMBLY_MAX_SIZE}"
         )
     pre = make_preconditioner(kind, problem, inner="cholesky")
-    return pre.apply(apply_block_A(problem, np.eye(size)))
+    out = np.empty((size, size))
+    for j in range(0, size, _ASSEMBLY_COLUMNS):
+        k = min(_ASSEMBLY_COLUMNS, size - j)
+        out[:, j : j + k] = pre.apply(apply_block_A(problem, np.eye(size, k, -j)))
+    return out

@@ -3,9 +3,10 @@
 Everything here is plain numpy.  Both products are one bincount-style
 scatter/gather kernel, ``_product``: spmv and spmv_transpose call it after
 checking the operand, and inner CG's Gram pair calls it unchecked on A1's
-arrays; ``_block_product`` gives the same columns, bit for bit, for a (rows, k)
-block.  The row index of every stored entry, which both products need, is
-computed once per matrix at construction; index arrays must hold whole numbers.
+arrays; a (rows, k) block goes through it column by column, so each column
+is the vector's product bit for bit and scratch stays O(nnz).  The row index
+of every stored entry, which both products need, is computed once per
+matrix at construction; index arrays must hold whole numbers.
 """
 
 from __future__ import annotations
@@ -174,22 +175,13 @@ def _product(values, gather, scatter, x: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(scatter, weights=values * x[gather], minlength=size)
 
 
-def _block_product(values, gather, scatter, x: np.ndarray, size: int) -> np.ndarray:
-    """_product on each column of a (len, k) block x, as one bincount: bin
-    scatter[e] * k + c sums values[e] * x[gather[e], c] in the order of e."""
-    k = x.shape[1]
-    bins = (scatter[:, None] * k + np.arange(k)).ravel()
-    weights = (values[:, None] * x[gather]).ravel()
-    return np.bincount(bins, weights=weights, minlength=size * k).reshape(size, k)
-
-
 def spmv(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     """y = A x; also for an (n_cols, k) block x."""
     x = _real(x, "operand")
     if x.shape == (a.n_cols,):
         return _product(a.values, a.col_indices, a._rows, x, a.n_rows)
     _check_block(x, a.n_cols, "operand", "length")
-    return _block_product(a.values, a.col_indices, a._rows, x, a.n_rows)
+    return np.stack([_product(a.values, a.col_indices, a._rows, c, a.n_rows) for c in x.T], axis=1)
 
 
 def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
@@ -198,7 +190,7 @@ def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     if x.shape == (a.n_rows,):
         return _product(a.values, a._rows, a.col_indices, x, a.n_cols)
     _check_block(x, a.n_rows, "operand", "length")
-    return _block_product(a.values, a._rows, a.col_indices, x, a.n_cols)
+    return np.stack([_product(a.values, a._rows, a.col_indices, c, a.n_cols) for c in x.T], axis=1)
 
 
 def one_norm(a: SparseMatrixCsr) -> float:

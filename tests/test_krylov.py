@@ -11,6 +11,7 @@ from ilsolve import (
     IlsProblem,
     IndefiniteOperatorError,
     NumericalFailureError,
+    SolveReport,
     SparseMatrixCsr,
     block_system_operator,
     build_rhs,
@@ -378,6 +379,17 @@ class TestHistoryIsReadOnly:
         prob = random_desk_problem(3)
         pre = make_preconditioner("ibs2", prob)
         assert_history_read_only(fgmres_solve(block_system_operator(prob), pre, build_rhs(prob))[1])
+
+    def test_report_keeps_a_copy_of_the_given_history(self):
+        # A list is accepted, and the caller's array stays the caller's:
+        # writable, and writing into it leaves the report alone.
+        assert_history_read_only(SolveReport(1, 0.0, 0.5, [1.0, 0.5], True))
+        given = np.array([1.0, 0.25])
+        report = SolveReport(1, 0.0, 0.25, given, True)
+        given[-1] = 5.0
+        assert report.res_history[-1] == report.final_res == 0.25
+        assert report.res_history.dtype == np.float64
+        assert_history_read_only(report)
 
 
 class TestFgmres:

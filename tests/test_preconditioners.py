@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ilsolve import sparse as sparse_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
-from ilsolve.preconditioners import INNER_SOLVERS
+from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS
 from ilsolve.problem import dense_blocks
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
 
@@ -564,7 +565,7 @@ class TestBlockApply:
         assert got.shape == v.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         if layout in ("csr", "folds"):
-            # The 2-D CSR kernel sums each column as the 1-D one does.
+            # A CSR block goes through the 1-D kernel column by column.
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(20, 10, 15), (120, 60, 100), (400, 200, 300)])
@@ -578,3 +579,32 @@ class TestBlockApply:
             loop = np.stack([pre.apply(apply_block_A(prob, e)) for e in eye], axis=1)
             got = assemble_dense_preconditioned(kind, prob)
             assert np.linalg.norm(got - loop) <= 1e-14 * np.linalg.norm(loop)
+
+    def test_csr_assembly_near_the_cap_keeps_its_scratch_small(self, rng):
+        # Size 1,990 with about 12,000 stored entries: the traced peak stays
+        # under two copies of the result, so scratch does not grow as
+        # nnz * size (which would be some 600 MB here); sampled columns are
+        # the vector applies.
+        def csr(m, n, diagonal):
+            rows = np.repeat(np.arange(m), 8)
+            cols = rng.integers(0, n, rows.size)
+            vals = rng.standard_normal(rows.size)
+            if diagonal:
+                rows, cols = np.r_[rows, np.arange(n)], np.r_[cols, np.arange(n)]
+                vals = np.r_[vals, np.full(n, 8.0)]
+            return SparseMatrixCsr.from_triplets(m, n, rows, cols, vals)
+
+        a1, a2 = csr(900, 500, True), csr(590, 500, False)
+        prob = IlsProblem(a1, a2, rng.standard_normal(900), rng.standard_normal(590), compute_alpha(a1))
+        pre = make_preconditioner("ibs4", prob, inner="cholesky")  # both the coupled and back-substituted steps
+        tracemalloc.start()
+        try:
+            got = assemble_dense_preconditioned("ibs4", prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (prob.size, prob.size) and prob.size > 0.99 * DENSE_ASSEMBLY_MAX_SIZE
+        assert peak < 2 * got.nbytes
+        for j in (0, 255, 256, 1000, prob.size - 1):
+            want = pre.apply(apply_block_A(prob, np.eye(prob.size)[j]))
+            assert np.linalg.norm(got[:, j] - want) <= 1e-13 * np.linalg.norm(want)
