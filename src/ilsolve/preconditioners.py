@@ -12,11 +12,10 @@ rows:
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
 A Preconditioner is built from the arguments of make_preconditioner
-(kind, problem, inner solver, inner CG settings) and owns its inner solve:
-exact, with a dense Cholesky factor and the inverses of its diagonal
-blocks, which the problem computes once per shift and shares among the
-preconditioners built on it; or inexact, matrix-free CG from a zero start
-on the problem's Gram pair v -> (S v, A1 v).  Inner CG failure is a
+(kind, problem, inner solver, inner CG settings) and chooses its inner
+solve there, once: exact, on the Cholesky factor that ``_inner_factor``
+keeps in the problem's cache per shift, or matrix-free CG from a zero
+start on the problem's Gram pair v -> (S v, A1 v).  Inner CG failure is a
 recorded statistic, not a fatal error: the loose-tolerance regime is the
 intended operating point for the outer flexible solver.
 
@@ -44,7 +43,7 @@ The step ``_apply(problem, v, paired=True)`` returns z and A z for every
 kind.  It takes A z from the splitting where s is known to working
 accuracy: after an exact inner solve (s = 0, up to the Cholesky backward
 error), where it makes the one product A1 z2, and after CG on an S whose
-condition bound (shift + |A1|_1 |A1|_inf) / shift is at most _PAIR_BOUND.
+condition bound (shift + _gram_bound) / shift is at most _PAIR_BOUND.
 There s is CG's recurrence residual and A1 z2 the image that CG carries
 from its Gram products, so after trusted inner CG the step makes no
 product by A1 or A1'A1; when CG returns an earlier iterate or breaks
@@ -53,25 +52,32 @@ holds (and CG carries the image, in ``apply`` too); for the unshifted
 baselines on CG, a tiny shift and kind 'none' A z is one block product.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
-which ``fgmres_solve`` hands it for ``block_system_operator(problem)``.
-When A2 has two or more empty rows it runs on the folded twin of
-ilsolve.problem (the twin has the same A1 and so the same inner matrix,
-and the preconditioner acts on it as on its own problem) and lifts the
-answer back; FGMRES takes each z and A z from the step.
+which ``fgmres_solve`` hands it for ``block_system_operator(problem)``;
+FGMRES takes each z and A z from the step.  Empty rows of A2 fold: on an
+empty row i, block row 3 reads d2_i = b2_i, d2_i reaches no other row, and
+every preconditioner passes it through, so the part of each Krylov vector
+on those rows is a multiple of the right-hand side's (the paper's
+A2 = s*I_{q x n}, q > n, has q - n of them).  With two or more, the solve
+runs on the twin ``_fold(problem)``, in which they are one zero row (an
+isometry of the Krylov space with the same iterates, counts and residuals;
+its A1 is the same, so the preconditioner acts on it as on its own
+problem), and lifts the answer back.  A1's empty rows do not fold.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from .dense import cholesky_solve
+from . import problem as problem_module
+from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
-from .problem import IlsProblem, _gram_pair, apply_block_A, block_system_operator
-from .sparse import _real
+from .problem import IlsProblem, _gram_pair, apply_block_A, block_system_operator, densify
+from .sparse import SparseMatrixCsr, _real, one_norm
 
 __all__ = [
     "VARIANTS",
@@ -103,17 +109,79 @@ _BACKSUB_FIRST = {"ibs3", "ibs4", "bs3", "but"}
 _PAIR_BOUND = 1e4
 
 
+def _inner_factor(prob: IlsProblem, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factor of shift*I + A1'A1 and the inverses of its diagonal
+    blocks, read-only, built once per problem and shift; above DENSE_MAX_N, an error."""
+    if prob.n > problem_module.DENSE_MAX_N:
+        raise ConfigurationError(
+            f"dense inner factorization requested for n = {prob.n} > cap {problem_module.DENSE_MAX_N}"
+        )
+
+    def factor():
+        a1d = densify(prob.a1)
+        inner = a1d.T @ a1d
+        if shift:
+            inner[np.diag_indices_from(inner)] += shift
+        lower = dense_cholesky(inner)
+        return lower, _block_inverses(lower)
+
+    return prob._shared(shift, factor)
+
+
+def _exact_solve(lower: np.ndarray, inverses: np.ndarray, rhs: np.ndarray) -> tuple:
+    """The exact inner solve on a shared factor: (z2, s = 0.0, None)."""
+    return cholesky_solve(lower, rhs, inverses), 0.0, None
+
+
+def _gram_bound(prob: IlsProblem) -> float:
+    """|A1|_1 |A1|_inf, a bound on the 2-norm of A1'A1, so that the spectrum
+    of shift*I + A1'A1 lies in [shift, shift + this bound]; built once per problem."""
+
+    def bound():
+        a1 = prob.a1
+        if isinstance(a1, SparseMatrixCsr):
+            rows = np.bincount(a1._rows, weights=np.abs(a1.values), minlength=a1.n_rows)
+            return one_norm(a1) * float(rows.max())
+        return float(np.linalg.norm(a1, 1)) * float(np.linalg.norm(a1, np.inf))
+
+    return prob._shared("gram bound", bound)
+
+
+def _fold(prob: IlsProblem):
+    """_build_fold(prob), built once per problem; the twin does not refer to prob."""
+    return prob._shared("fold", lambda: _build_fold(prob))
+
+
+def _build_fold(prob: IlsProblem):
+    """(twin, empty), or None when A2 has fewer than two empty rows.
+    ``empty`` masks A2's empty rows; in the twin A2 keeps its other rows
+    and ends in one zero row, the slot, and A1 and b1 are unchanged."""
+    a2 = prob.a2
+    csr = isinstance(a2, SparseMatrixCsr)
+    empty = np.diff(a2.row_offsets) == 0 if csr else ~a2.any(axis=1)
+    if np.count_nonzero(empty) < 2:
+        return None
+    keep = ~empty
+    if csr:  # the dropped rows hold no entries
+        offsets = np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]])
+        a2 = SparseMatrixCsr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
+    else:
+        a2 = np.vstack([a2[keep], np.zeros((1, a2.shape[1]))])
+    b2 = np.append(prob.b2[keep], np.linalg.norm(prob.b2[empty]))
+    return IlsProblem(prob.a1, a2, prob.b1, b2, prob.alpha), empty
+
+
 class Preconditioner:
     """Applies z = M^{-1} r for one splitting variant.
 
-    Built from make_preconditioner's arguments, it owns its inner solve:
-    with inner 'cholesky', ``lower`` and ``inverses``, the problem's shared
-    Cholesky factor of the inner matrix and the inverses of its diagonal
-    blocks (see ilsolve.dense); with 'cg', CG at ``config`` on the
-    problem's Gram pair.  ``paired`` says whether the step takes A z from
-    the splitting (see the module docstring).  Instances are reusable
-    across solves; ``inner_iterations`` and ``inner_failures`` accumulate
-    CG statistics (call ``reset_stats`` between timed runs).
+    Built from make_preconditioner's arguments, it chooses ``_inner_solve``
+    once: the exact solve on the problem's shared factor with inner
+    'cholesky', CG at ``config`` on the problem's Gram pair with 'cg'.
+    ``linear`` says whether z is linear in r (exact inner solves and kind
+    'none'), ``paired`` whether the step takes A z from the splitting (see
+    the module docstring).  Instances are reusable across solves;
+    ``inner_iterations`` and ``inner_failures`` accumulate CG statistics
+    (call ``reset_stats`` between timed runs).
     """
 
     def __init__(self, kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None):
@@ -125,28 +193,26 @@ class Preconditioner:
         self.problem = problem
         self.config = inner_config or CgConfig()
         shift = self.shift = problem.alpha if kind in IBS_VARIANTS else 0.0
-        self.lower = self.inverses = None
-        if kind != "none" and inner == "cholesky":
-            self.lower, self.inverses = problem._inner_factor(shift)
         self._pair = _gram_pair(problem, shift)
-        self.paired = kind != "none" and (
-            self.lower is not None
-            or (shift > 0.0 and shift + problem._gram_bound <= _PAIR_BOUND * shift)
-        )
-        self.inner_iterations = 0
-        self.inner_failures = 0
+        if kind == "none":  # solves nothing
+            self.linear, self.paired = True, False
+        elif inner == "cholesky":
+            self._inner_solve = partial(_exact_solve, *_inner_factor(problem, shift))
+            self.linear = self.paired = True
+        else:  # CG, the class's _inner_solve: a bound method kept here would be a cycle
+            self.linear = False
+            self.paired = shift > 0.0 and shift + _gram_bound(problem) <= _PAIR_BOUND * shift
+        self.reset_stats()
 
     def reset_stats(self) -> None:
         self.inner_iterations = 0
         self.inner_failures = 0
 
     def _inner_solve(self, rhs: np.ndarray) -> tuple:
-        """(z2, s, u) with s = rhs - S z2 and u = A1 z2 where known without
-        a product by A1, else None: s = 0.0 after the exact solve; CG's
-        recurrence residual and, where ``paired``, its carried image when CG
-        returns its last iterate, so the paired step makes no such product."""
-        if self.lower is not None:
-            return cholesky_solve(self.lower, rhs, self.inverses), 0.0, None
+        """Inner CG: (z2, s, u) with s = rhs - S z2, CG's recurrence
+        residual, and u = A1 z2, the image CG carries where ``paired``,
+        else None; both None when CG returns an earlier iterate, so that
+        the paired step makes a Gram product of z2 for them."""
         image = np.zeros(self.problem.p) if self.paired else None
         try:
             z, report, residual, image = _cg(self._pair, rhs, self.config, image)
@@ -163,11 +229,11 @@ class Preconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """z = M^{-1} r, for a (size,) vector or each column of a (size, k)
-        block: by one batched solve for exact inner solves and kind 'none';
-        column by column for inner CG, which is not linear."""
+        block: by one batched solve where ``linear`` holds; column by
+        column for inner CG."""
         r = _real(r, "r")
         self.problem.split(r)  # the shape check
-        if r.ndim == 2 and self.lower is None and self.kind != "none":
+        if r.ndim == 2 and not self.linear:
             return np.stack([self._apply(self.problem, col) for col in r.T.copy()], axis=1)
         return self._apply(self.problem, r)
 
@@ -176,7 +242,7 @@ class Preconditioner:
         folded twin; with ``paired``, the step (z, A z), whose z is bit for
         bit the one without: A z from the splitting where ``self.paired``
         holds (see the module docstring), else one block product; r is trusted
-        (a block if unpaired with an exact inner solve or kind 'none')."""
+        (a block if unpaired and ``linear``)."""
         if paired and not self.paired:
             z = self._apply(prob, r)
             return z, apply_block_A(prob, z)
@@ -238,7 +304,7 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
     entry come from the full system's true residual, in a new report that
     ``replace`` builds from the loop's, timed over fold, solve and lift."""
     t0 = time.perf_counter()
-    full, fold = pre.problem, pre.problem._fold
+    full, fold = pre.problem, _fold(pre.problem)
     prob, solve_rhs = full, rhs
     if fold is not None:
         prob, empty = fold

@@ -20,24 +20,15 @@ which gives exactly ``(A1 @ x) @ A1``).  Vectors of the block system are
 flat float64 arrays of length p + n + q, and ``prob.split(v)`` gives their
 (d1, x, d2) blocks as views; both it and ``apply_block_A`` also take a
 (p + n + q, k) block of columns.  Every solve starts from the zero vector.
-A problem keeps its exact inner factors (by shift) and the analysis's
-decompositions (by name) in one read-only cache, ``IlsProblem._shared``.
+A problem keeps the data derived from its blocks in one read-only cache,
+``IlsProblem._shared``: ilsolve.preconditioners keeps the exact inner
+factors there (by shift), the Gram norm bound and the fold of A2's empty
+rows, and ilsolve.analysis its decompositions (by name).
 
 Inputs are checked once, at the public entry points (IlsProblem, split,
 spmv, the applies, the solvers): shape, dtype (complex input is a
 TypeError naming it) and, for data and right-hand sides, finiteness.  The
 private loops (the Gram product, inner CG, FGMRES, the paired step) trust them.
-
-Empty rows fold.  On an empty row i of A2, block row 3 reads d2_i = b2_i,
-d2_i reaches no other row, and every preconditioner passes it through, so
-the part of each Krylov vector on A2's empty rows is a multiple of the
-right-hand side's.  The paper's A2 = s*I_{q x n}, q > n, has q - n of them.
-When A2 has two or more, ``IlsProblem._fold`` is a twin in which they are
-one zero row: an isometry of the Krylov space, with the same iterates,
-counts and residuals.  The block solve of ilsolve.preconditioners
-(``_block_solve``, which ``fgmres_solve`` reaches with
-``block_system_operator(prob)`` and a preconditioner built on ``prob``)
-runs on the twin and lifts the answer back.  A1's empty rows do not fold.
 """
 
 from __future__ import annotations
@@ -45,13 +36,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .dense import _block_inverses, cholesky_solve, dense_cholesky
+from .dense import cholesky_solve, dense_cholesky
 from .exceptions import (
-    ConfigurationError,
     DegenerateMatrixError,
     DegenerateProblemError,
     IndefiniteOperatorError,
@@ -98,7 +87,9 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
-    # Read-only derived data, kept by _shared: values by name, inner factors by shift.
+    # Rows per panel of _gram_sweep over a dense A1; 0 for a CSR A1.
+    _panel: int = field(init=False, repr=False)
+    # Read-only derived data, kept by _shared under a name or a shift.
     _factors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -129,6 +120,8 @@ class IlsProblem:
             raise ValueError("right-hand side has non-finite entries")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        csr = isinstance(self.a1, SparseMatrixCsr)
+        object.__setattr__(self, "_panel", 0 if csr else max(_PANEL_BYTES // (n * self.a1.itemsize), 1))
 
     @property
     def m(self) -> int:
@@ -149,55 +142,9 @@ class IlsProblem:
             _check_block(v, self.size, "vector")
         return v[: self.p], v[self.p : self.p + self.n], v[self.p + self.n :]
 
-    @cached_property
-    def _fold(self):
-        """_build_fold's (twin, empty), or None; it holds no reference to this instance."""
-        return _build_fold(self)
-
-    @cached_property
-    def _panel(self) -> int:
-        """Rows per panel of _gram_sweep over a dense A1; 0 for a CSR A1."""
-        a1 = self.a1
-        if isinstance(a1, SparseMatrixCsr):
-            return 0
-        return max(_PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1)
-
-    @cached_property
-    def _gram_bound(self) -> float:
-        """|A1|_1 |A1|_inf, a bound on the 2-norm of A1'A1, so that the
-        spectrum of shift*I + A1'A1 lies in [shift, shift + this bound]."""
-        a1 = self.a1
-        if isinstance(a1, SparseMatrixCsr):
-            mags = np.abs(a1.values)
-            cols = np.bincount(a1.col_indices, weights=mags, minlength=a1.n_cols)
-            rows = np.bincount(a1._rows, weights=mags, minlength=a1.n_rows)
-        else:
-            mags = np.abs(a1)
-            cols, rows = mags.sum(axis=0), mags.sum(axis=1)
-        return float(cols.max()) * float(rows.max())
-
-    def _inner_factor(self, shift: float) -> tuple[np.ndarray, np.ndarray]:
-        """The Cholesky factor of shift*I + A1'A1 and the inverses of its
-        diagonal blocks, read-only, built once per shift (see _shared) for
-        the exact preconditioners on this instance; above DENSE_MAX_N, an error."""
-        if self.n > DENSE_MAX_N:
-            raise ConfigurationError(
-                f"dense inner factorization requested for n = {self.n} > cap {DENSE_MAX_N}"
-            )
-
-        def factor():
-            a1d = densify(self.a1)
-            inner = a1d.T @ a1d
-            if shift:
-                inner[np.diag_indices_from(inner)] += shift
-            lower = dense_cholesky(inner)
-            return lower, _block_inverses(lower)
-
-        return self._shared(shift, factor)
-
     def _shared(self, key, compute):
-        """compute()'s value, its arrays read-only, kept under ``key`` (a name
-        or a shift) for later calls; one that warned is not kept, so each call warns."""
+        """compute()'s value, its ndarray parts read-only, kept under ``key`` (a
+        name or a shift); one that warned is not kept, so each call warns."""
         if key not in self._factors:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -207,28 +154,10 @@ class IlsProblem:
             if caught:
                 return value
             for part in value if isinstance(value, tuple) else (value,):
-                part.flags.writeable = False
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
             self._factors[key] = value
         return self._factors[key]
-
-
-def _build_fold(prob: IlsProblem):
-    """(twin, empty), or None when A2 has fewer than two empty rows.
-    ``empty`` masks A2's empty rows; in the twin A2 keeps its other rows
-    and ends in one zero row, the slot, and A1 and b1 are unchanged."""
-    a2 = prob.a2
-    csr = isinstance(a2, SparseMatrixCsr)
-    empty = np.diff(a2.row_offsets) == 0 if csr else ~a2.any(axis=1)
-    if np.count_nonzero(empty) < 2:
-        return None
-    keep = ~empty
-    if csr:  # the dropped rows hold no entries
-        offsets = np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]])
-        a2 = SparseMatrixCsr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
-    else:
-        a2 = np.vstack([a2[keep], np.zeros((1, a2.shape[1]))])
-    b2 = np.append(prob.b2[keep], np.linalg.norm(prob.b2[empty]))
-    return IlsProblem(prob.a1, a2, prob.b1, b2, prob.alpha), empty
 
 
 def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:

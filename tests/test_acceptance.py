@@ -9,6 +9,14 @@ not download anything).  Point ILSOLVE_MATRIX_DIR at a directory holding
 ``tols340.mtx`` / ``sherman4.mtx`` (any capitalization); the default
 location is ``data/matrices`` next to the package root.  The tests skip
 with an explanatory message when the files are absent.
+
+The paper's hypothesis is that the reduced normal matrix A1'A1 - A2'A2 is
+positive definite.  Criteria 1, 2 and 4 lie outside it, by algebra: with
+A2 = 6*I and |A1|_1 = 1, e1'(A1'A1 - A2'A2)e1 = |A1 e1|^2 - 36 <= 1 - 36.
+Criterion 3 lies outside it too: on the Hilbert problems of n = 400 and
+800 with A2 = 0.7*I, ``is_spd`` rejects A1'A1 - A2'A2 (it has 398 and 798
+negative eigenvalues).  Criteria 5-8 lie inside it, by construction of
+their desk instances.
 """
 
 import dataclasses

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ilsolve as il
 from ilsolve import (
@@ -268,6 +270,21 @@ class TestStationary:
         with pytest.raises(ValueError):
             stationary_solve("bs2", scalar_problem())
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", 2.0), ("tol", 1.0), ("tol", 0.0), ("tol", -1e-8), ("tol", math.nan),
+         ("maxit", 2.5), ("maxit", True), ("maxit", 0), ("maxit", -3)],
+    )
+    def test_bad_tol_or_maxit_is_named(self, name, value):
+        # A tolerance of 1 or more reported convergence at the starting
+        # residual; a fractional cap ran one step more, True one step.
+        with pytest.raises(ValueError, match=name):
+            stationary_solve("ibs2", scalar_problem(alpha=4.0), **{name: value})
+
+    def test_integer_cap_of_any_integer_type_is_taken(self):
+        _, report = stationary_solve("ibs2", scalar_problem(alpha=4.0), tol=1e-12, maxit=np.int64(3))
+        assert report.iterations == 3 and not report.converged
+
 
 class TestSpectralRadius:
     def test_exact_splitting_of_decoupled_problem_gives_zero(self):
@@ -335,6 +352,22 @@ class TestEigenstructure:
                 assert report.disk_contained
                 w = report.interval_eigs
                 assert np.all(w > 1e-10) and np.all(w < 2.0 - 1e-10)
+
+    @pytest.mark.parametrize(
+        "scale, rhos",
+        [(3.0, {"ibs1": 1.425, "ibs2": 1.951, "ibs3": 1.425, "ibs4": 1.951}),
+         (1.0, {"ibs1": 0.552, "ibs2": 0.404, "ibs3": 0.552, "ibs4": 0.404})],
+        ids=["scaled", "unscaled"],
+    )
+    def test_disk_flag_is_the_radius_for_every_variant(self, scale, rhos):
+        # ibs1 and ibs3 construct unit eigenvalues only, so a flag read off
+        # the constructed families held at rho = 1.425 too.
+        base = il.generate_random_problem(20, 10, 15, seed=3)
+        prob = IlsProblem(base.a1, scale * base.a2, base.b1, base.b2, base.alpha)
+        for kind, rho in rhos.items():
+            report = verify_eigenstructure(kind, prob)
+            assert report.rho_estimate == pytest.approx(rho, abs=1e-3)
+            assert report.disk_contained is (rho < 1.0)
 
     def test_one_assembly_gives_rho_and_every_residual(self, monkeypatch):
         prob = random_desk_problem(4)
@@ -428,6 +461,37 @@ class TestEigenstructure:
             for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
                 report = verify_eigenstructure(kind, prob)
                 assert all(f.passed(1e-10) for f in report.families())
+
+
+# How far the pencil's extreme eigenvalues must lie from 0 and 2 for a case
+# to be decided.  The computed mu carry an absolute error of order
+# n eps (|A1'A1| + |A2'A2|) / lambda_min(alpha I + A1'A1): below 1e-13 here,
+# with n = 10, |A1'A1| <= 4, |A2'A2| <= 12.5 and lambda_min >= 1.  The
+# certificates are Cholesky attempts with a backward error of the same
+# order.  At 1e-8, five orders above both, rounding cannot decide a case.
+PENCIL_MARGIN = 1e-8
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**16), scale=st.floats(0.5, 5.0))
+@example(seed=3, scale=0.5)  # inside the hypothesis: every certificate holds
+@example(seed=3, scale=5.0)  # outside: A1'A1 - A2'A2 is indefinite
+def test_certificates_imply_the_disk_on_both_sides_of_the_hypothesis(seed, scale):
+    # The abstract's implications on random 12 x 8 x 10 instances with A2
+    # scaled across the hypothesis A1'A1 - A2'A2 > 0: each variant's
+    # certificate gives rho < 1, and for ibs2/ibs4 the certificate is the
+    # pencil's eigenvalues lying in (0, 2).
+    base = il.generate_random_problem(12, 8, 10, seed=seed)
+    prob = IlsProblem(base.a1, scale * base.a2, base.b1, base.b2, base.alpha)
+    reports = {kind: verify_eigenstructure(kind, prob) for kind in ("ibs1", "ibs2", "ibs3", "ibs4")}
+    mu = reports["ibs2"].interval_eigs
+    assume(abs(mu.min()) > PENCIL_MARGIN and abs(mu.max() - 2.0) > PENCIL_MARGIN)
+    conditions = check_convergence_conditions(prob)
+    for kind, report in reports.items():
+        certified = conditions.ibs24_converges if kind in ("ibs2", "ibs4") else conditions.ibs13_converges
+        assert not certified or report.rho_estimate < 1.0, kind
+        if kind in ("ibs2", "ibs4"):
+            assert conditions.ibs24_converges == report.interval_contained, kind
 
 
 class TestGmresBound:

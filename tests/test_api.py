@@ -3,7 +3,10 @@ function cannot linger in one, and no module imports a name it never uses."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -296,3 +299,17 @@ def test_frozen_dataclass_check_sees_every_form(tmp_path):
         encoding="utf-8",
     )
     assert _mutable_dataclasses(source) == ["4: Bare", "7: Called", "10: Thawed"]
+
+
+def test_runtime_loads_no_test_dependency():
+    # The package runs on numpy alone: scipy, hypothesis and pytest are test
+    # dependencies, so neither the library nor the command line may load one.
+    code = (
+        "import sys, ilsolve, ilsolve.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hypothesis', 'pytest')))"
+    )
+    path = [str(Path(ilsolve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -27,8 +27,8 @@ from ilsolve import (
     fgmres_solve,
     make_preconditioner,
 )
-from ilsolve import problem as problem_module
-from ilsolve.preconditioners import INNER_SOLVERS, Preconditioner
+from ilsolve import preconditioners as preconditioners_module
+from ilsolve.preconditioners import INNER_SOLVERS, Preconditioner, _fold
 from ilsolve.problem import densify
 
 from conftest import dense_block_system
@@ -163,7 +163,7 @@ def test_empty_rows_of_a1_alone_do_not_fold(applied, kind, paired):
     # product; where it does not, the step is that apply and block product,
     # and gives the wrapped operator's solve bit for bit.
     prob = with_empty_rows(il.generate_random_problem(6, 4, 3, seed=6), 3, 0, 6, sparse=True)
-    assert prob._fold is None
+    assert _fold(prob) is None
     (xf, rf, cf), (xu, ru, cu) = solve_both(prob, kind, "cg")
     assert set(applied.lengths) == {prob.size}
     assert rf.converged and cf == cu and rf.iterations == ru.iterations
@@ -185,7 +185,7 @@ def test_twin_drops_interleaved_empty_rows_of_a2(sparse):
     rng = np.random.default_rng(9)
     blocks = [csr(a) if sparse else a for a in (a1, a2)]
     prob = IlsProblem(*blocks, rng.standard_normal(len(a1)), rng.standard_normal(len(a2)), core.alpha)
-    twin, empty = prob._fold
+    twin, empty = _fold(prob)
     assert np.flatnonzero(empty).tolist() == [0, 2, 4, 5, 7]
     assert twin.size == prob.p + prob.n + (prob.q - 5) + 1
     assert twin.a1 is prob.a1 and twin.b1 is prob.b1
@@ -195,15 +195,15 @@ def test_twin_drops_interleaved_empty_rows_of_a2(sparse):
 
 def test_fold_is_built_once_per_problem(monkeypatch):
     builds = []
-    build = problem_module._build_fold
-    monkeypatch.setattr(problem_module, "_build_fold", lambda prob: builds.append(prob) or build(prob))
+    build = preconditioners_module._build_fold
+    monkeypatch.setattr(preconditioners_module, "_build_fold", lambda prob: builds.append(prob) or build(prob))
     prob = with_empty_rows(il.generate_random_problem(5, 4, 3, seed=10), 0, 3, 10, sparse=True)
     for _ in range(2):
         x, rep = fgmres_solve(block_system_operator(prob), make_preconditioner("ibs2", prob), build_rhs(prob))
         assert rep.converged
-    assert prob._fold is prob._fold and len(builds) == 1 and builds[0] is prob
+    assert _fold(prob) is _fold(prob) and len(builds) == 1 and builds[0] is prob
     copy = dataclasses.replace(prob)
-    assert copy._fold is not prob._fold and len(builds) == 2 and builds[1] is copy
+    assert _fold(copy) is not _fold(prob) and len(builds) == 2 and builds[1] is copy
 
 
 def test_other_operators_take_the_full_path(applied):
@@ -286,7 +286,7 @@ def test_folded_report_history_is_read_only():
     # The lifted report's history is built anew; like the loop's, it
     # cannot be written.
     prob = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 0, 6, 3, sparse=True)
-    assert prob._fold is not None
+    assert _fold(prob) is not None
     _, rep = fgmres_solve(block_system_operator(prob), make_preconditioner("ibs1", prob), build_rhs(prob))
     with pytest.raises(ValueError, match="read-only"):
         rep.res_history[-1] = 5.0
@@ -331,8 +331,11 @@ def test_solved_problem_is_freed_without_the_cycle_collector():
         pre = make_preconditioner("ibs4", prob, inner="cholesky")
         x, rep = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob))
         assert rep.converged
+        # Nor may a preconditioner refer to itself through its inner solve.
+        inexact = make_preconditioner("ibs4", prob)
+        assert fgmres_solve(block_system_operator(prob), inexact, build_rhs(prob))[1].converged
         ref = weakref.ref(prob)
-        del prob, pre
+        del prob, pre, inexact
         assert ref() is None
     finally:
         gc.enable()

@@ -28,7 +28,7 @@ from ilsolve import sparse as sparse_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
-from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS
+from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS, _fold, _gram_bound
 from ilsolve.problem import dense_blocks
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
 
@@ -46,6 +46,16 @@ IBS_TO_BASELINE = {"ibs1": "bs1", "ibs2": "bs2", "ibs3": "bs3", "ibs4": "but"}
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown preconditioner"):
         make_preconditioner("ibs9", scalar_problem())
+
+
+def lower(pre):
+    """The Cholesky factor an exact preconditioner solves with."""
+    return pre._inner_solve.args[0]
+
+
+def inverses(pre):
+    """The inverses of that factor's diagonal blocks."""
+    return pre._inner_solve.args[1]
 
 
 def test_none_kind_is_identity(rng):
@@ -260,37 +270,37 @@ class TestInnerSolvers:
         prob = random_desk_problem(13)
         calls = []
         monkeypatch.setattr(
-            problem_module, "dense_cholesky", lambda m: calls.append(1) or dense_cholesky(m)
+            preconditioners_module, "dense_cholesky", lambda m: calls.append(1) or dense_cholesky(m)
         )
         ibs2 = make_preconditioner("ibs2", prob, inner="cholesky")
         ibs4 = make_preconditioner("ibs4", prob, inner="cholesky")
-        assert ibs2.lower is ibs4.lower and len(calls) == 1
-        assert ibs2.inverses is ibs4.inverses is not None
+        assert lower(ibs2) is lower(ibs4) and len(calls) == 1
+        assert inverses(ibs2) is inverses(ibs4) is not None
         baseline = make_preconditioner("bs2", prob, inner="cholesky")
-        assert baseline.lower is not ibs2.lower and len(calls) == 2
-        assert baseline.inverses is not ibs2.inverses
+        assert lower(baseline) is not lower(ibs2) and len(calls) == 2
+        assert inverses(baseline) is not inverses(ibs2)
         # A copy is another problem with a cache of its own: it factors
         # afresh, with the same shift or another.
         same = make_preconditioner("ibs2", dataclasses.replace(prob), inner="cholesky")
-        assert same.lower is not ibs2.lower and same.inverses is not ibs2.inverses
+        assert lower(same) is not lower(ibs2) and inverses(same) is not inverses(ibs2)
         assert len(calls) == 3
         shifted = dataclasses.replace(prob, alpha=2 * prob.alpha)
         other = make_preconditioner("ibs2", shifted, inner="cholesky")
-        assert other.lower is not ibs2.lower and len(calls) == 4
+        assert lower(other) is not lower(ibs2) and len(calls) == 4
         a1d, _ = dense_blocks(shifted)
         np.testing.assert_allclose(
-            other.lower @ other.lower.T, a1d.T @ a1d + shifted.alpha * np.eye(prob.n),
+            lower(other) @ lower(other).T, a1d.T @ a1d + shifted.alpha * np.eye(prob.n),
             rtol=1e-12, atol=1e-12,
         )
 
     def test_shared_factor_is_read_only(self):
         prob = random_desk_problem(14)
         pre = make_preconditioner("ibs2", prob, inner="cholesky")
-        assert make_preconditioner("ibs4", prob, inner="cholesky").inverses is pre.inverses
+        assert inverses(make_preconditioner("ibs4", prob, inner="cholesky")) is inverses(pre)
         with pytest.raises(ValueError):
-            pre.lower[0, 0] = 1.0
+            lower(pre)[0, 0] = 1.0
         with pytest.raises(ValueError):
-            pre.inverses[0, 0, 0] = 1.0
+            inverses(pre)[0, 0, 0] = 1.0
 
     def test_exact_apply_needs_no_dense_solve(self, rng, monkeypatch):
         # The exact inner solve is two sweeps of products with the cached
@@ -299,7 +309,7 @@ class TestInnerSolvers:
         pre = make_preconditioner("ibs4", prob, inner="cholesky")
         r = rng.standard_normal(prob.size)
         _, r2, r3 = prob.split(r)
-        want = cholesky_solve(pre.lower, r2 - r3 @ prob.a2)
+        want = cholesky_solve(lower(pre), r2 - r3 @ prob.a2)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("np.linalg.solve called")
@@ -409,7 +419,7 @@ class TestPairedStep:
         own = layout != "folds"
         if not own:
             # The same preconditioner steps on the folded twin.
-            prob = prob._fold[0]
+            prob = _fold(prob)[0]
         v = rng.standard_normal(prob.size)
         pre.reset_stats()
         z, w = pre._apply(prob, v, paired=True)
@@ -497,7 +507,7 @@ class TestPairedStep:
 
     def test_shift_bound_is_the_guard(self):
         prob = random_desk_problem(3)
-        bound = prob._gram_bound
+        bound = _gram_bound(prob)
         limit = preconditioners_module._PAIR_BOUND
         inside = dataclasses.replace(prob, alpha=bound / (limit - 2.0))
         outside = dataclasses.replace(prob, alpha=bound / (limit - 0.5))
@@ -520,7 +530,7 @@ class TestPairedStep:
         kind = case.split("-")[0]
         if case.endswith("past-bound"):
             limit = preconditioners_module._PAIR_BOUND
-            prob = dataclasses.replace(prob, alpha=prob._gram_bound / (10 * limit))
+            prob = dataclasses.replace(prob, alpha=_gram_bound(prob) / (10 * limit))
         op, rhs = block_system_operator(prob), build_rhs(prob)
         out = []
         for operator in (op, LinearOperator(prob.size, prob.size, op.apply)):
