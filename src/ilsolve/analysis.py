@@ -32,6 +32,7 @@ from .exceptions import (
     StationaryDivergenceError,
 )
 from .krylov import FgmresConfig, SolveReport, _count, fgmres_solve
+from .preconditioners import _BACKSUB_FIRST, _COUPLED_RHS
 from .preconditioners import IBS_VARIANTS, assemble_dense_preconditioned, make_preconditioner
 from .problem import IlsProblem, apply_block_A, block_system_operator, build_rhs, dense_blocks
 
@@ -350,7 +351,7 @@ class SpectralReport:
     is rho_estimate < 1: every eigenvalue of M^{-1} A lies in |1 - z| < 1."""
 
     kind: str
-    rho_estimate: float | None
+    rho_estimate: float
     interval_eigs: np.ndarray
     unit_eigenvalue_checks: list[EigenvectorFamily]
     nonunit_checks: list[EigenvectorFamily]
@@ -416,7 +417,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     null(A2') are decomposed once per problem and shared by the variants.
     """
     kind = _ibs_kind(kind, "the eigenstructure check")
-    coupled = kind in ("ibs2", "ibs4")
+    coupled = kind in _COUPLED_RHS
     p, q = prob.p, prob.q
     t = assemble_dense_preconditioned(kind, prob)
 
@@ -430,7 +431,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
         unit.append(_family("unit: third-block basis", t, _stack(prob, d2=np.eye(q)), np.ones(q)))
     else:
         unit.append(_null_family("null(A2') basis", t, prob, a2d.T, "d2"))
-    if kind in ("ibs3", "ibs4"):
+    if kind in _BACKSUB_FIRST:
         # Middle-block unit-eigenvalue family needs (shifted - gram) y = 0,
         # which has no nonzero solutions when alpha > 0.
         if prob.alpha > 0.0:

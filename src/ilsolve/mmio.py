@@ -5,16 +5,17 @@ general or symmetric storage.  Symmetric storage is expanded eagerly to a
 full general matrix; pattern, complex, hermitian and skew-symmetric files
 are rejected because nothing downstream can use them.
 
-A symmetric file must be square.  The lines of a coordinate body go to
-one np.loadtxt call.  A body that call does not accept outright (a
-comment, a malformed token, a wrong count, an index out of bounds, a
-non-finite value) is parsed again line by line, so each error names its
-line.
+A symmetric file must be square.  Every body, either layout, goes to one
+np.loadtxt call, so a token is accepted exactly when np.loadtxt accepts
+it; an integer field is read as int64, so a fraction is refused.  Indices
+and values are then checked as whole columns.  Only when a check fails
+are the body's lines scanned, to name the first bad line.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,14 @@ from .sparse import SparseMatrixCsr
 __all__ = ["parse_matrix_market", "read_matrix_market", "write_matrix_market", "write_vector_matrix_market"]
 
 _BANNER = "%%matrixmarket"
-_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# Per layout, the messages for a body with the wrong entry count, a line
+# with the wrong token count and a line np.loadtxt does not convert.
+_BODY_ERRORS = {
+    "coordinate": ("declared {} entries but found {}", "coordinate entry needs 'i j value', got {!r}",
+                   "bad entry {!r}"),
+    "array": ("declared array of {} values but found {}", "array entry must be a single value, got {!r}",
+              "bad value {!r}"),
+}
 
 
 def _content(lines: list[str], start: int):
@@ -36,25 +44,21 @@ def _content(lines: list[str], start: int):
             yield idx + 1, stripped
 
 
-def _coordinate_fast(lines: list[str], n_rows: int, n_cols: int, nnz: int):
-    """0-based (rows, cols, vals) of a coordinate body, or None unless the
-    body is comment-free and every entry is well formed, in bounds and
-    finite.  The line list goes to np.loadtxt as is; it accepts a subset of
-    what int() and float() accept."""
-    if nnz == 0 or "%" in "".join(lines):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an all-blank body only warns
-            table = np.loadtxt(lines, dtype=_TRIPLET, comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    rows, cols, vals = table["i"] - 1, table["j"] - 1, np.ascontiguousarray(table["v"])
-    if len(table) != nnz or not np.isfinite(vals).all():
-        return None
-    if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-        return None
-    return rows, cols, vals
+def _body_error(lines: list[str], start: int, fmt: str, dtype: np.dtype, expected: int) -> ParseError:
+    """The error for a body, from line index ``start`` on, that np.loadtxt
+    refuses or that does not hold ``expected`` entries: its first content
+    line with the wrong token count or a token np.loadtxt does not convert,
+    else the count mismatch."""
+    wrong_total, wrong_count, bad_token = _BODY_ERRORS[fmt]
+    count = 0
+    for count, (line_no, entry) in enumerate(_content(lines, start), 1):
+        if len(entry.split()) != len(dtype):
+            return ParseError(wrong_count.format(entry), line_no=line_no)
+        try:
+            np.loadtxt([entry], dtype=dtype, comments=None)
+        except ValueError:
+            return ParseError(bad_token.format(entry), line_no=line_no)
+    return ParseError(wrong_total.format(expected, count), line_no=start)
 
 
 def parse_matrix_market(text: str) -> SparseMatrixCsr:
@@ -78,8 +82,7 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}", line_no=1)
 
-    body = _content(lines, 1)
-    size_line_no, size_line = next(body, (None, None))
+    size_line_no, size_line = next(_content(lines, 1), (None, None))
     if size_line is None:
         raise ParseError("missing size line")
     size_tokens = size_line.split()
@@ -95,65 +98,55 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     n_rows, n_cols = counts[:2]
     if symmetry == "symmetric" and n_rows != n_cols:
         raise ParseError(f"symmetric {fmt} matrix must be square", line_no=size_line_no)
-    fast = _coordinate_fast(lines[size_line_no:], n_rows, n_cols, counts[2]) if fmt == "coordinate" else None
-    entries = [] if fast is not None else list(body)
-    if fast is not None:
-        rows, cols, vals = fast
-    elif fmt == "coordinate":
-        nnz = counts[2]
-        if len(entries) != nnz:
-            raise ParseError(f"declared {nnz} entries but found {len(entries)}", line_no=size_line_no)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for k, (line_no, entry) in enumerate(entries):
-            tokens = entry.split()
-            if len(tokens) != 3:
-                raise ParseError(f"coordinate entry needs 'i j value', got {entry!r}", line_no=line_no)
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                v = float(tokens[2])
-            except ValueError:
-                raise ParseError(f"bad entry {entry!r}", line_no=line_no) from None
-            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-                raise ParseError(
-                    f"index ({i}, {j}) outside declared {n_rows} x {n_cols} bounds", line_no=line_no
-                )
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-    else:
-        if symmetry == "general":
-            expected = n_rows * n_cols
-            # Column-major order.
-            rows = np.tile(np.arange(n_rows, dtype=np.int64), n_cols)
-            cols = np.repeat(np.arange(n_cols, dtype=np.int64), n_rows)
-        else:
-            expected = n_rows * (n_rows + 1) // 2
-            # Lower triangle in column-major order: the upper triangle's
-            # row-major (i, j) pairs, swapped.
-            cols, rows = np.triu_indices(n_rows)
-        if len(entries) != expected:
-            raise ParseError(f"declared array of {expected} values but found {len(entries)}", line_no=size_line_no)
-        vals = np.empty(expected, dtype=np.float64)
-        for k, (line_no, entry) in enumerate(entries):
-            tokens = entry.split()
-            if len(tokens) != 1:
-                raise ParseError(f"array entry must be a single value, got {entry!r}", line_no=line_no)
-            try:
-                vals[k] = float(tokens[0])
-            except ValueError:
-                raise ParseError(f"bad value {entry!r}", line_no=line_no) from None
 
-    # float() accepts 'nan' and 'inf'; a per-line parse checks them here.
-    if fast is None and not (finite := np.isfinite(vals)).all():
-        line_no, entry = entries[int(np.argmin(finite))]
-        raise ParseError(f"non-finite value in {entry!r}", line_no=line_no)
+    value = np.int64 if field == "integer" else np.float64
+    if fmt == "coordinate":
+        dtype = np.dtype([("i", np.int64), ("j", np.int64), ("v", value)])
+        expected = counts[2]
+    else:
+        dtype = np.dtype([("v", value)])
+        expected = n_rows * n_cols if symmetry == "general" else n_rows * (n_rows + 1) // 2
+    body = lines[size_line_no:]
+    if "%" in "".join(body):
+        body = [line for line in body if not line.lstrip().startswith("%")]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-blank body only warns
+            table = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        table = None
+    if table is None or len(table) != expected:
+        raise _body_error(lines, size_line_no, fmt, dtype, expected)
+
+    def entry(k: int) -> tuple[int, str]:  # the body's k-th entry, to name a line that fails a check
+        return next(islice(_content(lines, size_line_no), k, None))
+
+    if fmt == "coordinate":
+        rows, cols = table["i"] - 1, table["j"] - 1
+        outside = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ParseError(
+                f"index ({rows[k] + 1}, {cols[k] + 1}) outside declared {n_rows} x {n_cols} bounds",
+                line_no=entry(k)[0],
+            )
+    elif symmetry == "general":
+        # Column-major order.
+        rows = np.tile(np.arange(n_rows, dtype=np.int64), n_cols)
+        cols = np.repeat(np.arange(n_cols, dtype=np.int64), n_rows)
+    else:
+        # Lower triangle in column-major order: the upper triangle's
+        # row-major (i, j) pairs, swapped.
+        cols, rows = np.triu_indices(n_rows)
+    vals = table["v"].astype(np.float64)
+    # np.loadtxt reads 'nan' and 'inf' as floats.
+    if not (finite := np.isfinite(vals)).all():
+        line_no, bad = entry(int(np.argmin(finite)))
+        raise ParseError(f"non-finite value in {bad!r}", line_no=line_no)
 
     if symmetry == "symmetric":
         off = rows != cols
-        mirrored_rows = cols[off]
-        mirrored_cols = rows[off]
-        rows = np.concatenate([rows, mirrored_rows])
-        cols = np.concatenate([cols, mirrored_cols])
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         vals = np.concatenate([vals, vals[off]])
     return SparseMatrixCsr.from_triplets(n_rows, n_cols, rows, cols, vals)
 

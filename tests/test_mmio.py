@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ilsolve import ParseError, mmio, parse_matrix_market, read_matrix_market
+from ilsolve import ParseError, parse_matrix_market, read_matrix_market
 from ilsolve.mmio import write_matrix_market, write_vector_matrix_market
 
 from conftest import random_csr
@@ -74,6 +78,38 @@ def test_array_drops_stored_zeros():
     assert a.nnz == 2
 
 
+@pytest.mark.parametrize("tail", ["", "\n", "\n  \n% c\n"])
+def test_empty_coordinate_body(tail):
+    a = parse_matrix_market("%%MatrixMarket matrix coordinate real general\n1 1 0" + tail)
+    assert a.shape == (1, 1) and a.nnz == 0
+
+
+def test_array_body_with_comment_and_blank_lines():
+    text = "%%MatrixMarket matrix array real general\n2 2\n% c\n1\n\n2\n  % d\n  \n3\n4\n"
+    a = parse_matrix_market(text)
+    assert np.array_equal(a.to_dense(), np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n_rows=st.integers(1, 8), n_cols=st.integers(1, 8), field=st.sampled_from(["real", "integer"]),
+    symmetry=st.sampled_from(["general", "symmetric"]), data=st.data(),
+)
+def test_array_body_matches_scipy(n_rows, n_cols, field, symmetry, data, tmp_path_factory):
+    # scipy.io.mmread is the oracle for the column-major order and the
+    # lower-triangle expansion of array bodies.
+    if symmetry == "symmetric":
+        n_cols = n_rows
+    count = n_rows * n_cols if symmetry == "general" else n_rows * (n_rows + 1) // 2
+    values = st.integers(-10**6, 10**6) if field == "integer" else st.floats(allow_nan=False, allow_infinity=False)
+    drawn = data.draw(st.lists(values, min_size=count, max_size=count))
+    header = f"%%MatrixMarket matrix array {field} {symmetry}"
+    text = "\n".join([header, f"{n_rows} {n_cols}", *(repr(v) for v in drawn)]) + "\n"
+    path = tmp_path_factory.getbasetemp() / "array.mtx"
+    path.write_text(text)
+    assert np.array_equal(parse_matrix_market(text).to_dense(), scipy.io.mmread(path))
+
+
 class TestErrors:
     def test_missing_banner(self):
         with pytest.raises(ParseError, match="banner"):
@@ -117,6 +153,35 @@ class TestErrors:
             parse_matrix_market(text)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize(
+        "text, message, line_no",
+        [
+            ("array real general\n2 1\n1\n2 3\n", "array entry must be a single value, got '2 3'", 4),
+            ("array real general\n2 1\n% c\n1_0\n2\n", "bad value '1_0'", 4),
+            ("coordinate integer general\n2 2 1\n1 2 1.5\n", "bad entry '1 2 1.5'", 3),
+            ("coordinate integer general\n2 2 2\n1 2 3\n2 2 4.0\n", "bad entry '2 2 4.0'", 4),
+            ("array integer general\n2 1\n1\n2.5\n", "bad value '2.5'", 4),
+            ("array integer symmetric\n2 2\n1\n\n-1e3\n3\n", "bad value '-1e3'", 5),
+        ],
+    )
+    def test_bad_body_line_is_named(self, text, message, line_no):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_matrix_market(f"%%MatrixMarket matrix {text}")
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("symmetry, declared", [("general", 4_000_000), ("symmetric", 2_001_000)])
+    def test_short_array_body_is_refused_before_its_indices_are_built(self, symmetry, declared):
+        # The declared size costs 32 MB of int64 indices or more; a body
+        # too short for it must be refused without allocating them.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"declared array of {declared} values but found 1") as exc:
+                parse_matrix_market(f"%%MatrixMarket matrix array real {symmetry}\n2000 2000\n1.0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line_no == 2 and peak < 1 << 20
+
     @pytest.mark.parametrize("layout, size", [("coordinate", "-1 2 0"), ("array", "-2 -3")])
     def test_negative_size_names_size_line(self, layout, size):
         text = f"%%MatrixMarket matrix {layout} real general\n{size}\n"
@@ -140,8 +205,8 @@ class TestErrors:
 
 
 class TestLongBody:
-    """A body long enough that the one-call parse does the work; any line
-    it cannot take goes to the per-line parse and its message."""
+    """A body long enough that a bulk parse pays; a bad line anywhere in it
+    is still named with its message and line number."""
 
     @staticmethod
     def body(rng, count=600):
@@ -151,21 +216,8 @@ class TestLongBody:
 
     @staticmethod
     def text(lines, header="%%MatrixMarket matrix coordinate real general"):
-        count = sum(not line.startswith("%") for line in lines)
+        count = sum(not line.lstrip().startswith("%") for line in lines)
         return "\n".join([header, f"40 30 {count}", *lines]) + "\n"
-
-    @pytest.fixture
-    def fast_results(self, monkeypatch):
-        """What each call of ``mmio._coordinate_fast`` returned, in order."""
-        seen = []
-        real = mmio._coordinate_fast
-
-        def spy(*args):
-            seen.append(real(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(mmio, "_coordinate_fast", spy)
-        return seen
 
     @pytest.mark.parametrize(
         "layout",
@@ -178,19 +230,20 @@ class TestLongBody:
         ],
         ids=["as-written", "blank-lines", "tabs", "trailing-spaces", "crlf"],
     )
-    def test_matches_the_per_line_parse(self, rng, fast_results, layout):
+    def test_every_layout_gives_the_same_csr(self, rng, layout):
         lines = self.body(rng)
-        fast = parse_matrix_market(layout(self.text(lines)))
-        # A comment line sends the whole body through the per-line parse.
-        slow = parse_matrix_market(layout(self.text(lines[:300] + ["% c"] + lines[300:])))
-        assert fast_results[0] is not None and fast_results[1] is None
-        for field in ("row_offsets", "col_indices", "values"):
-            assert np.array_equal(getattr(fast, field), getattr(slow, field))
+        want = parse_matrix_market(self.text(lines))
+        plain = parse_matrix_market(layout(self.text(lines)))
+        commented = parse_matrix_market(layout(self.text(lines[:300] + ["% c", "  %c"] + lines[300:])))
+        for got in (plain, commented):
+            assert got.shape == want.shape
+            for field in ("row_offsets", "col_indices", "values"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
 
-    def test_all_blank_body_falls_back(self, fast_results):
-        with pytest.raises(ParseError, match="declared 1 entries but found 0"):
+    def test_all_blank_body_is_a_count_mismatch(self):
+        with pytest.raises(ParseError, match="declared 1 entries but found 0") as exc:
             parse_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2 1\n\n  \n")
-        assert fast_results == [None]
+        assert exc.value.line_no == 2
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -200,6 +253,8 @@ class TestLongBody:
             ("7 3 1.5 2", "coordinate entry needs 'i j value'"),
             ("41 3 1.5", "index \\(41, 3\\) outside declared 40 x 30 bounds"),
             ("7 3 inf", "non-finite value in '7 3 inf'"),
+            ("7_0 3 1.5", "bad entry '7_0 3 1.5'"),  # int() reads 7_0 as 70; np.loadtxt refuses it
+            ("7 3 1_5", "bad entry '7 3 1_5'"),
         ],
     )
     def test_bad_late_line_is_named(self, rng, entry, message):
