@@ -5,11 +5,12 @@ general or symmetric storage.  Symmetric storage is expanded eagerly to a
 full general matrix; pattern, complex, hermitian and skew-symmetric files
 are rejected because nothing downstream can use them.
 
-A symmetric file must be square.  Every body, either layout, goes to one
-np.loadtxt call, so a token is accepted exactly when np.loadtxt accepts
-it; an integer field is read as int64, so a fraction is refused.  Indices
-and values are then checked as whole columns.  Only when a check fails
-are the body's lines scanned, to name the first bad line.
+A symmetric file must be square.  The size line and every body, either
+layout, are each read with one np.loadtxt call, so a token is accepted
+exactly when np.loadtxt accepts it; counts, indices and an integer field
+are read as int64, so a fraction is refused.  Indices and values are then
+checked as whole columns.  Only when a check fails are the body's lines
+scanned, to name the first bad line.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ def _content(lines: list[str], start: int):
             yield idx + 1, stripped
 
 
+def _loadtxt(lines: list[str], dtype) -> np.ndarray | None:
+    """np.loadtxt of ``lines`` as ``dtype``, or None if it refuses them.
+    Every warning but the all-blank one is an error: numpy before 2.0
+    only warns when it truncates a float token read into an int column."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
 def _body_error(lines: list[str], start: int, fmt: str, dtype: np.dtype, expected: int) -> ParseError:
     """The error for a body, from line index ``start`` on, that np.loadtxt
     refuses or that does not hold ``expected`` entries: its first content
@@ -54,9 +68,7 @@ def _body_error(lines: list[str], start: int, fmt: str, dtype: np.dtype, expecte
     for count, (line_no, entry) in enumerate(_content(lines, start), 1):
         if len(entry.split()) != len(dtype):
             return ParseError(wrong_count.format(entry), line_no=line_no)
-        try:
-            np.loadtxt([entry], dtype=dtype, comments=None)
-        except ValueError:
+        if _loadtxt([entry], dtype) is None:
             return ParseError(bad_token.format(entry), line_no=line_no)
     return ParseError(wrong_total.format(expected, count), line_no=start)
 
@@ -89,10 +101,9 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     n_counts = 3 if fmt == "coordinate" else 2
     if len(size_tokens) != n_counts:
         raise ParseError(f"{fmt} size line needs {n_counts} integers, got {size_line!r}", line_no=size_line_no)
-    try:
-        counts = [int(t) for t in size_tokens]
-    except ValueError:
-        raise ParseError(f"bad size line {size_line!r}", line_no=size_line_no) from None
+    if (counts := _loadtxt([size_line], np.int64)) is None:
+        raise ParseError(f"bad size line {size_line!r}", line_no=size_line_no)
+    counts = counts.tolist()
     if min(counts) < 0:
         raise ParseError(f"negative count in size line {size_line!r}", line_no=size_line_no)
     n_rows, n_cols = counts[:2]
@@ -109,12 +120,7 @@ def parse_matrix_market(text: str) -> SparseMatrixCsr:
     body = lines[size_line_no:]
     if "%" in "".join(body):
         body = [line for line in body if not line.lstrip().startswith("%")]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an all-blank body only warns
-            table = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
-    except ValueError:
-        table = None
+    table = _loadtxt(body, dtype)
     if table is None or len(table) != expected:
         raise _body_error(lines, size_line_no, fmt, dtype, expected)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,48 @@ class TestErrors:
         with pytest.raises(ParseError, match=message) as exc:
             parse_matrix_market(f"%%MatrixMarket matrix {text}")
         assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "text, message, line_no",
+        [
+            ("coordinate real general\n2 2 1\n1.7 2 3.0\n", "bad entry '1.7 2 3.0'", 3),
+            ("coordinate integer general\n2 2 1\n1 2 1.5\n", "bad entry '1 2 1.5'", 3),
+            ("array integer general\n2 1\n1\n2.5\n", "bad value '2.5'", 4),
+            ("coordinate real general\n2.0 2 1\n1 2 3.0\n", "bad size line '2.0 2 1'", 2),
+        ],
+        ids=["index", "integer-coordinate", "integer-array", "size-line"],
+    )
+    def test_truncating_loadtxt_is_refused(self, monkeypatch, text, message, line_no):
+        # numpy 1.23 to 1.26 read a float token into an int64 column by
+        # truncating it, with only a DeprecationWarning; this stands in.
+        loadtxt = np.loadtxt
+
+        def truncating(lines, dtype, **kwargs):
+            dtype = np.dtype(dtype)
+            kinds = [dtype[k].kind for k in range(len(dtype))] or [dtype.kind]
+            read = []
+            for line in lines:
+                tokens = line.split()
+                for k, token in enumerate(tokens):
+                    if kinds[min(k, len(kinds) - 1)] == "i" and "." in token:
+                        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                        tokens[k] = str(int(float(token)))
+                read.append(" ".join(tokens))
+            return loadtxt(read, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        ok = parse_matrix_market("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n")
+        assert np.array_equal(ok.to_dense(), [[0.0, 3.0], [0.0, 0.0]])
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_matrix_market(f"%%MatrixMarket matrix {text}")
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("size", ["1_0 1_0 1", "\u0661 1 1", "1 1 1e0"])
+    def test_size_line_takes_the_body_token_rule(self, size):
+        # int() reads '1_0' as 10 and an Arabic-Indic one as 1.
+        with pytest.raises(ParseError, match="bad size line") as exc:
+            parse_matrix_market(f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n")
+        assert exc.value.line_no == 2
 
     @pytest.mark.parametrize("symmetry, declared", [("general", 4_000_000), ("symmetric", 2_001_000)])
     def test_short_array_body_is_refused_before_its_indices_are_built(self, symmetry, declared):
