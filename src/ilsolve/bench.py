@@ -57,8 +57,7 @@ def generate_augmented_problem(
     """Augment a p x n matrix into an ILS instance: A1 = core,
     A2 = scale * I_{q x n} (rectangular identity pattern), all-ones right-
     hand side, and the default shift derived from A1."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    _count("q", q)
     a2 = rectangular_identity_csr(q, core.n_cols, scale)
     return IlsProblem(core, a2, np.ones(core.n_rows), np.ones(q), compute_alpha(core))
 
@@ -75,8 +74,7 @@ HILBERT_MAX_N = 2000  # largest order of the (dense) Hilbert block
 def generate_hilbert_problem(n: int, a2_scale: float = 0.7) -> IlsProblem:
     """A1 is the (fully dense) n x n Hilbert matrix kept as a dense
     operand, A2 = a2_scale * I_n, all-ones right-hand side."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _count("n", n)
     if n > HILBERT_MAX_N:
         raise ConfigurationError(f"Hilbert generator capped at n = {HILBERT_MAX_N}, got {n}")
     h = hilbert_matrix(n)
@@ -90,10 +88,10 @@ def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem
     [1, 4]) and A2 is rescaled until its largest squared singular value is
     half the smallest Gram eigenvalue.  alpha is drawn uniformly from
     [0.1, 0.5).  p >= n is required so A1 can have full column rank."""
+    for name, value in (("p", p), ("q", q), ("n", n)):
+        _count(name, value)
     if p < n:
         raise ValueError("p must be at least n for A1 to have full column rank")
-    if min(p, q, n) < 1:
-        raise ValueError("p, q, n must all be positive")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((p, n)))
     vt, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -151,8 +149,6 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name, least in (("p", 1), ("q", 1), ("n", 1), ("runs", 1), ("seed", 0)):
             if getattr(self, name) is not None:
                 _count(name, getattr(self, name), least)

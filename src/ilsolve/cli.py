@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _ibs_kind,
     check_convergence_conditions,
     gmres_bound_check,
     verify_eigenstructure,
@@ -33,7 +34,7 @@ from .bench import (
 )
 from .exceptions import SOLVER_FAILURES, IlsolveError
 from .mmio import write_matrix_market, write_vector_matrix_market
-from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS
+from .preconditioners import INNER_SOLVERS, VARIANTS
 from .sparse import SparseMatrixCsr
 
 # Flags named after an ExperimentSpec field.  They default to SUPPRESS, so
@@ -124,12 +125,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    kinds = [k.strip().lower() for k in args.preconditioners.split(",") if k.strip()]
+    kinds = [_ibs_kind(k.strip(), "analyze") for k in args.preconditioners.split(",") if k.strip()]
     if not kinds:
         raise ValueError("--preconditioners must name at least one variant")
-    unknown = [k for k in kinds if k not in IBS_VARIANTS]
-    if unknown:
-        raise ValueError(f"analyze handles {IBS_VARIANTS}, got {unknown}")
     prob = build_problem(_spec_from_args(args))
     conditions = check_convergence_conditions(prob)
     out = {

@@ -12,12 +12,12 @@ rows:
     ibs4 / but:  z3 = r3;  solve z2 from r2 - A2'z3;  z1 = r1 - A1 z2
 
 A Preconditioner is built from the arguments of make_preconditioner
-(kind, problem, inner solver, inner CG settings) and chooses its inner
-solve there, once: exact, on the Cholesky factor that ``_inner_factor``
-keeps in the problem's cache per shift, or matrix-free CG from a zero
-start on the problem's Gram pair v -> (S v, A1 v).  Inner CG failure is a
-recorded statistic, not a fatal error: the loose-tolerance regime is the
-intended operating point for the outer flexible solver.
+(kind, problem, inner solver, inner CG settings) and keeps the splitting.
+Its inner solve is the entry of ``_INNER_SOLVES`` that the inner solver
+names: matrix-free CG from a zero start on the problem's Gram pair
+v -> (S v, A1 v), or exact, on the Cholesky factor that ``_inner_factor``
+keeps per shift.  Inner CG failure is a recorded count, not an error: the
+loose-tolerance regime is the outer flexible solver's operating point.
 
 Each variant is a splitting A = M - N of the block matrix.  With
 S = shift*I + A1'A1 as the inner matrix (shift = alpha for ibs, 0 for the
@@ -40,16 +40,14 @@ Comput. 2, 1981):
     ibs4 / but:  A z = (r1,         r2 - s - shift*z2,         r3 + A2 z2)
 
 The step ``_apply(problem, v, paired=True)`` returns z and A z for every
-kind.  It takes A z from the splitting where s is known to working
-accuracy: after an exact inner solve (s = 0, up to the Cholesky backward
-error), where it makes the one product A1 z2, and after CG on an S whose
-condition bound (shift + _gram_bound) / shift is at most _PAIR_BOUND.
-There s is CG's recurrence residual and A1 z2 the image that CG carries
-from its Gram products, so after trusted inner CG the step makes no
-product by A1 or A1'A1; when CG returns an earlier iterate or breaks
-down, one Gram product of z2 gives both.  ``paired`` says whether this
-holds (and CG carries the image, in ``apply`` too); for the unshifted
-baselines on CG, a tiny shift and kind 'none' A z is one block product.
+kind.  Where the inner solve's entry says ``paired``, s is known to working
+accuracy and A z comes from the splitting: after an exact solve (s = 0, up
+to the Cholesky backward error) with the one product A1 z2, and after CG on
+an S whose condition bound (shift + _gram_bound) / shift is at most
+_PAIR_BOUND from CG's recurrence residual and the image A1 z2 that CG
+carries, with no product by A1 or A1'A1.  A solve that returns neither (an
+earlier iterate) costs one Gram product of z2.  Otherwise (kind 'none', CG
+unshifted or on a tiny shift) A z is one block product.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
 which ``fgmres_solve`` hands it for ``block_system_operator(problem)``;
@@ -92,7 +90,6 @@ __all__ = [
 IBS_VARIANTS = ("ibs1", "ibs2", "ibs3", "ibs4")
 BASELINE_VARIANTS = ("bs1", "bs2", "bs3", "but")
 VARIANTS = IBS_VARIANTS + BASELINE_VARIANTS + ("none",)
-INNER_SOLVERS = ("cg", "cholesky")
 
 # Which variants subtract A2'z3 from the inner right-hand side, and which
 # back-substitute into the first block.
@@ -129,8 +126,8 @@ def _inner_factor(prob: IlsProblem, shift: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _exact_solve(lower: np.ndarray, inverses: np.ndarray, rhs: np.ndarray) -> tuple:
-    """The exact inner solve on a shared factor: (z2, s = 0.0, None)."""
-    return cholesky_solve(lower, rhs, inverses), 0.0, None
+    """The exact inner solve on a shared factor: (z2, s = 0.0, None, 0, True)."""
+    return cholesky_solve(lower, rhs, inverses), 0.0, None, 0, True
 
 
 def _gram_bound(prob: IlsProblem) -> float:
@@ -145,6 +142,34 @@ def _gram_bound(prob: IlsProblem) -> float:
         return float(np.linalg.norm(a1, 1)) * float(np.linalg.norm(a1, np.inf))
 
     return prob._shared("gram bound", bound)
+
+
+def _exact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
+    """The 'cholesky' entry: exact on the problem's shared factor, linear and paired."""
+    return partial(_exact_solve, *_inner_factor(prob, shift)), True, True
+
+
+def _inexact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
+    """The 'cg' entry: CG at ``config`` on ``pair``, not linear; paired under
+    _PAIR_BOUND, where it carries A1 z2.  s is CG's recurrence residual;
+    s and A1 z2 are None for an earlier iterate."""
+    paired = shift > 0.0 and shift + _gram_bound(prob) <= _PAIR_BOUND * shift
+
+    def solve(rhs: np.ndarray) -> tuple:
+        try:
+            z2, report, s, image = _cg(pair, rhs, config, np.zeros(prob.p) if paired else None)
+        except IndefiniteOperatorError as exc:
+            # A breakdown on an ill-conditioned (in exact arithmetic SPD) S: keep the best iterate.
+            return exc.x_best, None, None, exc.iterations, False
+        return z2, s, image, report.iterations, report.converged
+
+    return solve, False, paired
+
+
+# Builders (problem, shift, Gram pair, CgConfig) -> (solve, linear, paired),
+# with solve(rhs) -> (z2, s = rhs - S z2, A1 z2, iterations, converged).
+_INNER_SOLVES = {"cg": _inexact, "cholesky": _exact}
+INNER_SOLVERS = tuple(_INNER_SOLVES)
 
 
 def _fold(prob: IlsProblem):
@@ -174,21 +199,19 @@ def _build_fold(prob: IlsProblem):
 class Preconditioner:
     """Applies z = M^{-1} r for one splitting variant.
 
-    Built from make_preconditioner's arguments, it chooses ``_inner_solve``
-    once: the exact solve on the problem's shared factor with inner
-    'cholesky', CG at ``config`` on the problem's Gram pair with 'cg'.
-    ``linear`` says whether z is linear in r (exact inner solves and kind
-    'none'), ``paired`` whether the step takes A z from the splitting (see
-    the module docstring).  Instances are reusable across solves;
-    ``inner_iterations`` and ``inner_failures`` accumulate CG statistics
-    (call ``reset_stats`` between timed runs).
+    It keeps the splitting and takes its inner solve, once, from the entry
+    of _INNER_SOLVES that ``inner`` names, which also says whether z is
+    ``linear`` in r (kind 'none' always is) and whether the step is
+    ``paired`` (see the module docstring).  Instances are reusable across
+    solves; ``inner_iterations`` and ``inner_failures`` add up the inner
+    solves' counts (call ``reset_stats`` between timed runs).
     """
 
     def __init__(self, kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None):
         kind = self.kind = kind.lower()
         if kind not in VARIANTS:
             raise ValueError(f"unknown preconditioner kind {kind!r}; choose from {VARIANTS}")
-        if inner not in INNER_SOLVERS:
+        if inner not in _INNER_SOLVES:
             raise ValueError(f"unknown inner solver mode {inner!r}")
         self.problem = problem
         self.config = inner_config or CgConfig()
@@ -196,36 +219,13 @@ class Preconditioner:
         self._pair = _gram_pair(problem, shift)
         if kind == "none":  # solves nothing
             self.linear, self.paired = True, False
-        elif inner == "cholesky":
-            self._inner_solve = partial(_exact_solve, *_inner_factor(problem, shift))
-            self.linear = self.paired = True
-        else:  # CG, the class's _inner_solve: a bound method kept here would be a cycle
-            self.linear = False
-            self.paired = shift > 0.0 and shift + _gram_bound(problem) <= _PAIR_BOUND * shift
+        else:
+            self._solve, self.linear, self.paired = _INNER_SOLVES[inner](problem, shift, self._pair, self.config)
         self.reset_stats()
 
     def reset_stats(self) -> None:
         self.inner_iterations = 0
         self.inner_failures = 0
-
-    def _inner_solve(self, rhs: np.ndarray) -> tuple:
-        """Inner CG: (z2, s, u) with s = rhs - S z2, CG's recurrence
-        residual, and u = A1 z2, the image CG carries where ``paired``,
-        else None; both None when CG returns an earlier iterate, so that
-        the paired step makes a Gram product of z2 for them."""
-        image = np.zeros(self.problem.p) if self.paired else None
-        try:
-            z, report, residual, image = _cg(self._pair, rhs, self.config, image)
-        except IndefiniteOperatorError as exc:
-            # Numerical breakdown on an ill-conditioned (but in exact
-            # arithmetic SPD) Gram matrix: keep the best iterate.
-            self.inner_failures += 1
-            self.inner_iterations += exc.iterations
-            return exc.x_best, None, None
-        self.inner_iterations += report.iterations
-        if not report.converged:
-            self.inner_failures += 1
-        return z, residual, image
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """z = M^{-1} r, for a (size,) vector or each column of a (size, k)
@@ -240,9 +240,8 @@ class Preconditioner:
     def _apply(self, prob: IlsProblem, r: np.ndarray, paired: bool = False):
         """z = M^{-1} r on ``prob``, this preconditioner's problem or its
         folded twin; with ``paired``, the step (z, A z), whose z is bit for
-        bit the one without: A z from the splitting where ``self.paired``
-        holds (see the module docstring), else one block product; r is trusted
-        (a block if unpaired and ``linear``)."""
+        bit the one without (see the module docstring); r is trusted (a
+        block if unpaired and ``linear``)."""
         if paired and not self.paired:
             z = self._apply(prob, r)
             return z, apply_block_A(prob, z)
@@ -252,10 +251,11 @@ class Preconditioner:
             return np.concatenate([r1, r2, r3])
         coupled = self.kind in _COUPLED_RHS
         rhs = r2 - (r3.T @ prob.a2).T if coupled else r2
-        z2, s, a1z2 = self._inner_solve(rhs)
+        z2, s, a1z2, iterations, converged = self._solve(rhs)
+        self.inner_iterations += iterations
+        self.inner_failures += not converged
         if s is None and self.paired:
-            # CG returned an earlier iterate or broke down: one Gram product
-            # gives s and A1 z2, in both modes, so that z is the same.
+            # An earlier iterate: one Gram product gives s and A1 z2, in both modes, so z is the same.
             sz2, a1z2 = self._pair(z2)
             s = rhs - sz2
         backsub = self.kind in _BACKSUB_FIRST

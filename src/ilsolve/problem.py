@@ -48,7 +48,7 @@ from .exceptions import (
     OracleFailureError,
     ProblemAssumptionError,
 )
-from .krylov import CgConfig, cg_solve
+from .krylov import CgConfig, _count, cg_solve
 from .operators import LinearOperator, as_matrix
 from . import sparse
 from .sparse import SparseMatrixCsr, _check_block, _real, one_norm
@@ -160,21 +160,25 @@ class IlsProblem:
         return self._factors[key]
 
 
-def partition_problem(a: SparseMatrixCsr, b: np.ndarray, p: int, q: int) -> IlsProblem:
-    """Split an m x n matrix and length-m vector into the (A1, A2, b1, b2)
-    blocks, with A1 the first p rows and the default shift from A1."""
-    b = _real(b, "b")
-    if p + q != a.n_rows:
-        raise ValueError(f"p + q = {p + q} does not match the {a.n_rows} rows of A")
-    if b.shape != (a.n_rows,):
+def partition_problem(a, b: np.ndarray, p: int, q: int) -> IlsProblem:
+    """Split an m x n matrix (CSR or dense, as IlsProblem takes its blocks)
+    and length-m vector into the (A1, A2, b1, b2) blocks, with A1 the first
+    p rows and the default shift from A1."""
+    a, b = as_matrix(a, "A"), _real(b, "b")
+    for name, value in (("p", p), ("q", q)):
+        _count(name, value, 0)
+    m = a.shape[0]
+    if p + q != m:
+        raise ValueError(f"p + q = {p + q} does not match the {m} rows of A")
+    if b.shape != (m,):
         raise ValueError("right-hand side length does not match A")
     if p == 0 or q == 0:
         raise DegenerateProblemError(
             "p and q must both be positive; an empty block reduces the "
             "problem to an ordinary least squares problem"
         )
-    a1 = a.row_slice(0, p)
-    return IlsProblem(a1, a.row_slice(p, p + q), b[:p], b[p:], compute_alpha(a1))
+    a1, a2 = (a.row_slice(0, p), a.row_slice(p, m)) if isinstance(a, SparseMatrixCsr) else (a[:p], a[p:])
+    return IlsProblem(a1, a2, b[:p], b[p:], compute_alpha(a1))
 
 
 def compute_alpha(a1) -> float:

@@ -220,7 +220,7 @@ class TestSpecBoundary:
         "line, message",
         [
             ("preconditioners =", "preconditioners must name at least one variant"),
-            ("seed = -1", "seed must be nonnegative, got -1"),
+            ("seed = -1", "seed must be at least 0"),
         ],
     )
     def test_invalid_value_rejected_before_building(self, tmp_path, capsys, monkeypatch, line, message):
@@ -235,7 +235,7 @@ class TestSpecBoundary:
 
     def test_negative_seed_rejected_on_the_command_line(self, capsys):
         assert main(["solve", "--random", "6,4,3", "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be at least 0\n"
 
     @pytest.mark.parametrize("text, value", [("no", False), ("0", False), ("YES", True), ("1", True)])
     def test_boolean_spellings(self, tmp_path, text, value):

@@ -105,6 +105,13 @@ def test_analyze_without_a_variant_exits_one(capsys, names):
     assert captured.err == "error: --preconditioners must name at least one variant\n"
 
 
+def test_analyze_with_a_baseline_exits_one(capsys, monkeypatch):
+    # The variants are checked before any problem is built.
+    monkeypatch.setattr(il.cli, "build_problem", pytest.fail)
+    assert main(["analyze", "--random", "8,5,4", "--preconditioners", "ibs2, BS1"]) == 1
+    assert capsys.readouterr().err == f"error: analyze is defined for {il.IBS_VARIANTS}, got 'bs1'\n"
+
+
 def test_matrix_without_q_exits_one(capsys):
     assert main(["solve", "--matrix", "x.mtx"]) == 1
     assert capsys.readouterr().err == "error: q is required for problem = matrix-market\n"

@@ -142,6 +142,12 @@ def test_as_matrix_names_the_argument():
         (lambda: ExperimentSpec(problem="random", p=6, q=4, n=3, runs=1.5), "runs must be an integer, got 1.5"),
         (lambda: ExperimentSpec(problem="random", p=6.0, q=4, n=3), "p must be an integer, got 6.0"),
         (lambda: ExperimentSpec(problem="random", p=6, q=4, n=3, seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda: ExperimentSpec(problem="random", p=4, q=3, n=2, seed="3"), "seed must be an integer, got '3'"),
+        (lambda: il.generate_augmented_problem(il.rectangular_identity_csr(3, 2), 2.5), "q must be an integer, got 2.5"),
+        (lambda: il.generate_hilbert_problem(4.5), "n must be an integer, got 4.5"),
+        (lambda: il.generate_random_problem(6.0, 4, 3), "p must be an integer, got 6.0"),
+        (lambda: il.generate_random_problem(6, 0, 3), "q must be at least 1"),
+        (lambda: il.partition_problem(np.eye(4), np.ones(4), -1, 5), "p must be at least 0"),
         (lambda: ExperimentSpec(problem="hilbert"), "n is required for problem = hilbert"),
         (lambda: ExperimentSpec(problem="random", p=6, q=4), "n is required for problem = random"),
         (lambda: ExperimentSpec(problem="matrix-market", matrix="a.mtx"), "q is required for problem = matrix-market"),

@@ -25,6 +25,7 @@ from ilsolve import (
 from ilsolve import problem as problem_module
 from ilsolve.krylov import _assemble, _cg
 from ilsolve.operators import LinearOperator, aslinearoperator
+from ilsolve.preconditioners import _INNER_SOLVES
 from ilsolve.problem import _gram_pair, densify
 
 from conftest import random_desk_problem, random_spd
@@ -318,20 +319,22 @@ class TestCarriedImage:
                 np.testing.assert_allclose(image, want, rtol=0, atol=1e-10 * np.linalg.norm(want))
         assert earlier
 
-    def test_no_image_after_a_breakdown(self, rng, monkeypatch):
+    def test_no_image_after_a_breakdown(self, rng):
         # The loop raises on a breakdown, so no image leaves it: the inner
         # solve returns CG's best iterate with neither s nor A1 z2.
         prob = random_desk_problem(13)
         pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
         assert pre.paired
         diag = np.resize([1.0, 1.0, 1.0, 1.0, 1.0, -50.0], prob.n)
-        monkeypatch.setattr(pre, "_pair", lambda v: (diag * v, prob.a1 @ v))
+        pair = lambda v: (diag * v, prob.a1 @ v)
+        solve = _INNER_SOLVES["cg"](prob, pre.shift, pair, pre.config)[0]
         rhs = rng.standard_normal(prob.n)
         with pytest.raises(IndefiniteOperatorError) as info:
-            _cg(pre._pair, rhs, pre.config, np.zeros(prob.p))
-        z, s, u = pre._inner_solve(rhs)
+            _cg(pair, rhs, pre.config, np.zeros(prob.p))
+        z, s, u, iterations, converged = solve(rhs)
         assert s is None and u is None
         assert np.array_equal(z, info.value.x_best)
+        assert iterations == info.value.iterations and not converged
 
     @pytest.mark.parametrize("layout", IMAGE_LAYOUTS)
     def test_zero_rhs_gives_a_zero_image(self, layout):
@@ -341,7 +344,8 @@ class TestCarriedImage:
         assert np.array_equal(image, np.zeros(prob.p))
         pre = make_preconditioner("ibs3", prob)
         assert pre.paired
-        z2, s, u = pre._inner_solve(np.zeros(prob.n))
+        z2, s, u, iterations, converged = pre._solve(np.zeros(prob.n))
+        assert iterations == 0 and converged
         assert np.array_equal(u, np.zeros(prob.p)) and np.array_equal(s, np.zeros(prob.n))
 
     def test_public_cg_carries_no_image(self, rng):

@@ -28,7 +28,7 @@ from ilsolve import sparse as sparse_module
 from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
-from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS, _fold, _gram_bound
+from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS, _INNER_SOLVES, _fold, _gram_bound
 from ilsolve.problem import dense_blocks
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
 
@@ -48,14 +48,30 @@ def test_unknown_kind_rejected():
         make_preconditioner("ibs9", scalar_problem())
 
 
+def test_inner_solvers_are_the_table_keys():
+    assert INNER_SOLVERS == tuple(_INNER_SOLVES) == ("cg", "cholesky")
+
+
 def lower(pre):
     """The Cholesky factor an exact preconditioner solves with."""
-    return pre._inner_solve.args[0]
+    return pre._solve.args[0]
 
 
 def inverses(pre):
     """The inverses of that factor's diagonal blocks."""
-    return pre._inner_solve.args[1]
+    return pre._solve.args[1]
+
+
+def as_earlier_iterate(monkeypatch, pre):
+    """Make ``pre``'s inner solve return its z2 as an earlier iterate: with
+    neither s nor A1 z2, and the same counts."""
+    solve = pre._solve
+
+    def earlier(rhs):
+        z2, _, _, iterations, converged = solve(rhs)
+        return z2, None, None, iterations, converged
+
+    monkeypatch.setattr(pre, "_solve", earlier)
 
 
 def test_none_kind_is_identity(rng):
@@ -250,7 +266,9 @@ class TestInnerSolvers:
         before = pre.inner_iterations
         assert before > 0 and pre.inner_failures == 0
         diag = np.resize(signs, prob.n)
-        monkeypatch.setattr(pre, "_pair", lambda v: (diag * v, prob.a1 @ v))
+        pair = lambda v: (diag * v, prob.a1 @ v)
+        monkeypatch.setattr(pre, "_pair", pair)
+        monkeypatch.setattr(pre, "_solve", _INNER_SOLVES["cg"](prob, pre.shift, pair, pre.config)[0])
         with pytest.raises(IndefiniteOperatorError) as info:
             cg_solve(LinearOperator(prob.n, prob.n, lambda v: diag * v), prob.split(r)[1], config=pre.config)
         z = pre.apply(r)
@@ -452,8 +470,7 @@ class TestPairedStep:
         prob = paired_problem(rng, "csr")
         pre = make_preconditioner("ibs2", prob, inner="cg")
         v = rng.standard_normal(prob.size)
-        solve = pre._inner_solve
-        monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None, None))
+        as_earlier_iterate(monkeypatch, pre)
         z, w = pre._apply(prob, v, paired=True)
         direct = apply_block_A(prob, z)
         assert np.linalg.norm(w - direct) <= 1e-13 * np.linalg.norm(direct)
@@ -471,8 +488,7 @@ class TestPairedStep:
         prob = paired_problem(rng, "csr")
         pre = make_preconditioner(kind, prob, inner=inner.split("-")[0])
         if inner == "cg-earlier":
-            solve = pre._inner_solve
-            monkeypatch.setattr(pre, "_inner_solve", lambda rhs: (solve(rhs)[0], None, None))
+            as_earlier_iterate(monkeypatch, pre)
         # Every CSR product runs the one kernel: A1 x gathers by column,
         # y A1 by row.
         counts = [0, 0]

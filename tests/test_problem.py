@@ -91,6 +91,16 @@ class TestPartition:
         with pytest.raises(DegenerateProblemError):
             partition_problem(a, np.ones(4), p=0, q=4)
 
+    def test_dense_and_csr_give_the_same_blocks(self, rng):
+        a = random_csr(rng, 6, 3)
+        b = rng.standard_normal(6)
+        sparse, dense = partition_problem(a, b, p=4, q=2), partition_problem(a.to_dense(), b, p=4, q=2)
+        assert isinstance(dense.a1, np.ndarray) and isinstance(dense.a2, np.ndarray)
+        for got, want in zip(il.problem.dense_blocks(dense), il.problem.dense_blocks(sparse)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(dense.b1, sparse.b1) and np.array_equal(dense.b2, sparse.b2)
+        assert dense.alpha == sparse.alpha
+
     def test_auto_alpha_is_squared_one_norm(self, rng):
         a = random_csr(rng, 6, 3)
         prob = partition_problem(a, np.ones(6), p=4, q=2)
