@@ -45,8 +45,8 @@ accuracy and A z comes from the splitting: after an exact solve (s = 0, up
 to the Cholesky backward error) with the one product A1 z2, and after CG on
 an S whose condition bound (shift + _gram_bound) / shift is at most
 _PAIR_BOUND from CG's recurrence residual and the image A1 z2 that CG
-carries, with no product by A1 or A1'A1.  A solve that returns neither (an
-earlier iterate) costs one Gram product of z2.  Otherwise (kind 'none', CG
+carries, with no product by A1 or A1'A1; for an earlier iterate the cg
+entry gets both from one Gram product of z2.  Otherwise (kind 'none', CG
 unshifted or on a tiny shift) A z is one block product.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
@@ -151,23 +151,27 @@ def _exact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
 
 def _inexact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
     """The 'cg' entry: CG at ``config`` on ``pair``, not linear; paired under
-    _PAIR_BOUND, where it carries A1 z2.  s is CG's recurrence residual;
-    s and A1 z2 are None for an earlier iterate."""
+    _PAIR_BOUND, where it carries A1 z2 and s, CG's recurrence residual, and
+    gets both for an earlier iterate from one product of ``pair``."""
     paired = shift > 0.0 and shift + _gram_bound(prob) <= _PAIR_BOUND * shift
 
     def solve(rhs: np.ndarray) -> tuple:
         try:
             z2, report, s, image = _cg(pair, rhs, config, np.zeros(prob.p) if paired else None)
+            iterations, converged = report.iterations, report.converged
         except IndefiniteOperatorError as exc:
             # A breakdown on an ill-conditioned (in exact arithmetic SPD) S: keep the best iterate.
-            return exc.x_best, None, None, exc.iterations, False
-        return z2, s, image, report.iterations, report.converged
+            z2, s, image, iterations, converged = exc.x_best, None, None, exc.iterations, False
+        if s is None and paired:  # an earlier iterate: one Gram product gives s and A1 z2
+            sz2, image = pair(z2)
+            s = rhs - sz2
+        return z2, s, image, iterations, converged
 
     return solve, False, paired
 
 
 # Builders (problem, shift, Gram pair, CgConfig) -> (solve, linear, paired),
-# with solve(rhs) -> (z2, s = rhs - S z2, A1 z2, iterations, converged).
+# with solve(rhs) -> (z2, s = rhs - S z2, A1 z2 or None, iterations, converged).
 _INNER_SOLVES = {"cg": _inexact, "cholesky": _exact}
 INNER_SOLVERS = tuple(_INNER_SOLVES)
 
@@ -202,9 +206,9 @@ class Preconditioner:
     It keeps the splitting and takes its inner solve, once, from the entry
     of _INNER_SOLVES that ``inner`` names, which also says whether z is
     ``linear`` in r (kind 'none' always is) and whether the step is
-    ``paired`` (see the module docstring).  Instances are reusable across
-    solves; ``inner_iterations`` and ``inner_failures`` add up the inner
-    solves' counts (call ``reset_stats`` between timed runs).
+    ``paired`` (see the module docstring); it reads ``config`` then, once.
+    ``inner_iterations`` and ``inner_failures`` add up the inner solves'
+    counts over reuses (call ``reset_stats`` between timed runs).
     """
 
     def __init__(self, kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None):
@@ -216,11 +220,11 @@ class Preconditioner:
         self.problem = problem
         self.config = inner_config or CgConfig()
         shift = self.shift = problem.alpha if kind in IBS_VARIANTS else 0.0
-        self._pair = _gram_pair(problem, shift)
         if kind == "none":  # solves nothing
             self.linear, self.paired = True, False
         else:
-            self._solve, self.linear, self.paired = _INNER_SOLVES[inner](problem, shift, self._pair, self.config)
+            build = _INNER_SOLVES[inner]
+            self._solve, self.linear, self.paired = build(problem, shift, _gram_pair(problem, shift), self.config)
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -254,10 +258,6 @@ class Preconditioner:
         z2, s, a1z2, iterations, converged = self._solve(rhs)
         self.inner_iterations += iterations
         self.inner_failures += not converged
-        if s is None and self.paired:
-            # An earlier iterate: one Gram product gives s and A1 z2, in both modes, so z is the same.
-            sz2, a1z2 = self._pair(z2)
-            s = rhs - sz2
         backsub = self.kind in _BACKSUB_FIRST
         if a1z2 is None and (backsub or paired):
             a1z2 = prob.a1 @ z2

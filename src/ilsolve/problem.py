@@ -161,9 +161,9 @@ class IlsProblem:
 
 
 def partition_problem(a, b: np.ndarray, p: int, q: int) -> IlsProblem:
-    """Split an m x n matrix (CSR or dense, as IlsProblem takes its blocks)
-    and length-m vector into the (A1, A2, b1, b2) blocks, with A1 the first
-    p rows and the default shift from A1."""
+    """Split an m x n matrix (CSR or dense, as IlsProblem takes its blocks;
+    dense blocks are copies of its rows) and length-m vector into the
+    (A1, A2, b1, b2) blocks, with A1 the first p rows and the default shift from A1."""
     a, b = as_matrix(a, "A"), _real(b, "b")
     for name, value in (("p", p), ("q", q)):
         _count(name, value, 0)
@@ -177,7 +177,8 @@ def partition_problem(a, b: np.ndarray, p: int, q: int) -> IlsProblem:
             "p and q must both be positive; an empty block reduces the "
             "problem to an ordinary least squares problem"
         )
-    a1, a2 = (a.row_slice(0, p), a.row_slice(p, m)) if isinstance(a, SparseMatrixCsr) else (a[:p], a[p:])
+    csr = isinstance(a, SparseMatrixCsr)
+    a1, a2 = (a.row_slice(0, p), a.row_slice(p, m)) if csr else (a[:p].copy(), a[p:].copy())
     return IlsProblem(a1, a2, b[:p], b[p:], compute_alpha(a1))
 
 

@@ -320,8 +320,9 @@ class TestCarriedImage:
         assert earlier
 
     def test_no_image_after_a_breakdown(self, rng):
-        # The loop raises on a breakdown, so no image leaves it: the inner
-        # solve returns CG's best iterate with neither s nor A1 z2.
+        # The loop raises on a breakdown, so no image leaves it: the paired
+        # inner solve gets s and A1 z2 of CG's best iterate from one product
+        # of its Gram pair.
         prob = random_desk_problem(13)
         pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
         assert pre.paired
@@ -332,8 +333,8 @@ class TestCarriedImage:
         with pytest.raises(IndefiniteOperatorError) as info:
             _cg(pair, rhs, pre.config, np.zeros(prob.p))
         z, s, u, iterations, converged = solve(rhs)
-        assert s is None and u is None
         assert np.array_equal(z, info.value.x_best)
+        assert np.array_equal(s, rhs - diag * z) and np.array_equal(u, prob.a1 @ z)
         assert iterations == info.value.iterations and not converged
 
     @pytest.mark.parametrize("layout", IMAGE_LAYOUTS)

@@ -48,10 +48,6 @@ def test_unknown_kind_rejected():
         make_preconditioner("ibs9", scalar_problem())
 
 
-def test_inner_solvers_are_the_table_keys():
-    assert INNER_SOLVERS == tuple(_INNER_SOLVES) == ("cg", "cholesky")
-
-
 def lower(pre):
     """The Cholesky factor an exact preconditioner solves with."""
     return pre._solve.args[0]
@@ -62,16 +58,16 @@ def inverses(pre):
     return pre._solve.args[1]
 
 
-def as_earlier_iterate(monkeypatch, pre):
-    """Make ``pre``'s inner solve return its z2 as an earlier iterate: with
-    neither s nor A1 z2, and the same counts."""
-    solve = pre._solve
+def as_earlier_iterate(monkeypatch):
+    """Make inner CG return its x as an earlier iterate: with neither its
+    residual nor A1 x, and the same report."""
+    cg = preconditioners_module._cg
 
-    def earlier(rhs):
-        z2, _, _, iterations, converged = solve(rhs)
-        return z2, None, None, iterations, converged
+    def earlier(*args):
+        x, report, _, _ = cg(*args)
+        return x, report, None, None
 
-    monkeypatch.setattr(pre, "_solve", earlier)
+    monkeypatch.setattr(preconditioners_module, "_cg", earlier)
 
 
 def test_none_kind_is_identity(rng):
@@ -267,7 +263,6 @@ class TestInnerSolvers:
         assert before > 0 and pre.inner_failures == 0
         diag = np.resize(signs, prob.n)
         pair = lambda v: (diag * v, prob.a1 @ v)
-        monkeypatch.setattr(pre, "_pair", pair)
         monkeypatch.setattr(pre, "_solve", _INNER_SOLVES["cg"](prob, pre.shift, pair, pre.config)[0])
         with pytest.raises(IndefiniteOperatorError) as info:
             cg_solve(LinearOperator(prob.n, prob.n, lambda v: diag * v), prob.split(r)[1], config=pre.config)
@@ -345,6 +340,7 @@ class TestInnerSolvers:
         assert prob == prob and prob != copy and hash(prob) != hash(copy)
 
     def test_unknown_inner_mode(self):
+        assert INNER_SOLVERS == ("cg", "cholesky")
         with pytest.raises(ValueError, match="inner solver"):
             make_preconditioner("ibs1", scalar_problem(), inner="lu")
 
@@ -470,7 +466,7 @@ class TestPairedStep:
         prob = paired_problem(rng, "csr")
         pre = make_preconditioner("ibs2", prob, inner="cg")
         v = rng.standard_normal(prob.size)
-        as_earlier_iterate(monkeypatch, pre)
+        as_earlier_iterate(monkeypatch)
         z, w = pre._apply(prob, v, paired=True)
         direct = apply_block_A(prob, z)
         assert np.linalg.norm(w - direct) <= 1e-13 * np.linalg.norm(direct)
@@ -488,7 +484,7 @@ class TestPairedStep:
         prob = paired_problem(rng, "csr")
         pre = make_preconditioner(kind, prob, inner=inner.split("-")[0])
         if inner == "cg-earlier":
-            as_earlier_iterate(monkeypatch, pre)
+            as_earlier_iterate(monkeypatch)
         # Every CSR product runs the one kernel: A1 x gathers by column,
         # y A1 by row.
         counts = [0, 0]

@@ -1,6 +1,6 @@
 """SHA-256 digests of what the benchmark's workloads compute, one per workload.
 
-    python3 tools/digest.py --seed 1234 [--workload sparse-ibs ...]
+    python3 tools/digest.py --seed 1234
 
 Builds each workload of perfbench/workloads.py from the seed, runs each of
 its operations once, and hashes every result: iterates, residual
@@ -63,21 +63,15 @@ def digest(workload, seed: int, scratch: Path) -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--workload", action="append", help="a workload name (default: every workload)")
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
-    names = args.workload or list(workloads.WORKLOADS)
-    unknown = [name for name in names if name not in workloads.WORKLOADS]
-    if unknown:
-        print(f"digest: unknown workloads {unknown}; choose from {', '.join(workloads.WORKLOADS)}", file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory(prefix="digest-") as scratch:
-        for name in names:
-            hexdigest, count = digest(workloads.WORKLOADS[name](), args.seed, Path(scratch))
+        for name, workload in workloads.WORKLOADS.items():
+            hexdigest, count = digest(workload(), args.seed, Path(scratch))
             print(f"{name} {hexdigest} {count} operations", flush=True)
     return 0
 
