@@ -275,28 +275,18 @@ def stationary_solve(
 
     t0 = time.perf_counter()
     r = rhs
-    res = float(np.linalg.norm(r)) / denom
-    history = [res]
-    converged = res < tol
-    k = 0
-    while not converged and k < maxit:
+    history = [float(np.linalg.norm(r)) / denom]
+    while history[-1] >= tol and len(history) <= maxit:
         x = x + pre.apply(r)
         r = rhs - apply_block_A(prob, x)
         res = float(np.linalg.norm(r)) / denom
         history.append(res)
-        k += 1
-        if res < tol:
-            converged = True
-        elif history[0] > 0.0 and res > 1e8 * history[0]:
-            report = SolveReport(
-                k, time.perf_counter() - t0, res, np.array(history), False,
-                notes=("divergence guard tripped",),
-            )
+        if res > 1e8 * history[0]:  # the first residual is at least tol here
+            report = SolveReport(time.perf_counter() - t0, history, False, ("divergence guard tripped",))
             raise StationaryDivergenceError(
-                f"residual grew to {res:.3e} (1e8 x initial) at iteration {k}", report=report
+                f"residual grew to {res:.3e} (1e8 x initial) at iteration {report.iterations}", report=report
             )
-    report = SolveReport(k, time.perf_counter() - t0, res, np.array(history), converged)
-    return x, report
+    return x, SolveReport(time.perf_counter() - t0, history, history[-1] < tol)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .problem import (
     compute_alpha,
     reference_solution,
 )
-from .sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
+from .sparse import SparseMatrixCsr, _sealed, normalize_to_unit_one_norm, rectangular_identity_csr
 
 __all__ = [
     "ExperimentSpec",
@@ -59,7 +59,7 @@ def generate_augmented_problem(
     hand side, and the default shift derived from A1."""
     _count("q", q)
     a2 = rectangular_identity_csr(q, core.n_cols, scale)
-    return IlsProblem(core, a2, np.ones(core.n_rows), np.ones(q), compute_alpha(core))
+    return IlsProblem(core, a2, *map(_sealed, (np.ones(core.n_rows), np.ones(q))), compute_alpha(core))
 
 
 def hilbert_matrix(n: int) -> np.ndarray:
@@ -77,9 +77,9 @@ def generate_hilbert_problem(n: int, a2_scale: float = 0.7) -> IlsProblem:
     _count("n", n)
     if n > HILBERT_MAX_N:
         raise ConfigurationError(f"Hilbert generator capped at n = {HILBERT_MAX_N}, got {n}")
-    h = hilbert_matrix(n)
+    h, ones = _sealed(hilbert_matrix(n)), _sealed(np.ones(n))
     a2 = rectangular_identity_csr(n, n, a2_scale)
-    return IlsProblem(h, a2, np.ones(n), np.ones(n), compute_alpha(h))
+    return IlsProblem(h, a2, ones, ones, compute_alpha(h))
 
 
 def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem:
@@ -103,7 +103,7 @@ def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem
     alpha = float(rng.uniform(0.1, 0.5))
     b1 = rng.standard_normal(p)
     b2 = rng.standard_normal(q)
-    return IlsProblem(a1, a2, b1, b2, alpha)
+    return IlsProblem(*map(_sealed, (a1, a2, b1, b2)), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ SIAM J. Sci. Comput. 14, 1993), and loose inner solves let the estimate
 drift.  An unconfirmed early end resumes from the assembled iterate (at
 most three times) before giving up.  A solve that gives up returns the
 confirmed iterate with the lowest true residual (the zero start counts),
-as CG returns its best iterate; its residual then closes the history.
+as capped CG returns its best iterate, and its residual closes the history.
 
 Each outer step needs z_j = M^{-1} v_j and the Arnoldi product A z_j,
 which the loop takes from one ``step`` callable; confirmations and
@@ -27,8 +27,8 @@ problem to ``ilsolve.preconditioners._block_solve``, which folds A2's
 empty rows and takes z_j and A z_j from the preconditioner's own step;
 every other solve steps with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
 ``fgmres_solve`` check the operator and the right-hand side; their loops
-``_cg`` and ``_fgmres`` trust float64 vectors and use ``ndarray.dot``, the
-BLAS calls of ``@`` without its dispatch.
+``_cg`` and ``_fgmres`` trust float64 vectors of finite norm and use
+``ndarray.dot``, the BLAS calls of ``@`` without its dispatch.
 """
 
 from __future__ import annotations
@@ -83,35 +83,42 @@ class FgmresConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: iteration count, wall time, relative residual
-    history (a read-only float64 copy of the sequence given; length
-    iterations + 1, last entry equals final_res), whether the solve
-    converged, free-text notes, how many times flexible GMRES resumed after
-    an unconfirmed early end, and one (iteration, estimate, true residual)
-    entry per flexible GMRES confirmation; built once."""
+    """Outcome of one solve, built once: wall time, the relative residual
+    history (a read-only float64 copy of the nonempty sequence given),
+    whether the solve converged, free-text notes, how many times flexible
+    GMRES resumed after an unconfirmed early end, and one (iteration,
+    estimate, true residual) entry per flexible GMRES confirmation.
+    ``iterations`` and ``final_res`` are the history's length less one and
+    its last entry, so they cannot disagree with it."""
 
-    iterations: int
     wall_seconds: float
-    final_res: float
     res_history: np.ndarray
     converged: bool
     notes: tuple[str, ...] = ()
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
 
-    def __post_init__(self):  # a read-only copy, so no one's writes make it disagree with final_res
+    def __post_init__(self):  # a read-only copy, so no one's writes reach it
         history = np.array(self.res_history, dtype=float)
         history.setflags(write=False)
         object.__setattr__(self, "res_history", history)
 
+    iterations = property(lambda self: len(self.res_history) - 1)
+    final_res = property(lambda self: float(self.res_history[-1]))
+
 
 def _checked_rhs(op: LinearOperator, rhs) -> np.ndarray:
-    """Both solvers' entry check: ``rhs`` as float64 of a square ``op``'s size."""
+    """Both solvers' entry check: ``rhs`` as float64 of a square ``op``'s
+    size, with a finite 2-norm (so no NaN or inf entry)."""
     if op.n_rows != op.n_cols:
         raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
     rhs = _real(rhs, "rhs")
     if rhs.shape != (op.n_cols,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(rhs.dot(rhs)))
+    if not math.isfinite(norm):
+        raise ValueError(f"rhs is not finite or too large: its 2-norm is {norm}")
     return rhs
 
 
@@ -132,39 +139,36 @@ def cg_solve(
     IndefiniteOperatorError is raised carrying the best iterate reached so
     far, and on a non-finite p'Ap a NumericalFailureError naming the
     iteration; when the iteration cap is hit the lowest-residual iterate
-    is returned with converged=False.
+    is returned with converged=False, its residual closing the history.
     """
     cfg = config or CgConfig()
     rhs = _checked_rhs(op, rhs)
-    return _cg(lambda p: (op.apply(p), None), rhs, cfg)[:2]
+    t0 = time.perf_counter()
+    x, history, converged, residual, _ = _cg(lambda p: (op.apply(p), None), rhs, cfg)
+    best = f"returned best iterate (residual {history[-1]:.3e}) instead of the last"
+    return x, SolveReport(time.perf_counter() - t0, history, converged, (best,) if residual is None else ())
 
 
 def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None):
-    """The CG loop of cg_solve, as (x, report, residual, image):
+    """The CG loop of cg_solve, as (x, history, converged, residual, image):
     ``product(p)`` gives (S p, A1 p), whose A1 p may be None where
-    ``image`` is None.  ``image``, zeros of length p, is updated in place
-    to A1 x.  ``residual`` is the recurrence residual rhs - S x; both are
-    None when an earlier iterate is returned, and with them the paired
-    step of ilsolve.preconditioners makes no product by A1 or A1'A1."""
-    t0 = time.perf_counter()
+    ``image``, zeros of length p updated in place to A1 x, is None.
+    ``history`` lists the relative recurrence residuals, and ``residual``
+    is rhs - S x.  When the cap returns an earlier iterate, its residual
+    closes the history and ``residual`` and ``image`` are None; with them
+    the paired step of ilsolve.preconditioners makes no product by A1 or A1'A1."""
     # r is updated in place; x and p are only rebound, so p may alias rhs
     # and the best iterate is a reference, not a copy.
     r, p = rhs.copy(), np.ascontiguousarray(rhs)
     rs = float(r.dot(r))
     bnorm = math.sqrt(rs)  # what np.linalg.norm computes
-    if not math.isfinite(bnorm):
-        raise ValueError(f"rhs is not finite: its norm is {bnorm}")
     if bnorm == 0.0:
-        report = SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
-        return np.zeros(len(rhs)), report, r, image
+        return np.zeros(len(rhs)), [0.0], True, r, image
 
     x = best_x = np.zeros(len(rhs))
     history = [1.0]
     best_res = 1.0
-    converged = False
-    notes: list[str] = []
-    k = 0
-    while k < cfg.max_iterations:
+    for k in range(cfg.max_iterations):
         ap, a1p = product(p)
         pap = float(p.dot(ap))
         if not math.isfinite(pap):
@@ -185,26 +189,17 @@ def _cg(product, rhs: np.ndarray, cfg: CgConfig, image=None):
         rs_new = float(r.dot(r))
         res = math.sqrt(rs_new) / bnorm
         history.append(res)
-        k += 1
         if res < best_res:
             best_x, best_res = x, res
         if res < cfg.rel_tolerance:
-            converged = True
-            break
+            return x, history, True, r, image
         p = r + (rs_new / rs) * p
         rs = rs_new
 
-    if not converged and best_res < history[-1]:
-        # Return the best iterate seen; final_res reflects it.
-        notes.append(f"returned best iterate (residual {best_res:.3e}) instead of the last")
-        x = best_x
-        out_res, residual, image = best_res, None, None
-    else:
-        out_res, residual = history[-1], r
-    report = SolveReport(
-        k, time.perf_counter() - t0, out_res, np.array(history), converged, notes=tuple(notes)
-    )
-    return x, report, residual, image
+    if best_res < history[-1]:  # capped: the best iterate seen closes the history
+        history[-1] = best_res
+        return best_x, history, False, None, None
+    return x, history, False, r, image
 
 
 def _givens(a: float, b: float) -> tuple[float, float]:
@@ -265,8 +260,9 @@ def fgmres_solve(
     reads the |A z_j| of the breakdown test rather than scanning A z_j
     entry by entry.  A preconditioner output whose shape is not that of
     ``rhs`` raises ValueError naming its shape and the iteration; a
-    non-square operator or an rhs of the wrong shape or with a NaN or inf
-    raises ValueError before the solve, and a complex one TypeError.
+    non-square operator or an rhs of the wrong shape or of non-finite norm
+    (a NaN or inf, or entries whose 2-norm overflows) raises ValueError
+    before the solve, and a complex one TypeError.
 
     Given ``block_system_operator(prob)`` and a Preconditioner built on
     the same ``prob``, the solve is that preconditioner's block solve (see
@@ -276,8 +272,6 @@ def fgmres_solve(
     """
     cfg = config or FgmresConfig()
     rhs = _checked_rhs(op, rhs)
-    if not np.isfinite(rhs).all():
-        raise ValueError("rhs is not finite")
     # Imported here: both modules import this one.
     from .preconditioners import Preconditioner, _block_solve
     from .problem import _BlockOperator
@@ -306,7 +300,7 @@ def _fgmres(apply, step, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
     t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return np.zeros(len(rhs)), SolveReport(0, time.perf_counter() - t0, 0.0, np.array([0.0]), True)
+        return np.zeros(len(rhs)), SolveReport(time.perf_counter() - t0, [0.0], True)
 
     x = np.zeros(len(rhs))
     r, rnorm = rhs, bnorm
@@ -409,14 +403,5 @@ def _fgmres(apply, step, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray
         )
         x = best_x
         history[-1] = best_res
-    report = SolveReport(
-        it,
-        time.perf_counter() - t0,
-        history[-1],
-        np.array(history),
-        converged,
-        notes=tuple(notes),
-        resumptions=resumptions,
-        confirmations=tuple(confirmations),
-    )
-    return x, report
+    wall = time.perf_counter() - t0
+    return x, SolveReport(wall, history, converged, tuple(notes), resumptions, tuple(confirmations))

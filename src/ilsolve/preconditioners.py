@@ -75,7 +75,7 @@ from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
 from .problem import IlsProblem, _gram_pair, apply_block_A, block_system_operator, densify
-from .sparse import SparseMatrixCsr, _real, one_norm
+from .sparse import SparseMatrixCsr, _real, _sealed, one_norm
 
 __all__ = [
     "VARIANTS",
@@ -157,8 +157,8 @@ def _inexact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
 
     def solve(rhs: np.ndarray) -> tuple:
         try:
-            z2, report, s, image = _cg(pair, rhs, config, np.zeros(prob.p) if paired else None)
-            iterations, converged = report.iterations, report.converged
+            z2, history, converged, s, image = _cg(pair, rhs, config, np.zeros(prob.p) if paired else None)
+            iterations = len(history) - 1
         except IndefiniteOperatorError as exc:
             # A breakdown on an ill-conditioned (in exact arithmetic SPD) S: keep the best iterate.
             z2, s, image, iterations, converged = exc.x_best, None, None, exc.iterations, False
@@ -192,11 +192,11 @@ def _build_fold(prob: IlsProblem):
         return None
     keep = ~empty
     if csr:  # the dropped rows hold no entries
-        offsets = np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]])
+        offsets = _sealed(np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]]))
         a2 = SparseMatrixCsr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
     else:
-        a2 = np.vstack([a2[keep], np.zeros((1, a2.shape[1]))])
-    b2 = np.append(prob.b2[keep], np.linalg.norm(prob.b2[empty]))
+        a2 = _sealed(np.vstack([a2[keep], np.zeros((1, a2.shape[1]))]))
+    b2 = _sealed(np.append(prob.b2[keep], np.linalg.norm(prob.b2[empty])))
     return IlsProblem(prob.a1, a2, prob.b1, b2, prob.alpha), empty
 
 
@@ -206,7 +206,7 @@ class Preconditioner:
     It keeps the splitting and takes its inner solve, once, from the entry
     of _INNER_SOLVES that ``inner`` names, which also says whether z is
     ``linear`` in r (kind 'none' always is) and whether the step is
-    ``paired`` (see the module docstring); it reads ``config`` then, once.
+    ``paired`` (see the module docstring); it reads ``inner_config`` then.
     ``inner_iterations`` and ``inner_failures`` add up the inner solves'
     counts over reuses (call ``reset_stats`` between timed runs).
     """
@@ -218,13 +218,12 @@ class Preconditioner:
         if inner not in _INNER_SOLVES:
             raise ValueError(f"unknown inner solver mode {inner!r}")
         self.problem = problem
-        self.config = inner_config or CgConfig()
         shift = self.shift = problem.alpha if kind in IBS_VARIANTS else 0.0
         if kind == "none":  # solves nothing
             self.linear, self.paired = True, False
         else:
-            build = _INNER_SOLVES[inner]
-            self._solve, self.linear, self.paired = build(problem, shift, _gram_pair(problem, shift), self.config)
+            build, config = _INNER_SOLVES[inner], inner_config or CgConfig()
+            self._solve, self.linear, self.paired = build(problem, shift, _gram_pair(problem, shift), config)
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -329,7 +328,7 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
         # up may return an earlier one): its entry gets the same residual.
         confirmations = confirmations[:-1] + (confirmations[-1][:2] + (true_res,),)
     return x, replace(
-        report, wall_seconds=time.perf_counter() - t0, final_res=true_res,
+        report, wall_seconds=time.perf_counter() - t0,
         res_history=np.append(report.res_history[:-1], true_res),
         converged=true_res < cfg.rel_tolerance, confirmations=confirmations,
     )

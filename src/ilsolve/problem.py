@@ -20,10 +20,10 @@ which gives exactly ``(A1 @ x) @ A1``).  Vectors of the block system are
 flat float64 arrays of length p + n + q, and ``prob.split(v)`` gives their
 (d1, x, d2) blocks as views; both it and ``apply_block_A`` also take a
 (p + n + q, k) block of columns.  Every solve starts from the zero vector.
-A problem keeps the data derived from its blocks in one read-only cache,
-``IlsProblem._shared``: ilsolve.preconditioners keeps the exact inner
-factors there (by shift), the Gram norm bound and the fold of A2's empty
-rows, and ilsolve.analysis its decompositions (by name).
+A problem's data is read-only, and so is the one cache of data derived
+from it, ``IlsProblem._shared``: ilsolve.preconditioners keeps the exact
+inner factors there (by shift), the Gram norm bound and the fold of A2's
+empty rows, and ilsolve.analysis its decompositions (by name).
 
 Inputs are checked once, at the public entry points (IlsProblem, split,
 spmv, the applies, the solvers): shape, dtype (complex input is a
@@ -51,7 +51,7 @@ from .exceptions import (
 from .krylov import CgConfig, _count, cg_solve
 from .operators import LinearOperator, as_matrix
 from . import sparse
-from .sparse import SparseMatrixCsr, _check_block, _real, one_norm
+from .sparse import SparseMatrixCsr, _check_block, _read_only, _real, one_norm
 
 __all__ = [
     "IlsProblem",
@@ -74,9 +74,10 @@ class IlsProblem:
     side, and the diagonal shift used by the inexact preconditioners.
 
     p, q and n are read from the block shapes.  A CSR block is kept as
-    given; any other block is stored as a 2-D float64 ndarray (Hilbert
-    blocks, say, stay dense).  Blocks and right-hand side must be real
-    and finite.  A problem equals only itself, and hashes by identity.
+    such, any other as a 2-D float64 ndarray.  Blocks and right-hand side
+    must be real and finite; they are read-only, copied once where the
+    caller can still write them (sparse._read_only), so no later write
+    reaches the problem or its cache.  It equals only itself, hashing by identity.
     """
 
     a1: SparseMatrixCsr | np.ndarray
@@ -93,10 +94,10 @@ class IlsProblem:
     _factors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "b1", _real(self.b1, "b1"))
-        object.__setattr__(self, "b2", _real(self.b2, "b2"))
+        object.__setattr__(self, "b1", _read_only(_real(self.b1, "b1")))
+        object.__setattr__(self, "b2", _read_only(_real(self.b2, "b2")))
         for name in ("a1", "a2"):
-            block = as_matrix(getattr(self, name), name.upper())
+            block = _read_only(as_matrix(getattr(self, name), name.upper()))
             entries = block.values if isinstance(block, SparseMatrixCsr) else block
             if not np.isfinite(entries).all():
                 raise ValueError(f"{name.upper()} has non-finite entries")
@@ -161,9 +162,9 @@ class IlsProblem:
 
 
 def partition_problem(a, b: np.ndarray, p: int, q: int) -> IlsProblem:
-    """Split an m x n matrix (CSR or dense, as IlsProblem takes its blocks;
-    dense blocks are copies of its rows) and length-m vector into the
-    (A1, A2, b1, b2) blocks, with A1 the first p rows and the default shift from A1."""
+    """Split an m x n matrix (CSR or dense, as IlsProblem takes its blocks)
+    and length-m vector into the (A1, A2, b1, b2) blocks, with A1 the first p
+    rows and the default shift from A1."""
     a, b = as_matrix(a, "A"), _real(b, "b")
     for name, value in (("p", p), ("q", q)):
         _count(name, value, 0)
@@ -178,7 +179,7 @@ def partition_problem(a, b: np.ndarray, p: int, q: int) -> IlsProblem:
             "problem to an ordinary least squares problem"
         )
     csr = isinstance(a, SparseMatrixCsr)
-    a1, a2 = (a.row_slice(0, p), a.row_slice(p, m)) if csr else (a[:p].copy(), a[p:].copy())
+    a1, a2 = (a.row_slice(0, p), a.row_slice(p, m)) if csr else (a[:p], a[p:])
     return IlsProblem(a1, a2, b[:p], b[p:], compute_alpha(a1))
 
 
@@ -275,8 +276,7 @@ def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:
 
 
 def densify(block) -> np.ndarray:
-    """Dense form of one block.  An ndarray block is returned as is, not
-    copied, so callers must not write to the result."""
+    """Dense form of one block; an ndarray block is returned as is (read-only)."""
     return block.to_dense() if isinstance(block, SparseMatrixCsr) else block
 
 

@@ -6,7 +6,9 @@ checking the operand, and inner CG's Gram pair calls it unchecked on A1's
 arrays; a (rows, k) block goes through it column by column, so each column
 is the vector's product bit for bit and scratch stays O(nnz).  The row index
 of every stored entry, which both products need, is computed once per
-matrix at construction; index arrays must hold whole numbers.
+matrix at construction; index arrays must hold whole numbers.  The arrays
+this module makes (that row index, ``from_triplets``, row slices,
+normalization, rectangular identities) are read-only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,28 @@ def _real(x, name: str) -> np.ndarray:
     if x.dtype.kind == "c":
         raise TypeError(f"{name} must be real, got dtype {x.dtype}")
     return x.astype(np.float64, copy=False)
+
+
+def _sealed(x: np.ndarray) -> np.ndarray:
+    """``x``, which the package made and no one else holds, marked read-only."""
+    x.flags.writeable = False
+    return x
+
+
+def _read_only(x):
+    """``x`` if it and every array it views are read-only, else a read-only
+    copy in the same memory order; a CSR matrix with a writable array is
+    rebuilt on read-only copies of its arrays."""
+    if isinstance(x, SparseMatrixCsr):
+        arrays = (x.row_offsets, x.col_indices, x.values)
+        kept = tuple(map(_read_only, arrays))
+        return x if all(k is a for k, a in zip(kept, arrays)) else SparseMatrixCsr(*x.shape, *kept)
+    base = x
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return _sealed(x.copy(order="K"))
+        base = base.base
+    return x
 
 
 def _check_block(x: np.ndarray, rows: int, name: str, word: str = "shape") -> None:
@@ -97,7 +121,7 @@ class SparseMatrixCsr:
         counts = np.diff(offs)
         if np.any(counts < 0):
             raise ValueError("row_offsets must be non-decreasing")
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
+        rows = _sealed(np.repeat(np.arange(self.n_rows, dtype=np.int64), counts))
         object.__setattr__(self, "_rows", rows)
         if len(vals) and (cols.min() < 0 or cols.max() >= self.n_cols):
             raise ValueError("column index out of range")
@@ -135,7 +159,7 @@ class SparseMatrixCsr:
         counts = np.bincount(r, minlength=n_rows)
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls(n_rows, n_cols, offsets, c, summed)
+        return cls(n_rows, n_cols, *map(_sealed, (offsets, c, summed)))
 
     def to_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._rows.copy(), self.col_indices.copy(), self.values.copy()
@@ -153,7 +177,7 @@ class SparseMatrixCsr:
         return SparseMatrixCsr(
             stop - start,
             self.n_cols,
-            self.row_offsets[start : stop + 1] - lo,
+            _sealed(self.row_offsets[start : stop + 1] - lo),
             self.col_indices[lo:hi],
             self.values[lo:hi],
         )
@@ -208,7 +232,7 @@ def normalize_to_unit_one_norm(a: SparseMatrixCsr) -> SparseMatrixCsr:
         raise DegenerateMatrixError("cannot normalize an all-zero matrix")
     if norm == 1.0:
         return a
-    return replace(a, values=a.values / norm)
+    return replace(a, values=_sealed(a.values / norm))
 
 
 def rectangular_identity_csr(n_rows: int, n_cols: int, scale: float = 1.0) -> SparseMatrixCsr:
@@ -218,4 +242,4 @@ def rectangular_identity_csr(n_rows: int, n_cols: int, scale: float = 1.0) -> Sp
     idx = np.arange(k, dtype=np.int64)
     vals = np.full(k, float(scale))
     offsets = np.minimum(np.arange(n_rows + 1, dtype=np.int64), k)
-    return SparseMatrixCsr(n_rows, n_cols, offsets, idx, vals)
+    return SparseMatrixCsr(n_rows, n_cols, *map(_sealed, (offsets, idx, vals)))

@@ -293,6 +293,22 @@ def test_folded_report_history_is_read_only():
     assert rep.res_history[-1] == rep.final_res
 
 
+def test_a_write_to_b2_after_a_folded_solve_leaves_the_twin_right():
+    # The problem keeps a read-only copy of the caller's b2, so the twin
+    # that the first solve kept agrees with its problem after the write.
+    base = with_empty_rows(il.generate_random_problem(8, 5, 4, seed=3), 0, 6, 3, sparse=True)
+    b2 = np.array(base.b2)
+    prob = IlsProblem(base.a1, base.a2, base.b1, b2, base.alpha)
+    pre = make_preconditioner("ibs2", prob)
+    first, _ = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob))
+    b2 *= 3.0
+    twin, empty = _fold(prob)
+    fresh, fresh_empty = preconditioners_module._build_fold(prob)
+    assert np.array_equal(twin.b2, fresh.b2) and np.array_equal(empty, fresh_empty)
+    again, _ = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob))
+    assert np.array_equal(again, first)
+
+
 def test_resumption_count_survives_the_fold(monkeypatch):
     # A zero first direction breaks the first cycle down unconfirmed, so
     # the solve resumes once, on the twin (paired steps) as on the full

@@ -23,12 +23,16 @@ from ilsolve import (
     make_preconditioner,
 )
 from ilsolve import problem as problem_module
+from ilsolve.analysis import stationary_solve
+from ilsolve.bench import generate_augmented_problem
+from ilsolve.exceptions import StationaryDivergenceError
 from ilsolve.krylov import _assemble, _cg
 from ilsolve.operators import LinearOperator, aslinearoperator
-from ilsolve.preconditioners import _INNER_SOLVES
+from ilsolve.preconditioners import _INNER_SOLVES, _fold
+from ilsolve.sparse import normalize_to_unit_one_norm, rectangular_identity_csr
 from ilsolve.problem import _gram_pair, densify
 
-from conftest import random_desk_problem, random_spd
+from conftest import random_csr, random_desk_problem, random_spd
 
 
 def shifted_gram(prob, shift):
@@ -148,8 +152,10 @@ class TestCg:
     def test_residual_of_the_returned_iterate(self, rng):
         # The CG loop returns its recurrence residual when the returned
         # iterate is the last one (the preconditioners' paired step reads
-        # it), and None when an earlier best iterate is returned; its x and
-        # report are cg_solve's.
+        # it), and None when an earlier best iterate is returned; its x,
+        # history and convergence are cg_solve's.  Its history is the
+        # textbook loop's but for the last entry, the returned iterate's
+        # residual: the lowest, below the loop's last for an earlier iterate.
         m = random_spd(rng, 15, cond=200.0)
         rhs = rng.standard_normal(15)
         op = aslinearoperator(m)
@@ -157,17 +163,19 @@ class TestCg:
         substituted = 0
         for cap in range(1, 16):
             cfg = CgConfig(1e-15, cap)
-            x, report, residual, image = _cg(product, rhs, cfg)
+            x, history, converged, residual, image = _cg(product, rhs, cfg)
             want_x, want = cg_solve(op, rhs, config=cfg)
-            assert np.array_equal(x, want_x) and np.array_equal(report.res_history, want.res_history)
-            assert image is None
-            if report.final_res < report.res_history[-1]:
+            assert np.array_equal(x, want_x) and np.array_equal(history, want.res_history)
+            assert converged == want.converged and image is None
+            loop = textbook_cg(op, rhs, 1e-15, cap)[1]
+            assert history[:-1] == loop[:-1].tolist() and history[-1] == loop.min()
+            if loop.min() < loop[-1]:
                 substituted += 1
                 assert residual is None
             else:
                 np.testing.assert_allclose(residual, rhs - m @ x, rtol=0, atol=1e-12 * np.linalg.norm(rhs))
         assert substituted
-        _, _, residual, _ = _cg(product, np.zeros(15), CgConfig())
+        _, _, _, residual, _ = _cg(product, np.zeros(15), CgConfig())
         assert np.array_equal(residual, np.zeros(15))
 
     def test_history_contract(self, rng):
@@ -211,10 +219,15 @@ class TestCg:
         x, report = cg_solve(op, rhs, config=CgConfig(tol, maxit))
         want_x, want_history = textbook_cg(op, rhs, tol, maxit)
         assert report.converged == (case != "capped")
-        if case == "capped":
-            assert report.notes and report.final_res < report.res_history[-1]
         assert np.array_equal(x, want_x)
-        assert np.array_equal(report.res_history, want_history)
+        # The returned iterate's residual closes the history: the loop's
+        # lowest, and for the capped run's earlier iterate below its last.
+        assert np.array_equal(report.res_history[:-1], want_history[:-1])
+        assert report.final_res == want_history.min()
+        if case == "capped":
+            assert report.notes and report.final_res < want_history[-1]
+        else:
+            assert np.array_equal(report.res_history, want_history)
 
     def test_breakdown_best_iterate_is_bit_identical(self):
         # Positive curvature for four iterations, then p'Ap < 0.
@@ -282,12 +295,12 @@ class TestCarriedImage:
         shift = prob.alpha if shifted else 0.0
         rhs = np.random.default_rng(seed).standard_normal(prob.n)
         cfg = CgConfig(tol, cap)
-        x, report, residual, image = _cg(_gram_pair(prob, shift), rhs, cfg, np.zeros(prob.p))
+        x, history, _, residual, image = _cg(_gram_pair(prob, shift), rhs, cfg, np.zeros(prob.p))
         # Carrying the image changes no iterate, and the loop without an
         # image to carry returns none.
         want_x, want = cg_solve(shifted_gram(prob, shift), rhs, cfg)
-        assert np.array_equal(x, want_x) and np.array_equal(report.res_history, want.res_history)
-        assert _cg(_gram_pair(prob, shift), rhs, cfg)[3] is None
+        assert np.array_equal(x, want_x) and np.array_equal(history, want.res_history)
+        assert _cg(_gram_pair(prob, shift), rhs, cfg)[4] is None
         if residual is None:  # an earlier iterate was returned
             assert image is None
             return
@@ -296,7 +309,7 @@ class TestCarriedImage:
         # iterates grow in norm from zero (Hestenes and Stiefel, J. Res. NBS
         # 49, 1952, Theorem 6:3), so each term gamma_i p_i = x_i - x_(i-1)
         # is at most 2 |x| long.  Measured here: at most 0.03 of the bound.
-        k = report.iterations
+        k = len(history) - 1
         a1d = densify(prob.a1)
         bound = 2 * (prob.n + k) * EPS * np.linalg.norm(a1d) * 2 * k * np.linalg.norm(x)
         assert image.shape == (prob.p,)
@@ -310,10 +323,11 @@ class TestCarriedImage:
         rhs = np.random.default_rng(3).standard_normal(prob.n)
         earlier = 0
         for cap in range(1, 3 * prob.n):
-            x, report, residual, image = _cg(pair, rhs, CgConfig(1e-15, cap), np.zeros(prob.p))
-            if report.final_res < report.res_history[-1]:
+            x, history, _, residual, image = _cg(pair, rhs, CgConfig(1e-15, cap), np.zeros(prob.p))
+            loop = textbook_cg(shifted_gram(prob, 0.0), rhs, 1e-15, cap)[1]
+            if loop.min() < loop[-1]:
                 earlier += 1
-                assert residual is None and image is None
+                assert residual is None and image is None and history[-1] == loop.min()
             else:
                 want = prob.a1 @ x
                 np.testing.assert_allclose(image, want, rtol=0, atol=1e-10 * np.linalg.norm(want))
@@ -324,14 +338,15 @@ class TestCarriedImage:
         # inner solve gets s and A1 z2 of CG's best iterate from one product
         # of its Gram pair.
         prob = random_desk_problem(13)
-        pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
+        cfg = CgConfig(1e-10, 100)
+        pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=cfg)
         assert pre.paired
         diag = np.resize([1.0, 1.0, 1.0, 1.0, 1.0, -50.0], prob.n)
         pair = lambda v: (diag * v, prob.a1 @ v)
-        solve = _INNER_SOLVES["cg"](prob, pre.shift, pair, pre.config)[0]
+        solve = _INNER_SOLVES["cg"](prob, pre.shift, pair, cfg)[0]
         rhs = rng.standard_normal(prob.n)
         with pytest.raises(IndefiniteOperatorError) as info:
-            _cg(pair, rhs, pre.config, np.zeros(prob.p))
+            _cg(pair, rhs, cfg, np.zeros(prob.p))
         z, s, u, iterations, converged = solve(rhs)
         assert np.array_equal(z, info.value.x_best)
         assert np.array_equal(s, rhs - diag * z) and np.array_equal(u, prob.a1 @ z)
@@ -340,8 +355,9 @@ class TestCarriedImage:
     @pytest.mark.parametrize("layout", IMAGE_LAYOUTS)
     def test_zero_rhs_gives_a_zero_image(self, layout):
         prob = image_problem(layout, 5)
-        x, report, _, image = _cg(_gram_pair(prob, prob.alpha), np.zeros(prob.n), CgConfig(), np.zeros(prob.p))
-        assert report.iterations == 0 and np.array_equal(x, np.zeros(prob.n))
+        pair = _gram_pair(prob, prob.alpha)
+        x, history, converged, _, image = _cg(pair, np.zeros(prob.n), CgConfig(), np.zeros(prob.p))
+        assert history == [0.0] and converged and np.array_equal(x, np.zeros(prob.n))
         assert np.array_equal(image, np.zeros(prob.p))
         pre = make_preconditioner("ibs3", prob)
         assert pre.paired
@@ -358,7 +374,7 @@ class TestCarriedImage:
             for b in (rhs, np.zeros(prob.n)):
                 out = cg_solve(gram, b)
                 assert len(out) == 2 and not [k for k in vars(out[1]) if k.startswith("_")]
-                _, _, residual, image = _cg(lambda p: (gram.apply(p), None), b, CgConfig())
+                _, _, _, residual, image = _cg(lambda p: (gram.apply(p), None), b, CgConfig())
                 assert residual is not None and image is None
 
 
@@ -367,6 +383,84 @@ def assert_history_read_only(report):
     with pytest.raises(ValueError, match="read-only"):
         report.res_history[-1] = 5.0
     assert report.res_history[-1] == report.final_res
+
+
+def capped_cg_with_a_best_iterate():
+    # kappa = 1e6 and two iterations: the residual rises to 2.398, so the
+    # zero start, of residual 1, is returned and closes the history.
+    rng = np.random.default_rng(6)
+    m = random_spd(rng, 30, cond=1e6)
+    report = cg_solve(aslinearoperator(m), rng.standard_normal(30), CgConfig(1e-12, 2))[1]
+    assert report.notes and report.res_history[1] > 2.0 and not report.converged
+    return report
+
+
+def block_solve(prob, kind="ibs2"):
+    return fgmres_solve(block_system_operator(prob), make_preconditioner(kind, prob), build_rhs(prob))[1]
+
+
+def folded_solve():
+    core = normalize_to_unit_one_norm(random_csr(np.random.default_rng(2), 10, 6, density=0.6))
+    prob = generate_augmented_problem(core, 9)
+    assert _fold(prob) is not None
+    return block_solve(prob, "ibs1")
+
+
+def restarted_solve():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
+    rhs = rng.standard_normal(20)
+    report = fgmres_solve(aslinearoperator(m), identity(20), rhs, FgmresConfig(1e-10, 200, restart=4))[1]
+    assert report.converged and report.iterations > 8
+    return report
+
+
+def given_up_solve():
+    # After its first call the preconditioner adds 1e16 * u (see
+    # TestFgmres::test_giving_up_returns_the_best_confirmed_iterate).
+    u, calls = np.random.default_rng(0).standard_normal(12), []
+
+    def garbage_after_first(r):
+        calls.append(1)
+        return r.copy() if len(calls) == 1 else r + 1e16 * u
+
+    op = aslinearoperator(np.diag(np.linspace(1.0, 10.0, 12)))
+    report = fgmres_solve(op, LinearOperator(12, 12, garbage_after_first), np.ones(12), FgmresConfig(1e-10, 50))[1]
+    assert report.notes[-1].startswith("returned the iterate of iteration")
+    return report
+
+
+def diverged_stationary_solve():
+    a1, a2 = rectangular_identity_csr(2, 2), rectangular_identity_csr(2, 2, scale=10.0)
+    with pytest.raises(StationaryDivergenceError) as info:
+        stationary_solve("ibs1", IlsProblem(a1, a2, np.ones(2), np.ones(2), 1.0), tol=1e-10, maxit=500)
+    return info.value.report
+
+
+REPORTS = {
+    "cg-converged": lambda: cg_solve(aslinearoperator(random_spd(np.random.default_rng(1), 10)), np.ones(10))[1],
+    "cg-capped-best-iterate": capped_cg_with_a_best_iterate,
+    "cg-zero-rhs": lambda: cg_solve(aslinearoperator(np.eye(4)), np.zeros(4))[1],
+    "fgmres-generic": lambda: fgmres_solve(aslinearoperator(np.diag([1.0, 2.0, 5.0])), identity(3), np.ones(3))[1],
+    "fgmres-block": lambda: block_solve(random_desk_problem(3)),
+    "fgmres-folded": folded_solve,
+    "fgmres-restarted": restarted_solve,
+    "fgmres-given-up": given_up_solve,
+    "stationary-converged": lambda: stationary_solve("ibs2", random_desk_problem(0))[1],
+    "stationary-diverged": diverged_stationary_solve,
+}
+
+
+@pytest.mark.parametrize("case", REPORTS)
+def test_report_contract(case):
+    # Every public solve's report is its residual history: iterations is
+    # its length less one, final_res its last entry, and no one can write it.
+    report = REPORTS[case]()
+    assert type(report.iterations) is int and type(report.final_res) is float
+    assert len(report.res_history) == report.iterations + 1
+    assert report.res_history[-1] == report.final_res
+    with pytest.raises(ValueError, match="read-only"):
+        report.res_history[-1] = 5.0
 
 
 class TestHistoryIsReadOnly:
@@ -388,9 +482,9 @@ class TestHistoryIsReadOnly:
     def test_report_keeps_a_copy_of_the_given_history(self):
         # A list is accepted, and the caller's array stays the caller's:
         # writable, and writing into it leaves the report alone.
-        assert_history_read_only(SolveReport(1, 0.0, 0.5, [1.0, 0.5], True))
+        assert_history_read_only(SolveReport(0.0, [1.0, 0.5], True))
         given = np.array([1.0, 0.25])
-        report = SolveReport(1, 0.0, 0.25, given, True)
+        report = SolveReport(0.0, given, True)
         given[-1] = 5.0
         assert report.res_history[-1] == report.final_res == 0.25
         assert report.res_history.dtype == np.float64
@@ -730,6 +824,15 @@ class TestSolverInput:
         rhs = np.array([1.0, value, 0.0, 3.0])
         with pytest.raises(ValueError, match="^rhs is not finite"):
             self.SOLVERS[solver](op, rhs)
+        assert applied == []
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_rhs_whose_norm_overflows(self, solver):
+        # Finite entries whose 2-norm is inf would overflow in the loop.
+        applied = []
+        op = LinearOperator(4, 4, lambda v: applied.append(1) or 2.0 * v)
+        with pytest.raises(ValueError, match="^rhs is not finite or too large: its 2-norm is inf$"):
+            self.SOLVERS[solver](op, np.full(4, 1e200))
         assert applied == []
 
     def test_non_finite_rhs_on_the_block_system(self):

@@ -60,12 +60,12 @@ def inverses(pre):
 
 def as_earlier_iterate(monkeypatch):
     """Make inner CG return its x as an earlier iterate: with neither its
-    residual nor A1 x, and the same report."""
+    residual nor A1 x, and the same history and convergence."""
     cg = preconditioners_module._cg
 
     def earlier(*args):
-        x, report, _, _ = cg(*args)
-        return x, report, None, None
+        x, history, converged, _, _ = cg(*args)
+        return x, history, converged, None, None
 
     monkeypatch.setattr(preconditioners_module, "_cg", earlier)
 
@@ -239,6 +239,11 @@ class TestInnerSolvers:
         za, zb = tight.apply(r), exact.apply(r)
         assert np.linalg.norm(za - zb) / np.linalg.norm(zb) <= 1e-9
 
+    def test_inner_config_is_not_kept(self):
+        # It is read once, at construction, so there is nothing to assign later.
+        pre = make_preconditioner("ibs2", random_desk_problem(10), inner_config=CgConfig(1e-6, 50))
+        assert not hasattr(pre, "config")
+
     def test_inner_failure_is_recorded_not_raised(self, rng):
         prob = random_desk_problem(11)
         pre = make_preconditioner(
@@ -256,16 +261,17 @@ class TestInnerSolvers:
         # the other after one.  The preconditioner keeps CG's best iterate
         # and counts the breakdown as a failure.
         prob = random_desk_problem(13)
-        pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-10, 100))
+        cfg = CgConfig(1e-10, 100)
+        pre = make_preconditioner("ibs1", prob, inner="cg", inner_config=cfg)
         r = rng.standard_normal(prob.size)
         pre.apply(r)
         before = pre.inner_iterations
         assert before > 0 and pre.inner_failures == 0
         diag = np.resize(signs, prob.n)
         pair = lambda v: (diag * v, prob.a1 @ v)
-        monkeypatch.setattr(pre, "_solve", _INNER_SOLVES["cg"](prob, pre.shift, pair, pre.config)[0])
+        monkeypatch.setattr(pre, "_solve", _INNER_SOLVES["cg"](prob, pre.shift, pair, cfg)[0])
         with pytest.raises(IndefiniteOperatorError) as info:
-            cg_solve(LinearOperator(prob.n, prob.n, lambda v: diag * v), prob.split(r)[1], config=pre.config)
+            cg_solve(LinearOperator(prob.n, prob.n, lambda v: diag * v), prob.split(r)[1], config=cfg)
         z = pre.apply(r)
         assert pre.inner_failures == 1
         assert pre.inner_iterations == before + info.value.iterations

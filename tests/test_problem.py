@@ -109,6 +109,112 @@ class TestPartition:
         assert prob.alpha == compute_alpha(a.row_slice(0, 4))
 
 
+def exact_and_cg(prob, r):
+    """z = M^{-1} r for ibs1 with an exact inner solve (the problem's shared
+    factor) and with inner CG at 1e-12, which reads the blocks afresh."""
+    exact = il.make_preconditioner("ibs1", prob, inner="cholesky").apply(r)
+    cg = il.make_preconditioner("ibs1", prob, inner="cg", inner_config=CgConfig(1e-12, 1000)).apply(r)
+    return exact, cg
+
+
+def all_read_only(*blocks):
+    arrays = []
+    for block in blocks:
+        if isinstance(block, SparseMatrixCsr):
+            arrays += [block.row_offsets, block.col_indices, block.values, block._rows]
+        else:
+            arrays.append(block)
+    return not any(a.flags.writeable for a in arrays)
+
+
+class TestDataIsReadOnly:
+    """A problem holds read-only data, copying what its caller can still
+    write, so the data ``_shared`` derives from it cannot go stale."""
+
+    def test_a_write_to_the_callers_block_reaches_neither_block_nor_factor(self, rng):
+        base = il.generate_random_problem(20, 15, 10, seed=4)
+        a1 = np.array(base.a1)
+        prob = IlsProblem(a1, np.array(base.a2), np.array(base.b1), np.array(base.b2), base.alpha)
+        r = rng.standard_normal(prob.size)
+        before, _ = exact_and_cg(prob, r)
+        a1 *= 2.0
+        exact, cg = exact_and_cg(prob, r)
+        np.testing.assert_allclose(cg, exact, rtol=0, atol=1e-9 * np.abs(exact).max())
+        assert np.array_equal(prob.a1, base.a1) and np.array_equal(exact, before)
+
+    def test_a_write_to_a_csr_matrix_after_partition_problem(self, rng):
+        base = il.generate_random_problem(20, 15, 10, seed=5)
+        dense = np.vstack([base.a1, base.a2])
+        dense[rng.random(dense.shape) < 0.3] = 0.0
+        rows, cols = np.nonzero(dense)
+        offsets = np.concatenate([[0], np.cumsum(np.count_nonzero(dense, axis=1))])
+        values = dense[rows, cols]
+        a = SparseMatrixCsr(35, 10, offsets, cols, values)
+        prob = partition_problem(a, np.concatenate([base.b1, base.b2]), p=20, q=15)
+        r = rng.standard_normal(prob.size)
+        before, _ = exact_and_cg(prob, r)
+        values *= 2.0  # the caller's array, which a.values is
+        assert a.values is values
+        exact, cg = exact_and_cg(prob, r)
+        np.testing.assert_allclose(cg, exact, rtol=0, atol=1e-9 * np.abs(exact).max())
+        assert np.array_equal(prob.a1.to_dense(), dense[:20]) and np.array_equal(exact, before)
+
+    def test_writable_data_is_copied_once_and_read_only_data_kept(self):
+        a1 = np.asfortranarray(np.arange(12.0).reshape(4, 3) + np.eye(4, 3))
+        frozen = np.ones((2, 3))
+        frozen.flags.writeable = False
+        view = np.ones(2).view()  # read-only, but its base is writable
+        view.flags.writeable = False
+        b1 = np.ones(4)
+        prob = IlsProblem(a1, frozen, b1, view, 1.0)
+        assert prob.a1 is not a1 and np.array_equal(prob.a1, a1) and prob.a1.flags.f_contiguous
+        assert prob.b1 is not b1 and prob.b2 is not view
+        assert prob.a2 is frozen
+        assert all_read_only(prob.a1, prob.a2, prob.b1, prob.b2)
+        again = dataclasses.replace(prob, alpha=2.0)
+        assert all(getattr(again, k) is getattr(prob, k) for k in ("a1", "a2", "b1", "b2"))
+
+    def test_a_csr_block_with_a_writable_array_is_rebuilt(self):
+        given = SparseMatrixCsr(2, 2, [0, 1, 2], [0, 1], [1.0, 2.0])
+        made = rectangular_identity_csr(2, 2, 3.0)
+        prob = IlsProblem(given, made, np.ones(2), np.ones(2), 1.0)
+        assert prob.a1 is not given and np.array_equal(prob.a1.to_dense(), given.to_dense())
+        assert prob.a2 is made
+        assert all_read_only(prob.a1, prob.a2)
+
+    def test_the_package_makes_read_only_data_that_needs_no_copy(self, monkeypatch, tmp_path):
+        # The generators, the Matrix Market reader (from_triplets), the
+        # normalization, row slices and the fold's twin mark the arrays
+        # they make read-only, so a problem built on them copies nothing.
+        copied = []
+        read_only = problem_module._read_only
+
+        def recording(x):
+            out = read_only(x)
+            if out is not x:
+                copied.append(x)
+            return out
+
+        monkeypatch.setattr(problem_module, "_read_only", recording)
+        path = tmp_path / "core.mtx"
+        written = SparseMatrixCsr.from_triplets(4, 3, [0, 1, 2, 3], [0, 1, 2, 0], [2.0, 3.0, 4.0, 1.0])
+        il.write_matrix_market(written, path)
+        core = normalize_to_unit_one_norm(il.read_matrix_market(path))
+        augmented = il.generate_augmented_problem(core, 6)
+        b = np.ones(6)
+        b.flags.writeable = False
+        problems = [
+            augmented,
+            il.generate_hilbert_problem(12),
+            il.generate_random_problem(9, 4, 5, seed=1),
+            partition_problem(rectangular_identity_csr(6, 3), b, p=4, q=2),
+            il.preconditioners._fold(augmented)[0],
+        ]
+        for prob in problems:
+            assert all_read_only(prob.a1, prob.a2, prob.b1, prob.b2)
+        assert all_read_only(written, core) and copied == []
+
+
 class TestProblemValidation:
     @pytest.mark.parametrize("b1, b2", [([1.0, np.nan], [1.0]), ([1.0, 1.0], [np.inf])])
     def test_non_finite_rhs_rejected(self, b1, b2):

@@ -22,22 +22,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED_FIELDS = {"wall_seconds"}  # timings differ from run to run
+# A SolveReport is fed by its public attributes, not its dataclass fields,
+# so a field that becomes a property derived from another hashes the same.
+REPORT_ATTRIBUTES = (
+    "iterations", "final_res", "res_history", "converged", "notes", "resumptions", "confirmations",
+)
 
 
 def feed(h, value) -> None:
-    """Add ``value`` to the hash ``h``: arrays by dtype, shape and bytes,
-    dataclasses field by field, containers item by item, the rest by repr."""
+    """Add ``value`` to the hash ``h``: arrays by dtype, shape and bytes, a
+    SolveReport by REPORT_ATTRIBUTES and other dataclasses field by field
+    (timings left out), containers item by item, the rest by repr."""
     import numpy as np
 
     if isinstance(value, np.ndarray):
         h.update(f"array {value.dtype} {value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        h.update(type(value).__name__.encode())
-        for f in dataclasses.fields(value):
-            if f.name not in SKIPPED_FIELDS:
-                h.update(f.name.encode())
-                feed(h, getattr(value, f.name))
+        name = type(value).__name__
+        h.update(name.encode())
+        fields = [f.name for f in dataclasses.fields(value) if f.name not in SKIPPED_FIELDS]
+        for attribute in REPORT_ATTRIBUTES if name == "SolveReport" else fields:
+            h.update(attribute.encode())
+            feed(h, getattr(value, attribute))
     elif isinstance(value, (tuple, list)):
         h.update(f"seq {len(value)}".encode())
         for item in value:
