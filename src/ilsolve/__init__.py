@@ -32,7 +32,6 @@ from .exceptions import (
     IndefiniteOperatorError,
     NotSpdError,
     NumericalFailureError,
-    OracleFailureError,
     ParseError,
     ProblemAssumptionError,
     StationaryDivergenceError,
@@ -54,7 +53,6 @@ from .problem import (
     block_system_operator,
     build_rhs,
     compute_alpha,
-    full_solution_from_x,
     partition_problem,
     reference_solution,
 )

@@ -193,13 +193,13 @@ class ConditionReport:
     """Positive-definiteness certificates for the matrices that govern
     stationary convergence, plus the conditioning of the inner matrices.
 
-    ``spd_normal`` covers A1'A1 - A2'A2; the *_shifted variants replace
-    the Gram matrix by its alpha-shifted version inside the tested
-    combinations.  The shift gap alpha*I needs no certificate: IlsProblem
-    rejects alpha < 0.  Both convergence certificates also require
-    ``spd_normal``, the problem's standing hypothesis (see
-    ProblemAssumptionError): without it the shifted combinations can be SPD
-    while rho(I - M^{-1}A) exceeds 1.
+    With H = A1'A1 - A2'A2 and S = alpha*I + A1'A1, ``spd_normal`` covers
+    H, the problem's standing hypothesis (see ProblemAssumptionError), and
+    the shifted certificates test S - A2'A2 = H + alpha*I, 2S - A1'A1 -
+    A2'A2 = H + 2alpha*I and 2S - A1'A1 + A2'A2 = A1'A1 + A2'A2 + 2alpha*I.
+    IlsProblem rejects alpha < 0, so ``spd_normal`` implies all three, and
+    both convergence certificates, which also require it, equal it: without
+    it the shifted combinations can be SPD while rho(I - M^{-1}A) exceeds 1.
     """
 
     spd_normal: bool

@@ -68,11 +68,6 @@ class ProblemAssumptionError(IlsolveError):
     matrix A1'A1 - A2'A2 is symmetric positive definite."""
 
 
-class OracleFailureError(IlsolveError):
-    """The reference-solution solver did not converge; no answer is
-    reported rather than an unreliable one."""
-
-
 class StationaryDivergenceError(IlsolveError):
     """A stationary iteration grew its residual past the divergence guard."""
 
@@ -94,6 +89,5 @@ class AccuracyWarning(UserWarning):
 SOLVER_FAILURES = (
     NumericalFailureError,
     IndefiniteOperatorError,
-    OracleFailureError,
     StationaryDivergenceError,
 )

@@ -84,7 +84,7 @@ class FgmresConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve, built once: wall time, the relative residual
-    history (a read-only float64 copy of the nonempty sequence given),
+    history (a read-only float64 copy of the nonempty 1-D sequence given),
     whether the solve converged, free-text notes, how many times flexible
     GMRES resumed after an unconfirmed early end, and one (iteration,
     estimate, true residual) entry per flexible GMRES confirmation.
@@ -100,6 +100,8 @@ class SolveReport:
 
     def __post_init__(self):  # a read-only copy, so no one's writes reach it
         history = np.array(self.res_history, dtype=float)
+        if history.ndim != 1 or not len(history):
+            raise ValueError(f"res_history must be a nonempty 1-D sequence, got shape {history.shape}")
         history.setflags(write=False)
         object.__setattr__(self, "res_history", history)
 

@@ -41,14 +41,13 @@ import numpy as np
 
 from .dense import cholesky_solve, dense_cholesky
 from .exceptions import (
+    ConfigurationError,
     DegenerateMatrixError,
     DegenerateProblemError,
-    IndefiniteOperatorError,
     NotSpdError,
-    OracleFailureError,
     ProblemAssumptionError,
 )
-from .krylov import CgConfig, _count, cg_solve
+from .krylov import _count
 from .operators import LinearOperator, as_matrix
 from . import sparse
 from .sparse import SparseMatrixCsr, _check_block, _read_only, _real, one_norm
@@ -60,11 +59,9 @@ __all__ = [
     "apply_block_A",
     "build_rhs",
     "block_system_operator",
-    "reduced_normal_operator",
     "densify",
     "dense_blocks",
     "reference_solution",
-    "full_solution_from_x",
 ]
 
 
@@ -268,16 +265,9 @@ def _gram_pair(prob: IlsProblem, shift: float):
     return pair
 
 
-def reduced_normal_operator(prob: IlsProblem) -> LinearOperator:
-    """v -> A1'(A1 v) - A2'(A2 v), the reduced normal matrix of the
-    original minimization."""
-    a1, a2 = prob.a1, prob.a2
-    return LinearOperator(prob.n, prob.n, lambda v: (a1 @ v) @ a1 - (a2 @ v) @ a2)
-
-
 def densify(block) -> np.ndarray:
     """Dense form of one block; an ndarray block is returned as is (read-only)."""
-    return block.to_dense() if isinstance(block, SparseMatrixCsr) else block
+    return sparse._sealed(block.to_dense()) if isinstance(block, SparseMatrixCsr) else block
 
 
 def dense_blocks(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -292,41 +282,22 @@ def reference_solution(prob: IlsProblem) -> tuple[np.ndarray, str]:
     """(x*, note): the solution of (A1'A1 - A2'A2) x = A1'b1 - A2'b2 for
     the ERR column, computed without the preconditioners under test.
 
-    Up to DENSE_MAX_N unknowns the reduced normal matrix is formed once
-    and factored by Cholesky; when it is indefinite (several classic
-    benchmark constructions make it so) an LU solve takes over and the
-    note says so, else the note is ''.  A singular matrix raises
-    ProblemAssumptionError.  Above the threshold matrix-free CG runs at
-    relative tolerance 1e-14 for at most 10n iterations.
+    The reduced normal matrix is formed once and factored by Cholesky;
+    when it is indefinite (several classic benchmark constructions make it
+    so) an LU solve takes over and the note says so, else the note is ''.
+    A singular matrix raises ProblemAssumptionError, and more than
+    DENSE_MAX_N unknowns ConfigurationError.
     """
+    if prob.n > DENSE_MAX_N:
+        raise ConfigurationError(f"dense reference solution requested for n = {prob.n} > cap {DENSE_MAX_N}")
     rhs = prob.b1 @ prob.a1 - prob.b2 @ prob.a2
-    if prob.n <= DENSE_MAX_N:
-        a1d, a2d = dense_blocks(prob)
-        normal = a1d.T @ a1d - a2d.T @ a2d
-        try:
-            return cholesky_solve(dense_cholesky(normal), rhs), ""
-        except NotSpdError:
-            try:
-                x = np.linalg.solve(normal, rhs)
-            except np.linalg.LinAlgError:
-                raise ProblemAssumptionError("reduced normal matrix is singular") from None
-            return x, "reduced normal matrix indefinite; reference from dense LU solve"
-    cfg = CgConfig(rel_tolerance=1e-14, max_iterations=10 * prob.n)
+    a1d, a2d = dense_blocks(prob)
+    normal = a1d.T @ a1d - a2d.T @ a2d
     try:
-        x, report = cg_solve(reduced_normal_operator(prob), rhs, config=cfg)
-    except IndefiniteOperatorError as exc:
-        raise ProblemAssumptionError(
-            "CG breakdown: reduced normal matrix is not positive definite"
-        ) from exc
-    if not report.converged:
-        raise OracleFailureError(
-            f"reference CG stalled at relative residual {report.final_res:.3e} "
-            f"after {report.iterations} iterations"
-        )
-    return x, ""
-
-
-def full_solution_from_x(prob: IlsProblem, x: np.ndarray) -> np.ndarray:
-    """Lift a length-n solution to the flat (b1 - A1 x; x; b2 - A2 x)."""
-    x = _real(x, "x")
-    return np.concatenate([prob.b1 - prob.a1 @ x, x, prob.b2 - prob.a2 @ x])
+        return cholesky_solve(dense_cholesky(normal), rhs), ""
+    except NotSpdError:
+        try:
+            x = np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
+            raise ProblemAssumptionError("reduced normal matrix is singular") from None
+        return x, "reduced normal matrix indefinite; reference from dense LU solve"

@@ -478,18 +478,25 @@ PENCIL_MARGIN = 1e-8
 @example(seed=3, scale=5.0)  # outside: A1'A1 - A2'A2 is indefinite
 def test_certificates_imply_the_disk_on_both_sides_of_the_hypothesis(seed, scale):
     # The abstract's implications on random 12 x 8 x 10 instances with A2
-    # scaled across the hypothesis A1'A1 - A2'A2 > 0: each variant's
+    # scaled across the hypothesis H = A1'A1 - A2'A2 > 0: each variant's
     # certificate gives rho < 1, and for ibs2/ibs4 the certificate is the
-    # pencil's eigenvalues lying in (0, 2).
+    # pencil's eigenvalues lying in (0, 2).  The shifted certificates test
+    # H + alpha I, H + 2 alpha I and H + 2 A2'A2 + 2 alpha I, so with
+    # alpha >= 0 both certificates are spd_normal.  Conversely, without
+    # it every variant has rho >= 1: for ibs2/ibs4 because S - H =
+    # alpha I + A2'A2 > 0 (S = alpha I + A1'A1) puts mu below 1, so rho < 1
+    # exactly when mu > 0, that is when H > 0; for ibs1/ibs3 as observed.
     base = il.generate_random_problem(12, 8, 10, seed=seed)
     prob = IlsProblem(base.a1, scale * base.a2, base.b1, base.b2, base.alpha)
     reports = {kind: verify_eigenstructure(kind, prob) for kind in ("ibs1", "ibs2", "ibs3", "ibs4")}
     mu = reports["ibs2"].interval_eigs
     assume(abs(mu.min()) > PENCIL_MARGIN and abs(mu.max() - 2.0) > PENCIL_MARGIN)
     conditions = check_convergence_conditions(prob)
+    assert conditions.ibs13_converges == conditions.ibs24_converges == conditions.spd_normal
     for kind, report in reports.items():
         certified = conditions.ibs24_converges if kind in ("ibs2", "ibs4") else conditions.ibs13_converges
         assert not certified or report.rho_estimate < 1.0, kind
+        assert conditions.spd_normal or report.rho_estimate >= 1.0, kind
         if kind in ("ibs2", "ibs4"):
             assert conditions.ibs24_converges == report.interval_contained, kind
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,19 +108,31 @@ class TestReferenceSolution:
         rhs = h.T @ np.ones(30) - 0.7 * np.ones(30)
         assert np.linalg.norm(normal @ x - rhs) / np.linalg.norm(rhs) <= 1e-8
 
-    def test_singular_normal_matrix_gives_rows_without_err(self, tmp_path):
-        # A1 = A2 = I_4 makes A1'A1 - A2'A2 the zero matrix.
+    @pytest.mark.parametrize(
+        "a2_scale, cap, error, message",
+        [
+            # A1 = A2 = I_4 makes A1'A1 - A2'A2 the zero matrix.
+            (1.0, None, il.ProblemAssumptionError, "reduced normal matrix is singular"),
+            # A nonsingular problem one unknown past the dense cap.
+            (0.5, 3, ConfigurationError, "dense reference solution requested for n = 4 > cap 3"),
+        ],
+    )
+    def test_singular_normal_matrix_gives_rows_without_err(
+        self, tmp_path, monkeypatch, a2_scale, cap, error, message
+    ):
         matrix = tmp_path / "eye.mtx"
         il.write_matrix_market(rectangular_identity_csr(4, 4), matrix)
         spec = ExperimentSpec(
-            matrix=str(matrix), q=4, a2_scale=1.0, normalize=False,
+            matrix=str(matrix), q=4, a2_scale=a2_scale, normalize=False,
             preconditioners=("ibs2",), runs=1,
         )
-        with pytest.raises(il.ProblemAssumptionError, match="reduced normal matrix is singular"):
+        if cap is not None:
+            monkeypatch.setattr(il.problem, "DENSE_MAX_N", cap)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             reference_solution(build_problem(spec))
         (row,) = run_experiment(spec)
         assert row.preconditioner == "ibs2" and row.err is None
-        assert row.note == "reference solution unavailable: reduced normal matrix is singular"
+        assert row.note == f"reference solution unavailable: {message}"
 
 
 class TestSpecParsing:

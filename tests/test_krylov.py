@@ -461,6 +461,10 @@ def test_report_contract(case):
     assert report.res_history[-1] == report.final_res
     with pytest.raises(ValueError, match="read-only"):
         report.res_history[-1] = 5.0
+    # A history has an entry for the start, so an empty or 0-d one is refused.
+    for bad in (report.res_history[:0], report.res_history[-1]):
+        with pytest.raises(ValueError, match=r"^res_history must be a nonempty 1-D sequence, got shape \((0,)?\)$"):
+            SolveReport(report.wall_seconds, bad, report.converged)
 
 
 class TestHistoryIsReadOnly:

@@ -8,18 +8,14 @@ from ilsolve import (
     CgConfig,
     DegenerateProblemError,
     IlsProblem,
-    OracleFailureError,
-    ProblemAssumptionError,
     apply_block_A,
     build_rhs,
-    cg_solve,
     compute_alpha,
-    full_solution_from_x,
     partition_problem,
     reference_solution,
 )
 from ilsolve import problem as problem_module
-from ilsolve.problem import _gram_pair, reduced_normal_operator
+from ilsolve.problem import _gram_pair
 from ilsolve.sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
 
 from conftest import dense_block_system, random_csr, random_desk_problem, scalar_problem
@@ -38,7 +34,8 @@ class TestSplit:
 
     def test_split_returns_views_of_flat_block_vectors(self, rng):
         prob = random_desk_problem(2)
-        for v in (build_rhs(prob), full_solution_from_x(prob, rng.standard_normal(prob.n))):
+        x = rng.standard_normal(prob.n)
+        for v in (build_rhs(prob), np.concatenate([prob.b1 - prob.a1 @ x, x, prob.b2 - prob.a2 @ x])):
             assert v.dtype == np.float64 and v.shape == (prob.size,)
             for block in prob.split(v):
                 assert block.base is v
@@ -102,6 +99,13 @@ class TestPartition:
             assert np.array_equal(got, want)
         assert np.array_equal(dense.b1, sparse.b1) and np.array_equal(dense.b2, sparse.b2)
         assert dense.alpha == sparse.alpha
+
+    def test_dense_blocks_are_read_only_for_both_kinds(self, rng):
+        a = random_csr(rng, 6, 3)
+        for prob in (partition_problem(a, np.ones(6), p=4, q=2), partition_problem(a.to_dense(), np.ones(6), p=4, q=2)):
+            for block in il.problem.dense_blocks(prob):
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0, 0] = 1.0
 
     def test_auto_alpha_is_squared_one_norm(self, rng):
         a = random_csr(rng, 6, 3)
@@ -424,13 +428,6 @@ class TestOperators:
         gram = _gram_pair(prob, 0.0)
         assert np.array_equal(shifted(v)[0], prob.alpha * v + gram(v)[0])
 
-    def test_reduced_normal_operator(self, rng):
-        prob = random_desk_problem(4)
-        a1d, a2d = il.problem.dense_blocks(prob)
-        v = rng.standard_normal(prob.n)
-        want = a1d.T @ (a1d @ v) - a2d.T @ (a2d @ v)
-        assert np.allclose(reduced_normal_operator(prob).apply(v), want, rtol=1e-13, atol=1e-13)
-
 
 class TestExactSolutionOracle:
     def test_identity_a1_zero_a2(self):
@@ -449,55 +446,11 @@ class TestExactSolutionOracle:
         # Residual check against the normal equations (4 - 1) x = 6.
         assert abs(3.0 * x[0] - 6.0) <= 1e-14
 
-    def test_cg_branch_agrees_with_dense(self, monkeypatch):
-        prob = il.generate_random_problem(p=420, q=30, n=400, seed=11)
-        dense, dense_note = reference_solution(prob)
-        monkeypatch.setattr(problem_module, "DENSE_MAX_N", 0)
-        cg, cg_note = reference_solution(prob)
-        assert dense_note == cg_note == ""
-        assert np.linalg.norm(dense - cg) / np.linalg.norm(dense) <= 1e-6
-
-    def test_cap_boundary_selects_the_cg_branch(self, monkeypatch):
-        # n = DENSE_MAX_N stays dense; one past the cap runs CG, which
-        # converges to the dense answer (the reduced normal matrix has
-        # condition at most 8 here, and CG stops at 1e-14).
-        prob = il.generate_random_problem(p=20, q=10, n=15, seed=3)
-        calls = []
-        monkeypatch.setattr(
-            problem_module, "cg_solve", lambda op, rhs, config: calls.append(1) or cg_solve(op, rhs, config=config)
-        )
-        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n)
-        dense, _ = reference_solution(prob)
-        assert calls == []
-        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n - 1)
-        cg, note = reference_solution(prob)
-        assert calls == [1] and note == ""
-        assert np.linalg.norm(dense - cg) <= 1e-12 * np.linalg.norm(dense)
-
-    def test_stalled_cg_is_an_oracle_failure(self, monkeypatch):
-        # CG held to one iteration cannot reach 1e-14 on 15 unknowns.
-        prob = il.generate_random_problem(p=20, q=10, n=15, seed=3)
-        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n - 1)
-        monkeypatch.setattr(
-            problem_module, "cg_solve",
-            lambda op, rhs, config: cg_solve(op, rhs, config=CgConfig(config.rel_tolerance, 1)),
-        )
-        with pytest.raises(OracleFailureError, match="^reference CG stalled at relative residual .* after 1 iterations$"):
-            reference_solution(prob)
-
-    def test_assumption_violation_raises(self, monkeypatch):
-        # A2 large enough that the reduced normal matrix goes indefinite.
-        # Only the CG branch raises; the dense branch takes the LU fallback.
-        prob = IlsProblem(rectangular_identity_csr(2, 2), rectangular_identity_csr(2, 2, scale=3.0), np.ones(2), np.ones(2), 1.0)
-        monkeypatch.setattr(problem_module, "DENSE_MAX_N", 0)
-        with pytest.raises(ProblemAssumptionError, match="not positive definite"):
-            reference_solution(prob)
-
     def test_lifted_solution_satisfies_block_system(self):
         for i in range(10):
             prob = random_desk_problem(i)
             x_star, _ = reference_solution(prob)
-            v_star = full_solution_from_x(prob, x_star)
+            v_star = np.concatenate([prob.b1 - prob.a1 @ x_star, x_star, prob.b2 - prob.a2 @ x_star])
             rhs = build_rhs(prob)
             res = np.linalg.norm(apply_block_A(prob, v_star) - rhs)
             assert res / np.linalg.norm(rhs) <= 1e-10
