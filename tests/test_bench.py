@@ -116,6 +116,7 @@ class TestReferenceSolution:
             # A nonsingular problem one unknown past the dense cap.
             (0.5, 3, ConfigurationError, "dense reference solution requested for n = 4 > cap 3"),
         ],
+        ids=["singular", "above-cap"],
     )
     def test_singular_normal_matrix_gives_rows_without_err(
         self, tmp_path, monkeypatch, a2_scale, cap, error, message

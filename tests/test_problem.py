@@ -6,8 +6,10 @@ import pytest
 import ilsolve as il
 from ilsolve import (
     CgConfig,
+    ConfigurationError,
     DegenerateProblemError,
     IlsProblem,
+    ProblemAssumptionError,
     apply_block_A,
     build_rhs,
     compute_alpha,
@@ -445,6 +447,52 @@ class TestExactSolutionOracle:
         assert np.allclose(x, [2.0], rtol=0, atol=1e-14)
         # Residual check against the normal equations (4 - 1) x = 6.
         assert abs(3.0 * x[0] - 6.0) <= 1e-14
+
+    def test_assumption_violation_raises(self):
+        # A1 = A2 = I_2 makes the reduced normal matrix zero: no reference.
+        eye = rectangular_identity_csr(2, 2)
+        prob = IlsProblem(eye, eye, np.ones(2), np.ones(2), 1.0)
+        with pytest.raises(ProblemAssumptionError, match="^reduced normal matrix is singular$"):
+            reference_solution(prob)
+
+    def test_indefinite_matrix_takes_the_lu_fallback(self):
+        # A2 = 3 I_2 gives (1 - 9) x = 1 - 3, so x = 1/4 from the LU solve.
+        prob = IlsProblem(
+            rectangular_identity_csr(2, 2), rectangular_identity_csr(2, 2, scale=3.0), np.ones(2), np.ones(2), 1.0
+        )
+        x, note = reference_solution(prob)
+        assert note == "reduced normal matrix indefinite; reference from dense LU solve"
+        assert np.allclose(x, [0.25, 0.25], rtol=0, atol=1e-15)
+
+    def test_cap_boundary_raises_configuration_error(self, monkeypatch):
+        # n = DENSE_MAX_N still gets the dense solve, bit for bit; one
+        # unknown past the cap raises and names both numbers.
+        prob = il.generate_random_problem(p=20, q=10, n=15, seed=3)
+        want, want_note = reference_solution(prob)
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n)
+        x, note = reference_solution(prob)
+        assert np.array_equal(x, want) and note == want_note == ""
+        monkeypatch.setattr(problem_module, "DENSE_MAX_N", prob.n - 1)
+        with pytest.raises(ConfigurationError, match="^dense reference solution requested for n = 15 > cap 14$"):
+            reference_solution(prob)
+
+    def test_sparse_and_dense_blocks_give_one_reference(self):
+        # The same data as CSR or ndarray blocks solves the normal
+        # equations A1'(A1 x) - A2'(A2 x) = A1'b1 - A2'b2, applied matrix-free.
+        def as_csr(a):
+            rows, cols = np.nonzero(a)
+            return SparseMatrixCsr.from_triplets(*a.shape, rows, cols, a[rows, cols])
+
+        for i in range(5):
+            dense = random_desk_problem(i)
+            csr = IlsProblem(as_csr(dense.a1), as_csr(dense.a2), dense.b1, dense.b2, dense.alpha)
+            rhs = csr.b1 @ csr.a1 - csr.b2 @ csr.a2
+            x_csr, _ = reference_solution(csr)
+            x_dense, _ = reference_solution(dense)
+            for prob, x in ((csr, x_csr), (dense, x_dense)):
+                normal_x = (prob.a1 @ x) @ prob.a1 - (prob.a2 @ x) @ prob.a2
+                assert np.linalg.norm(normal_x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+            assert np.allclose(x_csr, x_dense, rtol=1e-10, atol=0)
 
     def test_lifted_solution_satisfies_block_system(self):
         for i in range(10):
