@@ -2,16 +2,17 @@
 and the spectral structure of the preconditioned operators.
 
 Everything here forms small matrices densely on purpose.  The point of
-this module is verification, not production solving: positive
-definiteness is certified by attempted Cholesky factorizations (LAPACK),
-symmetric eigenproblems go through a cyclic Jacobi sweep, and the
-preconditioned operator M^{-1} A is assembled densely once per check, by
-batched preconditioner applies to the block matrix (one at desk scale).
-Spectral radii of the (non-symmetric) iteration operators I - M^{-1} A are
-the largest eigenvalue moduli of that matrix (``np.linalg.eigvals``), and
-the predicted eigenvector families are checked against the same matrix.
-The pencil (A1'A1 - A2'A2, alpha*I + A1'A1) and null(A2') are decomposed
-once per problem and shared by the four variants' eigenstructure checks.
+this module is verification, not production solving: positive definiteness
+is certified by attempted Cholesky factorizations (LAPACK), null spaces
+come from one LAPACK SVD, the other symmetric eigenproblems go through a
+cyclic Jacobi sweep, and the preconditioned operator M^{-1} A is assembled
+densely once per check, by batched preconditioner applies to the block
+matrix (one at desk scale).  Spectral radii of the (non-symmetric)
+iteration operators I - M^{-1} A are the largest eigenvalue moduli of that
+matrix (``np.linalg.eigvals``), and the predicted eigenvector families are
+checked against the same matrix.  The pencil (A1'A1 - A2'A2, alpha*I +
+A1'A1) and null(A2') are decomposed once per problem and shared by the
+four variants' eigenstructure checks.
 """
 
 from __future__ import annotations
@@ -155,20 +156,19 @@ def generalized_sym_eigpairs(b: np.ndarray, c: np.ndarray):
 
 
 def null_space_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of m (columns), using a Jacobi
-    eigendecomposition of m'm with rank threshold dim * eps * lambda_max.
+    """Orthonormal basis of the null space of m (columns), from one SVD.
 
-    Null candidates are polished by projecting out the row-space
-    eigenvectors (whose accuracy is set by the spectral gap, not by the
-    square root of the threshold) and re-orthonormalizing.  Warns
-    RankAmbiguityWarning when the smallest retained eigenvalue sits within
-    a decade of the threshold, i.e. when the rank decision is fragile.
+    The squared singular values, zero-padded to m's column count, are the
+    eigenvalues w of m'm; the null space is spanned by the right singular
+    vectors with w <= dim * eps * max(w).  m'm is never formed, so they are
+    null to rounding (Golub and Van Loan, Matrix Computations, sec. 5.4).
+    Warns RankAmbiguityWarning when the smallest retained eigenvalue sits
+    within a decade of the threshold, i.e. when the rank decision is fragile.
     """
     m = np.asarray(m, dtype=np.float64)
-    gram = m.T @ m
-    w, v = jacobi_eigh(gram)
-    lam_max = float(w[-1]) if w.size else 0.0
-    thresh = gram.shape[0] * _EPS * max(lam_max, 0.0)
+    _, sing, vt = np.linalg.svd(m)
+    w = np.pad(sing**2, (0, m.shape[1] - sing.size))
+    thresh = m.shape[1] * _EPS * w.max(initial=0.0)
     null_mask = w <= thresh
     kept = w[~null_mask]
     if kept.size and thresh > 0.0 and kept.min() < 10.0 * thresh:
@@ -177,11 +177,7 @@ def null_space_basis(m: np.ndarray) -> np.ndarray:
             RankAmbiguityWarning,
             stacklevel=2,
         )
-    basis = v[:, null_mask]
-    row_space = v[:, ~null_mask]
-    if basis.shape[1] and row_space.shape[1]:
-        basis, _ = np.linalg.qr(basis - row_space @ (row_space.T @ basis))
-    return basis
+    return vt[null_mask].T
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Dense symmetric kernels: Cholesky factorization and triangular solves.
 
-The factorization runs on LAPACK through ``np.linalg.cholesky`` and
-doubles as the positive-definiteness test used by the convergence-condition
-checks, so on failure it reports the failing elimination step instead of a
-bare exception.  numpy has no triangular solve, so the triangular solves
-are blocked sweeps: per row block one BLAS update from the blocks already
-solved and one product with the inverse of its diagonal block.  Those
-inverses come from one batched LAPACK inversion per factor; the factor
-itself is never inverted.  Inverting only small diagonal blocks keeps the
-accuracy of substitution in practice (Du Croz and Higham, IMA J. Numer.
-Anal. 12, 1992).  A caller that applies one factor many times computes
-the inverses once (ilsolve.preconditioners._inner_factor keeps them beside
-the factor in the problem's one cache, IlsProblem._shared); any other call
-computes them itself.
+The factorization runs on LAPACK through ``np.linalg.cholesky`` and on
+failure reports the failing elimination step; ``is_spd``, the test of the
+convergence-condition checks, makes the same attempt without that search.
+numpy has no triangular solve, so the triangular solves are blocked
+sweeps: per row block one BLAS update from the blocks already solved and
+one product with the inverse of its diagonal block.  Those inverses come
+from one batched LAPACK inversion per factor; the factor itself is never
+inverted.  Inverting only small diagonal blocks keeps the accuracy of
+substitution in practice (Du Croz and Higham, IMA J. Numer. Anal. 12,
+1992).  A caller that applies one factor many times computes the inverses
+once (ilsolve.preconditioners._inner_factor keeps them beside the factor
+in the problem's one cache, IlsProblem._shared); any other call computes
+them itself.
 """
 
 from __future__ import annotations
@@ -44,12 +44,22 @@ def dense_cholesky(m: np.ndarray) -> np.ndarray:
     or falls below n*eps*max|diag| (the rounding guard that keeps
     semidefinite inputs from slipping through as definite).
     """
+    a, pivot_floor, lower = _attempt(m)
+    if lower is None:
+        raise _pivot_failure(a, pivot_floor)
+    return lower
+
+
+def _attempt(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """One attempted factorization of m, after dense_cholesky's input
+    checks: m as a float array, its pivot floor, and its Cholesky factor,
+    or None when a pivot is non-positive or at or below the floor."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n = a.shape[0]
     if n == 0:
-        return np.zeros((0, 0))
+        return a, 0.0, np.zeros((0, 0))
     # max|a| without an n x n temporary; a NaN entry makes it NaN.
     scale = max(float(a.max()), -float(a.min()))
     if not np.isfinite(scale):
@@ -57,10 +67,7 @@ def dense_cholesky(m: np.ndarray) -> np.ndarray:
     if _max_asymmetry(a) > _SYMMETRY_TOL * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric to the required tolerance")
     pivot_floor = n * _EPS * float(np.abs(np.diagonal(a)).max())
-    lower = _leading_factor(a, n, pivot_floor)
-    if lower is None:
-        raise _pivot_failure(a, pivot_floor)
-    return lower
+    return a, pivot_floor, _leading_factor(a, n, pivot_floor)
 
 
 def _max_asymmetry(a: np.ndarray) -> float:
@@ -161,10 +168,6 @@ def solve_lower_transpose(
 
 
 def is_spd(m: np.ndarray) -> bool:
-    """Positive-definiteness via attempted factorization."""
-    try:
-        dense_cholesky(m)
-    except NotSpdError:
-        return False
-    return True
+    """Positive-definiteness via one attempt of dense_cholesky's factorization."""
+    return _attempt(m)[2] is not None
 

@@ -142,6 +142,39 @@ class TestNullSpaceBasis:
         with pytest.warns(RankAmbiguityWarning):
             null_space_basis(np.diag([1.0, np.sqrt(10 * EPS)]))
 
+    def test_graded_matrix_null_vectors_exact_to_rounding(self, rng):
+        # Singular values 1 down to 1e-6, then three zeros: m'm has
+        # condition 1e12 on its row space, which the SVD never forms.
+        u, _ = np.linalg.qr(rng.standard_normal((20, 12)))
+        v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        m = u @ np.diag(np.r_[np.logspace(0, -6, 9), np.zeros(3)]) @ v.T
+        basis = null_space_basis(m)
+        assert basis.shape == (12, 3)
+        assert np.abs(m @ basis).max() <= 1e-14
+        assert np.abs(basis.T @ basis - np.eye(3)).max() <= 1e-14
+
+    def test_no_jacobi_sweep(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jacobi_eigh called")
+
+        monkeypatch.setattr(il.analysis, "jacobi_eigh", refuse)
+        m = rng.standard_normal((3, 7))
+        basis = null_space_basis(m)
+        assert basis.shape == (7, 4)
+        assert np.abs(m @ basis).max() <= 1e-12
+        assert np.abs(basis.T @ basis - np.eye(4)).max() <= 1e-12
+        assert null_space_basis(np.zeros((4, 4))).shape == (4, 4)
+        assert null_space_basis(rng.standard_normal((6, 3))).shape == (3, 0)
+
+    def test_eigenstructure_sweeps_only_the_pencil(self, monkeypatch):
+        calls = []
+        original = il.analysis.jacobi_eigh
+        monkeypatch.setattr(il.analysis, "jacobi_eigh", lambda s: calls.append(s.shape) or original(s))
+        prob = il.generate_random_problem(12, 9, 5, seed=3)  # q > n: null(A2') has dimension 4
+        reports = [verify_eigenstructure(kind, prob) for kind in ("ibs1", "ibs2", "ibs3", "ibs4")]
+        assert reports[0].unit_eigenvalue_checks[1].count == 4
+        assert calls == [(5, 5)]
+
 
 class TestConditionReport:
     def test_zero_a2_makes_all_conditions_hold(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ilsolve.dense
 from ilsolve import CgConfig, NotSpdError, cg_solve, cholesky_solve, dense_cholesky
 from ilsolve.dense import _BLOCK, is_spd, solve_lower, solve_lower_transpose
 from ilsolve.operators import aslinearoperator
@@ -60,6 +61,19 @@ class TestDenseCholesky:
 
     def test_semidefinite_fails(self):
         assert not is_spd(np.diag([1.0, 0.0]))
+
+    def test_is_spd_decides_without_locating_the_failure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("failing step searched for")
+
+        monkeypatch.setattr(ilsolve.dense, "_pivot_failure", refuse)
+        assert not is_spd(np.diag([4.0, 1.0, -1.0, 2.0]))
+        assert not is_spd(np.diag([1.0, 1e-17]))
+        assert is_spd(np.eye(3)) and is_spd(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="square"):
+            is_spd(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="symmetric"):
+            is_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -2,12 +2,13 @@
 
     python3 tools/digest.py --seed 1234
 
-Builds each workload of perfbench/workloads.py from the seed, runs each of
-its operations once, and hashes every result: iterates, residual
-histories, iteration and failure counts, notes and eigen reports.  Wall
-times are left out.  Two checkouts that print the same digest for a
-workload computed the same bits on it.  Digests compare only on one
-machine and BLAS build, since those change the rounding.
+Builds each workload of perfbench/workloads.py from the seed, and a desk
+pool with q > n, runs each of its operations once, and hashes every
+result: iterates, residual histories, iteration and failure counts, notes
+and eigen reports.  Wall times are left out.  Two checkouts that print
+the same digest for a workload computed the same bits on it.  Digests
+compare only on one machine and BLAS build, since those change the
+rounding.
 """
 
 from __future__ import annotations
@@ -76,8 +77,11 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
+    # One pool beyond the benchmark's: with q > n, null(A2') is not
+    # trivial, so its unit-eigenvalue family is hashed too.
+    pools = {**workloads.WORKLOADS, "desk-20x20x10": lambda: workloads.DeskWorkload(p=20, q=20, n=10)}
     with tempfile.TemporaryDirectory(prefix="digest-") as scratch:
-        for name, workload in workloads.WORKLOADS.items():
+        for name, workload in pools.items():
             hexdigest, count = digest(workload(), args.seed, Path(scratch))
             print(f"{name} {hexdigest} {count} operations", flush=True)
     return 0
