@@ -194,8 +194,8 @@ class ConditionReport:
     the shifted certificates test S - A2'A2 = H + alpha*I, 2S - A1'A1 -
     A2'A2 = H + 2alpha*I and 2S - A1'A1 + A2'A2 = A1'A1 + A2'A2 + 2alpha*I.
     IlsProblem rejects alpha < 0, so ``spd_normal`` implies all three, and
-    both convergence certificates, which also require it, equal it: without
-    it the shifted combinations can be SPD while rho(I - M^{-1}A) exceeds 1.
+    it alone certifies convergence of ibs1-ibs4: without it the shifted
+    combinations can be SPD while rho(I - M^{-1}A) exceeds 1.
     """
 
     spd_normal: bool
@@ -204,14 +204,6 @@ class ConditionReport:
     spd_two_shifted_plus: bool
     kappa_gram: float
     kappa_shifted_gram: float
-
-    @property
-    def ibs13_converges(self) -> bool:
-        return self.spd_normal and self.spd_two_shifted_minus and self.spd_shifted_minus_a2gram
-
-    @property
-    def ibs24_converges(self) -> bool:
-        return self.spd_normal and self.spd_two_shifted_plus
 
 
 CONDITIONS_MAX_N = 2000  # largest n for which the conditions are checked densely

@@ -118,6 +118,9 @@ _SOURCE_FIELDS = {
     "random": (("p", "q", "n"), ("seed",)),
 }
 _SOURCE_SETTINGS = {name for required, optional in _SOURCE_FIELDS.values() for name in required + optional}
+# The spec fields each inner solver reads; it rejects the others.
+_INNER_FIELDS = {"cg": ("inner_tol", "inner_maxit"), "cholesky": ()}
+_INNER_SETTINGS = {name for names in _INNER_FIELDS.values() for name in names}
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,9 @@ class ExperimentSpec:
     describe a run with one.  The solver settings default to CgConfig's and
     FgmresConfig's, and an unset ``a2_scale`` or ``seed`` to the
     generator's own; an unset ``normalize`` means True.  Leaving out a field
-    that the problem source requires, or setting one that it does not read
-    (see ``_SOURCE_FIELDS``), is an error.  A spec is immutable; ``replace`` rechecks it."""
+    that the problem source requires, or setting one that it or the inner
+    solver does not read (``_SOURCE_FIELDS``, ``_INNER_FIELDS``), is an
+    error.  A spec is immutable; ``replace`` rechecks it."""
 
     problem: str = "matrix-market"    # "matrix-market" | "hilbert" | "random"
     matrix: str | None = None         # path for matrix-market sources
@@ -139,8 +143,8 @@ class ExperimentSpec:
     normalize: bool | None = None
     preconditioners: tuple[str, ...] = IBS_VARIANTS
     inner: str = "cg"                 # one of INNER_SOLVERS
-    inner_tol: float = CgConfig.rel_tolerance
-    inner_maxit: int = CgConfig.max_iterations
+    inner_tol: float | None = None    # None: CgConfig's
+    inner_maxit: int | None = None
     outer_tol: float = FgmresConfig.rel_tolerance
     outer_maxit: int = FgmresConfig.max_iterations
     restart: int | None = FgmresConfig.restart
@@ -156,18 +160,20 @@ class ExperimentSpec:
             raise ValueError("preconditioners must name at least one variant")
         if self.problem not in _SOURCE_FIELDS:
             raise ValueError(f"unknown problem source {self.problem!r}")
+        if self.inner not in INNER_SOLVERS:
+            raise ValueError(f"unknown inner solver {self.inner!r}; choose from {INNER_SOLVERS}")
         required, optional = _SOURCE_FIELDS[self.problem]
         for name, value in vars(self).items():
             if value is not None and name in _SOURCE_SETTINGS and name not in required + optional:
                 raise ValueError(f"{name} does not apply to problem = {self.problem}")
+            if value is not None and name in _INNER_SETTINGS and name not in _INNER_FIELDS[self.inner]:
+                raise ValueError(f"{name} does not apply to inner = {self.inner}")
         if self.a2_scale is not None and not math.isfinite(self.a2_scale):
             raise ValueError(f"a2_scale must be finite, got {self.a2_scale}")
         bad = [k for k in self.preconditioners if k.lower() not in VARIANTS]
         if bad:
             raise ValueError(f"unknown preconditioners {bad}; choose from {VARIANTS}")
         object.__setattr__(self, "preconditioners", tuple(k.lower() for k in self.preconditioners))
-        if self.inner not in INNER_SOLVERS:
-            raise ValueError(f"unknown inner solver {self.inner!r}; choose from {INNER_SOLVERS}")
         # Bad solver settings fail here, before any problem is built.
         self.inner_config()
         self.outer_config()
@@ -176,7 +182,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} is required for problem = {self.problem}")
 
     def inner_config(self) -> CgConfig:
-        return CgConfig(self.inner_tol, self.inner_maxit)
+        settings = {"rel_tolerance": self.inner_tol, "max_iterations": self.inner_maxit}
+        return CgConfig(**{name: value for name, value in settings.items() if value is not None})
 
     def outer_config(self) -> FgmresConfig:
         return FgmresConfig(self.outer_tol, self.outer_maxit, self.restart)

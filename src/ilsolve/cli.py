@@ -6,7 +6,7 @@ Subcommands:
   analyze   desk-scale convergence/spectral diagnostics as JSON
   generate  emit a generated problem as Matrix Market files
 
-Exit codes: 0 success, 1 validation error, 2 solver failure.
+Exit codes: 0 success, 1 validation or usage error, 2 solver failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .analysis import (
     verify_eigenstructure,
 )
 from .bench import (
+    _SPEC_KEYS,
     ExperimentSpec,
     build_problem,
     load_experiment_spec,
@@ -34,15 +35,30 @@ from .bench import (
 )
 from .exceptions import SOLVER_FAILURES, IlsolveError
 from .mmio import write_matrix_market, write_vector_matrix_market
-from .preconditioners import INNER_SOLVERS, VARIANTS
+from .preconditioners import VARIANTS
 from .sparse import SparseMatrixCsr
 
-# Flags named after an ExperimentSpec field.  They default to SUPPRESS, so
-# a flag that is not given leaves the spec's own default in place.
-_SPEC_SETTINGS = (
-    "a2_scale", "normalize", "seed",
-    "inner", "inner_tol", "inner_maxit", "outer_tol", "outer_maxit", "restart",
-)
+# The spec file keys that are also flags, one --FIELD flag each (dashes
+# for underscores), converted as in a spec file.  A flag that is not given
+# leaves the spec's own default in place.
+_SOURCE_FLAGS = ("a2_scale", "normalize", "seed")
+_SOLVER_FLAGS = ("inner", "inner.tol", "inner.maxit", "outer.tol", "outer.maxit", "outer.restart")
+
+
+def _flag_type(convert):
+    def parse(text):  # argparse prints the reason after the flag's name
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+    return parse
+
+
+def _add_spec_flags(group, keys):
+    for key in keys:
+        field, convert = _SPEC_KEYS[key]
+        group.add_argument(f"--{field.replace('_', '-')}", type=_flag_type(convert),
+                           default=argparse.SUPPRESS, help=f"spec file key {key}")
 
 
 def _add_problem_args(parser):
@@ -51,14 +67,7 @@ def _add_problem_args(parser):
     src.add_argument("--hilbert", type=int, metavar="N", help="Hilbert problem of order N")
     src.add_argument("--random", metavar="P,Q,N", help="random dense instance")
     src.add_argument("--q", type=int, help="rows of A2 for --matrix sources")
-    src.add_argument(
-        "--a2-scale", type=float, default=argparse.SUPPRESS,
-        help="diagonal scale of A2 (default: that of the problem's generator)",
-    )
-    src.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    src.add_argument("--no-normalize", dest="normalize", action="store_false",
-                     default=argparse.SUPPRESS,
-                     help="skip scaling the input matrix to unit 1-norm")
+    _add_spec_flags(src, _SOURCE_FLAGS)
 
 
 def _spec_from_args(args, **fixed) -> ExperimentSpec:
@@ -67,8 +76,8 @@ def _spec_from_args(args, **fixed) -> ExperimentSpec:
         raise ValueError("choose exactly one of --matrix, --hilbert, --random")
     if args.q is not None and not args.matrix:
         raise ValueError("--q applies only to --matrix")
-    settings = {key: value for key, value in vars(args).items() if key in _SPEC_SETTINGS}
-    settings.update(fixed)
+    flags = {_SPEC_KEYS[key][0] for key in _SOURCE_FLAGS + _SOLVER_FLAGS}
+    settings = {name: value for name, value in vars(args).items() if name in flags} | fixed
     if args.matrix:
         return ExperimentSpec(problem="matrix-market", matrix=args.matrix, q=args.q, **settings)
     if args.hilbert is not None:
@@ -133,11 +142,7 @@ def _cmd_analyze(args) -> int:
     out = {
         "problem": prob.label(),
         "alpha": prob.alpha,
-        "conditions": {
-            **dataclasses.asdict(conditions),
-            "ibs13_converges": conditions.ibs13_converges,
-            "ibs24_converges": conditions.ibs24_converges,
-        },
+        "conditions": dataclasses.asdict(conditions),
         "variants": {},
     }
     for kind in kinds:
@@ -173,8 +178,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = _spec_from_args(args)
-    prob = build_problem(spec)
+    prob = build_problem(_spec_from_args(args))
     prefix = args.out_prefix
 
     def as_csr(block) -> SparseMatrixCsr:
@@ -203,13 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p_solve)
     p_solve.add_argument("--preconditioner", default="ibs2", choices=VARIANTS)
     solver = p_solve.add_argument_group("solver settings (defaults: those of an experiment spec)")
-    solver.add_argument("--inner", choices=INNER_SOLVERS, default=argparse.SUPPRESS)
-    solver.add_argument("--inner-tol", type=float, default=argparse.SUPPRESS)
-    solver.add_argument("--inner-maxit", type=int, default=argparse.SUPPRESS)
-    solver.add_argument("--outer-tol", type=float, default=argparse.SUPPRESS)
-    solver.add_argument("--outer-maxit", type=int, default=argparse.SUPPRESS)
-    solver.add_argument("--restart", type=int, default=argparse.SUPPRESS,
-                        help="FGMRES restart length (default: unrestarted)")
+    _add_spec_flags(solver, _SOLVER_FLAGS)
     p_solve.add_argument("--json", action="store_true", help="print the report as JSON")
     p_solve.add_argument("--history", help="write the residual history to this file")
     p_solve.set_defaults(func=_cmd_solve)
@@ -234,10 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
+        return 1 if exc.code else 0
     except SOLVER_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

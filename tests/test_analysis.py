@@ -183,7 +183,7 @@ class TestConditionReport:
         prob = IlsProblem(a1, a2, np.ones(3), np.ones(2), 1.0)
         report = check_convergence_conditions(prob)
         assert report.spd_normal and report.spd_shifted_minus_a2gram
-        assert report.ibs13_converges and report.ibs24_converges
+        assert report.spd_two_shifted_minus and report.spd_two_shifted_plus
 
     def test_indefinite_construction_detected(self):
         # A2 ten times larger than A1 drives the reduced normal matrix
@@ -207,7 +207,7 @@ class TestConditionReport:
         prob = il.generate_augmented_problem(core, 30, 6.0)
         report = check_convergence_conditions(prob)
         assert not report.spd_normal and report.spd_two_shifted_plus
-        assert not report.ibs13_converges and not report.ibs24_converges
+        assert not report.spd_shifted_minus_a2gram and not report.spd_two_shifted_minus
         for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
             assert spectral_radius_estimate(kind, prob) > 1.0
 
@@ -221,7 +221,8 @@ class TestConditionReport:
         for i in range(10):
             report = check_convergence_conditions(random_desk_problem(i))
             assert report.spd_normal
-            assert report.ibs13_converges and report.ibs24_converges
+            assert report.spd_shifted_minus_a2gram and report.spd_two_shifted_minus
+            assert report.spd_two_shifted_plus
 
     def test_size_cap(self, monkeypatch):
         prob = random_desk_problem(0)
@@ -515,7 +516,7 @@ def test_certificates_imply_the_disk_on_both_sides_of_the_hypothesis(seed, scale
     # certificate gives rho < 1, and for ibs2/ibs4 the certificate is the
     # pencil's eigenvalues lying in (0, 2).  The shifted certificates test
     # H + alpha I, H + 2 alpha I and H + 2 A2'A2 + 2 alpha I, so with
-    # alpha >= 0 both certificates are spd_normal.  Conversely, without
+    # alpha >= 0 spd_normal implies all three.  Conversely, without
     # it every variant has rho >= 1: for ibs2/ibs4 because S - H =
     # alpha I + A2'A2 > 0 (S = alpha I + A1'A1) puts mu below 1, so rho < 1
     # exactly when mu > 0, that is when H > 0; for ibs1/ibs3 as observed.
@@ -525,13 +526,12 @@ def test_certificates_imply_the_disk_on_both_sides_of_the_hypothesis(seed, scale
     mu = reports["ibs2"].interval_eigs
     assume(abs(mu.min()) > PENCIL_MARGIN and abs(mu.max() - 2.0) > PENCIL_MARGIN)
     conditions = check_convergence_conditions(prob)
-    assert conditions.ibs13_converges == conditions.ibs24_converges == conditions.spd_normal
+    shifted = (conditions.spd_shifted_minus_a2gram, conditions.spd_two_shifted_minus, conditions.spd_two_shifted_plus)
+    assert not conditions.spd_normal or all(shifted)
     for kind, report in reports.items():
-        certified = conditions.ibs24_converges if kind in ("ibs2", "ibs4") else conditions.ibs13_converges
-        assert not certified or report.rho_estimate < 1.0, kind
-        assert conditions.spd_normal or report.rho_estimate >= 1.0, kind
+        assert conditions.spd_normal == (report.rho_estimate < 1.0), kind
         if kind in ("ibs2", "ibs4"):
-            assert conditions.ibs24_converges == report.interval_contained, kind
+            assert conditions.spd_normal == report.interval_contained, kind
 
 
 class TestGmresBound:

@@ -147,7 +147,7 @@ class TestSpecParsing:
             q = 6
             n = 5
             preconditioners = ibs2, but
-            inner = cholesky
+            inner = cg
             inner.tol = 1e-4
             inner.maxit = 500
             outer.tol = 1e-9
@@ -161,7 +161,7 @@ class TestSpecParsing:
         spec = load_experiment_spec(path)
         assert spec.problem == "random"
         assert spec.preconditioners == ("ibs2", "but")
-        assert spec.inner == "cholesky"
+        assert spec.inner == "cg"
         assert spec.inner_tol == 1e-4 and spec.inner_maxit == 500
         assert spec.outer_tol == 1e-9 and spec.outer_maxit == 300
         assert spec.restart == 40 and spec.runs == 2 and spec.seed == 11
@@ -290,6 +290,28 @@ class TestSpecBoundary:
         assert str(exc.value) == message
         assert main(["bench", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("lines, key", [
+        ("inner.tol = 0.5\ninner.maxit = 3", "inner_tol"),
+        ("inner.maxit = 3", "inner_maxit"),
+    ], ids=["tol-and-maxit", "maxit"])
+    def test_inner_setting_that_cholesky_does_not_read_rejected(self, tmp_path, capsys, lines, key):
+        path = tmp_path / "c.spec"
+        path.write_text(f"problem = random\np = 6\nq = 4\nn = 3\ninner = cholesky\n{lines}\n")
+        message = f"{path}: {key} does not apply to inner = cholesky"
+        with pytest.raises(ValueError) as exc:
+            load_experiment_spec(path)
+        assert str(exc.value) == message
+        assert main(["bench", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unset_inner_settings_take_cg_defaults(self):
+        assert set(il.bench._INNER_FIELDS) == set(il.preconditioners.INNER_SOLVERS)
+        spec = ExperimentSpec(problem="random", p=6, q=4, n=3)
+        assert spec.inner_tol is None and spec.inner_maxit is None
+        assert spec.inner_config() == il.CgConfig()
+        assert dataclasses.replace(spec, inner_maxit=7).inner_config() == il.CgConfig(max_iterations=7)
+        assert dataclasses.replace(spec, inner="cholesky").inner_config() == il.CgConfig()
 
     def test_unset_seed_and_normalize_take_the_generator_defaults(self, tmp_path):
         prob = build_problem(ExperimentSpec(problem="random", p=6, q=4, n=3))

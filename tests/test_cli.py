@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import ilsolve as il
+from ilsolve import cli
+from ilsolve.bench import _SPEC_KEYS, load_experiment_spec
 from ilsolve.cli import main
 
 
@@ -46,17 +49,121 @@ def test_validation_errors_exit_one(capsys):
     "argv, message",
     [
         (["--random", "8,6,5", "--a2-scale", "3"], "a2_scale does not apply to problem = random"),
-        (["--random", "8,6,5", "--no-normalize"], "normalize does not apply to problem = random"),
+        (["--random", "8,6,5", "--normalize", "false"], "normalize does not apply to problem = random"),
         (["--random", "8,6,5", "--q", "99"], "--q applies only to --matrix"),
         (["--hilbert", "30", "--seed", "5"], "seed does not apply to problem = hilbert"),
-        (["--hilbert", "30", "--no-normalize"], "normalize does not apply to problem = hilbert"),
+        (["--hilbert", "30", "--normalize", "false"], "normalize does not apply to problem = hilbert"),
         (["--hilbert", "30", "--q", "5"], "--q applies only to --matrix"),
         (["--matrix", "x.mtx", "--q", "5", "--seed", "5"], "seed does not apply to problem = matrix-market"),
+        (["--random", "8,6,5", "--inner", "cholesky", "--inner-tol", "0.5", "--inner-maxit", "3"],
+         "inner_tol does not apply to inner = cholesky"),
+        (["--random", "8,6,5", "--inner", "cholesky", "--inner-maxit", "3"],
+         "inner_maxit does not apply to inner = cholesky"),
     ],
 )
 def test_setting_of_another_source_exits_one(capsys, argv, message):
     assert main(["solve", *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--random", "8,6,5", "--inner-tol", "abc"], "argument --inner-tol: "),
+        (["--random", "8,6,5", "--preconditioner", "xyz"], "argument --preconditioner: "),
+        (["--hilbert", "abc"], "argument --hilbert: "),
+        (["--random", "8,6,5", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_exit_one(capsys, argv, flag):
+    assert main(["solve", *argv]) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--inner-tol" in capsys.readouterr().out
+
+
+# One source per spec file key that is a flag, as (argv, spec file lines),
+# with a value that the source accepts.
+RANDOM = (["--random", "8,6,5"], "problem = random\np = 8\nq = 6\nn = 5\n")
+HILBERT = (["--hilbert", "4"], "problem = hilbert\nn = 4\n")
+MATRIX = (["--matrix", "x.mtx", "--q", "5"], "problem = matrix-market\nmatrix = x.mtx\nq = 5\n")
+FLAG_CASES = {
+    "a2_scale": (HILBERT, "2.5"),
+    "normalize": (MATRIX, "no"),
+    "seed": (RANDOM, "7"),
+    "inner": (RANDOM, "cholesky"),
+    "inner.tol": (RANDOM, "0.25"),
+    "inner.maxit": (RANDOM, "7"),
+    "outer.tol": (RANDOM, "1e-6"),
+    "outer.maxit": (RANDOM, "30"),
+    "outer.restart": (RANDOM, "12"),
+}
+
+
+def _flag(key):
+    return "--" + _SPEC_KEYS[key][0].replace("_", "-")
+
+
+def _solve_spec(monkeypatch, argv):
+    """The ExperimentSpec that ``ilsolve solve argv`` builds its problem from."""
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        raise il.ConfigurationError("captured")
+
+    monkeypatch.setattr(cli, "build_problem", capture)
+    assert main(["solve", *argv]) == 1
+    return specs[0]
+
+
+def test_every_flag_key_has_a_case():
+    assert set(FLAG_CASES) == set(cli._SOURCE_FLAGS + cli._SOLVER_FLAGS)
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("solve", cli._SOURCE_FLAGS + cli._SOLVER_FLAGS),
+    ("analyze", cli._SOURCE_FLAGS),
+    ("generate", cli._SOURCE_FLAGS),
+])
+def test_generated_flags_are_the_listed_spec_fields(command, keys):
+    # A generated flag defaults to SUPPRESS, so an unset one leaves the
+    # spec's default; no hand-written flag does.
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    generated = [
+        action for action in subparsers.choices[command]._actions
+        if action.default is argparse.SUPPRESS and action.dest != "help"
+    ]
+    assert {action.dest for action in generated} == {_SPEC_KEYS[key][0] for key in keys}
+    for action in generated:
+        assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+
+
+@pytest.mark.parametrize("key", FLAG_CASES)
+def test_flag_and_spec_file_key_build_equal_specs(tmp_path, capsys, monkeypatch, key):
+    (argv, lines), value = FLAG_CASES[key]
+    path = tmp_path / "x.spec"
+    path.write_text(f"{lines}preconditioners = ibs2\nruns = 1\n{key} = {value}\n")
+    from_flag = _solve_spec(monkeypatch, [*argv, "--preconditioner", "ibs2", _flag(key), value])
+    assert from_flag == load_experiment_spec(path)
+    assert from_flag != _solve_spec(monkeypatch, [*argv, "--preconditioner", "ibs2"])
+
+
+@pytest.mark.parametrize("key", FLAG_CASES)
+def test_value_that_does_not_convert_exits_one_from_both(tmp_path, capsys, key):
+    (argv, lines), _ = FLAG_CASES[key]
+    path = tmp_path / "x.spec"
+    path.write_text(f"{lines}{key} = abc\n")
+    assert main(["bench", str(path)]) == 1
+    line = lines.count("\n") + 1
+    reason = capsys.readouterr().err.removeprefix(f"error: {path}").removeprefix(f":{line}: {key}")
+    assert main(["solve", *argv, _flag(key), "abc"]) == 1
+    # The same reason from both, after the key or the flag where it is a
+    # conversion error.
+    assert capsys.readouterr().err.endswith(reason.removeprefix(": "))
 
 
 def test_bench_writes_reports(tmp_path, capsys):
