@@ -4,9 +4,9 @@ An experiment is described by a flat key-value spec file (see
 ``load_experiment_spec``) naming a problem source, a list of
 preconditioners, inner/outer solver settings, and an output path.  Each
 (problem, preconditioner) cell is solved ``runs`` times from a zero start;
-the table reports the mean iteration count and wall time, the final run's
-relative residual, and the relative error against an independently
-computed reference solution.
+the runs are deterministic, so the table reports the final run's iteration
+count and relative residual, the relative error against an independently
+computed reference solution, and the mean wall time.
 """
 
 from __future__ import annotations
@@ -269,11 +269,12 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
 @dataclass(frozen=True)
 class TableRow:
     """One benchmark cell, built once.  Unconverged rows keep it/res/err as
-    None (rendered as empty CSV cells); the inner counts are the final run's."""
+    None (rendered as empty CSV cells); cpu is the mean over the runs, the
+    rest the final run's."""
 
     problem: str
     preconditioner: str
-    it: float | None
+    it: int | None
     cpu: float
     res: float | None
     err: float | None
@@ -287,25 +288,25 @@ def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, not
     """Solve one (problem, preconditioner) cell ``spec.runs`` times from a
     zero start with one preconditioner, and return (row, final report).
 
-    The row averages IT and CPU over the runs and takes the rest from the
-    final run; ERR needs the reference solution ``x_star``, and ``note``
-    opens the row's note; the row is built once, from the final values.
+    The row averages CPU over the runs and takes the rest, IT included,
+    from the final run: repeated solves of one cell are deterministic.
+    ERR needs the reference solution ``x_star``, and ``note`` opens the
+    row's note; the row is built once, from the final values.
     Set-up and solver errors propagate.
     """
     pre = make_preconditioner(kind, prob, inner=spec.inner, inner_config=spec.inner_config())
     op, rhs, outer = block_system_operator(prob), build_rhs(prob), spec.outer_config()
-    its, cpus = [], []
+    cpus = []
     for _ in range(spec.runs):
         pre.reset_stats()
         x, report = fgmres_solve(op, pre, rhs, config=outer)
-        its.append(report.iterations)
         cpus.append(report.wall_seconds)
     notes = [note] if note else []
     if pre.inner_failures:
         notes.append(f"{pre.inner_failures} inner solves hit their cap")
     it = res = err = None
     if report.converged:
-        it, res = float(np.mean(its)), report.final_res
+        it, res = report.iterations, report.final_res
         x_star_norm = 0.0 if x_star is None else float(np.linalg.norm(x_star))
         if x_star_norm > 0.0:
             err = float(np.linalg.norm(prob.split(x)[1] - x_star)) / x_star_norm
@@ -336,7 +337,8 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> list[TableRow]:
         try:
             row, _ = run_cell(spec, prob, kind, x_star, ref_note)
         except SOLVER_FAILURES as exc:
-            row = TableRow(prob.label(), kind, None, 0.0, None, None, False, f"solver failure: {exc}")
+            note = "; ".join(filter(None, (ref_note, f"solver failure: {exc}")))
+            row = TableRow(prob.label(), kind, None, 0.0, None, None, False, note)
         rows.append(row)
         if echo is not None:
             echo(row)
@@ -345,12 +347,6 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> list[TableRow]:
 
 def _fmt_sci(x: float | None) -> str:
     return "" if x is None else f"{x:.2e}"
-
-
-def _fmt_it(x: float | None) -> str:
-    if x is None:
-        return ""
-    return str(int(round(x))) if abs(x - round(x)) < 1e-9 else f"{x:.1f}"
 
 
 def report_write(rows: list[TableRow], fmt: str, path) -> None:
@@ -365,7 +361,7 @@ def report_write(rows: list[TableRow], fmt: str, path) -> None:
         lines = ["problem,preconditioner,IT,CPU,RES,ERR,converged"]
         for r in rows:
             lines.append(
-                f"{r.problem},{r.preconditioner},{_fmt_it(r.it)},{r.cpu:.6g},"
+                f"{r.problem},{r.preconditioner},{'' if r.it is None else r.it},{r.cpu:.6g},"
                 f"{_fmt_sci(r.res)},{_fmt_sci(r.err)},{str(r.converged).lower()}"
             )
         with open(path, "w", encoding="ascii") as fh:

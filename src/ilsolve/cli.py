@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,9 +35,8 @@ from .bench import (
     run_experiment,
 )
 from .exceptions import SOLVER_FAILURES, IlsolveError
-from .mmio import write_matrix_market, write_vector_matrix_market
+from .mmio import write_matrix_market
 from .preconditioners import VARIANTS
-from .sparse import SparseMatrixCsr
 
 # The spec file keys that are also flags, one --FIELD flag each (dashes
 # for underscores), converted as in a spec file.  A flag that is not given
@@ -122,7 +122,7 @@ def _cmd_bench(args) -> int:
 
     def echo(row):
         status = "ok" if row.converged else "FAILED"
-        it = "-" if row.it is None else f"{row.it:.0f}"
+        it = "-" if row.it is None else row.it
         print(f"[{row.problem}] {row.preconditioner}: {status} IT={it} CPU={row.cpu:.3f}s")
 
     rows = run_experiment(spec, echo=echo)
@@ -142,7 +142,10 @@ def _cmd_analyze(args) -> int:
     out = {
         "problem": prob.label(),
         "alpha": prob.alpha,
-        "conditions": dataclasses.asdict(conditions),
+        # JSON has no Infinity: a condition number of a matrix that is
+        # not positive definite is printed as null.
+        "conditions": {key: value if math.isfinite(value) else None
+                       for key, value in dataclasses.asdict(conditions).items()},
         "variants": {},
     }
     for kind in kinds:
@@ -180,17 +183,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_generate(args) -> int:
     prob = build_problem(_spec_from_args(args))
     prefix = args.out_prefix
-
-    def as_csr(block) -> SparseMatrixCsr:
-        if isinstance(block, SparseMatrixCsr):
-            return block
-        rows, cols = np.nonzero(block)
-        return SparseMatrixCsr.from_triplets(*block.shape, rows, cols, block[rows, cols])
-
-    write_matrix_market(as_csr(prob.a1), f"{prefix}_a1.mtx")
-    write_matrix_market(as_csr(prob.a2), f"{prefix}_a2.mtx")
-    write_vector_matrix_market(prob.b1, f"{prefix}_b1.mtx")
-    write_vector_matrix_market(prob.b2, f"{prefix}_b2.mtx")
+    write_matrix_market(prob.a1, f"{prefix}_a1.mtx")
+    write_matrix_market(prob.a2, f"{prefix}_a2.mtx")
+    write_matrix_market(prob.b1, f"{prefix}_b1.mtx")
+    write_matrix_market(prob.b2, f"{prefix}_b2.mtx")
     print(f"wrote {prefix}_a1.mtx, {prefix}_a2.mtx, {prefix}_b1.mtx, {prefix}_b2.mtx")
     print(f"p={prob.p} q={prob.q} n={prob.n} alpha={prob.alpha!r}")
     return 0

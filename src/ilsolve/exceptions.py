@@ -87,6 +87,7 @@ class AccuracyWarning(UserWarning):
 # Failures of a solve itself, as opposed to bad input or settings: an
 # experiment records them as a failed row, ``ilsolve solve`` exits with 2.
 SOLVER_FAILURES = (
+    NotSpdError,
     NumericalFailureError,
     IndefiniteOperatorError,
     StationaryDivergenceError,

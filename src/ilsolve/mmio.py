@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ParseError
 from .sparse import SparseMatrixCsr
 
-__all__ = ["parse_matrix_market", "read_matrix_market", "write_matrix_market", "write_vector_matrix_market"]
+__all__ = ["parse_matrix_market", "read_matrix_market", "write_matrix_market"]
 
 _BANNER = "%%matrixmarket"
 # Per layout, the messages for a body with the wrong entry count, a line
@@ -162,21 +162,20 @@ def read_matrix_market(path) -> SparseMatrixCsr:
         return parse_matrix_market(fh.read())
 
 
-def write_matrix_market(a: SparseMatrixCsr, path) -> None:
-    """Write in coordinate/real/general layout with 1-based indices."""
-    rows, cols, vals = a.to_triplets()
+def write_matrix_market(a: SparseMatrixCsr | np.ndarray, path) -> None:
+    """Write a CSR matrix in coordinate/real/general layout with 1-based
+    indices, and an ndarray in array/real/general layout, column-major,
+    with a 1-D array as one column."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
-        for i, j, v in zip(rows, cols, vals):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
-
-
-def write_vector_matrix_market(v: np.ndarray, path) -> None:
-    """Write a vector as an n x 1 array-format matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{v.shape[0]} 1\n")
-        for x in v:
-            fh.write(f"{float(x)!r}\n")
+        if isinstance(a, SparseMatrixCsr):
+            rows, cols, vals = a.to_triplets()
+            fh.write("%%MatrixMarket matrix coordinate real general\n")
+            fh.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
+            for i, j, v in zip(rows, cols, vals):
+                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        else:
+            a = np.asarray(a, dtype=np.float64)
+            fh.write("%%MatrixMarket matrix array real general\n")
+            fh.write(f"{a.shape[0]} {a.shape[1] if a.ndim == 2 else 1}\n")
+            for x in a.ravel(order="F"):
+                fh.write(f"{float(x)!r}\n")

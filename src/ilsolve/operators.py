@@ -1,8 +1,8 @@
 """A minimal matrix-free linear-operator abstraction.
 
 FGMRES and cg_solve only ever need "apply to a vector", so they take a
-LinearOperator: the block system and the reduced normal matrix are composed
-expressions built on the problem's blocks.  ``apply`` checks the operand's
+LinearOperator, such as the block system built on the problem's blocks
+or ``aslinearoperator`` of one matrix.  ``apply`` checks the operand's
 shape and dtype, so the callable it wraps can trust them.  Inner CG takes
 the unchecked Gram pair of ilsolve.problem instead.  The blocks, CSR or 2-D
 ndarray as ``as_matrix`` checks them, are used with ``@`` directly.

@@ -22,7 +22,7 @@ from ilsolve import (
     report_write,
     run_experiment,
 )
-from ilsolve.bench import build_problem, hilbert_matrix
+from ilsolve.bench import build_problem, hilbert_matrix, run_cell
 from ilsolve.cli import main
 from ilsolve.sparse import normalize_to_unit_one_norm, rectangular_identity_csr
 
@@ -392,14 +392,33 @@ class TestRunExperiment:
         assert "no convergence" in row.note
 
 
+class TestItIsACount:
+    """Repeated solves of one cell are deterministic, so IT is the final
+    run's count: the count of any one solve, an int."""
+
+    @pytest.mark.parametrize("inner", ["cg", "cholesky"])
+    def test_it_of_three_runs_is_one_solves_count(self, tmp_path, inner):
+        spec = ExperimentSpec(problem="hilbert", n=40, preconditioners=("ibs2",), inner=inner, runs=3)
+        prob = build_problem(spec)
+        row, report = run_cell(spec, prob, "ibs2")
+        _, single = run_cell(dataclasses.replace(spec, runs=1), prob, "ibs2")
+        assert row.converged and type(row.it) is int
+        assert row.it == report.iterations == single.iterations
+        report_write([row], "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[2] == str(row.it)
+        report_write([row], "json", tmp_path / "r.json")
+        assert type(json.loads((tmp_path / "r.json").read_text())[0]["IT"]) is int
+
+
 class TestReportWrite:
     def test_single_row_csv(self, tmp_path):
-        rows = [TableRow("2x1", "ibs2", 3.0, 0.001, 9.89e-10, 1.5e-9, True)]
+        rows = [TableRow("2x1", "ibs2", 3, 0.001, 9.89e-10, 1.5e-9, True)]
         path = tmp_path / "r.csv"
         report_write(rows, "csv", path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "problem,preconditioner,IT,CPU,RES,ERR,converged"
         assert len(lines) == 2
+        assert lines[1].startswith("2x1,ibs2,3,0.001,")
         assert "9.89e-10" in lines[1]
 
     def test_unconverged_cells_empty(self, tmp_path):
@@ -412,7 +431,7 @@ class TestReportWrite:
 
     def test_json_full_precision(self, tmp_path):
         res = 9.887654321e-10
-        rows = [TableRow("2x1", "ibs2", 3.0, 0.001, res, None, True)]
+        rows = [TableRow("2x1", "ibs2", 3, 0.001, res, None, True)]
         path = tmp_path / "r.json"
         report_write(rows, "json", path)
         data = json.loads(path.read_text())
@@ -433,7 +452,7 @@ class TestReportWrite:
         for c, j in zip(parsed, data):
             assert c["problem"] == j["problem"]
             assert c["preconditioner"] == j["preconditioner"]
-            assert float(c["IT"]) == j["IT"]
+            assert int(c["IT"]) == j["IT"]
             assert float(c["RES"]) == pytest.approx(j["RES"], rel=5e-3)
             assert float(c["ERR"]) == pytest.approx(j["ERR"], rel=5e-3)
 
@@ -448,11 +467,11 @@ class TestReportWrite:
         assert data[0]["inner_failures"] == rows[0].inner_failures == 0
 
     def test_json_keys_follow_the_row_fields(self, tmp_path):
-        rows = [TableRow("2x1", "ibs2", 3.0, 0.001, 1e-9, 2e-9, True, "a note", 7, 1)]
+        rows = [TableRow("2x1", "ibs2", 3, 0.001, 1e-9, 2e-9, True, "a note", 7, 1)]
         report_write(rows, "json", tmp_path / "r.json")
         data = json.loads((tmp_path / "r.json").read_text())
         assert data == [{
-            "problem": "2x1", "preconditioner": "ibs2", "IT": 3.0, "CPU": 0.001, "RES": 1e-9,
+            "problem": "2x1", "preconditioner": "ibs2", "IT": 3, "CPU": 0.001, "RES": 1e-9,
             "ERR": 2e-9, "converged": True, "note": "a note", "inner_iterations": 7, "inner_failures": 1,
         }]
         assert list(data[0]) == [
@@ -465,7 +484,7 @@ class TestReportWrite:
             report_write([], "csv", tmp_path / "r.csv")
 
     def test_unknown_format_rejected(self, tmp_path):
-        rows = [TableRow("1x1", "none", 1.0, 0.0, 1e-9, None, True)]
+        rows = [TableRow("1x1", "none", 1, 0.0, 1e-9, None, True)]
         with pytest.raises(ValueError):
             report_write(rows, "xml", tmp_path / "r.xml")
 

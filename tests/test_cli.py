@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,39 @@ def test_solve_failure_exit_code(capsys):
         "--outer-tol", "1e-12", "--outer-maxit", "2",
     ])
     assert code == 2
+
+
+def test_failed_exact_factor_exits_two(capsys):
+    # bs1's unshifted Gram factor of Hilbert n = 100 meets a pivot at or
+    # below the rounding floor: a solver failure, not a validation error.
+    argv = ["solve", "--hilbert", "100", "--inner", "cholesky", "--preconditioner", "bs1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: pivot \S+ at elimination step \d+ is at or below the rounding floor \S+\n",
+                        captured.err)
+
+
+def test_failed_exact_factor_is_a_failed_row(tmp_path, capsys):
+    spec = tmp_path / "exp.spec"
+    spec.write_text(
+        "problem = hilbert\nn = 100\ninner = cholesky\npreconditioners = ibs2, bs1, ibs4\n"
+        f"runs = 1\nout = {tmp_path / 'res'}\n"
+    )
+    assert main(["bench", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("[200x100] bs1: FAILED IT=- CPU=")
+    assert lines[-1] == f"wrote {tmp_path / 'res'}.csv and {tmp_path / 'res'}.json"
+    data = json.loads((tmp_path / "res.json").read_text())
+    assert [(row["preconditioner"], row["converged"]) for row in data] == [
+        ("ibs2", True), ("bs1", False), ("ibs4", True),
+    ]
+    ref_note = "reduced normal matrix indefinite; reference from dense LU solve"
+    assert data[0]["note"] == data[2]["note"] == ref_note
+    assert data[1]["note"].startswith(f"{ref_note}; solver failure: pivot ")
+    assert data[1]["IT"] is data[1]["RES"] is data[1]["ERR"] is None
+    record = (tmp_path / "res.csv").read_text().splitlines()[2].split(",")
+    assert record[:3] == ["200x100", "bs1", ""] and record[4:] == ["", "", "false"]
 
 
 def test_validation_errors_exit_one(capsys):
@@ -192,6 +226,20 @@ def test_bench_out_overrides_the_spec_files_out(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.txt", "from_flag.csv", "from_flag.json"]
 
 
+def _refuse(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
+def test_analyze_prints_an_infinite_condition_number_as_null(capsys):
+    # Hilbert n = 30: the computed smallest eigenvalue of A1'A1 is not
+    # positive, so kappa_gram is infinite.
+    assert main(["analyze", "--hilbert", "30", "--preconditioners", "ibs2"]) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+    assert data["conditions"]["spd_normal"] is False
+    assert data["conditions"]["kappa_gram"] is None
+    assert data["conditions"]["kappa_shifted_gram"] > 1.0
+
+
 def test_analyze_reports_conditions(tmp_path):
     out = tmp_path / "analysis.json"
     code = main(["analyze", "--random", "8,5,4", "--preconditioners", "ibs2", "--out", str(out)])
@@ -224,18 +272,22 @@ def test_matrix_without_q_exits_one(capsys):
     assert capsys.readouterr().err == "error: q is required for problem = matrix-market\n"
 
 
-def test_generate_roundtrip(tmp_path):
+@pytest.mark.parametrize("argv, original", [
+    (["--random", "6,4,3"], il.generate_random_problem(6, 4, 3, seed=0)),
+    (["--hilbert", "5"], il.generate_hilbert_problem(5)),
+], ids=["random", "hilbert"])
+def test_generate_roundtrip(tmp_path, argv, original):
     prefix = tmp_path / "prob"
-    code = main(["generate", "--random", "6,4,3", "--out-prefix", str(prefix)])
-    assert code == 0
-    a1 = il.read_matrix_market(f"{prefix}_a1.mtx")
-    a2 = il.read_matrix_market(f"{prefix}_a2.mtx")
-    b1 = il.read_matrix_market(f"{prefix}_b1.mtx")
-    assert a1.shape == (6, 3) and a2.shape == (4, 3)
-    assert b1.shape == (6, 1)
-    # Values survive the text round trip exactly.
-    original = il.generate_random_problem(6, 4, 3, seed=0)
-    assert np.allclose(a1.to_dense(), np.asarray(original.a1), rtol=0, atol=0)
+    assert main(["generate", *argv, "--out-prefix", str(prefix)]) == 0
+    for name in ("a1", "a2", "b1", "b2"):
+        block = getattr(original, name)
+        path = tmp_path / f"prob_{name}.mtx"
+        layout = "coordinate" if isinstance(block, il.SparseMatrixCsr) else "array"
+        assert path.read_text().startswith(f"%%MatrixMarket matrix {layout} real general\n")
+        # Values survive the text round trip exactly.
+        back = il.read_matrix_market(path).to_dense()
+        want = block.to_dense() if layout == "coordinate" else block.reshape(block.shape[0], -1)
+        assert np.array_equal(back, want), name
 
 
 def test_hilbert_solve_cli(capsys):

@@ -7,8 +7,9 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ilsolve as il
 from ilsolve import ParseError, parse_matrix_market, read_matrix_market
-from ilsolve.mmio import write_matrix_market, write_vector_matrix_market
+from ilsolve.mmio import write_matrix_market
 
 from conftest import random_csr
 
@@ -345,10 +346,73 @@ class TestWriteReadRoundTrip:
     def test_vector_roundtrip(self, rng, tmp_path):
         v = rng.standard_normal(6)
         path = tmp_path / "v.mtx"
-        write_vector_matrix_market(v, path)
+        write_matrix_market(v, path)
         back = read_matrix_market(path)
         assert back.shape == (6, 1)
         assert np.array_equal(back.to_dense()[:, 0], np.where(v == 0.0, 0.0, v))
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _awkward_values(rng, shape) -> np.ndarray:
+    """Values over the whole exponent range, with +0.0, -0.0 and the
+    smallest subnormal among them."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    a.flat[:3] = [0.0, -0.0, -5e-324]
+    return a
+
+
+class TestOneWriterForEveryBlockKind:
+    """write_matrix_market writes a CSR matrix in coordinate layout and an
+    ndarray in array layout, and every value reads back bit for bit."""
+
+    def test_csr_matrix(self, rng, tmp_path):
+        dense = _awkward_values(rng, (7, 5))
+        dense[rng.random(dense.shape) < 0.4] = 0.0
+        rows, cols = np.nonzero(dense)
+        a = il.SparseMatrixCsr.from_triplets(7, 5, rows, cols, dense[rows, cols])
+        path = tmp_path / "a.mtx"
+        write_matrix_market(a, path)
+        assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
+        back = read_matrix_market(path)
+        assert back.shape == a.shape
+        for got, want in zip(back.to_triplets(), a.to_triplets()):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_bits(back.values), _bits(a.values))
+        assert np.array_equal(_bits(scipy.io.mmread(path).toarray()), _bits(a.to_dense()))
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 1), (1, 3), (8,)])
+    def test_array(self, rng, tmp_path, shape):
+        a = _awkward_values(rng, shape)
+        path = tmp_path / "a.mtx"
+        write_matrix_market(a, path)
+        assert path.read_text().startswith("%%MatrixMarket matrix array real general\n")
+        column = a.reshape(shape[0], -1)  # a 1-D array is one column
+        # The file keeps every bit, the sign of -0.0 included, in
+        # column-major order.
+        _, size, *body = path.read_text().splitlines()
+        assert size == f"{column.shape[0]} {column.shape[1]}"
+        assert np.array_equal(_bits([float(tok) for tok in body]), _bits(column.ravel(order="F")))
+        # scipy reads the same array (it drops the sign of -0.0).
+        oracle = scipy.io.mmread(path)
+        assert oracle.shape == column.shape
+        assert np.array_equal(oracle, column)
+        assert np.array_equal(_bits(oracle[column != 0.0]), _bits(column[column != 0.0]))
+        # The reader's CSR matrix keeps the nonzeros bit for bit and drops
+        # the zeros of either sign.
+        back = read_matrix_market(path)
+        rows, cols = np.nonzero(column)
+        assert back.shape == column.shape and back.nnz == rows.size
+        r, c, v = back.to_triplets()
+        assert np.array_equal(r, rows) and np.array_equal(c, cols)
+        assert np.array_equal(_bits(v), _bits(column[rows, cols]))
+
+    def test_empty_array(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        write_matrix_market(np.zeros((0, 3)), path)
+        assert read_matrix_market(path).shape == (0, 3)
 
 
 def test_parse_normalize_unit_norm(rng, tmp_path):
