@@ -51,22 +51,22 @@ unshifted or on a tiny shift) A z is one block product.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
 which ``fgmres_solve`` hands it for ``block_system_operator(problem)``;
-FGMRES takes each z and A z from the step.  Empty rows of A2 fold: on an
-empty row i, block row 3 reads d2_i = b2_i, d2_i reaches no other row, and
-every preconditioner passes it through, so the part of each Krylov vector
-on those rows is a multiple of the right-hand side's (the paper's
-A2 = s*I_{q x n}, q > n, has q - n of them).  With two or more, the solve
-runs on the twin ``_fold(problem)``, in which they are one zero row (an
-isometry of the Krylov space with the same iterates, counts and residuals;
-its A1 is the same, so the preconditioner acts on it as on its own
-problem), and lifts the answer back.  A1's empty rows do not fold.
+FGMRES takes each z and A z from the step, and each true residual from
+``apply_block_A``.  Empty rows of A2 fold: on an empty row i, block row 3
+reads d2_i = b2_i, d2_i reaches no other row, and every preconditioner
+passes it through, so the part of each Krylov vector on those rows is a
+multiple of the right-hand side's (the paper's A2 = s*I_{q x n}, q > n,
+has q - n of them).  With two or more, the solve runs on the twin
+``_fold(problem)``, in which they are one zero row (an isometry of the
+Krylov space with the same iterates, counts and residuals; its A1 is the
+same, so the preconditioner acts on it as on its own problem), and lifts
+the answer back.  A1's empty rows do not fold.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -74,7 +74,7 @@ from . import problem as problem_module
 from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
-from .problem import IlsProblem, _gram_pair, apply_block_A, block_system_operator, densify
+from .problem import IlsProblem, _gram_pair, apply_block_A, densify
 from .sparse import SparseMatrixCsr, _real, _sealed, one_norm
 
 __all__ = [
@@ -125,11 +125,6 @@ def _inner_factor(prob: IlsProblem, shift: float) -> tuple[np.ndarray, np.ndarra
     return prob._shared(shift, factor)
 
 
-def _exact_solve(lower: np.ndarray, inverses: np.ndarray, rhs: np.ndarray) -> tuple:
-    """The exact inner solve on a shared factor: (z2, s = 0.0, None, 0, True)."""
-    return cholesky_solve(lower, rhs, inverses), 0.0, None, 0, True
-
-
 def _gram_bound(prob: IlsProblem) -> float:
     """|A1|_1 |A1|_inf, a bound on the 2-norm of A1'A1, so that the spectrum
     of shift*I + A1'A1 lies in [shift, shift + this bound]; built once per problem."""
@@ -145,8 +140,10 @@ def _gram_bound(prob: IlsProblem) -> float:
 
 
 def _exact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
-    """The 'cholesky' entry: exact on the problem's shared factor, linear and paired."""
-    return partial(_exact_solve, *_inner_factor(prob, shift)), True, True
+    """The 'cholesky' entry: exact on the problem's shared factor, linear and
+    paired, with solve(rhs) -> (z2, s = 0.0, None, 0, True)."""
+    lower, inverses = _inner_factor(prob, shift)
+    return (lambda rhs: (cholesky_solve(lower, rhs, inverses), 0.0, None, 0, True)), True, True
 
 
 def _inexact(prob: IlsProblem, shift: float, pair, config: CgConfig) -> tuple:
@@ -312,7 +309,7 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
         norm = np.linalg.norm(part)
         solve_rhs = np.concatenate([rhs[:head], rhs[head:][~empty], [norm]])
     step = lambda v: pre._apply(prob, v, paired=True)
-    y, report = _fgmres(block_system_operator(prob).apply, step, solve_rhs, cfg)
+    y, report = _fgmres(lambda v: apply_block_A(prob, v), step, solve_rhs, cfg)
     if fold is None:
         return y, report
     x = np.empty(len(rhs))
@@ -321,7 +318,7 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
     tail[~empty] = y[head:-1]
     tail[empty] = y[-1] * (part / norm) if norm else 0.0
     bnorm = np.linalg.norm(rhs)
-    true_res = float(np.linalg.norm(rhs - block_system_operator(full).apply(x)) / bnorm) if bnorm else 0.0
+    true_res = float(np.linalg.norm(rhs - apply_block_A(full, x)) / bnorm) if bnorm else 0.0
     confirmations = report.confirmations
     if confirmations and confirmations[-1][2] == report.final_res:
         # The last confirmed iterate is the one returned (a solve that gave

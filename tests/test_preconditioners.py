@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -50,12 +51,12 @@ def test_unknown_kind_rejected():
 
 def lower(pre):
     """The Cholesky factor an exact preconditioner solves with."""
-    return pre._solve.args[0]
+    return inspect.getclosurevars(pre._solve).nonlocals["lower"]
 
 
 def inverses(pre):
     """The inverses of that factor's diagonal blocks."""
-    return pre._solve.args[1]
+    return inspect.getclosurevars(pre._solve).nonlocals["inverses"]
 
 
 def as_earlier_iterate(monkeypatch):
