@@ -269,13 +269,13 @@ def build_problem(spec: ExperimentSpec) -> IlsProblem:
 @dataclass(frozen=True)
 class TableRow:
     """One benchmark cell, built once.  Unconverged rows keep it/res/err as
-    None (rendered as empty CSV cells); cpu is the mean over the runs, the
-    rest the final run's."""
+    None, and a failed solve's row cpu too (rendered as empty CSV cells);
+    cpu is the mean over the runs, the rest the final run's."""
 
     problem: str
     preconditioner: str
     it: int | None
-    cpu: float
+    cpu: float | None
     res: float | None
     err: float | None
     converged: bool
@@ -338,15 +338,15 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> list[TableRow]:
             row, _ = run_cell(spec, prob, kind, x_star, ref_note)
         except SOLVER_FAILURES as exc:
             note = "; ".join(filter(None, (ref_note, f"solver failure: {exc}")))
-            row = TableRow(prob.label(), kind, None, 0.0, None, None, False, note)
+            row = TableRow(prob.label(), kind, None, None, None, None, False, note)
         rows.append(row)
         if echo is not None:
             echo(row)
     return rows
 
 
-def _fmt_sci(x: float | None) -> str:
-    return "" if x is None else f"{x:.2e}"
+def _fmt(x: float | None, spec: str) -> str:
+    return "" if x is None else format(x, spec)
 
 
 def report_write(rows: list[TableRow], fmt: str, path) -> None:
@@ -361,8 +361,8 @@ def report_write(rows: list[TableRow], fmt: str, path) -> None:
         lines = ["problem,preconditioner,IT,CPU,RES,ERR,converged"]
         for r in rows:
             lines.append(
-                f"{r.problem},{r.preconditioner},{'' if r.it is None else r.it},{r.cpu:.6g},"
-                f"{_fmt_sci(r.res)},{_fmt_sci(r.err)},{str(r.converged).lower()}"
+                f"{r.problem},{r.preconditioner},{_fmt(r.it, 'd')},{_fmt(r.cpu, '.6g')},"
+                f"{_fmt(r.res, '.2e')},{_fmt(r.err, '.2e')},{str(r.converged).lower()}"
             )
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")

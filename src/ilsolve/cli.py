@@ -36,7 +36,7 @@ from .bench import (
 )
 from .exceptions import SOLVER_FAILURES, IlsolveError
 from .mmio import write_matrix_market
-from .preconditioners import VARIANTS
+from .preconditioners import VARIANTS, _assembly_size
 
 # The spec file keys that are also flags, one --FIELD flag each (dashes
 # for underscores), converted as in a spec file.  A flag that is not given
@@ -123,7 +123,8 @@ def _cmd_bench(args) -> int:
     def echo(row):
         status = "ok" if row.converged else "FAILED"
         it = "-" if row.it is None else row.it
-        print(f"[{row.problem}] {row.preconditioner}: {status} IT={it} CPU={row.cpu:.3f}s")
+        cpu = "-" if row.cpu is None else f"{row.cpu:.3f}s"
+        print(f"[{row.problem}] {row.preconditioner}: {status} IT={it} CPU={cpu}")
 
     rows = run_experiment(spec, echo=echo)
     base = spec.out or "results"
@@ -138,6 +139,7 @@ def _cmd_analyze(args) -> int:
     if not kinds:
         raise ValueError("--preconditioners must name at least one variant")
     prob = build_problem(_spec_from_args(args))
+    _assembly_size(prob)  # every variant's report assembles M^{-1} A: refuse before any work
     conditions = check_convergence_conditions(prob)
     out = {
         "problem": prob.label(),

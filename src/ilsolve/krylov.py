@@ -17,15 +17,16 @@ most three times) before giving up.  A solve that gives up returns the
 confirmed iterate with the lowest true residual (the zero start counts),
 as capped CG returns its best iterate, and its residual closes the history.
 
-Each outer step needs z_j = M^{-1} v_j and the Arnoldi product A z_j,
-which the loop takes from one ``step`` callable; confirmations and
-restarts assemble the iterate and take its residual with the operator's
-apply, so convergence rests on true residuals whatever the step.  Each
-confirmation is recorded as (iteration, estimate, true residual) in the
-report.  ``fgmres_solve`` hands the block system of a Preconditioner's own
-problem to ``ilsolve.preconditioners._block_solve``, which folds A2's
-empty rows and takes z_j and A z_j from the preconditioner's own step;
-every other solve steps with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
+Each outer step needs z_j = M^{-1} v_j and the Arnoldi product A z_j, which
+the loop takes from one ``step`` callable.  Confirmations and restarts
+assemble the iterate x0 + Z y, with y from one LAPACK solve of the rotated
+triangular system R y = g, and take its residual with the operator's
+product, so convergence rests on true residuals whatever the step; each is
+recorded as (iteration, estimate, true residual).  ``fgmres_solve`` hands
+the block system of a Preconditioner's own problem to
+``ilsolve.preconditioners._block_solve``, which folds A2's empty rows and
+takes z_j and A z_j from the preconditioner's own step; every other solve
+steps with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
 ``fgmres_solve`` check the operator and the right-hand side; their loops
 ``_cg`` and ``_fgmres`` trust float64 vectors of finite norm and use
 ``ndarray.dot``, the BLAS calls of ``@`` without its dispatch.
@@ -212,28 +213,16 @@ def _givens(a: float, b: float) -> tuple[float, float]:
 
 
 def _assemble(x, g, r_cols, zdirs) -> np.ndarray:
-    """x + y Z, with y from back substitution in the rotated upper
-    triangular system R y = g (column k of R is ``r_cols[k]``) and the
-    cycle's directions as the rows of Z.
-
-    The rows y_k z_k are added to x one at a time, in order, so the sum
-    rounds as the loop x += y_k z_k does; iteration counts depend on it.
-    np.cumsum along the rows gives the same sums at several times the
-    cost, and np.sum and x + y @ Z add in other orders."""
-    j_count = len(r_cols)
-    y = [0.0] * j_count
-    for k in range(j_count - 1, -1, -1):
-        acc = g[k]
-        for l in range(k + 1, j_count):
-            acc -= r_cols[l][k] * y[l]
-        # A zero diagonal means the direction contributed nothing
-        # (degenerate preconditioner); leave its weight at zero.
-        y[k] = acc / r_cols[k][k] if r_cols[k][k] != 0.0 else 0.0
-    terms = np.array(y)[:, None] * zdirs[:j_count]
-    out = x + terms[0]
-    for row in terms[1:]:
-        out += row
-    return out
+    """x + y Z, y from one LAPACK solve of the rotated upper triangular
+    system R y = g (column k of R is ``r_cols[k]``), Z's rows the cycle's
+    directions.  A zero diagonal (a direction that contributed nothing)
+    becomes a unit row of R with g's entry zero: its weight is zero."""
+    j = len(r_cols)
+    r = np.zeros((j, j))
+    r.T[np.tri(j, dtype=bool)] = np.concatenate(r_cols)  # R' by rows: R by columns
+    dead = r.diagonal() == 0.0
+    r[dead] = np.eye(j)[dead]
+    return x + np.linalg.solve(r, np.where(dead, 0.0, g[:j])) @ zdirs[:j]
 
 
 def fgmres_solve(

@@ -51,7 +51,7 @@ unshifted or on a tiny shift) A z is one block product.
 
 ``_block_solve`` owns the solve of a preconditioner's own block system,
 which ``fgmres_solve`` hands it for ``block_system_operator(problem)``;
-FGMRES takes each z and A z from the step, and each true residual from
+FGMRES takes each z and A z from the step, each true residual from
 ``apply_block_A``.  Empty rows of A2 fold: on an empty row i, block row 3
 reads d2_i = b2_i, d2_i reaches no other row, and every preconditioner
 passes it through, so the part of each Krylov vector on those rows is a
@@ -335,15 +335,18 @@ DENSE_ASSEMBLY_MAX_SIZE = 2000  # largest p + n + q for a dense M^{-1} A
 _ASSEMBLY_COLUMNS = 256  # columns per block apply; its scratch is a few (size, 256) blocks
 
 
+def _assembly_size(problem: IlsProblem) -> int:
+    """The size of ``problem``'s dense M^{-1} A; over the cap, a ConfigurationError."""
+    if (size := problem.size) > DENSE_ASSEMBLY_MAX_SIZE:
+        raise ConfigurationError(f"dense assembly requested for size {size} > cap {DENSE_ASSEMBLY_MAX_SIZE}")
+    return size
+
+
 def assemble_dense_preconditioned(kind: str, problem: IlsProblem) -> np.ndarray:
     """Dense M^{-1} A by the live application path with exact inner solves:
     block applies to ``apply_block_A`` of the identity's columns, at most
     _ASSEMBLY_COLUMNS at a time (one block at desk scale).  Desk-scale only."""
-    size = problem.size
-    if size > DENSE_ASSEMBLY_MAX_SIZE:
-        raise ConfigurationError(
-            f"dense assembly requested for size {size} > cap {DENSE_ASSEMBLY_MAX_SIZE}"
-        )
+    size = _assembly_size(problem)
     pre = make_preconditioner(kind, problem, inner="cholesky")
     out = np.empty((size, size))
     for j in range(0, size, _ASSEMBLY_COLUMNS):

@@ -58,7 +58,7 @@ def test_failed_exact_factor_is_a_failed_row(tmp_path, capsys):
     )
     assert main(["bench", str(spec)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith("[200x100] bs1: FAILED IT=- CPU=")
+    assert lines[1] == "[200x100] bs1: FAILED IT=- CPU=-"
     assert lines[-1] == f"wrote {tmp_path / 'res'}.csv and {tmp_path / 'res'}.json"
     data = json.loads((tmp_path / "res.json").read_text())
     assert [(row["preconditioner"], row["converged"]) for row in data] == [
@@ -67,9 +67,11 @@ def test_failed_exact_factor_is_a_failed_row(tmp_path, capsys):
     ref_note = "reduced normal matrix indefinite; reference from dense LU solve"
     assert data[0]["note"] == data[2]["note"] == ref_note
     assert data[1]["note"].startswith(f"{ref_note}; solver failure: pivot ")
-    assert data[1]["IT"] is data[1]["RES"] is data[1]["ERR"] is None
+    # A failed solve leaves CPU empty, as it does IT, RES and ERR.
+    assert data[1]["IT"] is data[1]["CPU"] is data[1]["RES"] is data[1]["ERR"] is None
+    assert data[0]["CPU"] > 0.0 and data[2]["CPU"] > 0.0
     record = (tmp_path / "res.csv").read_text().splitlines()[2].split(",")
-    assert record[:3] == ["200x100", "bs1", ""] and record[4:] == ["", "", "false"]
+    assert record == ["200x100", "bs1", "", "", "", "", "false"]
 
 
 def test_validation_errors_exit_one(capsys):
@@ -258,6 +260,17 @@ def test_analyze_without_a_variant_exits_one(capsys, names):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --preconditioners must name at least one variant\n"
+
+
+def test_analyze_refuses_an_over_cap_problem_before_any_work(capsys, monkeypatch):
+    # --random 12,8,6 has size 12 + 6 + 8 = 26; with the cap at 25 the
+    # condition check must not run.
+    checked = []
+    monkeypatch.setattr(il.preconditioners, "DENSE_ASSEMBLY_MAX_SIZE", 25)
+    monkeypatch.setattr(cli, "check_convergence_conditions", lambda prob: checked.append(prob))
+    assert main(["analyze", "--random", "12,8,6"]) == 1
+    assert capsys.readouterr().err == "error: dense assembly requested for size 26 > cap 25\n"
+    assert checked == []
 
 
 def test_analyze_with_a_baseline_exits_one(capsys, monkeypatch):

@@ -1,10 +1,14 @@
 """tools/digest.py hashes what a solve computes, leaving out wall times;
 a SolveReport is fed by its public attributes, so a field that becomes a
-property derived from another hashes the same."""
+property derived from another hashes the same.  A second digest per
+workload hashes the checked counts, so a change that moves only rounding
+reads "values differ, counts equal"."""
 
 import dataclasses
 import hashlib
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -69,3 +73,68 @@ def test_a_report_is_fed_by_its_public_attributes():
     assert hexdigest(rep) == h.hexdigest()
     fields = {f.name for f in dataclasses.fields(SolveReport)}
     assert fields - digest_tool.SKIPPED_FIELDS <= set(digest_tool.REPORT_ATTRIBUTES)
+
+
+class Cell:
+    """The part of perfbench's Cell that the counts line reads."""
+
+    def __init__(self, outer_it, inner_it, ok=True):
+        self.outer_it, self.inner_it, self.ok = outer_it, inner_it, ok
+
+    def counts(self):
+        return (self.outer_it, self.inner_it, 0, True, self.ok)
+
+
+class Op:
+    def __init__(self, value, cell):
+        self.run = lambda: value
+        self.check = lambda result: cell
+
+
+class Workload:
+    """Two operations whose results are ``values`` and whose cells count ``counts``."""
+
+    def __init__(self, values=(1.0, 2.0), counts=((3, 5), (4, 6)), ok=True):
+        self.ops = [Op(np.array([v]), Cell(*c, ok)) for v, c in zip(values, counts)]
+
+    def inputs(self, seed, scratch):
+        return seed
+
+    def setup(self, inputs):
+        return self.ops
+
+
+def lines(workload):
+    return digest_tool.digest(workload, 1234, Path("."))
+
+
+def test_counts_line_sums_the_checked_counts():
+    values, counts = lines(Workload())
+    assert values.startswith("values ") and values.endswith(" 2 operations")
+    assert counts.startswith("counts ") and counts.endswith(" outer 7 inner 11, 2 of 2 ok")
+    assert lines(Workload(ok=False))[1].endswith(" outer 7 inner 11, 0 of 2 ok")
+
+
+def test_a_rounding_level_change_moves_the_values_not_the_counts():
+    nudged = np.nextafter(2.0, 3.0)
+    base, rounded = lines(Workload()), lines(Workload(values=(1.0, nudged)))
+    assert rounded[0] != base[0] and rounded[1] == base[1]
+    swapped = lines(Workload(counts=((4, 5), (3, 6))))  # other cells, the same sums
+    assert swapped[0] == base[0] and swapped[1] != base[1]
+    assert swapped[1].split()[2:] == base[1].split()[2:]
+
+
+def test_main_prints_both_lines_for_every_workload(monkeypatch, capsys):
+    fake = types.ModuleType("workloads")
+    fake.WORKLOADS = {"one": Workload}
+    fake.DeskWorkload = lambda **shape: Workload(counts=((1, 1), (2, 2)))
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert digest_tool.main(["--seed", "7"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [
+        ["one", "values"], ["one", "counts"], ["desk-20x20x10", "values"], ["desk-20x20x10", "counts"],
+    ]
+    assert out[3].endswith(" outer 3 inner 3, 2 of 2 ok")

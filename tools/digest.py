@@ -3,12 +3,16 @@
     python3 tools/digest.py --seed 1234
 
 Builds each workload of perfbench/workloads.py from the seed, and a desk
-pool with q > n, runs each of its operations once, and hashes every
-result: iterates, residual histories, iteration and failure counts, notes
-and eigen reports.  Wall times are left out.  Two checkouts that print
-the same digest for a workload computed the same bits on it.  Digests
-compare only on one machine and BLAS build, since those change the
-rounding.
+pool with q > n, runs each of its operations once, and prints two lines
+per workload.  The ``values`` line hashes every result: iterates, residual
+histories, iteration and failure counts, notes and eigen reports, with
+wall times left out.  The ``counts`` line hashes each operation's
+``Cell.counts()`` from that operation's own check, and gives the summed
+outer and inner iteration counts and how many checks passed.  Two
+checkouts that print the same values digest for a workload computed the
+same bits on it; a change that moves only rounding prints other values
+and the same counts.  Values digests compare only on one machine and BLAS
+build, since those change the rounding.
 """
 
 from __future__ import annotations
@@ -59,13 +63,24 @@ def feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
-def digest(workload, seed: int, scratch: Path) -> tuple[str, int]:
-    """The hex digest of one pass over ``workload``'s operations, and their number."""
-    h = hashlib.sha256()
+def digest(workload, seed: int, scratch: Path) -> tuple[str, str]:
+    """The ``values`` and ``counts`` lines of one pass over ``workload``'s
+    operations, each result checked by its own operation after it is hashed."""
+    values, counts = hashlib.sha256(), hashlib.sha256()
     ops = workload.setup(workload.inputs(seed, scratch))
+    cells = []
     for op in ops:
-        feed(h, op.run())
-    return h.hexdigest(), len(ops)
+        result = op.run()
+        feed(values, result)
+        cells.append(op.check(result))
+        feed(counts, cells[-1].counts())
+    outer = sum(cell.outer_it for cell in cells)
+    inner = sum(cell.inner_it for cell in cells)
+    passed = sum(cell.ok for cell in cells)
+    return (
+        f"values {values.hexdigest()} {len(ops)} operations",
+        f"counts {counts.hexdigest()} outer {outer} inner {inner}, {passed} of {len(ops)} ok",
+    )
 
 
 def main(argv=None) -> int:
@@ -82,8 +97,8 @@ def main(argv=None) -> int:
     pools = {**workloads.WORKLOADS, "desk-20x20x10": lambda: workloads.DeskWorkload(p=20, q=20, n=10)}
     with tempfile.TemporaryDirectory(prefix="digest-") as scratch:
         for name, workload in pools.items():
-            hexdigest, count = digest(workload(), args.seed, Path(scratch))
-            print(f"{name} {hexdigest} {count} operations", flush=True)
+            for line in digest(workload(), args.seed, Path(scratch)):
+                print(f"{name} {line}", flush=True)
     return 0
 
 
