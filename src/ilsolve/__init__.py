@@ -46,6 +46,7 @@ from .preconditioners import (
     Preconditioner,
     assemble_dense_preconditioned,
     make_preconditioner,
+    solve,
 )
 from .problem import (
     IlsProblem,

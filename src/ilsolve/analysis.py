@@ -32,10 +32,10 @@ from .exceptions import (
     RankAmbiguityWarning,
     StationaryDivergenceError,
 )
-from .krylov import FgmresConfig, SolveReport, _count, fgmres_solve
+from .krylov import FgmresConfig, SolveReport, _count
 from .preconditioners import _BACKSUB_FIRST, _COUPLED_RHS
-from .preconditioners import IBS_VARIANTS, assemble_dense_preconditioned, make_preconditioner
-from .problem import IlsProblem, apply_block_A, block_system_operator, build_rhs, dense_blocks
+from .preconditioners import IBS_VARIANTS, assemble_dense_preconditioned, make_preconditioner, solve
+from .problem import IlsProblem, apply_block_A, build_rhs, dense_blocks
 
 __all__ = [
     "ConditionReport",
@@ -458,8 +458,7 @@ def gmres_bound_check(kind: str, prob: IlsProblem) -> GmresBoundResult:
     """Unrestarted flexible GMRES with exact inner solves must reach a
     1e-12 relative residual in at most n + q + 1 iterations (the minimal
     polynomial degree bound of the preconditioned matrix)."""
-    pre = make_preconditioner(_ibs_kind(kind, "the bound check"), prob, inner="cholesky")
     cfg = FgmresConfig(rel_tolerance=1e-12, max_iterations=prob.size, restart=None)
-    _, report = fgmres_solve(block_system_operator(prob), pre, build_rhs(prob), config=cfg)
+    _, report = solve(prob, _ibs_kind(kind, "the bound check"), inner="cholesky", config=cfg)
     bound = prob.n + prob.q + 1
     return GmresBoundResult(report.iterations, bound, bool(report.converged and report.iterations <= bound))

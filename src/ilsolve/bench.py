@@ -3,8 +3,8 @@
 An experiment is described by a flat key-value spec file (see
 ``load_experiment_spec``) naming a problem source, a list of
 preconditioners, inner/outer solver settings, and an output path.  Each
-(problem, preconditioner) cell is solved ``runs`` times from a zero start;
-the runs are deterministic, so the table reports the final run's iteration
+(problem, preconditioner) cell is solved ``runs`` times by ``solve``; the
+runs are deterministic, so the table reports the final run's iteration
 count and relative residual, the relative error against an independently
 computed reference solution, and the mean wall time.
 """
@@ -18,16 +18,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError
-from .krylov import CgConfig, FgmresConfig, _count, fgmres_solve
+from .krylov import CgConfig, FgmresConfig, _count
 from .mmio import read_matrix_market
-from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS, make_preconditioner
-from .problem import (
-    IlsProblem,
-    block_system_operator,
-    build_rhs,
-    compute_alpha,
-    reference_solution,
-)
+from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS, solve
+from .problem import IlsProblem, compute_alpha, reference_solution
 from .sparse import SparseMatrixCsr, _sealed, normalize_to_unit_one_norm, rectangular_identity_csr
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
     "hilbert_matrix",
     "build_problem",
     "load_experiment_spec",
-    "run_cell",
     "run_experiment",
     "report_write",
 ]
@@ -181,9 +174,10 @@ class ExperimentSpec:
             if getattr(self, name) in (None, ""):
                 raise ValueError(f"{name} is required for problem = {self.problem}")
 
-    def inner_config(self) -> CgConfig:
+    def inner_config(self) -> CgConfig | None:  # None for an inner solver that reads no settings
         settings = {"rel_tolerance": self.inner_tol, "max_iterations": self.inner_maxit}
-        return CgConfig(**{name: value for name, value in settings.items() if value is not None})
+        given = {name: value for name, value in settings.items() if value is not None}
+        return CgConfig(**given) if _INNER_FIELDS[self.inner] else None
 
     def outer_config(self) -> FgmresConfig:
         return FgmresConfig(self.outer_tol, self.outer_maxit, self.restart)
@@ -284,46 +278,13 @@ class TableRow:
     inner_failures: int = 0
 
 
-def run_cell(spec: ExperimentSpec, prob: IlsProblem, kind: str, x_star=None, note: str = ""):
-    """Solve one (problem, preconditioner) cell ``spec.runs`` times from a
-    zero start with one preconditioner, and return (row, final report).
-
-    The row averages CPU over the runs and takes the rest, IT included,
-    from the final run: repeated solves of one cell are deterministic.
-    ERR needs the reference solution ``x_star``, and ``note`` opens the
-    row's note; the row is built once, from the final values.
-    Set-up and solver errors propagate.
-    """
-    pre = make_preconditioner(kind, prob, inner=spec.inner, inner_config=spec.inner_config())
-    op, rhs, outer = block_system_operator(prob), build_rhs(prob), spec.outer_config()
-    cpus = []
-    for _ in range(spec.runs):
-        pre.reset_stats()
-        x, report = fgmres_solve(op, pre, rhs, config=outer)
-        cpus.append(report.wall_seconds)
-    notes = [note] if note else []
-    if pre.inner_failures:
-        notes.append(f"{pre.inner_failures} inner solves hit their cap")
-    it = res = err = None
-    if report.converged:
-        it, res = report.iterations, report.final_res
-        x_star_norm = 0.0 if x_star is None else float(np.linalg.norm(x_star))
-        if x_star_norm > 0.0:
-            err = float(np.linalg.norm(prob.split(x)[1] - x_star)) / x_star_norm
-    else:
-        notes.append(f"no convergence in {report.iterations} iterations")
-    row = TableRow(
-        prob.label(), kind, it, float(np.mean(cpus)), res, err, report.converged, "; ".join(notes),
-        pre.inner_iterations, pre.inner_failures,
-    )
-    return row, report
-
-
 def run_experiment(spec: ExperimentSpec, echo=None) -> list[TableRow]:
     """Run every (problem, preconditioner) cell of the experiment.
 
-    The reference solution is computed once per problem.  A cell whose
-    solve fails with one of SOLVER_FAILURES becomes a failed row.  ``echo``,
+    A row averages CPU over the runs and takes the rest from the final
+    run.  The reference solution is computed once per problem, and its
+    note opens each row's note.  A cell whose solve fails with one of
+    SOLVER_FAILURES becomes a failed row; other errors propagate.  ``echo``,
     when given, is called with each finished TableRow (CLI progress).
     """
     prob = build_problem(spec)
@@ -331,14 +292,29 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> list[TableRow]:
         x_star, ref_note = reference_solution(prob)
     except IlsolveError as exc:
         x_star, ref_note = None, f"reference solution unavailable: {exc}"
+    x_star_norm = 0.0 if x_star is None else float(np.linalg.norm(x_star))
 
     rows = []
     for kind in spec.preconditioners:
+        notes, cpus = [ref_note] if ref_note else [], []
         try:
-            row, _ = run_cell(spec, prob, kind, x_star, ref_note)
+            for _ in range(spec.runs):
+                x, report = solve(prob, kind, spec.inner, spec.inner_config(), spec.outer_config())
+                cpus.append(report.wall_seconds)
         except SOLVER_FAILURES as exc:
-            note = "; ".join(filter(None, (ref_note, f"solver failure: {exc}")))
-            row = TableRow(prob.label(), kind, None, None, None, None, False, note)
+            notes.append(f"solver failure: {exc}")
+            row = TableRow(prob.label(), kind, None, None, None, None, False, "; ".join(notes))
+        else:
+            if report.inner_failures:
+                notes.append(f"{report.inner_failures} inner solves hit their cap")
+            it = res = err = None
+            if report.converged:
+                it, res = report.iterations, report.final_res
+                err = float(np.linalg.norm(prob.split(x)[1] - x_star)) / x_star_norm if x_star_norm else None
+            else:
+                notes.append(f"no convergence in {report.iterations} iterations")
+            row = TableRow(prob.label(), kind, it, float(np.mean(cpus)), res, err, report.converged,
+                           "; ".join(notes), report.inner_iterations, report.inner_failures)
         rows.append(row)
         if echo is not None:
             echo(row)

@@ -31,12 +31,11 @@ from .bench import (
     build_problem,
     load_experiment_spec,
     report_write,
-    run_cell,
     run_experiment,
 )
 from .exceptions import SOLVER_FAILURES, IlsolveError
 from .mmio import write_matrix_market
-from .preconditioners import VARIANTS, _assembly_size
+from .preconditioners import VARIANTS, _assembly_size, solve
 
 # The spec file keys that are also flags, one --FIELD flag each (dashes
 # for underscores), converted as in a spec file.  A flag that is not given
@@ -70,14 +69,14 @@ def _add_problem_args(parser):
     _add_spec_flags(src, _SOURCE_FLAGS)
 
 
-def _spec_from_args(args, **fixed) -> ExperimentSpec:
+def _spec_from_args(args) -> ExperimentSpec:
     chosen = [bool(args.matrix), args.hilbert is not None, args.random is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --matrix, --hilbert, --random")
     if args.q is not None and not args.matrix:
         raise ValueError("--q applies only to --matrix")
     flags = {_SPEC_KEYS[key][0] for key in _SOURCE_FLAGS + _SOLVER_FLAGS}
-    settings = {name: value for name, value in vars(args).items() if name in flags} | fixed
+    settings = {name: value for name, value in vars(args).items() if name in flags}
     if args.matrix:
         return ExperimentSpec(problem="matrix-market", matrix=args.matrix, q=args.q, **settings)
     if args.hilbert is not None:
@@ -90,17 +89,18 @@ def _spec_from_args(args, **fixed) -> ExperimentSpec:
 
 
 def _cmd_solve(args) -> int:
-    spec = _spec_from_args(args, preconditioners=(args.preconditioner,), runs=1)
-    row, report = run_cell(spec, build_problem(spec), args.preconditioner)
+    spec = _spec_from_args(args)
+    prob = build_problem(spec)
+    _, report = solve(prob, args.preconditioner, spec.inner, spec.inner_config(), spec.outer_config())
     payload = {
-        "problem": row.problem,
-        "preconditioner": row.preconditioner,
+        "problem": prob.label(),
+        "preconditioner": args.preconditioner,
         "converged": report.converged,
         "IT": report.iterations,
         "CPU": report.wall_seconds,
         "RES": report.final_res,
-        "inner_iterations": row.inner_iterations,
-        "inner_failures": row.inner_failures,
+        "inner_iterations": report.inner_iterations,
+        "inner_failures": report.inner_failures,
         "notes": list(report.notes),
         "resumptions": report.resumptions,
         "confirmations": [list(entry) for entry in report.confirmations],

@@ -22,11 +22,11 @@ the loop takes from one ``step`` callable.  Confirmations and restarts
 assemble the iterate x0 + Z y, with y from one LAPACK solve of the rotated
 triangular system R y = g, and take its residual with the operator's
 product, so convergence rests on true residuals whatever the step; each is
-recorded as (iteration, estimate, true residual).  ``fgmres_solve`` hands
-the block system of a Preconditioner's own problem to
-``ilsolve.preconditioners._block_solve``, which folds A2's empty rows and
-takes z_j and A z_j from the preconditioner's own step; every other solve
-steps with ``precond.apply`` followed by ``op.apply``.  ``cg_solve`` and
+recorded as (iteration, estimate, true residual).  The block system's
+solve, ``ilsolve.preconditioners.solve``, folds A2's empty rows and takes
+z_j and A z_j from the preconditioner's own step; ``fgmres_solve`` steps
+with ``precond.apply`` followed by ``op.apply``, save for a benchmark
+route to that block solve, kept for ``perfbench/``.  ``cg_solve`` and
 ``fgmres_solve`` check the operator and the right-hand side; their loops
 ``_cg`` and ``_fgmres`` trust float64 vectors of finite norm and use
 ``ndarray.dot``, the BLAS calls of ``@`` without its dispatch.
@@ -86,11 +86,11 @@ class FgmresConfig:
 class SolveReport:
     """Outcome of one solve, built once: wall time, the relative residual
     history (a read-only float64 copy of the nonempty 1-D sequence given),
-    whether the solve converged, free-text notes, how many times flexible
-    GMRES resumed after an unconfirmed early end, and one (iteration,
-    estimate, true residual) entry per flexible GMRES confirmation.
-    ``iterations`` and ``final_res`` are the history's length less one and
-    its last entry, so they cannot disagree with it."""
+    whether it converged, free-text notes, how many times flexible GMRES
+    resumed after an unconfirmed early end, one (iteration, estimate, true
+    residual) per confirmation and a block solve's (inner iterations,
+    converged) per outer step.  ``iterations`` and ``final_res`` are the
+    history's length less one and last entry; the inner totals sum ``inner``."""
 
     wall_seconds: float
     res_history: np.ndarray
@@ -98,6 +98,7 @@ class SolveReport:
     notes: tuple[str, ...] = ()
     resumptions: int = 0
     confirmations: tuple[tuple[int, float, float], ...] = ()
+    inner: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self):  # a read-only copy, so no one's writes reach it
         history = np.array(self.res_history, dtype=float)
@@ -108,16 +109,18 @@ class SolveReport:
 
     iterations = property(lambda self: len(self.res_history) - 1)
     final_res = property(lambda self: float(self.res_history[-1]))
+    inner_iterations = property(lambda self: sum(count for count, _ in self.inner))
+    inner_failures = property(lambda self: sum(not converged for _, converged in self.inner))
 
 
-def _checked_rhs(op: LinearOperator, rhs) -> np.ndarray:
-    """Both solvers' entry check: ``rhs`` as float64 of a square ``op``'s
-    size, with a finite 2-norm (so no NaN or inf entry)."""
-    if op.n_rows != op.n_cols:
-        raise ValueError(f"operator is {op.n_rows} x {op.n_cols}, not square")
+def _checked_rhs(shape: tuple[int, int], rhs) -> np.ndarray:
+    """The solvers' entry check: ``rhs`` as float64 of the size of a square
+    operator of ``shape``, with a finite 2-norm (so no NaN or inf entry)."""
+    if shape[0] != shape[1]:
+        raise ValueError(f"operator is {shape[0]} x {shape[1]}, not square")
     rhs = _real(rhs, "rhs")
-    if rhs.shape != (op.n_cols,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({op.n_cols},)")
+    if rhs.shape != (shape[1],):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({shape[1]},)")
     with np.errstate(over="ignore"):
         norm = math.sqrt(float(rhs.dot(rhs)))
     if not math.isfinite(norm):
@@ -145,7 +148,7 @@ def cg_solve(
     is returned with converged=False, its residual closing the history.
     """
     cfg = config or CgConfig()
-    rhs = _checked_rhs(op, rhs)
+    rhs = _checked_rhs(op.shape, rhs)
     t0 = time.perf_counter()
     x, history, converged, residual, _ = _cg(lambda p: (op.apply(p), None), rhs, cfg)
     best = f"returned best iterate (residual {history[-1]:.3e}) instead of the last"
@@ -256,19 +259,18 @@ def fgmres_solve(
     before the solve, and a complex one TypeError.
 
     Given ``block_system_operator(prob)`` and a Preconditioner built on
-    the same ``prob``, the solve is that preconditioner's block solve (see
-    the module docstring); any other pair, a wrapped block operator
-    included, steps with ``precond.apply`` and ``op.apply``.  The true
-    residuals of confirmations and restarts always come from the operator.
+    the same ``prob``, the solve is ``ilsolve.preconditioners.solve``'s
+    (a benchmark route); any other pair, a wrapped block operator included,
+    steps with ``precond.apply`` and ``op.apply``.  The true residuals of
+    confirmations and restarts always come from the operator.
     """
     cfg = config or FgmresConfig()
-    rhs = _checked_rhs(op, rhs)
+    rhs = _checked_rhs(op.shape, rhs)
     # Imported here: both modules import this one.
     from .preconditioners import Preconditioner, _block_solve
     from .problem import _BlockOperator
 
-    own = isinstance(op, _BlockOperator) and isinstance(precond, Preconditioner)
-    if own and op.problem is precond.problem:
+    if isinstance(op, _BlockOperator) and isinstance(precond, Preconditioner) and op.problem is precond.problem:
         return _block_solve(precond, rhs, cfg)
     calls = itertools.count(1)  # the step runs once per iteration
 

@@ -49,18 +49,18 @@ carries, with no product by A1 or A1'A1; for an earlier iterate the cg
 entry gets both from one Gram product of z2.  Otherwise (kind 'none', CG
 unshifted or on a tiny shift) A z is one block product.
 
-``_block_solve`` owns the solve of a preconditioner's own block system,
-which ``fgmres_solve`` hands it for ``block_system_operator(problem)``;
-FGMRES takes each z and A z from the step, each true residual from
-``apply_block_A``.  Empty rows of A2 fold: on an empty row i, block row 3
-reads d2_i = b2_i, d2_i reaches no other row, and every preconditioner
-passes it through, so the part of each Krylov vector on those rows is a
-multiple of the right-hand side's (the paper's A2 = s*I_{q x n}, q > n,
-has q - n of them).  With two or more, the solve runs on the twin
-``_fold(problem)``, in which they are one zero row (an isometry of the
-Krylov space with the same iterates, counts and residuals; its A1 is the
-same, so the preconditioner acts on it as on its own problem), and lifts
-the answer back.  A1's empty rows do not fold.
+``solve`` builds the preconditioner and runs ``_block_solve`` on its own
+block system (``fgmres_solve``'s benchmark route runs it too): FGMRES takes
+each z and A z from the step, each true residual from ``apply_block_A``,
+and the report each step's inner count.  Empty rows of A2 fold: on an
+empty row i, block row 3 reads d2_i = b2_i, d2_i reaches no other row,
+and every preconditioner passes it through, so the part of each Krylov
+vector on those rows is a multiple of the right-hand side's (the paper's
+A2 = s*I_{q x n}, q > n, has q - n of them).  With two or more, the solve
+runs on the twin ``_fold(problem)``, in which they are one zero row (an
+isometry of the Krylov space with the same iterates, counts and
+residuals; its A1 is the same, so the preconditioner acts on it as on its
+own problem), and lifts the answer back.  A1's empty rows do not fold.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ import numpy as np
 from . import problem as problem_module
 from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
-from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _fgmres
-from .problem import IlsProblem, _gram_pair, apply_block_A, densify
+from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _checked_rhs, _fgmres
+from .problem import IlsProblem, _gram_pair, apply_block_A, build_rhs, densify
 from .sparse import SparseMatrixCsr, _real, _sealed, one_norm
 
 __all__ = [
@@ -84,6 +84,7 @@ __all__ = [
     "INNER_SOLVERS",
     "Preconditioner",
     "make_preconditioner",
+    "solve",
     "assemble_dense_preconditioned",
 ]
 
@@ -205,7 +206,7 @@ class Preconditioner:
     ``linear`` in r (kind 'none' always is) and whether the step is
     ``paired`` (see the module docstring); it reads ``inner_config`` then.
     ``inner_iterations`` and ``inner_failures`` add up the inner solves'
-    counts over reuses (call ``reset_stats`` between timed runs).
+    counts over reuses; a block solve's report holds them per step.
     """
 
     def __init__(self, kind: str, problem: IlsProblem, inner: str = "cg", inner_config: CgConfig | None = None):
@@ -291,6 +292,18 @@ def make_preconditioner(
     return Preconditioner(kind, problem, inner, inner_config)
 
 
+def solve(prob: IlsProblem, kind: str, inner: str = "cg", inner_config: CgConfig | None = None,
+          config: FgmresConfig | None = None) -> tuple[np.ndarray, SolveReport]:
+    """(x, report) of FGMRES from zero at ``config`` (by default FgmresConfig()) on the block
+    system of ``prob`` with make_preconditioner(kind, prob, inner, inner_config); ``inner`` is
+    empty for kind 'none'.  Cholesky reads no ``inner_config``: one is a ValueError."""
+    if inner == "cholesky" and inner_config is not None:
+        raise ValueError("inner_config does not apply to inner = cholesky")
+    pre = make_preconditioner(kind, prob, inner, inner_config)
+    rhs = _checked_rhs((prob.size,) * 2, build_rhs(prob))  # as fgmres_solve's: a finite 2-norm
+    return _block_solve(pre, rhs, config or FgmresConfig())
+
+
 def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tuple[np.ndarray, SolveReport]:
     """FGMRES on the block system of ``pre.problem`` with ``pre``, on the
     folded twin when A2's empty rows fold: there the rhs on them becomes
@@ -308,10 +321,18 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
         part = rhs[head:][empty]
         norm = np.linalg.norm(part)
         solve_rhs = np.concatenate([rhs[:head], rhs[head:][~empty], [norm]])
-    step = lambda v: pre._apply(prob, v, paired=True)
+    steps = []  # each outer step's (inner iterations, converged)
+
+    def step(v):
+        iterations, failures = pre.inner_iterations, pre.inner_failures
+        out = pre._apply(prob, v, paired=True)
+        steps.append((pre.inner_iterations - iterations, pre.inner_failures == failures))
+        return out
+
     y, report = _fgmres(lambda v: apply_block_A(prob, v), step, solve_rhs, cfg)
+    inner = tuple(steps) if pre.kind != "none" else ()
     if fold is None:
-        return y, report
+        return y, replace(report, inner=inner)
     x = np.empty(len(rhs))
     x[:head] = y[:head]
     tail = x[head:]
@@ -327,7 +348,7 @@ def _block_solve(pre: Preconditioner, rhs: np.ndarray, cfg: FgmresConfig) -> tup
     return x, replace(
         report, wall_seconds=time.perf_counter() - t0,
         res_history=np.append(report.res_history[:-1], true_res),
-        converged=true_res < cfg.rel_tolerance, confirmations=confirmations,
+        converged=true_res < cfg.rel_tolerance, confirmations=confirmations, inner=inner,
     )
 
 

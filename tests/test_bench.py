@@ -22,7 +22,7 @@ from ilsolve import (
     report_write,
     run_experiment,
 )
-from ilsolve.bench import build_problem, hilbert_matrix, run_cell
+from ilsolve.bench import build_problem, hilbert_matrix
 from ilsolve.cli import main
 from ilsolve.sparse import normalize_to_unit_one_norm, rectangular_identity_csr
 
@@ -311,7 +311,11 @@ class TestSpecBoundary:
         assert spec.inner_tol is None and spec.inner_maxit is None
         assert spec.inner_config() == il.CgConfig()
         assert dataclasses.replace(spec, inner_maxit=7).inner_config() == il.CgConfig(max_iterations=7)
-        assert dataclasses.replace(spec, inner="cholesky").inner_config() == il.CgConfig()
+
+    def test_cholesky_has_no_inner_config(self):
+        # Cholesky reads no inner settings, so a spec gives solve none.
+        spec = ExperimentSpec(problem="random", p=6, q=4, n=3, inner="cholesky")
+        assert spec.inner_config() is None
 
     def test_unset_seed_and_normalize_take_the_generator_defaults(self, tmp_path):
         prob = build_problem(ExperimentSpec(problem="random", p=6, q=4, n=3))
@@ -399,11 +403,12 @@ class TestItIsACount:
     @pytest.mark.parametrize("inner", ["cg", "cholesky"])
     def test_it_of_three_runs_is_one_solves_count(self, tmp_path, inner):
         spec = ExperimentSpec(problem="hilbert", n=40, preconditioners=("ibs2",), inner=inner, runs=3)
-        prob = build_problem(spec)
-        row, report = run_cell(spec, prob, "ibs2")
-        _, single = run_cell(dataclasses.replace(spec, runs=1), prob, "ibs2")
+        [row] = run_experiment(spec)
+        [single] = run_experiment(dataclasses.replace(spec, runs=1))
+        _, report = il.solve(build_problem(spec), "ibs2", inner, spec.inner_config(), spec.outer_config())
         assert row.converged and type(row.it) is int
-        assert row.it == report.iterations == single.iterations
+        assert row.it == report.iterations == single.it
+        assert row.inner_iterations == report.inner_iterations == single.inner_iterations
         report_write([row], "csv", tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[2] == str(row.it)
         report_write([row], "json", tmp_path / "r.json")

@@ -182,7 +182,7 @@ def test_generated_flags_are_the_listed_spec_fields(command, keys):
 def test_flag_and_spec_file_key_build_equal_specs(tmp_path, capsys, monkeypatch, key):
     (argv, lines), value = FLAG_CASES[key]
     path = tmp_path / "x.spec"
-    path.write_text(f"{lines}preconditioners = ibs2\nruns = 1\n{key} = {value}\n")
+    path.write_text(f"{lines}{key} = {value}\n")
     from_flag = _solve_spec(monkeypatch, [*argv, "--preconditioner", "ibs2", _flag(key), value])
     assert from_flag == load_experiment_spec(path)
     assert from_flag != _solve_spec(monkeypatch, [*argv, "--preconditioner", "ibs2"])

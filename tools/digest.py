@@ -30,7 +30,7 @@ SKIPPED_FIELDS = {"wall_seconds"}  # timings differ from run to run
 # A SolveReport is fed by its public attributes, not its dataclass fields,
 # so a field that becomes a property derived from another hashes the same.
 REPORT_ATTRIBUTES = (
-    "iterations", "final_res", "res_history", "converged", "notes", "resumptions", "confirmations",
+    "iterations", "final_res", "res_history", "converged", "notes", "resumptions", "confirmations", "inner",
 )
 
 
