@@ -32,10 +32,11 @@ from .exceptions import (
     RankAmbiguityWarning,
     StationaryDivergenceError,
 )
-from .krylov import FgmresConfig, SolveReport, _count
+from .krylov import FgmresConfig, SolveReport
 from .preconditioners import _BACKSUB_FIRST, _COUPLED_RHS
 from .preconditioners import IBS_VARIANTS, assemble_dense_preconditioned, make_preconditioner, solve
 from .problem import IlsProblem, apply_block_A, build_rhs, dense_blocks
+from .sparse import _count
 
 __all__ = [
     "ConditionReport",

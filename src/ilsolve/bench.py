@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError
-from .krylov import CgConfig, FgmresConfig, _count
+from .krylov import CgConfig, FgmresConfig
 from .mmio import read_matrix_market
 from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS, solve
 from .problem import IlsProblem, compute_alpha, reference_solution
-from .sparse import SparseMatrixCsr, _sealed, normalize_to_unit_one_norm, rectangular_identity_csr
+from .sparse import SparseMatrixCsr, _count, _sealed, normalize_to_unit_one_norm, rectangular_identity_csr
 
 __all__ = [
     "ExperimentSpec",
@@ -58,7 +58,8 @@ def generate_augmented_problem(
 def hilbert_matrix(n: int) -> np.ndarray:
     """H[i, j] = 1 / (i + j + 1) with 0-based indices."""
     idx = np.arange(n, dtype=np.float64)
-    return 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+    h = np.add.outer(idx, idx + 1.0)  # whole numbers, so exactly i + j + 1
+    return np.divide(1.0, h, out=h)
 
 
 HILBERT_MAX_N = 2000  # largest order of the (dense) Hilbert block

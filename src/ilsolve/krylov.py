@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -44,17 +43,9 @@ import numpy as np
 
 from .exceptions import IndefiniteOperatorError, NumericalFailureError
 from .operators import LinearOperator
-from .sparse import _real
+from .sparse import _count, _real
 
 __all__ = ["CgConfig", "FgmresConfig", "SolveReport", "cg_solve", "fgmres_solve"]
-
-
-def _count(name: str, value, least: int = 1) -> None:
-    """A ValueError naming ``name`` unless ``value`` is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)

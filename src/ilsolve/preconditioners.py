@@ -75,7 +75,7 @@ from .dense import _block_inverses, cholesky_solve, dense_cholesky
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _checked_rhs, _fgmres
 from .problem import IlsProblem, _gram_pair, apply_block_A, build_rhs, densify
-from .sparse import SparseMatrixCsr, _real, _sealed, one_norm
+from .sparse import SparseMatrixCsr, _built_csr, _real, _sealed, one_norm
 
 __all__ = [
     "VARIANTS",
@@ -135,7 +135,8 @@ def _gram_bound(prob: IlsProblem) -> float:
         if isinstance(a1, SparseMatrixCsr):
             rows = np.bincount(a1._rows, weights=np.abs(a1.values), minlength=a1.n_rows)
             return one_norm(a1) * float(rows.max())
-        return float(np.linalg.norm(a1, 1)) * float(np.linalg.norm(a1, np.inf))
+        magnitudes = np.abs(a1)  # one pass for both norms, as np.linalg.norm sums them
+        return float(magnitudes.sum(axis=0).max()) * float(magnitudes.sum(axis=1).max())
 
     return prob._shared("gram bound", bound)
 
@@ -190,8 +191,9 @@ def _build_fold(prob: IlsProblem):
         return None
     keep = ~empty
     if csr:  # the dropped rows hold no entries
-        offsets = _sealed(np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]]))
-        a2 = SparseMatrixCsr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
+        offsets = np.concatenate([[0], a2.row_offsets[1:][keep], [a2.nnz]])
+        # The row index is the twin's own: dropping empty rows renumbers the rows after them.
+        a2 = _built_csr(len(offsets) - 1, a2.n_cols, offsets, a2.col_indices, a2.values)
     else:
         a2 = _sealed(np.vstack([a2[keep], np.zeros((1, a2.shape[1]))]))
     b2 = _sealed(np.append(prob.b2[keep], np.linalg.norm(prob.b2[empty])))

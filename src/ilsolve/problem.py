@@ -47,10 +47,9 @@ from .exceptions import (
     NotSpdError,
     ProblemAssumptionError,
 )
-from .krylov import _count
 from .operators import LinearOperator, as_matrix
 from . import sparse
-from .sparse import SparseMatrixCsr, _check_block, _read_only, _real, one_norm
+from .sparse import SparseMatrixCsr, _check_block, _count, _read_only, _real, one_norm
 
 __all__ = [
     "IlsProblem",
@@ -234,8 +233,10 @@ def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
 
 
 def build_rhs(prob: IlsProblem) -> np.ndarray:
-    """The flat (b1; A1'b1; b2); ``prob.split`` gives its blocks."""
-    return np.concatenate([prob.b1, prob.b1 @ prob.a1, prob.b2])
+    """The flat (b1; A1'b1; b2); ``prob.split`` gives its blocks.  A1'b1 may
+    overflow finite data to inf; the solvers' rhs check refuses it then."""
+    with np.errstate(over="ignore"):
+        return np.concatenate([prob.b1, prob.b1 @ prob.a1, prob.b2])
 
 
 class _BlockOperator(LinearOperator):

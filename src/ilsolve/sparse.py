@@ -6,14 +6,19 @@ checking the operand, and inner CG's Gram pair calls it unchecked on A1's
 arrays; a (rows, k) block goes through it column by column, so each column
 is the vector's product bit for bit and scratch stays O(nnz).  The row index
 of every stored entry, which both products need, is computed once per
-matrix at construction; index arrays must hold whole numbers.  The arrays
-this module makes (that row index, ``from_triplets``, row slices,
-normalization, rectangular identities) are read-only.
+matrix; index arrays must hold whole numbers.
+
+Each structure is scanned once: the public constructor scans a caller's
+arrays and ``from_triplets`` its triplets.  What the package builds from
+checked parts (``from_triplets``' result, row slices, normalization,
+rectangular identities, the fold's twin in ilsolve.preconditioners) goes
+through ``_built_csr`` with no second scan, and its arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +32,14 @@ __all__ = [
     "normalize_to_unit_one_norm",
     "rectangular_identity_csr",
 ]
+
+
+def _count(name: str, value, least: int = 1) -> None:
+    """A ValueError naming ``name`` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def _real(x, name: str) -> np.ndarray:
@@ -46,7 +59,8 @@ def _sealed(x: np.ndarray) -> np.ndarray:
 def _read_only(x):
     """``x`` if it and every array it views are read-only, else a read-only
     copy in the same memory order; a CSR matrix with a writable array is
-    rebuilt on read-only copies of its arrays."""
+    rebuilt on read-only copies of its arrays, through the constructor's
+    scan, since the caller may have written to them."""
     if isinstance(x, SparseMatrixCsr):
         arrays = (x.row_offsets, x.col_indices, x.values)
         kept = tuple(map(_read_only, arrays))
@@ -75,6 +89,18 @@ def _indices(values, name: str) -> np.ndarray:
         if not np.array_equal(arr, given):
             raise ValueError(f"{name} must hold whole numbers")
     return arr.astype(np.int64, copy=False)
+
+
+def _built_csr(n_rows: int, n_cols: int, offsets, cols, values, rows=None) -> "SparseMatrixCsr":
+    """A CSR matrix, with no scan, on int64 offsets and column indices and
+    float64 values that the package has just built and checked, sealed;
+    ``rows`` is the row index if the caller has it, else computed here."""
+    if rows is None:
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offsets))
+    offsets, cols, values, rows = map(_sealed, (offsets, cols, values, rows))
+    a = object.__new__(SparseMatrixCsr)
+    vars(a).update(n_rows=n_rows, n_cols=n_cols, row_offsets=offsets, col_indices=cols, values=values, _rows=rows)
+    return a
 
 
 @dataclass(frozen=True)
@@ -139,7 +165,11 @@ class SparseMatrixCsr:
     @classmethod
     def from_triplets(cls, n_rows, n_cols, rows, cols, values) -> "SparseMatrixCsr":
         """Build from (i, j, v) triplets; duplicates are summed, exact zeros
-        after summation are dropped."""
+        after summation are dropped.  Triplets already in strictly increasing
+        (row, col) order, as the Matrix Market writer puts them, are only
+        stripped of their zeros."""
+        _count("n_rows", n_rows, 0)
+        _count("n_cols", n_cols, 0)
         rows, cols = _indices(rows, "rows"), _indices(cols, "cols")
         values = _real(values, "values")
         if not (rows.shape == cols.shape == values.shape):
@@ -148,18 +178,21 @@ class SparseMatrixCsr:
             raise ValueError("row index out of range")
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        r, c, v = rows[order], cols[order], values[order]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        summed = np.bincount(np.cumsum(first) - 1, weights=v)
-        r, c = r[first], c[first]
+        step = np.diff(rows)
+        if (step >= 0).all() and (np.diff(cols)[step == 0] > 0).all():
+            r, c, summed = rows, cols, values  # no duplicates; the masks below copy
+        else:
+            order = np.lexsort((cols, rows))
+            r, c, v = rows[order], cols[order], values[order]
+            first = np.ones(r.size, dtype=bool)
+            first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+            summed = np.bincount(np.cumsum(first) - 1, weights=v)
+            r, c = r[first], c[first]
         keep = summed != 0.0
         r, c, summed = r[keep], c[keep], summed[keep]
-        counts = np.bincount(r, minlength=n_rows)
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(n_rows, n_cols, *map(_sealed, (offsets, c, summed)))
+        np.cumsum(np.bincount(r, minlength=n_rows), out=offsets[1:])
+        return _built_csr(n_rows, n_cols, offsets, c, summed, r)
 
     def to_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._rows.copy(), self.col_indices.copy(), self.values.copy()
@@ -174,12 +207,13 @@ class SparseMatrixCsr:
         if not (0 <= start <= stop <= self.n_rows):
             raise ValueError("row slice out of range")
         lo, hi = self.row_offsets[start], self.row_offsets[stop]
-        return SparseMatrixCsr(
+        return _built_csr(
             stop - start,
             self.n_cols,
-            _sealed(self.row_offsets[start : stop + 1] - lo),
+            self.row_offsets[start : stop + 1] - lo,
             self.col_indices[lo:hi],
             self.values[lo:hi],
+            self._rows[lo:hi] - start,
         )
 
     def __matmul__(self, x) -> np.ndarray:
@@ -232,14 +266,16 @@ def normalize_to_unit_one_norm(a: SparseMatrixCsr) -> SparseMatrixCsr:
         raise DegenerateMatrixError("cannot normalize an all-zero matrix")
     if norm == 1.0:
         return a
-    return replace(a, values=_sealed(a.values / norm))
+    structure = map(_read_only, (a.row_offsets, a.col_indices))
+    return _built_csr(a.n_rows, a.n_cols, *structure, a.values / norm, a._rows)
 
 
 def rectangular_identity_csr(n_rows: int, n_cols: int, scale: float = 1.0) -> SparseMatrixCsr:
     """scale * I_{n_rows x n_cols}: ones on the leading diagonal, zeros
     elsewhere.  A zero scale yields an empty pattern."""
+    _count("n_rows", n_rows, 0)
+    _count("n_cols", n_cols, 0)
     k = min(n_rows, n_cols) if scale != 0.0 else 0
-    idx = np.arange(k, dtype=np.int64)
-    vals = np.full(k, float(scale))
+    idx = np.arange(k, dtype=np.int64)  # both the column and the row index
     offsets = np.minimum(np.arange(n_rows + 1, dtype=np.int64), k)
-    return SparseMatrixCsr(n_rows, n_cols, *map(_sealed, (offsets, idx, vals)))
+    return _built_csr(n_rows, n_cols, offsets, idx, np.full(k, float(scale)), idx)

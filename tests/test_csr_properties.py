@@ -2,6 +2,8 @@
 matrices built by ``from_triplets`` from drawn triplets: duplicates, exact
 cancellations, empty rows and columns, shapes down to 1 x 1."""
 
+import itertools
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,40 @@ def test_matrix_market_round_trip_is_exact(a, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "round_trip.mtx"
     write_matrix_market(a, path)
     assert_same_csr(read_matrix_market(path), a)
+
+
+def triplet_arrays(triplets):
+    """(rows, cols, values) arrays of ((i, j), v) pairs, empty ones too."""
+    rows, cols = (np.array([place[k] for place, _ in triplets], dtype=np.int64) for k in (0, 1))
+    return rows, cols, np.array([v for _, v in triplets], dtype=np.float64)
+
+
+@property_settings
+@given(n_rows=st.integers(0, 6), n_cols=st.integers(0, 6), data=st.data())
+def test_from_triplets_gives_the_same_bits_in_any_order(n_rows, n_cols, data):
+    # Distinct entries, -0.0 and 0.0 among them, in (row, col) order (the
+    # path without a sort), then with duplicates whose sums are exact in
+    # any order, sorted and shuffled: +-0.0 added to an entry, and x, -x
+    # at a free place.  Every build gives the arrays of the nonzero entries.
+    places = list(itertools.product(range(n_rows), range(n_cols)))
+    entries = data.draw(st.dictionaries(st.sampled_from(places), st.one_of(VALUES, st.just(-0.0)))) if places else {}
+    zeros = data.draw(st.lists(st.tuples(st.sampled_from(sorted(entries)), st.sampled_from([0.0, -0.0])))) if entries else []
+    free = [place for place in places if place not in entries]
+    cancelling = []
+    if free:
+        pairs = st.tuples(st.sampled_from(free), st.floats(-1e150, 1e150))
+        cancelling = data.draw(st.lists(pairs, max_size=3, unique_by=lambda t: t[0]))
+    ordered = sorted(entries.items())
+    duplicated = sorted(ordered + zeros + [(place, s * x) for place, x in cancelling for s in (1, -1)], key=lambda t: t[0])
+    shuffled = data.draw(st.permutations(duplicated))
+
+    rows, cols, vals = triplet_arrays([(place, v) for place, v in ordered if v != 0.0])
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    for triplets in (ordered, duplicated, shuffled):
+        a = SparseMatrixCsr.from_triplets(n_rows, n_cols, *triplet_arrays(triplets))
+        for name, want in (("row_offsets", offsets), ("col_indices", cols), ("values", vals), ("_rows", rows)):
+            got = getattr(a, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @property_settings

@@ -123,6 +123,18 @@ def test_a_right_hand_side_whose_norm_overflows_is_refused_as_by_fgmres_solve():
         solve(prob, "ibs2")
 
 
+@pytest.mark.parametrize("a1", [1e200 * np.eye(3), il.rectangular_identity_csr(3, 3, 1e200)], ids=["dense", "csr"])
+def test_a_right_hand_side_whose_a1_b1_overflows_is_refused_without_a_warning(a1):
+    # Finite data whose product A1'b1 overflows: the rhs check refuses it,
+    # and forming the product does not warn (warnings are errors here).
+    prob = il.IlsProblem(a1, np.eye(2, 3), np.full(3, 1e200), np.ones(2), 0.5)
+    assert np.isinf(build_rhs(prob)).any()
+    with pytest.raises(ValueError, match="^rhs is not finite or too large"):
+        solve(prob, "ibs2")
+    with pytest.raises(ValueError, match="^rhs is not finite or too large"):
+        fgmres_solve(block_system_operator(prob), make_preconditioner("ibs2", prob), build_rhs(prob))
+
+
 def test_defaults_are_those_of_make_preconditioner_and_fgmres_config():
     prob = random_desk_problem(4)
     x, report = solve(prob, "ibs4")

@@ -12,6 +12,10 @@ from ilsolve import (
     spmv,
     spmv_transpose,
 )
+from ilsolve.bench import generate_augmented_problem
+from ilsolve.mmio import read_matrix_market, write_matrix_market
+from ilsolve.preconditioners import IBS_VARIANTS, _fold, make_preconditioner
+from ilsolve.problem import IlsProblem, build_rhs
 
 from conftest import random_csr, spmv_oracle
 
@@ -224,6 +228,127 @@ class TestCachedRowIndex:
 
         monkeypatch.setattr(np, "repeat", no_repeat)
         self.check_products(a, rng)
+
+
+def assert_as_constructed(a):
+    """``a`` equals the public constructor's matrix on its fields, field by
+    field with the row index, and every array of ``a`` is read-only."""
+    b = SparseMatrixCsr(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values)
+    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+    for name in ("row_offsets", "col_indices", "values", "_rows"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+
+
+def interleaved_fold():
+    """The folded twin of a problem whose A2 has empty rows 0, 2, 3 and 5 of 7."""
+    a2 = SparseMatrixCsr.from_triplets(7, 3, [1, 1, 4, 6], [0, 2, 1, 2], [1.0, -2.0, 3.0, 4.0])
+    prob = IlsProblem(np.eye(4, 3), a2, np.ones(4), np.arange(7.0), 1.0)
+    twin, empty = _fold(prob)
+    assert empty.tolist() == [True, False, True, True, False, True, False]
+    return twin.a2
+
+
+class TestBuiltFromCheckedParts:
+    """The package's own matrices skip the constructor's scan, and must be
+    what it would have made of their arrays."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: SparseMatrixCsr.from_triplets(3, 4, [0, 0, 2, 2], [1, 3, 0, 2], [1.0, -0.0, 2.0, 3.0]),
+            lambda rng: SparseMatrixCsr.from_triplets(3, 4, [2, 0, 2, 0, 2], [0, 1, 0, 3, 2], [1.0, 2.0, -1.0, 0.5, 3.0]),
+            lambda rng: SparseMatrixCsr.from_triplets(5, 2, [], [], []),
+            lambda rng: random_csr(rng, 9, 6),
+            lambda rng: normalize_to_unit_one_norm(random_csr(rng, 8, 6)),
+            lambda rng: rectangular_identity_csr(7, 3, 6.0),
+            lambda rng: rectangular_identity_csr(2, 5, -1.5),
+            lambda rng: rectangular_identity_csr(4, 4, 0.0),
+            lambda rng: random_csr(rng, 9, 5).row_slice(3, 8),
+            lambda rng: random_csr(rng, 9, 5).row_slice(0, 9),
+            lambda rng: random_csr(rng, 9, 5).row_slice(4, 4),
+            lambda rng: interleaved_fold(),
+        ],
+        ids=["ordered-triplets", "shuffled-triplets", "no-triplets", "random", "normalized", "tall-identity",
+             "wide-identity", "zero-scale-identity", "row-slice", "whole-slice", "empty-slice", "fold-twin"],
+    )
+    def test_equals_the_constructors_matrix(self, build, rng):
+        assert_as_constructed(build(rng))
+
+    def test_fold_twin_has_its_own_row_index(self):
+        # Dropping A2's empty rows renumbers the rows after them.
+        a2 = interleaved_fold()
+        assert a2.shape == (4, 3)
+        assert a2._rows.tolist() == [0, 0, 1, 2]
+        want = np.zeros((4, 3))
+        want[0, [0, 2]], want[1, 1], want[2, 2] = [1.0, -2.0], 3.0, 4.0
+        assert np.array_equal(a2.to_dense(), want)
+
+    @pytest.mark.parametrize("vals", [[1.0, 0.0, -2.0], [1.0, 3.0, -2.0]], ids=["a-zero", "no-zero"])
+    def test_ordered_triplets_are_copied_not_sealed(self, vals):
+        rows, cols, vals = np.array([0, 1, 1]), np.array([2, 0, 1]), np.array(vals)
+        a = SparseMatrixCsr.from_triplets(2, 3, rows, cols, vals)
+        assert np.array_equal(a.to_dense(), [[0.0, 0.0, 1.0], [vals[1], -2.0, 0.0]])
+        for given in (rows, cols, vals):
+            assert given.flags.writeable
+            assert not any(np.shares_memory(given, kept) for kept in (a.col_indices, a.values, a._rows))
+
+    def test_normalizing_a_writable_matrix_leaves_its_arrays_writable(self):
+        offsets, cols, vals = np.array([0, 1, 2]), np.array([0, 1]), np.array([2.0, 4.0])
+        b = normalize_to_unit_one_norm(SparseMatrixCsr(2, 2, offsets, cols, vals))
+        assert offsets.flags.writeable and cols.flags.writeable
+        assert_as_constructed(b)
+        assert np.array_equal(b.to_dense(), np.diag([0.5, 1.0]))
+
+
+class TestBoundarySizes:
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, name",
+        [(2, -1, "n_cols"), (-1, 2, "n_rows"), (2.5, 3, "n_rows"), (2, 3.0, "n_cols"), (True, 2, "n_rows")],
+    )
+    def test_from_triplets_refuses_a_bad_size(self, n_rows, n_cols, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SparseMatrixCsr.from_triplets(n_rows, n_cols, [], [], [])
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, name",
+        [(3, -2, "n_cols"), (-3, 2, "n_rows"), (2.5, 3, "n_rows"), (2, np.float64(3.0), "n_cols")],
+    )
+    def test_rectangular_identity_refuses_a_bad_size(self, n_rows, n_cols, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            rectangular_identity_csr(n_rows, n_cols)
+
+    def test_zero_and_numpy_integer_sizes_are_accepted(self):
+        for a in (SparseMatrixCsr.from_triplets(np.int64(0), 3, [], [], []), rectangular_identity_csr(0, np.int32(2))):
+            assert a.shape == (0, a.n_cols) and a.nnz == 0
+            assert_as_constructed(a)
+
+
+def test_building_a_stand_in_problem_scans_no_structure(tmp_path, monkeypatch):
+    # Read from Matrix Market, normalized, augmented with the 10,000-row
+    # identity, with four preconditioners and the fold's twin: every CSR
+    # matrix on the way is built from checked parts.
+    rng = np.random.default_rng(1234)
+    rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(60), np.arange(60))) <= 2)
+    path = tmp_path / "standin.mtx"
+    write_matrix_market(SparseMatrixCsr.from_triplets(60, 60, rows, cols, rng.standard_normal(rows.size)), path)
+    scans = []
+    scan = SparseMatrixCsr.__post_init__
+    monkeypatch.setattr(SparseMatrixCsr, "__post_init__", lambda self: scans.append(self.shape) or scan(self))
+
+    def no_lexsort(*args):
+        raise AssertionError("triplets in (row, col) order were sorted")
+
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    prob = generate_augmented_problem(normalize_to_unit_one_norm(read_matrix_market(path)), 10000)
+    for kind in IBS_VARIANTS:
+        make_preconditioner(kind, prob, inner="cg")
+    assert _fold(prob) is not None and build_rhs(prob).shape == (prob.size,)
+    assert scans == []
+    SparseMatrixCsr(2, 2, [0, 1, 1], [1], [1.0])  # the spy sees a public construction
+    assert scans == [(2, 2)]
 
 
 class TestOneNorm:
