@@ -35,7 +35,7 @@ from .exceptions import (
 from .krylov import FgmresConfig, SolveReport
 from .preconditioners import _BACKSUB_FIRST, _COUPLED_RHS
 from .preconditioners import IBS_VARIANTS, assemble_dense_preconditioned, make_preconditioner, solve
-from .problem import IlsProblem, apply_block_A, build_rhs, dense_blocks
+from .problem import IlsProblem, apply_block_A, build_rhs, densify
 from .sparse import _count
 
 __all__ = [
@@ -191,7 +191,7 @@ class ConditionReport:
     stationary convergence, plus the conditioning of the inner matrices.
 
     With H = A1'A1 - A2'A2 and S = alpha*I + A1'A1, ``spd_normal`` covers
-    H, the problem's standing hypothesis (see ProblemAssumptionError), and
+    H, the paper's standing hypothesis that H is SPD, and
     the shifted certificates test S - A2'A2 = H + alpha*I, 2S - A1'A1 -
     A2'A2 = H + 2alpha*I and 2S - A1'A1 + A2'A2 = A1'A1 + A2'A2 + 2alpha*I.
     IlsProblem rejects alpha < 0, so ``spd_normal`` implies all three, and
@@ -215,7 +215,7 @@ def check_convergence_conditions(prob: IlsProblem) -> ConditionReport:
     copies of the blocks."""
     if prob.n > CONDITIONS_MAX_N:
         raise ConfigurationError(f"condition checks capped at n = {CONDITIONS_MAX_N}, got {prob.n}")
-    a1d, a2d = dense_blocks(prob)
+    a1d, a2d = densify(prob.a1), densify(prob.a2)
     gram = a1d.T @ a1d
     a2gram = a2d.T @ a2d
     shifted = gram + prob.alpha * np.eye(prob.n)
@@ -400,7 +400,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     p, q = prob.p, prob.q
     t = assemble_dense_preconditioned(kind, prob)
 
-    a1d, a2d = dense_blocks(prob)
+    a1d, a2d = densify(prob.a1), densify(prob.a2)
     def pencil():
         gram = a1d.T @ a1d
         return generalized_sym_eigpairs(gram - a2d.T @ a2d, gram + prob.alpha * np.eye(prob.n))

@@ -20,6 +20,7 @@ import numpy as np
 from .exceptions import SOLVER_FAILURES, ConfigurationError, IlsolveError
 from .krylov import CgConfig, FgmresConfig
 from .mmio import read_matrix_market
+from .operators import as_matrix
 from .preconditioners import IBS_VARIANTS, INNER_SOLVERS, VARIANTS, solve
 from .problem import IlsProblem, compute_alpha, reference_solution
 from .sparse import SparseMatrixCsr, _count, _sealed, normalize_to_unit_one_norm, rectangular_identity_csr
@@ -43,16 +44,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def generate_augmented_problem(
-    core: SparseMatrixCsr,
+    core: SparseMatrixCsr | np.ndarray,
     q: int,
     scale: float = 6.0,
 ) -> IlsProblem:
-    """Augment a p x n matrix into an ILS instance: A1 = core,
-    A2 = scale * I_{q x n} (rectangular identity pattern), all-ones right-
-    hand side, and the default shift derived from A1."""
+    """Augment a p x n matrix, CSR or dense, into an instance of the paper's
+    class: A1 = core, A2 = scale * I_{q x n} (rectangular identity pattern,
+    CSR), all-ones right-hand side, and the default shift derived from A1."""
     _count("q", q)
-    a2 = rectangular_identity_csr(q, core.n_cols, scale)
-    return IlsProblem(core, a2, *map(_sealed, (np.ones(core.n_rows), np.ones(q))), compute_alpha(core))
+    core = as_matrix(core, "core")
+    a2 = rectangular_identity_csr(q, core.shape[1], scale)
+    return IlsProblem(core, a2, *map(_sealed, (np.ones(core.shape[0]), np.ones(q))), compute_alpha(core))
 
 
 def hilbert_matrix(n: int) -> np.ndarray:
@@ -66,14 +68,12 @@ HILBERT_MAX_N = 2000  # largest order of the (dense) Hilbert block
 
 
 def generate_hilbert_problem(n: int, a2_scale: float = 0.7) -> IlsProblem:
-    """A1 is the (fully dense) n x n Hilbert matrix kept as a dense
-    operand, A2 = a2_scale * I_n, all-ones right-hand side."""
+    """The augmented problem on the (fully dense) n x n Hilbert matrix, kept
+    as a dense A1: A2 = a2_scale * I_n, all-ones right-hand side."""
     _count("n", n)
     if n > HILBERT_MAX_N:
         raise ConfigurationError(f"Hilbert generator capped at n = {HILBERT_MAX_N}, got {n}")
-    h, ones = _sealed(hilbert_matrix(n)), _sealed(np.ones(n))
-    a2 = rectangular_identity_csr(n, n, a2_scale)
-    return IlsProblem(h, a2, ones, ones, compute_alpha(h))
+    return generate_augmented_problem(_sealed(hilbert_matrix(n)), n, a2_scale)
 
 
 def generate_random_problem(p: int, q: int, n: int, seed: int = 0) -> IlsProblem:

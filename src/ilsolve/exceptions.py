@@ -64,8 +64,8 @@ class NumericalFailureError(IlsolveError):
 
 
 class ProblemAssumptionError(IlsolveError):
-    """The data violates the standing assumption that the reduced normal
-    matrix A1'A1 - A2'A2 is symmetric positive definite."""
+    """``reference_solution`` found the reduced normal matrix A1'A1 - A2'A2
+    singular (an indefinite one goes to its LU fallback instead)."""
 
 
 class StationaryDivergenceError(IlsolveError):

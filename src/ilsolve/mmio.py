@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .exceptions import ParseError
-from .sparse import SparseMatrixCsr
+from .sparse import SparseMatrixCsr, _real
 
 __all__ = ["parse_matrix_market", "read_matrix_market", "write_matrix_market"]
 
@@ -163,18 +163,24 @@ def read_matrix_market(path) -> SparseMatrixCsr:
 
 
 def write_matrix_market(a: SparseMatrixCsr | np.ndarray, path) -> None:
-    """Write a CSR matrix in coordinate/real/general layout with 1-based
-    indices, and an ndarray in array/real/general layout, column-major,
-    with a 1-D array as one column."""
+    """Write a CSR matrix in coordinate/real/general layout with 1-based indices,
+    and a 1-D or 2-D array in array/real/general layout, column-major, with a
+    1-D array as one column.  Only what parse_matrix_market reads back is written:
+    complex input is a TypeError, any other shape or a non-finite value a
+    ValueError, raised before the file is opened."""
+    csr = isinstance(a, SparseMatrixCsr)
+    if not csr and (a := _real(a, "matrix")).ndim not in (1, 2):
+        raise ValueError(f"matrix must be 1-D or 2-D, got shape {a.shape}")
+    if not np.isfinite(a.values if csr else a).all():
+        raise ValueError("matrix has non-finite values, which the reader refuses")
     with open(path, "w", encoding="ascii") as fh:
-        if isinstance(a, SparseMatrixCsr):
+        if csr:
             rows, cols, vals = a.to_triplets()
             fh.write("%%MatrixMarket matrix coordinate real general\n")
             fh.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
             for i, j, v in zip(rows, cols, vals):
                 fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
         else:
-            a = np.asarray(a, dtype=np.float64)
             fh.write("%%MatrixMarket matrix array real general\n")
             fh.write(f"{a.shape[0]} {a.shape[1] if a.ndim == 2 else 1}\n")
             for x in a.ravel(order="F"):

@@ -10,16 +10,18 @@ work on the equivalent square system
 
 whose operator is applied matrix-free throughout: the Gram matrix A1'A1
 is never formed outside the dense desk-scale helpers and the reference
-solution.  The blocks A1 and A2 are plain matrices, CSR or 2-D float64
-ndarray; both kinds give A x as ``A @ x`` and A'y as ``y @ A``.  The Gram
-product A1'(A1 x) of the block operator and of the inner CG runs the CSR
-kernel sparse._product twice on a CSR A1's arrays; a dense A1 is swept
-once by row panels of about 512 KiB, each panel giving its rows of A1 x
-and its term of A1'(A1 x) while still in cache (a small A1 is one panel,
-which gives exactly ``(A1 @ x) @ A1``).  Vectors of the block system are
-flat float64 arrays of length p + n + q, and ``prob.split(v)`` gives their
-(d1, x, d2) blocks as views; both it and ``apply_block_A`` also take a
-(p + n + q, k) block of columns.  Every solve starts from the zero vector.
+solution, which take the blocks' dense form from ``densify``.  The blocks
+A1 and A2 are plain matrices, CSR or 2-D float64 ndarray; both kinds give
+A x as ``A @ x`` and A'y as ``y @ A``.  The Gram product A1'(A1 x) of the
+block operator and of the inner CG runs the CSR kernel sparse._product
+twice on a CSR A1's arrays; a dense A1 is swept once by row panels of
+about 512 KiB, their height worked out from A1's width on each product,
+each panel giving its rows of A1 x and its term of A1'(A1 x) while still
+in cache (a small A1 is one panel, which gives exactly ``(A1 @ x) @ A1``).
+Vectors of the block system are flat float64 arrays of length p + n + q,
+and ``prob.split(v)`` gives their (d1, x, d2) blocks as views; both it and
+``apply_block_A`` also take a (p + n + q, k) block of columns.  Every
+solve starts from the zero vector.
 A problem's data is read-only, and so is the one cache of data derived
 from it, ``IlsProblem._shared``: ilsolve.preconditioners keeps the exact
 inner factors there (by shift), the Gram norm bound and the fold of A2's
@@ -59,7 +61,6 @@ __all__ = [
     "build_rhs",
     "block_system_operator",
     "densify",
-    "dense_blocks",
     "reference_solution",
 ]
 
@@ -84,8 +85,6 @@ class IlsProblem:
     p: int = field(init=False)
     q: int = field(init=False)
     n: int = field(init=False)
-    # Rows per panel of _gram_sweep over a dense A1; 0 for a CSR A1.
-    _panel: int = field(init=False, repr=False)
     # Read-only derived data, kept by _shared under a name or a shift.
     _factors: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -117,8 +116,6 @@ class IlsProblem:
             raise ValueError("right-hand side has non-finite entries")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        csr = isinstance(self.a1, SparseMatrixCsr)
-        object.__setattr__(self, "_panel", 0 if csr else max(_PANEL_BYTES // (n * self.a1.itemsize), 1))
 
     @property
     def m(self) -> int:
@@ -180,11 +177,8 @@ def partition_problem(a, b: np.ndarray, p: int, q: int) -> IlsProblem:
 
 
 def compute_alpha(a1) -> float:
-    """Default diagonal shift: the squared 1-norm of A1."""
-    if isinstance(a1, SparseMatrixCsr):
-        norm = one_norm(a1)
-    else:
-        norm = float(np.linalg.norm(np.asarray(a1, dtype=np.float64), 1))
+    """Default diagonal shift: the squared 1-norm of A1 (CSR or 2-D, real)."""
+    norm = one_norm(as_matrix(a1, "A1"))
     if norm == 0.0:
         raise DegenerateMatrixError("cannot derive a shift from an all-zero matrix")
     return norm * norm
@@ -212,11 +206,11 @@ def _gram_sweep(a1: np.ndarray, x: np.ndarray, rows: int) -> tuple[np.ndarray, n
     return ax, gram
 
 
-def _gram(a1, x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A1 x, A1'(A1 x)) for a trusted x: by _gram_sweep on a dense A1
-    (``rows`` is prob._panel), by sparse._product (looked up per call) on CSR."""
-    if rows:
-        return _gram_sweep(a1, x, rows)
+def _gram(a1, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A1 x, A1'(A1 x)) for a trusted x: by _gram_sweep on a dense A1, in panels of
+    _PANEL_BYTES (at least one row), by sparse._product (looked up per call) on CSR."""
+    if not isinstance(a1, SparseMatrixCsr):
+        return _gram_sweep(a1, x, max(_PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1))
     a1x = sparse._product(a1.values, a1.col_indices, a1._rows, x, a1.n_rows)
     return a1x, sparse._product(a1.values, a1._rows, a1.col_indices, a1x, a1.n_cols)
 
@@ -228,7 +222,7 @@ def apply_block_A(prob: IlsProblem, v: np.ndarray) -> np.ndarray:
     if x.ndim == 2:  # the middle rows are those of (A1 x)'A1 + d2'A2, transposed
         a1x = prob.a1 @ x
         return np.concatenate([d1 + a1x, (a1x.T @ prob.a1 + d2.T @ prob.a2).T, prob.a2 @ x + d2])
-    a1x, gram = _gram(prob.a1, x, prob._panel)
+    a1x, gram = _gram(prob.a1, x)
     return np.concatenate([d1 + a1x, gram + d2 @ prob.a2, prob.a2 @ x + d2])
 
 
@@ -257,10 +251,10 @@ def block_system_operator(prob: IlsProblem) -> LinearOperator:
 def _gram_pair(prob: IlsProblem, shift: float):
     """v -> (shift*v + A1'(A1 v), A1 v), both from the one Gram product of
     apply_block_A: the inner CG product of the inexact preconditioners."""
-    a1, rows = prob.a1, prob._panel
+    a1 = prob.a1
 
     def pair(v):
-        a1v, gram = _gram(a1, v, rows)
+        a1v, gram = _gram(a1, v)
         return (shift * v + gram if shift else gram), a1v
 
     return pair
@@ -269,11 +263,6 @@ def _gram_pair(prob: IlsProblem, shift: float):
 def densify(block) -> np.ndarray:
     """Dense form of one block; an ndarray block is returned as is (read-only)."""
     return sparse._sealed(block.to_dense()) if isinstance(block, SparseMatrixCsr) else block
-
-
-def dense_blocks(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (A1, A2) for desk-scale analysis (read-only, see densify)."""
-    return densify(prob.a1), densify(prob.a2)
 
 
 DENSE_MAX_N = 4000  # largest n for a dense n x n factorization
@@ -292,7 +281,7 @@ def reference_solution(prob: IlsProblem) -> tuple[np.ndarray, str]:
     if prob.n > DENSE_MAX_N:
         raise ConfigurationError(f"dense reference solution requested for n = {prob.n} > cap {DENSE_MAX_N}")
     rhs = prob.b1 @ prob.a1 - prob.b2 @ prob.a2
-    a1d, a2d = dense_blocks(prob)
+    a1d, a2d = densify(prob.a1), densify(prob.a2)
     normal = a1d.T @ a1d - a2d.T @ a2d
     try:
         return cholesky_solve(dense_cholesky(normal), rhs), ""

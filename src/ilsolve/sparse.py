@@ -204,7 +204,10 @@ class SparseMatrixCsr:
 
     def row_slice(self, start: int, stop: int) -> "SparseMatrixCsr":
         """Submatrix of rows [start, stop) with the same column count."""
-        if not (0 <= start <= stop <= self.n_rows):
+        _count("start", start, 0)
+        _count("stop", stop, 0)
+        start, stop = int(start), int(stop)
+        if not start <= stop <= self.n_rows:
             raise ValueError("row slice out of range")
         lo, hi = self.row_offsets[start], self.row_offsets[stop]
         return _built_csr(
@@ -251,12 +254,13 @@ def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
     return np.stack([_product(a.values, a._rows, a.col_indices, c, a.n_cols) for c in x.T], axis=1)
 
 
-def one_norm(a: SparseMatrixCsr) -> float:
-    """Maximum absolute column sum."""
-    if a.nnz == 0 or a.n_cols == 0:
-        return 0.0
-    colsums = np.bincount(a.col_indices, weights=np.abs(a.values), minlength=a.n_cols)
-    return float(colsums.max())
+def one_norm(a: SparseMatrixCsr | np.ndarray) -> float:
+    """Maximum absolute column sum of a CSR matrix or a 2-D ndarray; 0.0 when it has no entries."""
+    if isinstance(a, SparseMatrixCsr):
+        colsums = np.bincount(a.col_indices, weights=np.abs(a.values), minlength=a.n_cols)
+    else:
+        colsums = np.abs(a).sum(axis=0)  # as np.linalg.norm(a, 1) sums them
+    return float(colsums.max()) if colsums.size else 0.0
 
 
 def normalize_to_unit_one_norm(a: SparseMatrixCsr) -> SparseMatrixCsr:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import ilsolve as il
-from ilsolve.problem import dense_blocks
+from ilsolve import problem
+from ilsolve.problem import densify
 
 
 def spmv_oracle(dense, x):
@@ -24,7 +25,7 @@ def spmv_oracle(dense, x):
 
 def dense_block_system(prob):
     """The full (p+n+q)^2 matrix assembled independently of apply_block_A."""
-    a1, a2 = dense_blocks(prob)
+    a1, a2 = densify(prob.a1), densify(prob.a2)
     p, n, q = prob.p, prob.n, prob.q
     return np.block(
         [
@@ -37,7 +38,7 @@ def dense_block_system(prob):
 
 def dense_splitting_matrix(kind, prob):
     """The splitting matrix M for each variant, assembled from dense blocks."""
-    a1, a2 = dense_blocks(prob)
+    a1, a2 = densify(prob.a1), densify(prob.a2)
     p, n, q = prob.p, prob.n, prob.q
     inner = a1.T @ a1
     if kind.startswith("ibs"):
@@ -52,6 +53,15 @@ def dense_splitting_matrix(kind, prob):
             [np.zeros((q, p)), np.zeros((q, n)), np.eye(q)],
         ]
     )
+
+
+def panel_rows(a1):
+    """Rows per panel of the Gram product's sweep over A1 (problem._gram): as
+    many rows as fit in _PANEL_BYTES, and at least one, for a dense A1; 0 for
+    a CSR A1, which is not swept."""
+    if isinstance(a1, il.SparseMatrixCsr):
+        return 0
+    return max(problem._PANEL_BYTES // (a1.shape[1] * a1.itemsize), 1)
 
 
 def random_desk_problem(i, max_dim=25):

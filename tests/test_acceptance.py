@@ -48,7 +48,7 @@ from ilsolve import (
 )
 from ilsolve.analysis import generalized_sym_eigpairs
 from ilsolve.operators import aslinearoperator
-from ilsolve.problem import block_system_operator, dense_blocks
+from ilsolve.problem import block_system_operator, densify
 
 from conftest import dense_block_system, random_desk_problem, random_spd
 
@@ -223,7 +223,7 @@ def test_criterion_6_interval_containment():
     ok = True
     lo, hi = np.inf, -np.inf
     for i, prob in _corollary_instances():
-        a1d, a2d = dense_blocks(prob)
+        a1d, a2d = densify(prob.a1), densify(prob.a2)
         gram = a1d.T @ a1d
         shifted = gram + prob.alpha * np.eye(prob.n)
         normal = gram - a2d.T @ a2d

@@ -51,6 +51,25 @@ class TestAugmentedGenerator:
         with pytest.raises(ValueError):
             generate_augmented_problem(rectangular_identity_csr(2, 2), q=0)
 
+    @pytest.mark.parametrize("q", [2, 5, 9])
+    def test_dense_core_is_kept_dense(self, rng, q):
+        core = rng.standard_normal((5, 4))
+        prob = generate_augmented_problem(core, q=q, scale=-1.5)
+        assert isinstance(prob.a1, np.ndarray) and np.array_equal(prob.a1, core)
+        assert (prob.p, prob.q, prob.n) == (5, q, 4)
+        assert np.array_equal(prob.a2.to_dense(), -1.5 * np.eye(q, 4))
+        assert np.array_equal(prob.b1, np.ones(5)) and np.array_equal(prob.b2, np.ones(q))
+        assert prob.alpha == np.linalg.norm(core, 1) ** 2
+
+    @pytest.mark.parametrize(
+        "core, message",
+        [(np.ones(3), "core must be a CSR matrix or a 2-D array"), (np.ones((2, 2), complex), "core must be real")],
+        ids=["1-D", "complex"],
+    )
+    def test_core_that_is_not_a_real_matrix_is_named(self, core, message):
+        with pytest.raises(TypeError, match=message):
+            generate_augmented_problem(core, q=2)
+
 
 class TestHilbertGenerator:
     def test_order_two_entries(self):
@@ -69,6 +88,21 @@ class TestHilbertGenerator:
     def test_cap_enforced(self):
         with pytest.raises(ConfigurationError):
             generate_hilbert_problem(2001)
+
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    @pytest.mark.parametrize("scale", [0.7, 0.0, 3.0])
+    def test_is_the_augmented_problem_on_the_hilbert_matrix(self, n, scale):
+        got = generate_hilbert_problem(n, scale)
+        want = generate_augmented_problem(hilbert_matrix(n), n, scale)
+        assert isinstance(got.a1, np.ndarray) and isinstance(got.a2, il.SparseMatrixCsr)
+        for field in dataclasses.fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(a, il.SparseMatrixCsr):
+                assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+            elif isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+            elif field.name != "_factors":
+                assert a == b
 
 
 class TestRandomGenerator:

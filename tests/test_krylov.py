@@ -23,7 +23,6 @@ from ilsolve import (
     fgmres_solve,
     make_preconditioner,
 )
-from ilsolve import problem as problem_module
 from ilsolve.analysis import stationary_solve
 from ilsolve.bench import generate_augmented_problem
 from ilsolve.exceptions import StationaryDivergenceError
@@ -33,7 +32,7 @@ from ilsolve.preconditioners import _INNER_SOLVES, _fold
 from ilsolve.sparse import normalize_to_unit_one_norm, rectangular_identity_csr
 from ilsolve.problem import _gram_pair, densify
 
-from conftest import random_csr, random_desk_problem, random_spd
+from conftest import panel_rows, random_csr, random_desk_problem, random_spd
 
 
 def shifted_gram(prob, shift):
@@ -244,8 +243,7 @@ class TestCg:
 
 EPS = np.finfo(np.float64).eps
 IMAGE_LAYOUTS = ("dense-one-panel", "dense-panels", "dense-fortran", "csr")
-# Rows of one Gram-sweep panel of A1 at n = 100.
-PANEL_100 = problem_module._PANEL_BYTES // (8 * 100)
+PANEL_100 = panel_rows(np.empty((0, 100)))  # rows of one Gram-sweep panel at n = 100
 
 
 def image_problem(layout, seed, spread=10.0):
@@ -289,8 +287,9 @@ class TestCarriedImage:
     def test_image_is_a1_times_the_returned_iterate(self, seed, layout, shifted, tol, cap):
         prob = image_problem(layout, seed)
         # Every dense A1 is swept by panels; a CSR A1 has none.
-        assert (prob._panel == 0) == (layout == "csr")
-        assert (0 < prob._panel < prob.p) == (layout == "dense-panels")
+        rows = panel_rows(prob.a1)
+        assert (rows == 0) == (layout == "csr")
+        assert (0 < rows < prob.p) == (layout == "dense-panels")
         if layout == "dense-fortran":
             assert not prob.a1.flags.c_contiguous
         shift = prob.alpha if shifted else 0.0

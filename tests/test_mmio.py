@@ -6,6 +6,7 @@ import pytest
 import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ilsolve as il
 from ilsolve import ParseError, parse_matrix_market, read_matrix_market
@@ -413,6 +414,55 @@ class TestOneWriterForEveryBlockKind:
         path = tmp_path / "a.mtx"
         write_matrix_market(np.zeros((0, 3)), path)
         assert read_matrix_market(path).shape == (0, 3)
+
+
+class TestWriterRefusals:
+    """write_matrix_market writes only what parse_matrix_market reads back,
+    and refuses the rest before it opens the file."""
+
+    @pytest.mark.parametrize(
+        "a, error, message",
+        [([[1 + 2j, 3]], TypeError, "matrix must be real, got dtype complex128"),
+         (np.ones((2, 2, 2)), ValueError, r"matrix must be 1-D or 2-D, got shape \(2, 2, 2\)"),
+         (np.float64(3.0), ValueError, r"matrix must be 1-D or 2-D, got shape \(\)"),
+         ([[1.0, np.nan]], ValueError, "non-finite"), ([np.inf, 1.0], ValueError, "non-finite"),
+         (il.SparseMatrixCsr.from_triplets(2, 2, [0, 1], [1, 0], [1.0, -np.inf]), ValueError, "non-finite")],
+        ids=["complex", "3-D", "0-d", "nan", "inf", "csr-inf"],
+    )
+    def test_refusal_names_its_cause(self, tmp_path, a, error, message):
+        path = tmp_path / "a.mtx"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(error, match=message):
+                write_matrix_market(a, path)
+        assert not path.exists()
+
+
+_WRITER_DTYPES = [np.float64, np.float32, np.int64, np.uint8, np.bool_, np.complex128]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), as_csr=st.booleans())
+def test_what_the_writer_accepts_reads_back_equal(data, as_csr, tmp_path_factory):
+    dtype = data.draw(st.sampled_from(_WRITER_DTYPES))
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    a = data.draw(hnp.arrays(dtype, shape))
+    complex_input = a.dtype.kind == "c"
+    accepted = not complex_input and a.ndim in (1, 2) and bool(np.isfinite(a).all())
+    want = a.astype(np.float64).reshape(a.shape[0], a.shape[1] if a.ndim == 2 else 1) if accepted else None
+    if as_csr and a.ndim == 2 and not complex_input:
+        rows, cols = np.nonzero(a)
+        a = il.SparseMatrixCsr.from_triplets(*a.shape, rows, cols, a[rows, cols])
+    path = tmp_path_factory.getbasetemp() / "roundtrip.mtx"
+    path.unlink(missing_ok=True)
+    if not accepted:
+        with pytest.raises(TypeError if complex_input else ValueError):
+            write_matrix_market(a, path)
+        assert not path.exists()
+        return
+    write_matrix_market(a, path)
+    back = read_matrix_market(path)
+    assert back.shape == want.shape and np.array_equal(back.to_dense(), want)
 
 
 def test_parse_normalize_unit_norm(rng, tmp_path):

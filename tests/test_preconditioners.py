@@ -30,12 +30,13 @@ from ilsolve.dense import cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
 from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS, _INNER_SOLVES, _fold, _gram_bound
-from ilsolve.problem import dense_blocks
+from ilsolve.problem import densify
 from ilsolve.sparse import SparseMatrixCsr, rectangular_identity_csr
 
 from conftest import (
     dense_block_system,
     dense_splitting_matrix,
+    panel_rows,
     random_desk_problem,
     scalar_problem,
 )
@@ -85,7 +86,7 @@ def test_ibs1_applies_shifted_inverse_to_middle_block(rng):
     z = pre.apply(r)
     r1, r2, r3 = prob.split(r)
     z1, z2, z3 = prob.split(z)
-    a1d, _ = dense_blocks(prob)
+    a1d = densify(prob.a1)
     shifted = a1d.T @ a1d + prob.alpha * np.eye(prob.n)
     want_mid = cholesky_solve(dense_cholesky(shifted), r2)
     assert np.array_equal(z1, r1)
@@ -177,7 +178,7 @@ class TestDenseAssembly:
         prob = random_desk_problem(7)
         p, n, q = prob.p, prob.n, prob.q
         t = assemble_dense_preconditioned("ibs2", prob)
-        a1d, a2d = dense_blocks(prob)
+        a1d, a2d = densify(prob.a1), densify(prob.a2)
         # Top-left identity, (1,3) and (2,3) blocks zero, middle block is
         # the shift-solved reduced normal matrix.
         assert np.allclose(t[:p, :p], np.eye(p), rtol=0, atol=1e-12)
@@ -307,7 +308,7 @@ class TestInnerSolvers:
         shifted = dataclasses.replace(prob, alpha=2 * prob.alpha)
         other = make_preconditioner("ibs2", shifted, inner="cholesky")
         assert lower(other) is not lower(ibs2) and len(calls) == 4
-        a1d, _ = dense_blocks(shifted)
+        a1d = densify(shifted.a1)
         np.testing.assert_allclose(
             lower(other) @ lower(other).T, a1d.T @ a1d + shifted.alpha * np.eye(prob.n),
             rtol=1e-12, atol=1e-12,
@@ -398,8 +399,7 @@ def test_scalar_problem_apply():
 
 SPLITTINGS = ALL_IBS + tuple(IBS_TO_BASELINE.values())
 EPS = np.finfo(np.float64).eps
-# Rows of one Gram-sweep panel of A1 at n = 200.
-PANEL_200 = problem_module._PANEL_BYTES // (8 * 200)
+PANEL_200 = panel_rows(np.empty((0, 200)))  # rows of one Gram-sweep panel at n = 200
 
 
 def _csr(a):
@@ -434,8 +434,9 @@ class TestPairedStep:
     def test_step_matches_apply_and_the_block_product(self, rng, kind, inner, layout):
         prob = paired_problem(rng, layout)
         # Every dense A1 is swept by panels; a CSR A1 has none.
-        assert (prob._panel == 0) == (layout in ("csr", "folds"))
-        assert (0 < prob._panel < prob.p) == (layout == "dense-panels")
+        rows = panel_rows(prob.a1)
+        assert (rows == 0) == (layout in ("csr", "folds"))
+        assert (0 < rows < prob.p) == (layout == "dense-panels")
         pre = make_preconditioner(kind, prob, inner=inner)
         own = layout != "folds"
         if not own:
@@ -452,7 +453,7 @@ class TestPairedStep:
         # recurrence residual from the true one, of order k eps |S| |z|
         # (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997).  Measured
         # here: at most 0.06 of the bound.
-        a1d, a2d = dense_blocks(prob)
+        a1d, a2d = densify(prob.a1), densify(prob.a2)
         shift = prob.alpha if kind in ALL_IBS else 0.0
         norm_s = shift + np.linalg.norm(a1d, 2) ** 2
         norm_a = norm_s + np.linalg.norm(a1d, 2) + np.linalg.norm(a2d, 2)

@@ -17,10 +17,10 @@ from ilsolve import (
     reference_solution,
 )
 from ilsolve import problem as problem_module
-from ilsolve.problem import _gram_pair
+from ilsolve.problem import _gram_pair, densify
 from ilsolve.sparse import SparseMatrixCsr, normalize_to_unit_one_norm, rectangular_identity_csr
 
-from conftest import dense_block_system, random_csr, random_desk_problem, scalar_problem
+from conftest import dense_block_system, panel_rows, random_csr, random_desk_problem, scalar_problem
 
 
 class TestSplit:
@@ -76,7 +76,7 @@ class TestPartition:
         assert prob.p == 2 and prob.q == 2 and prob.n == 4
         assert np.array_equal(prob.b1, [1.0, 2.0])
         assert np.array_equal(prob.b2, [3.0, 4.0])
-        a1d, a2d = il.problem.dense_blocks(prob)
+        a1d, a2d = densify(prob.a1), densify(prob.a2)
         assert np.array_equal(a1d, np.eye(4)[:2])
         assert np.array_equal(a2d, np.eye(4)[2:])
 
@@ -97,15 +97,15 @@ class TestPartition:
         sparse, dense = partition_problem(a, b, p=4, q=2), partition_problem(dense_a, b, p=4, q=2)
         dense_a[:] = 0.0  # the problem owns copies of the rows
         assert isinstance(dense.a1, np.ndarray) and isinstance(dense.a2, np.ndarray)
-        for got, want in zip(il.problem.dense_blocks(dense), il.problem.dense_blocks(sparse)):
-            assert np.array_equal(got, want)
+        for got, want in zip((dense.a1, dense.a2), (sparse.a1, sparse.a2)):
+            assert np.array_equal(got, densify(want))
         assert np.array_equal(dense.b1, sparse.b1) and np.array_equal(dense.b2, sparse.b2)
         assert dense.alpha == sparse.alpha
 
-    def test_dense_blocks_are_read_only_for_both_kinds(self, rng):
+    def test_densified_blocks_are_read_only_for_both_kinds(self, rng):
         a = random_csr(rng, 6, 3)
         for prob in (partition_problem(a, np.ones(6), p=4, q=2), partition_problem(a.to_dense(), np.ones(6), p=4, q=2)):
-            for block in il.problem.dense_blocks(prob):
+            for block in map(densify, (prob.a1, prob.a2)):
                 with pytest.raises(ValueError, match="read-only"):
                     block[0, 0] = 1.0
 
@@ -289,6 +289,16 @@ class TestComputeAlpha:
         with pytest.raises(il.DegenerateMatrixError):
             compute_alpha(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "a1, message",
+        [(np.array([[1.0 + 2.0j, 3.0]]), "A1 must be real"), (np.array([1.0, -2.0]), "A1 must be a CSR matrix"),
+         ([3.0], "A1 must be a CSR matrix"), (np.ones((2, 2, 1)), "A1 must be a CSR matrix")],
+        ids=["complex", "1-D", "list", "3-D"],
+    )
+    def test_refuses_what_is_not_a_real_matrix(self, a1, message):
+        with pytest.raises(TypeError, match=message):
+            compute_alpha(a1)
+
 
 class TestApplyBlockA:
     def test_zero_x_annihilates_a1_terms(self, rng):
@@ -325,24 +335,20 @@ class TestApplyBlockA:
             apply_block_A(scalar_problem(), np.ones(4))
 
 
-def _rows_per_panel(n):
-    return max(problem_module._PANEL_BYTES // (8 * n), 1)
-
-
-PANEL = _rows_per_panel(200)  # rows of one panel at n = 200
+PANEL = panel_rows(np.empty((0, 200)))  # rows of one panel at n = 200
 WIDE = problem_module._PANEL_BYTES // 8 + 1  # columns of a row wider than a panel
 
 
 class TestGramSweep:
     @pytest.mark.parametrize(
         "shape",
-        [(PANEL - 1, 200), (PANEL, 200), (PANEL + 1, 200), (1, 200), (1, WIDE), (3, WIDE), (3 * _rows_per_panel(1) + 5, 1)],
+        [(PANEL - 1, 200), (PANEL, 200), (PANEL + 1, 200), (1, 200), (1, WIDE), (3, WIDE), (3 * panel_rows(np.empty((0, 1))) + 5, 1)],
         ids=["panel-1", "panel", "panel+1", "one-row", "wide-row", "wide-rows", "one-column"],
     )
     def test_matches_the_two_products(self, rng, shape):
         a = rng.standard_normal(shape)
         x = rng.standard_normal(shape[1])
-        rows = _rows_per_panel(shape[1])
+        rows = panel_rows(a)
         ax, gram = problem_module._gram_sweep(a, x, rows)
         want_ax = a @ x
         if shape[0] <= rows:  # one panel: the two products themselves
@@ -370,8 +376,7 @@ class TestGramSweep:
         # the two products, in either memory order.
         a1 = a1(rng)
         prob = IlsProblem(a1, rng.standard_normal((7, a1.shape[1])), np.ones(a1.shape[0]), np.ones(7), 2.0)
-        assert (prob._panel == 0) == isinstance(a1, SparseMatrixCsr)
-        assert prob._panel == 0 or prob._panel >= prob.p
+        assert panel_rows(prob.a1) == 0 or panel_rows(prob.a1) >= prob.p
         v = rng.standard_normal(prob.size)
         assert np.array_equal(apply_block_A(prob, v), self.two_products(prob, v))
         x = prob.split(v)[1]
@@ -384,7 +389,7 @@ class TestGramSweep:
         for order in "CF":
             a1 = np.asarray(rng.standard_normal((PANEL + 1, 200)), order=order)
             prob = IlsProblem(a1, random_csr(rng, 7, 200), np.ones(PANEL + 1), np.ones(7), 2.0)
-            assert prob._panel == PANEL
+            assert panel_rows(prob.a1) == PANEL < prob.p
             v = rng.standard_normal(prob.size)
             d1, x, d2 = prob.split(v)
             ax, gram = problem_module._gram_sweep(prob.a1, x, PANEL)
@@ -394,6 +399,23 @@ class TestGramSweep:
             assert np.array_equal(_gram_pair(prob, prob.alpha)(x)[0], prob.alpha * x + gram)
             got, two = apply_block_A(prob, v), self.two_products(prob, v)
             assert np.linalg.norm(got - two) <= 1e-13 * np.linalg.norm(two)
+
+    @pytest.mark.parametrize("n", [1, 15, 200, 1000])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-panel", "two-panels"])
+    @pytest.mark.parametrize("order", "CF")
+    def test_gram_sweeps_by_the_panel_rule(self, rng, n, extra, order):
+        # The product's own panel height is the rule's, bit for bit; a sweep
+        # by another height sums the terms in another order, which mostly
+        # shows in the last bits.
+        rows = panel_rows(np.empty((0, n)))
+        a1 = np.asarray(rng.standard_normal((rows + extra, n)), order=order)
+        assert panel_rows(a1) == rows
+        x = rng.standard_normal(n)
+        ax, gram = problem_module._gram(a1, x)
+        want_ax, want_gram = problem_module._gram_sweep(a1, x, rows)
+        assert np.array_equal(ax, want_ax) and np.array_equal(gram, want_gram)
+        if not extra:  # one panel: the two products themselves
+            assert np.array_equal(gram, (a1 @ x) @ a1)
 
 
 class TestBuildRhs:

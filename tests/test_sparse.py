@@ -364,6 +364,35 @@ class TestOneNorm:
             a = random_csr(rng, 9, 6)
             assert abs(one_norm(normalize_to_unit_one_norm(a)) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("shape", [(5, 3), (1, 7), (7, 1), (40, 30), (0, 4), (4, 0), (0, 0)])
+    def test_dense_block_gives_numpys_one_norm(self, rng, shape):
+        for a in (rng.standard_normal(shape), np.asfortranarray(rng.standard_normal(shape))):
+            got = one_norm(a)
+            assert type(got) is float and got == np.linalg.norm(a, 1)
+            rows, cols = np.nonzero(a)
+            csr = SparseMatrixCsr.from_triplets(*shape, rows, cols, a[rows, cols])
+            assert abs(one_norm(csr) - got) <= 1e-15 * shape[0] * got
+
+
+class TestRowSliceBounds:
+    A = rectangular_identity_csr(3, 3)
+
+    @pytest.mark.parametrize(
+        "start, stop, message",
+        [(1.0, 2, "start must be an integer, got 1.0"), (True, 2, "start must be an integer, got True"),
+         (0, 2.0, "stop must be an integer, got 2.0"), (0, False, "stop must be an integer, got False"),
+         (-1, 2, "start must be at least 0"), (0, -1, "stop must be at least 0"),
+         (2, 1, "row slice out of range"), (0, 4, "row slice out of range")],
+    )
+    def test_bad_bound_is_named(self, start, stop, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.A.row_slice(start, stop)
+
+    def test_numpy_integer_bounds_give_python_sizes(self):
+        b = self.A.row_slice(np.int64(1), np.int32(3))
+        assert type(b.n_rows) is int and b.shape == (2, 3)
+        assert np.array_equal(b.to_dense(), np.eye(3)[1:])
+
 
 class TestNormalize:
     def test_unit_norm_is_fixed_point(self):
