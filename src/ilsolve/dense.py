@@ -3,6 +3,11 @@
 The factorization runs on LAPACK through ``np.linalg.cholesky`` and on
 failure reports the failing elimination step; ``is_spd``, the test of the
 convergence-condition checks, makes the same attempt without that search.
+A caller's matrix is scanned first (square, finite, symmetric); a Gram
+matrix the package forms itself goes straight to ``_factor``, which checks
+only that the diagonal is finite: numpy forms A'A by a mirrored rank-k
+update, so it is exactly symmetric, LAPACK reads only the lower triangle,
+and an overflow shows on the diagonal, as |G_ij| <= sqrt(G_ii G_jj).
 numpy has no triangular solve, so the triangular solves are blocked
 sweeps: per row block one BLAS update from the blocks already solved and
 one product with the inverse of its diagonal block.  Those inverses come
@@ -44,36 +49,39 @@ def dense_cholesky(m: np.ndarray) -> np.ndarray:
     or falls below n*eps*max|diag| (the rounding guard that keeps
     semidefinite inputs from slipping through as definite).
     """
-    a, pivot_floor, lower = _attempt(m)
+    return _factor(_checked(m))
+
+
+def _checked(m: np.ndarray) -> np.ndarray:
+    """m as float64, after the caller-facing checks: square, finite, symmetric."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    # max|a| without an n x n temporary; a NaN entry makes it NaN.
+    scale = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    asymmetry = a - a.T  # the one n x n temporary
+    if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > _SYMMETRY_TOL * max(scale, 1e-300):
+        raise ValueError("matrix is not symmetric to the required tolerance")
+    return a
+
+
+def _factor(a: np.ndarray) -> np.ndarray:
+    """dense_cholesky of a float64 matrix symmetric by construction; only its diagonal is checked."""
+    pivot_floor, lower = _attempt(a)
     if lower is None:
         raise _pivot_failure(a, pivot_floor)
     return lower
 
 
-def _attempt(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """One attempted factorization of m, after dense_cholesky's input
-    checks: m as a float array, its pivot floor, and its Cholesky factor,
-    or None when a pivot is non-positive or at or below the floor."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 0:
-        return a, 0.0, np.zeros((0, 0))
-    # max|a| without an n x n temporary; a NaN entry makes it NaN.
-    scale = max(float(a.max()), -float(a.min()))
-    if not np.isfinite(scale):
+def _attempt(a: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """One attempted factorization of a as _factor takes it: its pivot floor, finite
+    exactly when the diagonal is, and its factor, or None at a pivot at or below the floor."""
+    pivot_floor = len(a) * _EPS * float(np.abs(np.diagonal(a)).max(initial=0.0))
+    if not np.isfinite(pivot_floor):
         raise ValueError("matrix has non-finite entries")
-    if _max_asymmetry(a) > _SYMMETRY_TOL * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric to the required tolerance")
-    pivot_floor = n * _EPS * float(np.abs(np.diagonal(a)).max())
-    return a, pivot_floor, _leading_factor(a, n, pivot_floor)
-
-
-def _max_asymmetry(a: np.ndarray) -> float:
-    """max|a - a'|, with a single n x n temporary."""
-    d = a - a.T
-    return float(np.abs(d, out=d).max())
+    return pivot_floor, _leading_factor(a, len(a), pivot_floor)
 
 
 def _leading_factor(a: np.ndarray, k: int, pivot_floor: float) -> np.ndarray | None:
@@ -169,5 +177,5 @@ def solve_lower_transpose(
 
 def is_spd(m: np.ndarray) -> bool:
     """Positive-definiteness via one attempt of dense_cholesky's factorization."""
-    return _attempt(m)[2] is not None
+    return _attempt(_checked(m))[1] is not None
 

@@ -71,7 +71,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import problem as problem_module
-from .dense import _block_inverses, cholesky_solve, dense_cholesky
+from .dense import _block_inverses, _factor, cholesky_solve
 from .exceptions import ConfigurationError, IndefiniteOperatorError
 from .krylov import CgConfig, FgmresConfig, SolveReport, _cg, _checked_rhs, _fgmres
 from .problem import IlsProblem, _gram_pair, apply_block_A, build_rhs, densify
@@ -120,7 +120,7 @@ def _inner_factor(prob: IlsProblem, shift: float) -> tuple[np.ndarray, np.ndarra
         inner = a1d.T @ a1d
         if shift:
             inner[np.diag_indices_from(inner)] += shift
-        lower = dense_cholesky(inner)
+        lower = _factor(inner)
         return lower, _block_inverses(lower)
 
     return prob._shared(shift, factor)

@@ -30,7 +30,8 @@ empty rows, and ilsolve.analysis its decompositions (by name).
 Inputs are checked once, at the public entry points (IlsProblem, split,
 spmv, the applies, the solvers): shape, dtype (complex input is a
 TypeError naming it) and, for data and right-hand sides, finiteness.  The
-private loops (the Gram product, inner CG, FGMRES, the paired step) trust them.
+private loops (the Gram product, inner CG, FGMRES, the paired step) trust
+them, and the Gram factors skip dense_cholesky's scans (dense._factor).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import cholesky_solve, dense_cholesky
+from .dense import _factor, cholesky_solve
 from .exceptions import (
     ConfigurationError,
     DegenerateMatrixError,
@@ -284,7 +285,7 @@ def reference_solution(prob: IlsProblem) -> tuple[np.ndarray, str]:
     a1d, a2d = densify(prob.a1), densify(prob.a2)
     normal = a1d.T @ a1d - a2d.T @ a2d
     try:
-        return cholesky_solve(dense_cholesky(normal), rhs), ""
+        return cholesky_solve(_factor(normal), rhs), ""
     except NotSpdError:
         try:
             x = np.linalg.solve(normal, rhs)

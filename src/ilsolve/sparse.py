@@ -256,10 +256,11 @@ def spmv_transpose(a: SparseMatrixCsr, x: np.ndarray) -> np.ndarray:
 
 def one_norm(a: SparseMatrixCsr | np.ndarray) -> float:
     """Maximum absolute column sum of a CSR matrix or a 2-D ndarray; 0.0 when it has no entries."""
+    from .operators import as_matrix  # checks a dense operand; operators imports this module
     if isinstance(a, SparseMatrixCsr):
         colsums = np.bincount(a.col_indices, weights=np.abs(a.values), minlength=a.n_cols)
     else:
-        colsums = np.abs(a).sum(axis=0)  # as np.linalg.norm(a, 1) sums them
+        colsums = np.abs(as_matrix(a)).sum(axis=0)  # as np.linalg.norm(a, 1) sums them
     return float(colsums.max()) if colsums.size else 0.0
 
 

@@ -26,7 +26,7 @@ from ilsolve import (
 from ilsolve import preconditioners as preconditioners_module
 from ilsolve import problem as problem_module
 from ilsolve import sparse as sparse_module
-from ilsolve.dense import cholesky_solve, dense_cholesky
+from ilsolve.dense import _factor, cholesky_solve, dense_cholesky
 from ilsolve.krylov import cg_solve
 from ilsolve.operators import LinearOperator
 from ilsolve.preconditioners import DENSE_ASSEMBLY_MAX_SIZE, INNER_SOLVERS, _INNER_SOLVES, _fold, _gram_bound
@@ -290,9 +290,7 @@ class TestInnerSolvers:
     def test_cholesky_factor_shared_per_problem_and_shift(self, monkeypatch):
         prob = random_desk_problem(13)
         calls = []
-        monkeypatch.setattr(
-            preconditioners_module, "dense_cholesky", lambda m: calls.append(1) or dense_cholesky(m)
-        )
+        monkeypatch.setattr(preconditioners_module, "_factor", lambda m: calls.append(1) or _factor(m))
         ibs2 = make_preconditioner("ibs2", prob, inner="cholesky")
         ibs4 = make_preconditioner("ibs4", prob, inner="cholesky")
         assert lower(ibs2) is lower(ibs4) and len(calls) == 1

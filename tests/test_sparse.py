@@ -373,6 +373,19 @@ class TestOneNorm:
             csr = SparseMatrixCsr.from_triplets(*shape, rows, cols, a[rows, cols])
             assert abs(one_norm(csr) - got) <= 1e-15 * shape[0] * got
 
+    @pytest.mark.parametrize("a", [np.array([1.0, -2.0]), np.ones((2, 3, 4))], ids=["1-D", "3-D"])
+    def test_dense_operand_must_be_two_dimensional(self, a):
+        with pytest.raises(TypeError, match="must be a CSR matrix or a 2-D array"):
+            one_norm(a)
+
+    def test_complex_operand_is_refused(self):
+        with pytest.raises(TypeError, match="must be real, got dtype complex128"):
+            one_norm(np.array([[3 + 4j]]))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+    def test_operand_without_entries_has_norm_zero(self, shape):
+        assert one_norm(np.ones(shape)) == 0.0
+
 
 class TestRowSliceBounds:
     A = rectangular_identity_csr(3, 3)
