@@ -11,7 +11,8 @@ matrix (one at desk scale).  Spectral radii of the (non-symmetric)
 iteration operators I - M^{-1} A are the largest eigenvalue moduli of that
 matrix (``np.linalg.eigvals``), and the predicted eigenvector families are
 checked against the same matrix.  The pencil (A1'A1 - A2'A2, alpha*I +
-A1'A1) and null(A2') are decomposed once per problem and shared by the
+A1'A1), reduced with the exact preconditioners' shared factor of alpha*I +
+A1'A1, and null(A2') are decomposed once per problem and shared by the
 four variants' eigenstructure checks.
 """
 
@@ -24,16 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import _block_inverses, dense_cholesky, is_spd, solve_lower, solve_lower_transpose
+from .dense import is_spd, solve_lower, solve_lower_transpose
 from .exceptions import (
     AccuracyWarning,
     ConfigurationError,
-    NotSpdError,
     RankAmbiguityWarning,
     StationaryDivergenceError,
 )
 from .krylov import FgmresConfig, SolveReport
-from .preconditioners import _BACKSUB_FIRST, _COUPLED_RHS
+from .preconditioners import _BACKSUB_FIRST, _COUPLED_RHS, _inner_factor
 from .preconditioners import IBS_VARIANTS, assemble_dense_preconditioned, make_preconditioner, solve
 from .problem import IlsProblem, apply_block_A, build_rhs, densify
 from .sparse import _count
@@ -47,7 +47,6 @@ __all__ = [
     "stationary_solve",
     "spectral_radius_estimate",
     "jacobi_eigh",
-    "generalized_sym_eigpairs",
     "null_space_basis",
     "verify_eigenstructure",
     "gmres_bound_check",
@@ -129,31 +128,6 @@ def jacobi_eigh(s: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     eigvals = np.diag(a).copy()
     order = np.argsort(eigvals)
     return eigvals[order], v[:, order]
-
-
-def generalized_sym_eigpairs(b: np.ndarray, c: np.ndarray):
-    """Eigenpairs of C^{-1} B for symmetric B and SPD C.
-
-    Factors C = L L', forms S = L^{-1} B L^{-T}, runs Jacobi, and maps the
-    eigenvectors back (they are C-orthonormal, not orthonormal).
-    """
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if b.shape != c.shape or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("matrices must be square and of equal size")
-    if b.shape[0] > 1000:
-        raise ConfigurationError(f"generalized eigensolver capped at n = 1000, got {b.shape[0]}")
-    try:
-        lower = dense_cholesky(c)
-    except NotSpdError as exc:
-        raise ValueError("second matrix of the pencil must be SPD") from exc
-    inverses = _block_inverses(lower)
-    t = solve_lower(lower, b, inverses)
-    s = solve_lower(lower, t.T, inverses).T
-    s = 0.5 * (s + s.T)
-    w, y_tilde = jacobi_eigh(s)
-    y = solve_lower_transpose(lower, y_tilde, inverses)
-    return w, y
 
 
 def null_space_basis(m: np.ndarray) -> np.ndarray:
@@ -380,6 +354,32 @@ def _null_family(label, t, prob, m, part) -> EigenvectorFamily:
     return _family(f"unit: {label}", t, _stack(prob, **{part: basis}), np.ones(basis.shape[1]))
 
 
+PENCIL_MAX_N = 1000  # largest n for which the pencil is reduced (a Python Jacobi sweep)
+
+
+def _pencil_cap(prob: IlsProblem) -> None:
+    """A ConfigurationError when ``prob``'s pencil is over PENCIL_MAX_N."""
+    if prob.n > PENCIL_MAX_N:
+        raise ConfigurationError(f"pencil reduction capped at n = {PENCIL_MAX_N}, got {prob.n}")
+
+
+def _pencil(prob: IlsProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (mu ascending, S-orthonormal Y) of the pencil (H, S) = (A1'A1 - A2'A2,
+    alpha*I + A1'A1), built once per problem: Jacobi on L^{-1} H L^{-T}, where S = L L'
+    is the exact preconditioners' factor."""
+    _pencil_cap(prob)
+
+    def pencil():
+        lower, inverses = _inner_factor(prob, prob.alpha)
+        a1d, a2d = densify(prob.a1), densify(prob.a2)
+        t = solve_lower(lower, a1d.T @ a1d - a2d.T @ a2d, inverses)
+        s = solve_lower(lower, t.T, inverses).T
+        w, y_tilde = jacobi_eigh(0.5 * (s + s.T))
+        return w, solve_lower_transpose(lower, y_tilde, inverses)
+
+    return prob._shared("pencil", pencil)
+
+
 def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     """Build the predicted eigenvectors of the preconditioned operator and
     measure their residuals against M^{-1} A, assembled once with exact
@@ -401,10 +401,6 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
     t = assemble_dense_preconditioned(kind, prob)
 
     a1d, a2d = densify(prob.a1), densify(prob.a2)
-    def pencil():
-        gram = a1d.T @ a1d
-        return generalized_sym_eigpairs(gram - a2d.T @ a2d, gram + prob.alpha * np.eye(prob.n))
-
     unit = [_family("unit: first-block basis", t, _stack(prob, d1=np.eye(p)), np.ones(p))]
     if coupled:
         unit.append(_family("unit: third-block basis", t, _stack(prob, d2=np.eye(q)), np.ones(q)))
@@ -418,7 +414,7 @@ def verify_eigenstructure(kind: str, prob: IlsProblem) -> SpectralReport:
         else:
             unit.append(_null_family("null(A2) middle-block basis", t, prob, a2d, "x"))
 
-    interval_eigs, y_vectors = prob._shared("pencil", pencil)
+    interval_eigs, y_vectors = _pencil(prob)
 
     if coupled:
         keep = np.abs(interval_eigs - 1.0) > 1e-8

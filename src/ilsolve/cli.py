@@ -19,12 +19,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    _ibs_kind,
-    check_convergence_conditions,
-    gmres_bound_check,
-    verify_eigenstructure,
-)
+from .analysis import _ibs_kind, _pencil_cap, check_convergence_conditions, gmres_bound_check, verify_eigenstructure
 from .bench import (
     _SPEC_KEYS,
     ExperimentSpec,
@@ -139,7 +134,9 @@ def _cmd_analyze(args) -> int:
     if not kinds:
         raise ValueError("--preconditioners must name at least one variant")
     prob = build_problem(_spec_from_args(args))
-    _assembly_size(prob)  # every variant's report assembles M^{-1} A: refuse before any work
+    # Every variant's report assembles M^{-1} A and reduces the pencil: refuse before any work.
+    _assembly_size(prob)
+    _pencil_cap(prob)
     conditions = check_convergence_conditions(prob)
     out = {
         "problem": prob.label(),

@@ -139,13 +139,16 @@ class IlsProblem:
 
     def _shared(self, key, compute):
         """compute()'s value, its ndarray parts read-only, kept under ``key`` (a
-        name or a shift); one that warned is not kept, so each call warns."""
+        name or a shift); one that warned is not kept, so each call warns, and
+        the warnings of a compute() that raises are emitted before its error."""
         if key not in self._factors:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = compute()
-            for w in caught:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    value = compute()
+            finally:
+                for w in caught:
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
             if caught:
                 return value
             for part in value if isinstance(value, tuple) else (value,):

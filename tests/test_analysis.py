@@ -19,8 +19,9 @@ from ilsolve import (
     stationary_solve,
     verify_eigenstructure,
 )
-from ilsolve.analysis import generalized_sym_eigpairs, null_space_basis
+from ilsolve.analysis import _pencil, null_space_basis
 from ilsolve.exceptions import AccuracyWarning, RankAmbiguityWarning
+from ilsolve.problem import densify
 from ilsolve.sparse import rectangular_identity_csr
 
 from conftest import random_desk_problem, scalar_problem
@@ -83,41 +84,52 @@ class TestJacobiEigh:
             jacobi_eigh(s, max_sweeps=0)
 
 
-class TestGeneralizedEigs:
-    def test_identity_pencil_scaling(self):
-        w = generalized_sym_eigpairs(np.eye(3), 2.0 * np.eye(3))[0]
-        np.testing.assert_allclose(w, 0.5, rtol=1e-14)
+def tridiagonal_core(n):
+    """tridiag(-1, 2, -1) of order n, scaled to unit one-norm."""
+    i = np.arange(n)
+    rows, cols = np.r_[i, i[:-1], i[1:]], np.r_[i, i[1:], i[:-1]]
+    vals = np.r_[np.full(n, 2.0), np.full(2 * (n - 1), -1.0)]
+    return il.normalize_to_unit_one_norm(il.SparseMatrixCsr.from_triplets(n, n, rows, cols, vals))
 
-    def test_diagonal_ratio(self):
-        w = generalized_sym_eigpairs(np.diag([2.0, 6.0]), 2.0 * np.eye(2))[0]
-        np.testing.assert_allclose(w, [1.0, 3.0], rtol=1e-14)
 
-    def test_characteristic_polynomial_roots(self):
-        w = generalized_sym_eigpairs(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))[0]
-        np.testing.assert_allclose(w, [1.0, 3.0], rtol=1e-13)
+def pencil_problems():
+    """Desk instances on both sides of the hypothesis A1'A1 - A2'A2 > 0 (A2
+    scaled as in the certificate test below) and an augmented banded one."""
+    base = il.generate_random_problem(12, 8, 10, seed=3)
+    return [
+        IlsProblem(base.a1, 0.5 * base.a2, base.b1, base.b2, base.alpha),
+        IlsProblem(base.a1, 5.0 * base.a2, base.b1, base.b2, base.alpha),
+        il.generate_augmented_problem(tridiagonal_core(20), 30, 0.5),
+    ]
 
-    def test_matches_scipy_on_random_pencil(self, rng):
-        b = rng.standard_normal((10, 10))
-        b = 0.5 * (b + b.T)
-        c = rng.standard_normal((10, 10))
-        c = c @ c.T + 10.0 * np.eye(10)
-        got = generalized_sym_eigpairs(b, c)[0]
-        want = scipy.linalg.eigh(b, c, eigvals_only=True)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-11)
 
-    def test_eigenpairs_satisfy_pencil_equation(self, rng):
-        b = rng.standard_normal((8, 8))
-        b = 0.5 * (b + b.T)
-        c = rng.standard_normal((8, 8))
-        c = c @ c.T + 8.0 * np.eye(8)
-        w, y = generalized_sym_eigpairs(b, c)
-        for j in range(8):
-            res = np.linalg.norm(b @ y[:, j] - w[j] * (c @ y[:, j]))
-            assert res <= 1e-10 * np.linalg.norm(c @ y[:, j])
+def pencil_matrices(prob):
+    """H = A1'A1 - A2'A2 and S = alpha*I + A1'A1, formed independently."""
+    a1d, a2d = densify(prob.a1), densify(prob.a2)
+    return a1d.T @ a1d - a2d.T @ a2d, a1d.T @ a1d + prob.alpha * np.eye(prob.n)
 
-    def test_non_spd_second_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            generalized_sym_eigpairs(np.eye(2), np.diag([1.0, -1.0]))
+
+class TestPencil:
+    @pytest.mark.parametrize("prob", pencil_problems(), ids=["inside", "outside", "augmented"])
+    def test_matches_scipy_on_the_problems_pencil(self, prob):
+        h, s = pencil_matrices(prob)
+        want = scipy.linalg.eigh(h, s, eigvals_only=True)
+        np.testing.assert_allclose(_pencil(prob)[0], want, rtol=1e-10, atol=1e-11)
+
+    @pytest.mark.parametrize("prob", pencil_problems(), ids=["inside", "outside", "augmented"])
+    def test_eigenpairs_satisfy_pencil_equation(self, prob):
+        h, s = pencil_matrices(prob)
+        w, y = _pencil(prob)
+        for j in range(prob.n):
+            res = np.linalg.norm(h @ y[:, j] - w[j] * (s @ y[:, j]))
+            assert res <= 1e-10 * np.linalg.norm(s @ y[:, j])
+        assert np.abs(y.T @ s @ y - np.eye(prob.n)).max() <= 1e-10
+
+    def test_size_cap(self, monkeypatch):
+        prob = random_desk_problem(0)
+        monkeypatch.setattr(il.analysis, "PENCIL_MAX_N", prob.n - 1)
+        with pytest.raises(il.ConfigurationError, match="pencil reduction capped"):
+            _pencil(prob)
 
 
 class TestNullSpaceBasis:
@@ -199,12 +211,7 @@ class TestConditionReport:
         # An augmented tridiag(-1, 2, -1) core: the shifted combination of
         # ibs2/ibs4 is SPD, but A1'A1 - A2'A2 is not, and the stationary
         # iterations diverge.
-        n = 20
-        i = np.arange(n)
-        rows, cols = np.r_[i, i[:-1], i[1:]], np.r_[i, i[1:], i[:-1]]
-        vals = np.r_[np.full(n, 2.0), np.full(2 * (n - 1), -1.0)]
-        core = il.normalize_to_unit_one_norm(il.SparseMatrixCsr.from_triplets(n, n, rows, cols, vals))
-        prob = il.generate_augmented_problem(core, 30, 6.0)
+        prob = il.generate_augmented_problem(tridiagonal_core(20), 30, 6.0)
         report = check_convergence_conditions(prob)
         assert not report.spd_normal and report.spd_two_shifted_plus
         assert not report.spd_shifted_minus_a2gram and not report.spd_two_shifted_minus
@@ -455,7 +462,7 @@ class TestEigenstructure:
 
     def test_pencil_and_null_basis_are_decomposed_once_per_problem(self, monkeypatch):
         calls = []
-        for name in ("generalized_sym_eigpairs", "null_space_basis"):
+        for name in ("jacobi_eigh", "null_space_basis"):
             original = getattr(il.analysis, name)
             monkeypatch.setattr(
                 il.analysis, name, lambda *args, f=original, name=name: calls.append(name) or f(*args)
@@ -463,7 +470,22 @@ class TestEigenstructure:
         prob = il.generate_random_problem(12, 9, 5, seed=3)
         for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
             verify_eigenstructure(kind, prob)
-        assert sorted(calls) == ["generalized_sym_eigpairs", "null_space_basis"]
+        assert sorted(calls) == ["jacobi_eigh", "null_space_basis"]
+
+    def test_exact_checks_of_one_problem_factor_once(self, monkeypatch):
+        # verify_eigenstructure (its assembly and the pencil), stationary_solve
+        # and gmres_bound_check all read the one factor of alpha*I + A1'A1;
+        # dense_cholesky, which factors through dense._factor, is not called.
+        shapes = []
+        factor = il.dense._factor
+        for module in (il.dense, il.preconditioners):
+            monkeypatch.setattr(module, "_factor", lambda a: shapes.append(a.shape) or factor(a))
+        prob = il.generate_random_problem(12, 9, 5, seed=3)
+        for kind in ("ibs1", "ibs2", "ibs3", "ibs4"):
+            verify_eigenstructure(kind, prob)
+            stationary_solve(kind, prob)
+            gmres_bound_check(kind, prob)
+        assert shapes == [(prob.n, prob.n)]
 
     def test_writing_into_a_report_cannot_reach_the_next(self):
         prob = random_desk_problem(5)

@@ -308,3 +308,16 @@ def test_hilbert_solve_cli(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
+
+
+def test_analyze_refuses_a_pencil_over_its_cap_before_any_work(tmp_path, capsys, monkeypatch):
+    # A 5 x 1001 core: the dense assembly (size 5 + 1001 + 5) is under its
+    # cap, the pencil (n = 1001) is over its own; the Jacobi sweep of the
+    # condition check on the 1001 x 1001 Gram must not start.
+    path = tmp_path / "wide.mtx"
+    il.write_matrix_market(np.random.default_rng(0).standard_normal((5, 1001)), path)
+    checked = []
+    monkeypatch.setattr(cli, "check_convergence_conditions", lambda prob: checked.append(prob))
+    assert main(["analyze", "--matrix", str(path), "--q", "5"]) == 1
+    assert capsys.readouterr().err == f"error: pencil reduction capped at n = {il.analysis.PENCIL_MAX_N}, got 1001\n"
+    assert checked == []

@@ -7,6 +7,8 @@ symmetric, LAPACK's Cholesky reads only the lower triangle, the skipped
 path gives dense_cholesky's factor bit for bit, and its refusals stay.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,20 @@ def _overflowing_problem():
 
 
 def test_overflowing_gram_is_refused_by_the_inner_factor():
-    with pytest.raises(ValueError, match="non-finite"):
+    # numpy warns of the overflow while forming A1'A1, inside the problem's
+    # cache; the warning reaches the caller before the refusal.
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="non-finite"):
         make_preconditioner("ibs2", _overflowing_problem(), inner="cholesky")
+
+
+def test_overflow_warning_as_an_error_is_raised_by_the_inner_factor():
+    # As reference_solution raises it when warnings are errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            make_preconditioner("ibs2", _overflowing_problem(), inner="cholesky")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            reference_solution(_overflowing_problem())
 
 
 def test_overflowing_normal_matrix_is_refused_by_the_reference_solution():

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -534,3 +535,19 @@ def test_problems_compare_and_hash_by_identity(rng):
     two = IlsProblem(a1.copy(), a2.copy(), np.ones(5), np.ones(4), 2.0)
     assert one == one and one != two
     assert len({one, two, one}) == 2 and hash(one) == hash(one)
+
+
+def test_a_failing_cache_entry_emits_its_warnings_and_keeps_nothing():
+    prob = scalar_problem()
+
+    def compute():
+        warnings.warn("recorded first", UserWarning)
+        raise ValueError("then failed")
+
+    with pytest.warns(UserWarning, match="recorded first"), pytest.raises(ValueError, match="then failed"):
+        prob._shared("entry", compute)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="recorded first") as exc:
+            prob._shared("entry", compute)
+    assert isinstance(exc.value.__context__, ValueError) and "entry" not in prob._factors
